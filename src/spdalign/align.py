@@ -8,8 +8,14 @@ The total objective is
 where the per-class scatters S_c, S*_c are built in the jointly reduced space
 (exact isometric projection of that class's source and target columns) and
 regularized by eps on both sides. Feature gradients of the scatter term travel
-grad_dist_sq -> feature chain rule -> projector transpose; the projector is a
-constant in this differentiation.
+distance gradient -> feature chain rule -> projector transpose; the projector
+is a constant in this differentiation.
+
+One kernel, :func:`class_terms`, evaluates the alignment terms of a stack of
+classes that share a ``(N_c, N*_c)`` shape, with one batched LAPACK call per
+stage. The objective sorts each batch by label once, gathers every shape group
+into a stack, and writes the stack's feature gradients back with one indexed
+assignment per group.
 """
 
 from __future__ import annotations
@@ -19,11 +25,17 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .distances import DistanceKind, dist_sq, grad_dist_sq
-from .errors import DimensionError, EmptyClassError, LabelError, ParameterError
-from .nystrom import backproject_grad, isometric_project
+from .distances import DistanceKind, batch_dist_sq
+from .errors import (
+    DimensionError, EmptyClassError, LabelError, ParameterError, SingularityError,
+)
+from .nystrom import gram_roots
 from .scatter import FeatureBlock, _feature_grad
-from .spd import regularize, symmetrize
+
+# perfbench/tracing.py wraps these bindings by name; the batched kernel does not call them.
+from .distances import dist_sq, grad_dist_sq  # noqa: F401
+from .nystrom import backproject_grad, isometric_project  # noqa: F401
+from .spd import regularize, symmetrize  # noqa: F401
 
 if TYPE_CHECKING:  # real definition lives in trainer; only the classifiers are used here
     from .trainer import TwoStreamModel
@@ -166,6 +178,105 @@ class AlignmentResult:
     grads_target: list[np.ndarray]
 
 
+def class_terms(
+    x: np.ndarray, n_source: int, config: AlignConfig, with_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Scatter and mean terms of a stack of classes that share one (N, N*) shape.
+
+    ``x`` is (G, d, N + N*): each class's N source columns, then its N*
+    target columns. Returns the (G,) squared distances between the reduced,
+    eps-regularized scatters, the (G,) squared gaps between the ambient means,
+    and the (G, d, N + N*) feature gradients of
+    ``sigma1 / C * scatter + sigma2 / C * mean`` (``None`` without
+    ``with_grad``). A term whose weight is zero is neither computed nor
+    differentiated. A ``SingularityError`` carries the position in the stack
+    of the first failing class.
+    """
+    count, _, width = x.shape
+    scatter = np.zeros(count)
+    mean = np.zeros(count)
+    grad = np.zeros_like(x) if with_grad else None
+    if config.sigma1 != 0.0:
+        root, inverse_root = gram_roots(x)
+        reduced = (root[:, :, :n_source], root[:, :, n_source:])
+        centers = [part.mean(axis=2) for part in reduced]
+        shift = config.eps * np.eye(width)
+        sigmas = []
+        for part, center in zip(reduced, centers):
+            centered = part - center[:, :, None]
+            scatter_part = centered @ centered.transpose(0, 2, 1) / part.shape[2]
+            sigmas.append((scatter_part + scatter_part.transpose(0, 2, 1)) / 2.0 + shift)
+        scatter, grad_a, grad_b = batch_dist_sq(config.kind, *sigmas, with_grad=with_grad)
+        if with_grad:
+            chained = np.concatenate([
+                _feature_grad(grad_a, reduced[0], centers[0]),
+                _feature_grad(grad_b, reduced[1], centers[1]),
+            ], axis=2)
+            grad += config.sigma1 / config.class_count * (x @ (inverse_root @ chained))
+    if config.sigma2 != 0.0:
+        diff = x[:, :, :n_source].mean(axis=2) - x[:, :, n_source:].mean(axis=2)
+        mean = np.einsum("gi,gi->g", diff, diff)
+        if with_grad:
+            weight = 2.0 * config.sigma2 / config.class_count
+            grad[:, :, :n_source] += (weight / n_source) * diff[:, :, None]
+            grad[:, :, n_source:] -= (weight / (width - n_source)) * diff[:, :, None]
+    return scatter, mean, grad
+
+
+def _class_counts(labels: np.ndarray, class_count: int) -> np.ndarray:
+    counts = np.bincount(labels, minlength=class_count)
+    if counts.size > class_count:
+        raise LabelError(f"label {int(labels.max())} outside class count {class_count}")
+    return counts
+
+
+def _alignment(
+    block_s: FeatureBlock, block_t: FeatureBlock, config: AlignConfig
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Weighted scatter and mean terms of two labelled batches, with feature gradients.
+
+    Each batch is sorted by label once. Classes present in both streams are
+    grouped by their (N_c, N*_c) shape and each group is gathered into one
+    stack for :func:`class_terms`; classes missing from either stream
+    contribute zero. Gradients come back shaped like the two batches.
+    """
+    grad_s = np.zeros_like(block_s.columns)
+    grad_t = np.zeros_like(block_t.columns)
+    if config.sigma1 == 0.0 and config.sigma2 == 0.0:
+        return 0.0, 0.0, grad_s, grad_t
+    counts_s = _class_counts(block_s.labels, config.class_count)
+    counts_t = _class_counts(block_t.labels, config.class_count)
+    order_s = np.argsort(block_s.labels, kind="stable")
+    order_t = np.argsort(block_t.labels, kind="stable")
+    starts_s = np.cumsum(counts_s) - counts_s
+    starts_t = np.cumsum(counts_t) - counts_t
+    active = np.flatnonzero((counts_s > 0) & (counts_t > 0))
+    shape_keys = counts_s[active] * (counts_t.max() + 1) + counts_t[active]
+    keys, group_of = np.unique(shape_keys, return_inverse=True)
+    scatter_sum = 0.0
+    mean_sum = 0.0
+    for group in range(keys.size):
+        classes = active[group_of == group]
+        n_s, n_t = int(counts_s[classes[0]]), int(counts_t[classes[0]])
+        idx_s = order_s[starts_s[classes, None] + np.arange(n_s)]
+        idx_t = order_t[starts_t[classes, None] + np.arange(n_t)]
+        x = np.concatenate(
+            [block_s.columns[:, idx_s], block_t.columns[:, idx_t]], axis=2
+        ).transpose(1, 0, 2)
+        try:
+            scatter, mean, grad = class_terms(x, n_s, config)
+        except SingularityError as exc:
+            if exc.index is None:
+                raise
+            raise SingularityError(f"class {int(classes[exc.index])}: {exc}") from exc
+        scatter_sum += float(scatter.sum())
+        mean_sum += float(mean.sum())
+        grad_s[:, idx_s] = grad[:, :, :n_s].transpose(1, 0, 2)
+        grad_t[:, idx_t] = grad[:, :, n_s:].transpose(1, 0, 2)
+    c_norm = float(config.class_count)
+    return config.sigma1 / c_norm * scatter_sum, config.sigma2 / c_norm * mean_sum, grad_s, grad_t
+
+
 def alignment_loss(
     per_class: Sequence[tuple[np.ndarray, np.ndarray]], config: AlignConfig
 ) -> AlignmentResult:
@@ -175,61 +286,32 @@ def alignment_loss(
     the 1/C normalizer keeps the declared class count. For each contributing
     class the source and target columns are jointly projected to dimension
     N_c + N*_c, both reduced scatters are regularized by eps, and the distance
-    plus ambient mean term are accumulated in ascending class order.
+    plus ambient mean term are accumulated. All blocks share one feature
+    dimension.
     """
     if len(per_class) != config.class_count:
         raise DimensionError(
             f"got {len(per_class)} class entries for class_count {config.class_count}"
         )
-    scatter_sum = 0.0
-    mean_sum = 0.0
-    grads_source: list[np.ndarray] = []
-    grads_target: list[np.ndarray] = []
-    c_norm = float(config.class_count)
-    for cols_s, cols_t in per_class:
-        cols_s = np.asarray(cols_s, dtype=np.float64)
-        cols_t = np.asarray(cols_t, dtype=np.float64)
-        gs = np.zeros_like(cols_s)
-        gt = np.zeros_like(cols_t)
-        if cols_s.shape[1] == 0 or cols_t.shape[1] == 0:
-            grads_source.append(gs)
-            grads_target.append(gt)
-            continue
-        if cols_s.shape[0] != cols_t.shape[0]:
-            raise DimensionError(
-                f"stream dimensions differ: {cols_s.shape[0]} vs {cols_t.shape[0]}"
-            )
-        if config.sigma1 != 0.0:
-            red_s, red_t, proj = isometric_project(cols_s, cols_t)
-            mu_s = red_s.mean(axis=1)
-            mu_t = red_t.mean(axis=1)
-            cen_s = red_s - mu_s[:, None]
-            cen_t = red_t - mu_t[:, None]
-            sig_s = regularize(symmetrize(cen_s @ cen_s.T / red_s.shape[1]), config.eps)
-            sig_t = regularize(symmetrize(cen_t @ cen_t.T / red_t.shape[1]), config.eps)
-            scatter_sum += dist_sq(config.kind, sig_s, sig_t)
-            ga, gb = grad_dist_sq(config.kind, sig_s, sig_t)
-            weight = config.sigma1 / c_norm
-            gs += weight * backproject_grad(proj, _feature_grad(ga.entries, red_s, mu_s))
-            gt += weight * backproject_grad(proj, _feature_grad(gb.entries, red_t, mu_t))
-        if config.sigma2 != 0.0:
-            mu_s_amb = cols_s.mean(axis=1)
-            mu_t_amb = cols_t.mean(axis=1)
-            diff = mu_s_amb - mu_t_amb
-            mean_sum += float(diff @ diff)
-            weight = config.sigma2 / c_norm
-            gs += weight * (2.0 / cols_s.shape[1]) * diff[:, None]
-            gt += weight * (-2.0 / cols_t.shape[1]) * diff[:, None]
-        grads_source.append(gs)
-        grads_target.append(gt)
-    scatter_term = config.sigma1 / c_norm * scatter_sum
-    mean_term = config.sigma2 / c_norm * mean_sum
+    streams = [[np.asarray(pair[side], dtype=np.float64) for pair in per_class] for side in (0, 1)]
+    if any(block.ndim != 2 for stream in streams for block in stream):
+        raise DimensionError("class blocks must be 2-d column matrices")
+    dims = {block.shape[0] for stream in streams for block in stream}
+    if len(dims) != 1:
+        raise DimensionError(f"stream dimensions differ: {sorted(dims)}")
+    counts = [[block.shape[1] for block in stream] for stream in streams]
+    labels = np.arange(config.class_count)
+    block_s, block_t = (
+        FeatureBlock(np.concatenate(stream, axis=1), np.repeat(labels, count))
+        for stream, count in zip(streams, counts)
+    )
+    scatter_term, mean_term, grad_s, grad_t = _alignment(block_s, block_t, config)
     return AlignmentResult(
         loss=scatter_term + mean_term,
         scatter_term=scatter_term,
         mean_term=mean_term,
-        grads_source=grads_source,
-        grads_target=grads_target,
+        grads_source=np.split(grad_s, np.cumsum(counts[0])[:-1], axis=1),
+        grads_target=np.split(grad_t, np.cumsum(counts[1])[:-1], axis=1),
     )
 
 
@@ -262,7 +344,11 @@ class ObjectiveResult:
 def group_columns_by_class(
     batch_s: FeatureBlock, batch_t: FeatureBlock, class_count: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split two batches into per-class (source columns, target columns) pairs."""
+    """Split two batches into per-class (source columns, target columns) pairs.
+
+    The objective gathers classes by shape instead; this per-class split
+    remains the input of the loop reference that tests compare it against.
+    """
     for block in (batch_s, batch_t):
         if block.count and block.labels.max() >= class_count:
             raise LabelError(
@@ -289,34 +375,22 @@ def total_objective(
     ce_s = softmax_ce(clf_s, batch_s)
     ce_t = softmax_ce(clf_t, batch_t)
     prox_value, prox_gw, prox_gw_star = proximity(clf_s, clf_t, config.eta)
-    alignment = alignment_loss(
-        group_columns_by_class(batch_s, batch_t, config.class_count), config
-    )
-
-    feat_grad_s = ce_s.grad_columns.copy()
-    feat_grad_t = ce_t.grad_columns.copy()
-    for c in range(config.class_count):
-        mask_s = batch_s.labels == c
-        if mask_s.any():
-            feat_grad_s[:, mask_s] += alignment.grads_source[c]
-        mask_t = batch_t.labels == c
-        if mask_t.any():
-            feat_grad_t[:, mask_t] += alignment.grads_target[c]
+    scatter_term, mean_term, align_s, align_t = _alignment(batch_s, batch_t, config)
 
     parts = ObjectiveParts(
         ce_source=ce_s.loss,
         ce_target=ce_t.loss,
         proximity=prox_value,
-        scatter=alignment.scatter_term,
-        mean=alignment.mean_term,
+        scatter=scatter_term,
+        mean=mean_term,
     )
     grads = ObjectiveGrads(
         weights_source=ce_s.grad_weights + prox_gw,
         bias_source=ce_s.grad_bias,
         weights_target=ce_t.grad_weights + prox_gw_star,
         bias_target=ce_t.grad_bias,
-        features_source=feat_grad_s,
-        features_target=feat_grad_t,
+        features_source=ce_s.grad_columns + align_s,
+        features_target=ce_t.grad_columns + align_t,
     )
-    value = ce_s.loss + ce_t.loss + prox_value + alignment.loss
+    value = ce_s.loss + ce_t.loss + prox_value + (scatter_term + mean_term)
     return ObjectiveResult(value=value, parts=parts, grads=grads)

@@ -14,10 +14,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .align import AlignConfig, Classifier, total_objective
+from .align import AlignConfig, Classifier, alignment_loss, total_objective
+from .bench import ambient_distance_eval, projected_distance_eval
 from .distances import DistanceKind, dist_sq, grad_dist_sq
 from .errors import NumericalError
-from .nystrom import backproject_grad, isometric_project
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
 from .spd import SymMatrix, regularize, symmetrize
 
@@ -128,14 +128,6 @@ def check_distance_gradients(
     return ComponentReport(component=name, max_gap=worst, tolerance=GRAD_TOLERANCE)
 
 
-def _ambient_distance(kind: DistanceKind, phi_s: np.ndarray, phi_t: np.ndarray, eps: float) -> float:
-    block_s = FeatureBlock(phi_s, np.zeros(phi_s.shape[1], dtype=int))
-    block_t = FeatureBlock(phi_t, np.zeros(phi_t.shape[1], dtype=int))
-    sig_s = regularize(mean_and_scatter(block_s).scatter, eps)
-    sig_t = regularize(mean_and_scatter(block_t).scatter, eps)
-    return dist_sq(kind, sig_s, sig_t)
-
-
 def check_scatter_chain(
     kind: DistanceKind, trials: int, rng: np.random.Generator,
     corrupt: str | None = None,
@@ -164,10 +156,10 @@ def check_scatter_chain(
         grad_t = _feature_grad(gb.entries, phi_t, stats_t.mean)
 
         fd_s = central_difference(
-            lambda flat: _ambient_distance(kind, flat.reshape(d, n_s), phi_t, eps), phi_s
+            lambda flat: ambient_distance_eval(flat.reshape(d, n_s), phi_t, kind, eps), phi_s
         )
         fd_t = central_difference(
-            lambda flat: _ambient_distance(kind, phi_s, flat.reshape(d, n_t), eps), phi_t
+            lambda flat: ambient_distance_eval(phi_s, flat.reshape(d, n_t), kind, eps), phi_t
         )
         grad_s = _maybe_corrupt(grad_s, name, corrupt)
         grad_t = _maybe_corrupt(grad_t, name, corrupt)
@@ -176,29 +168,19 @@ def check_scatter_chain(
 
 
 def _projected_distance(kind: DistanceKind, phi_s: np.ndarray, phi_t: np.ndarray, eps: float) -> float:
-    red_s, red_t, _ = isometric_project(phi_s, phi_t)
-    block_s = FeatureBlock(red_s, np.zeros(red_s.shape[1], dtype=int))
-    block_t = FeatureBlock(red_t, np.zeros(red_t.shape[1], dtype=int))
-    sig_s = regularize(mean_and_scatter(block_s).scatter, eps)
-    sig_t = regularize(mean_and_scatter(block_t).scatter, eps)
-    return dist_sq(kind, sig_s, sig_t)
+    return projected_distance_eval(phi_s, phi_t, kind, eps)
 
 
 def projected_distance_grads(
     kind: DistanceKind, phi_s: np.ndarray, phi_t: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of the reduced-space distance, projector held constant."""
-    red_s, red_t, proj = isometric_project(phi_s, phi_t)
-    mu_s = red_s.mean(axis=1)
-    mu_t = red_t.mean(axis=1)
-    cen_s = red_s - mu_s[:, None]
-    cen_t = red_t - mu_t[:, None]
-    sig_s = regularize(symmetrize(cen_s @ cen_s.T / red_s.shape[1]), eps)
-    sig_t = regularize(symmetrize(cen_t @ cen_t.T / red_t.shape[1]), eps)
-    ga, gb = grad_dist_sq(kind, sig_s, sig_t)
-    grad_s = backproject_grad(proj, _feature_grad(ga.entries, red_s, mu_s))
-    grad_t = backproject_grad(proj, _feature_grad(gb.entries, red_t, mu_t))
-    return grad_s, grad_t
+    """Analytic gradients of the reduced-space distance, projector held constant.
+
+    These come from the alignment kernel that training runs, on one class.
+    """
+    config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=kind, class_count=1, eps=eps)
+    result = alignment_loss([(phi_s, phi_t)], config)
+    return result.grads_source[0], result.grads_target[0]
 
 
 def check_projected_chain(

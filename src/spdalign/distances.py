@@ -6,12 +6,22 @@ Three kinds are supported:
 * JBLD:       logdet((A + B) / 2) - logdet(A B) / 2
 * AIRM:       ||log(A^{-1/2} B A^{-1/2})||_F^2
 
-The AIRM value is evaluated through Cholesky factors and a singular value
-decomposition of L_A^{-1} L_B rather than by forming the congruence sandwich:
-the sandwich loses all relative accuracy on its small eigenvalues once the
-operand spectra span many orders of magnitude (as they do for epsilon-padded
-scatter matrices), while the triangular-solve route perturbs singular values
-only multiplicatively.
+All three are invariant under rotations, so scatter matrices built after the
+exact reduction of :mod:`spdalign.nystrom` have the same distances as the
+ambient ones, including when the ambient dimension d is below N + N* and the
+reduced side is the larger one.
+
+:func:`batch_dist_sq` evaluates a whole stack of pairs with one batched
+LAPACK call per stage; :func:`dist_sq` and :func:`grad_dist_sq` are its
+one-pair case. JBLD takes its value and both gradients from three Cholesky
+factors. AIRM goes through the Cholesky factors and one singular value
+decomposition ``L_A^{-1} L_B = U diag(sigma) V^T`` rather than the congruence
+sandwich ``A^{-1/2} B A^{-1/2}``: the sandwich loses all relative accuracy on
+its small eigenvalues once the operand spectra span many orders of magnitude
+(as they do for epsilon-padded scatter matrices), while the triangular-solve
+route perturbs singular values only multiplicatively. The same factors give
+the gradients ``-4 L_A^{-T} U diag(log sigma) U^T L_A^{-1}`` and
+``+4 L_B^{-T} V diag(log sigma) V^T L_B^{-1}``.
 """
 
 from __future__ import annotations
@@ -19,10 +29,14 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import solve as _solve
 
 from .errors import DimensionError, SingularityError
-from .spd import SymMatrix, logdet, spd_fn, symmetrize
+from .spd import SymMatrix
+
+# perfbench/tracing.py counts calls through these bindings; nothing here calls them.
+from scipy.linalg import solve_triangular  # noqa: F401
+from .spd import logdet, spd_fn, symmetrize  # noqa: F401
 
 
 class DistanceKind(enum.Enum):
@@ -46,39 +60,103 @@ def _check_pair(a: SymMatrix, b: SymMatrix):
         raise DimensionError(f"side mismatch: {a.side} vs {b.side}")
 
 
-def _cholesky(s: SymMatrix) -> np.ndarray:
+def _sym(stack: np.ndarray) -> np.ndarray:
+    """Exactly symmetric part of every matrix in a stack."""
+    return (stack + stack.transpose(0, 2, 1)) / 2.0
+
+
+def _cholesky(stack: np.ndarray, pairs: int) -> np.ndarray:
+    """Lower Cholesky factors of a stack that holds ``pairs``-long blocks of operands.
+
+    On failure, the error's ``index`` is the lowest pair position holding a
+    matrix that is not positive definite.
+    """
     try:
-        return np.linalg.cholesky(s.entries)
+        return np.linalg.cholesky(stack)
     except np.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(s.entries)[0])
-        raise SingularityError(
-            f"matrix must be strictly positive definite; smallest eigenvalue is {smallest:.6e}"
-        ) from exc
+        for position in sorted(range(stack.shape[0]), key=lambda p: p % pairs):
+            try:
+                np.linalg.cholesky(stack[position])
+            except np.linalg.LinAlgError:
+                smallest = float(np.linalg.eigvalsh(stack[position])[0])
+                raise SingularityError(
+                    "matrix must be strictly positive definite; "
+                    f"smallest eigenvalue is {smallest:.6e}",
+                    index=position % pairs,
+                ) from exc
+        raise SingularityError("matrix must be strictly positive definite") from exc
+
+
+def _lower_solve(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """``L^{-1} rhs`` (or ``L^{-T} rhs``) for a stack of lower-triangular factors."""
+    return _solve(lower, rhs, assume_a="lower triangular", transposed=transposed,
+                  check_finite=False)
+
+
+def batch_dist_sq(
+    kind: DistanceKind, a: np.ndarray, b: np.ndarray, with_grad: bool = True
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Squared distances of a stack of pairs, plus their gradients.
+
+    ``a`` and ``b`` are (G, k, k) stacks of exactly symmetric matrices. Returns
+    the (G,) values and the (G, k, k) gradients with respect to ``a`` and to
+    ``b``, each exactly symmetric, or ``None`` for both when ``with_grad`` is
+    false. A ``SingularityError`` carries the position of the failing pair.
+    """
+    pairs = a.shape[0]
+    if kind is DistanceKind.FROBENIUS:
+        diff = a - b
+        values = np.einsum("gij,gij->g", diff, diff)
+        if not with_grad:
+            return values, None, None
+        return values, 2.0 * diff, -2.0 * diff
+    if kind is DistanceKind.JBLD:
+        chol = _cholesky(np.concatenate([a, b, (a + b) / 2.0]), pairs)
+        logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+        values = logdets[2 * pairs:] - 0.5 * (logdets[:pairs] + logdets[pairs:2 * pairs])
+        if not np.isfinite(values).all():
+            raise SingularityError(
+                "logdet overflowed; matrix is numerically singular",
+                index=int(np.argmin(np.isfinite(values))),
+            )
+        # Mathematically >= 0 for SPD operands; clamp rounding residue at zero.
+        values = np.maximum(values, 0.0)
+        if not with_grad:
+            return values, None, None
+        inv_factor = _lower_solve(chol, np.eye(a.shape[1]))
+        inverse = inv_factor.transpose(0, 2, 1) @ inv_factor
+        inv_a, inv_b, inv_mid = inverse[:pairs], inverse[pairs:2 * pairs], inverse[2 * pairs:]
+        return values, _sym(inv_mid - inv_a) / 2.0, _sym(inv_mid - inv_b) / 2.0
+    if kind is DistanceKind.AIRM:
+        chol = _cholesky(np.concatenate([a, b]), pairs)
+        w = _lower_solve(chol[:pairs], chol[pairs:])
+        if with_grad:
+            u, sigma, vt = np.linalg.svd(w)
+        else:
+            sigma = np.linalg.svd(w, compute_uv=False)
+        if not (sigma[:, -1] > 0.0).all():
+            raise SingularityError(
+                "AIRM operand pair is numerically singular",
+                index=int(np.argmin(sigma[:, -1] > 0.0)),
+            )
+        # Eigenvalues of A^{-1/2} B A^{-1/2} are sigma^2, so ||log(.)||_F^2
+        # is the sum of (2 log sigma)^2.
+        logs = np.log(sigma)
+        values = 4.0 * np.einsum("gi,gi->g", logs, logs)
+        if not with_grad:
+            return values, None, None
+        m = _lower_solve(chol, np.concatenate([u, vt.transpose(0, 2, 1)]), transposed=True)
+        scaled = m * np.concatenate([logs, logs])[:, None, :]
+        grads = scaled @ m.transpose(0, 2, 1)
+        return values, _sym(-4.0 * grads[:pairs]), _sym(4.0 * grads[pairs:])
+    raise ValueError(f"unhandled distance kind {kind!r}")
 
 
 def dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> float:
     """Squared distance d^2(a, b) for the given kind. Nonnegative."""
     _check_pair(a, b)
-    if kind is DistanceKind.FROBENIUS:
-        diff = a.entries - b.entries
-        return float(np.sum(diff * diff))
-    if kind is DistanceKind.JBLD:
-        mid = symmetrize((a.entries + b.entries) / 2.0)
-        value = logdet(mid) - 0.5 * logdet(a) - 0.5 * logdet(b)
-        # Mathematically >= 0 for SPD operands; clamp rounding residue at zero.
-        return max(value, 0.0)
-    if kind is DistanceKind.AIRM:
-        la = _cholesky(a)
-        lb = _cholesky(b)
-        w = solve_triangular(la, lb, lower=True, check_finite=False)
-        sigma = np.linalg.svd(w, compute_uv=False)
-        if sigma[-1] <= 0.0:
-            raise SingularityError("AIRM operand pair is numerically singular")
-        # eigenvalues of A^{-1/2} B A^{-1/2} are sigma^2, so ||log(.)||_F^2
-        # is sum of (2 log sigma)^2.
-        logs = np.log(sigma)
-        return float(4.0 * np.sum(logs * logs))
-    raise ValueError(f"unhandled distance kind {kind!r}")
+    values, _, _ = batch_dist_sq(kind, a.entries[None], b.entries[None], with_grad=False)
+    return float(values[0])
 
 
 def grad_dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> tuple[SymMatrix, SymMatrix]:
@@ -87,23 +165,9 @@ def grad_dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> tuple[SymMat
     Frobenius: 2(a - b) and -2(a - b).
     JBLD:      (a + b)^{-1} - a^{-1}/2, and the same with b in the second slot.
     AIRM:      -2 a^{-1/2} log(a^{-1/2} b a^{-1/2}) a^{-1/2}, and its argument
-               swap (the distance is symmetric in a and b).
+               swap (the distance is symmetric in a and b); evaluated through
+               the Cholesky-SVD factors described in the module docstring.
     """
     _check_pair(a, b)
-    if kind is DistanceKind.FROBENIUS:
-        diff = a.entries - b.entries
-        return symmetrize(2.0 * diff), symmetrize(-2.0 * diff)
-    if kind is DistanceKind.JBLD:
-        sum_inv = spd_fn(symmetrize(a.entries + b.entries), "inv").entries
-        ga = sum_inv - 0.5 * spd_fn(a, "inv").entries
-        gb = sum_inv - 0.5 * spd_fn(b, "inv").entries
-        return symmetrize(ga), symmetrize(gb)
-    if kind is DistanceKind.AIRM:
-        return _airm_grad_one_side(a, b), _airm_grad_one_side(b, a)
-    raise ValueError(f"unhandled distance kind {kind!r}")
-
-
-def _airm_grad_one_side(x: SymMatrix, y: SymMatrix) -> SymMatrix:
-    xi = spd_fn(x, "invsqrt").entries
-    inner = spd_fn(symmetrize(xi @ y.entries @ xi), "log").entries
-    return symmetrize(-2.0 * xi @ inner @ xi)
+    _, grad_a, grad_b = batch_dist_sq(kind, a.entries[None], b.entries[None])
+    return SymMatrix(grad_a[0]), SymMatrix(grad_b[0])

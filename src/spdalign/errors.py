@@ -14,7 +14,15 @@ class ParameterError(SpdAlignError):
 
 
 class SingularityError(SpdAlignError):
-    """Strict positive definiteness was required but not met."""
+    """Strict positive definiteness was required but not met.
+
+    Batched kernels set ``index`` to the position of the first failing item in
+    their stack, so that the caller can name the class it belongs to.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class NumericalError(SpdAlignError):

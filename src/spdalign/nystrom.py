@@ -4,6 +4,8 @@ With pivots equal to the data and a linear kernel, the feature map collapses to
 Pi(X) = (X^T X)^{1/2}: a reduction from ambient dimension d to d' = (number of
 columns) that preserves all pairwise inner products exactly, hence every
 rotation-invariant distance between the scatter matrices built on either side.
+The map stays exact when d < N + N*: the "reduced" dimension is then larger
+than the ambient one, but the column geometry is still reproduced exactly.
 The matching row-orthonormal projector Zbar = (X^T X)^{-1/2} X^T is what
 gradients are pushed back through; it may be treated as a constant when
 differentiating the reduced pipeline.
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimensionError, SingularityError
-from .spd import EIGENVALUE_FLOOR, symmetrize
+from .spd import symmetrize
 
 # Diagonal jitter applied to the pivot kernel matrix before inversion.
 KERNEL_JITTER = 1e-12
@@ -71,6 +73,35 @@ def nystrom_map(pivots: np.ndarray, data: np.ndarray, kernel: Kernel = linear_ke
     return inv_root @ kernel(pivots, data)
 
 
+def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Batched ``(X^T X)^{1/2}`` and ``(X^T X)^{-1/2}`` of a (G, d, k) column stack.
+
+    One symmetric eigendecomposition of each small k x k Gram matrix gives
+    both. The square root is the exact reduction: its columns have the same
+    pairwise inner products as those of X, whatever the order of d and k, so
+    with ``d < k`` the reduced problem is larger than the ambient one but
+    still exact. A reduced-space gradient G pushes back to the columns of X as
+    ``X @ (inverse_root @ G)``, so the k x d projector never needs forming.
+
+    Rank-deficient X is tolerated, and with ``d < k`` it always is: Gram
+    eigenvalues below ``max(d, k) * machine epsilon * largest eigenvalue`` are
+    rounding residue of column dependencies, and both roots treat them as
+    exactly zero (the inverse root is then a pseudo-inverse). Kept, their
+    square roots would add components of relative size 1e-8 to the reduced
+    columns and their inverse square roots would blow up rounding noise.
+    """
+    gram = x.transpose(0, 2, 1) @ x
+    values, vectors = np.linalg.eigh((gram + gram.transpose(0, 2, 1)) / 2.0)
+    cutoff = max(x.shape[1], x.shape[2]) * np.finfo(np.float64).eps * values[:, -1:]
+    kept = values > cutoff
+    roots = np.sqrt(np.where(kept, values, 0.0))
+    inverse_roots = np.where(kept, 1.0 / np.where(kept, roots, 1.0), 0.0)
+    vectors_t = vectors.transpose(0, 2, 1)
+    root = (vectors * roots[:, None, :]) @ vectors_t
+    inverse_root = (vectors * inverse_roots[:, None, :]) @ vectors_t
+    return (root + root.transpose(0, 2, 1)) / 2.0, inverse_root
+
+
 def isometric_project(
     phi_s: np.ndarray, phi_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, Projection]:
@@ -79,11 +110,8 @@ def isometric_project(
     Stacks X = [phi_s, phi_t], computes Y = (X^T X)^{1/2} and returns Y split
     back into the source part (first N columns), the target part, and the
     projector Zbar = (X^T X)^{-1/2} X^T. Pairwise inner products of the reduced
-    columns equal those of the originals.
-
-    Rank-deficient X is tolerated: the square root clamps negative rounding
-    residue at zero, while the inverse square root inside Zbar floors
-    eigenvalues at 1e-12 so the projector stays finite.
+    columns equal those of the originals. This is the one-class case of
+    :func:`gram_roots`, which the alignment objective runs batched.
     """
     phi_s = np.asarray(phi_s, dtype=np.float64)
     phi_t = np.asarray(phi_t, dtype=np.float64)
@@ -97,12 +125,9 @@ def isometric_project(
     x = np.concatenate([phi_s, phi_t], axis=1)
     if x.shape[1] < 1:
         raise DimensionError("need at least one column across the two streams")
-    gram = symmetrize(x.T @ x).entries
-    values, vectors = np.linalg.eigh(gram)
-    root = symmetrize((vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.T).entries
-    inv_root = (vectors / np.sqrt(np.maximum(values, EIGENVALUE_FLOOR))) @ vectors.T
-    projector = inv_root @ x.T
-    return root[:, :n_source], root[:, n_source:], Projection(projector=projector)
+    root, inverse_root = gram_roots(x[None])
+    projector = inverse_root[0] @ x.T
+    return root[0, :, :n_source], root[0, :, n_source:], Projection(projector=projector)
 
 
 def backproject_grad(p: Projection, grad_reduced: np.ndarray) -> np.ndarray:

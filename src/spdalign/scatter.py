@@ -78,8 +78,9 @@ def mean_and_scatter(block: FeatureBlock) -> ClassStats:
 
 
 def _feature_grad(grad_sigma: np.ndarray, columns: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    count = columns.shape[1]
-    return (2.0 / count) * grad_sigma @ (columns - mean[:, None])
+    """(2/N) grad_sigma (columns - mean 1^T), for one class or a stack of them."""
+    count = columns.shape[-1]
+    return (2.0 / count) * grad_sigma @ (columns - mean[..., None])
 
 
 def grad_wrt_features(grad_sigma: SymMatrix, block: FeatureBlock, stats: ClassStats) -> np.ndarray:

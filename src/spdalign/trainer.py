@@ -20,7 +20,10 @@ import numpy as np
 
 from .align import AlignConfig, Classifier, total_objective
 from .distances import DistanceKind
-from .errors import DimensionError, DivergenceError, ParameterError
+from .errors import (
+    DimensionError, DivergenceError, EmptyClassError, LabelError, ParameterError,
+    SingularityError,
+)
 from .scatter import FeatureBlock
 
 # Batch policy: every class contributes min(available, cap) samples per step.
@@ -256,8 +259,15 @@ class LossRecord:
     mean: float
 
 
-def _class_indices(labels: np.ndarray, class_count: int) -> list[np.ndarray]:
-    return [np.flatnonzero(labels == c) for c in range(class_count)]
+def _class_indices(block: FeatureBlock, class_count: int, name: str) -> list[np.ndarray]:
+    """Column indices of each class; the block must hold at least one labelled column."""
+    if block.count == 0:
+        raise EmptyClassError(f"{name} block has no columns")
+    if block.labels.max() >= class_count:
+        raise LabelError(
+            f"{name} label {int(block.labels.max())} outside class count {class_count}"
+        )
+    return [np.flatnonzero(block.labels == c) for c in range(class_count)]
 
 
 def _sample_batch(
@@ -300,8 +310,8 @@ def train(
         raise ParameterError(f"learning rate must be nonnegative, got {lr}")
     source, target = data
     model = copy.deepcopy(model)
-    idx_s = _class_indices(source.labels, config.class_count)
-    idx_t = _class_indices(target.labels, config.class_count)
+    idx_s = _class_indices(source, config.class_count, "source")
+    idx_t = _class_indices(target, config.class_count, "target")
     history: list[LossRecord] = []
     for step in range(1, steps + 1):
         rng = np.random.default_rng([seed, step])
@@ -318,12 +328,15 @@ def train(
                 model.feature_cap = float(np.einsum("ij,ij->j", raw_s, raw_s).mean())
         phi_s, tape_s = encoder_forward(model.encoder_source, batch_s.columns, model.feature_cap)
         phi_t, tape_t = encoder_forward(model.encoder_target, batch_t.columns, model.feature_cap)
-        result = total_objective(
-            model,
-            FeatureBlock(phi_s, batch_s.labels),
-            FeatureBlock(phi_t, batch_t.labels),
-            config,
-        )
+        try:
+            result = total_objective(
+                model,
+                FeatureBlock(phi_s, batch_s.labels),
+                FeatureBlock(phi_t, batch_t.labels),
+                config,
+            )
+        except SingularityError as exc:
+            raise SingularityError(f"step {step}: {exc}") from exc
         if not np.isfinite(result.value):
             raise DivergenceError(step, f"loss became non-finite at step {step}")
         history.append(

@@ -1,0 +1,174 @@
+"""The batched objective against the per-class loop it replaced.
+
+``loop_total_objective`` is that loop, kept as the reference: one joint
+reduction, one pair of scatters and one distance per class, and one masked
+gradient update per class and stream. The property below requires the batched
+``total_objective`` to agree with it on awkward inputs. Tolerances were fixed
+before the comparison was run: values within 1e-10 relative, Frobenius and
+JBLD feature gradients within 1e-8 relative in the Frobenius norm. AIRM
+gradients are judged by the high-precision oracle in ``test_oracle.py``
+instead, because this reference shares their formula.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spdalign.align import (
+    AlignConfig,
+    Classifier,
+    group_columns_by_class,
+    proximity,
+    softmax_ce,
+    total_objective,
+)
+from spdalign.checks import _ClassifierPair
+from spdalign.distances import DistanceKind, dist_sq, grad_dist_sq
+from spdalign.errors import SingularityError
+from spdalign.nystrom import backproject_grad, isometric_project
+from spdalign.scatter import FeatureBlock, _feature_grad
+from spdalign.spd import regularize, symmetrize
+
+VALUE_TOL = 1e-10
+GRAD_TOL = 1e-8
+
+
+def loop_alignment(per_class, config):
+    """(scatter term, mean term, per-class source grads, per-class target grads)."""
+    scatter_sum = 0.0
+    mean_sum = 0.0
+    grads_source, grads_target = [], []
+    c_norm = float(config.class_count)
+    for cols_s, cols_t in per_class:
+        gs = np.zeros_like(cols_s)
+        gt = np.zeros_like(cols_t)
+        if cols_s.shape[1] and cols_t.shape[1]:
+            if config.sigma1 != 0.0:
+                red_s, red_t, proj = isometric_project(cols_s, cols_t)
+                mu_s = red_s.mean(axis=1)
+                mu_t = red_t.mean(axis=1)
+                cen_s = red_s - mu_s[:, None]
+                cen_t = red_t - mu_t[:, None]
+                sig_s = regularize(symmetrize(cen_s @ cen_s.T / red_s.shape[1]), config.eps)
+                sig_t = regularize(symmetrize(cen_t @ cen_t.T / red_t.shape[1]), config.eps)
+                scatter_sum += dist_sq(config.kind, sig_s, sig_t)
+                ga, gb = grad_dist_sq(config.kind, sig_s, sig_t)
+                weight = config.sigma1 / c_norm
+                gs += weight * backproject_grad(proj, _feature_grad(ga.entries, red_s, mu_s))
+                gt += weight * backproject_grad(proj, _feature_grad(gb.entries, red_t, mu_t))
+            if config.sigma2 != 0.0:
+                diff = cols_s.mean(axis=1) - cols_t.mean(axis=1)
+                mean_sum += float(diff @ diff)
+                weight = config.sigma2 / c_norm
+                gs += weight * (2.0 / cols_s.shape[1]) * diff[:, None]
+                gt += weight * (-2.0 / cols_t.shape[1]) * diff[:, None]
+        grads_source.append(gs)
+        grads_target.append(gt)
+    return (config.sigma1 / c_norm * scatter_sum, config.sigma2 / c_norm * mean_sum,
+            grads_source, grads_target)
+
+
+def loop_total_objective(model, batch_s, batch_t, config):
+    """(value, [weight and bias grads..., feature grads of both streams])."""
+    clf_s, clf_t = model.classifier_source, model.classifier_target
+    ce_s = softmax_ce(clf_s, batch_s)
+    ce_t = softmax_ce(clf_t, batch_t)
+    prox_value, prox_gw, prox_gw_star = proximity(clf_s, clf_t, config.eta)
+    scatter, mean, grads_s, grads_t = loop_alignment(
+        group_columns_by_class(batch_s, batch_t, config.class_count), config
+    )
+    feat_s = ce_s.grad_columns.copy()
+    feat_t = ce_t.grad_columns.copy()
+    for c in range(config.class_count):
+        mask_s = batch_s.labels == c
+        if mask_s.any():
+            feat_s[:, mask_s] += grads_s[c]
+        mask_t = batch_t.labels == c
+        if mask_t.any():
+            feat_t[:, mask_t] += grads_t[c]
+    value = ce_s.loss + ce_t.loss + prox_value + (scatter + mean)
+    grads = [ce_s.grad_weights + prox_gw, ce_s.grad_bias,
+             ce_t.grad_weights + prox_gw_star, ce_t.grad_bias, feat_s, feat_t]
+    return value, grads
+
+
+@st.composite
+def objective_inputs(draw):
+    """Ragged per-class counts (zero in either stream allowed), shuffled batches,
+    optional duplicate columns, and features spanning 1e-3 to 1e3 in scale."""
+    kind = draw(st.sampled_from(list(DistanceKind)))
+    dim = draw(st.integers(1, 10))
+    classes = draw(st.integers(1, 5))
+    n_source = draw(st.lists(st.integers(0, 5), min_size=classes, max_size=classes))
+    n_target = draw(st.lists(st.integers(0, 4), min_size=classes, max_size=classes))
+    if sum(n_source) == 0:
+        n_source[0] = 1
+    if sum(n_target) == 0:
+        n_target[-1] = 1
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    duplicate = draw(st.booleans())
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def block(counts):
+        labels = rng.permutation(np.repeat(np.arange(classes), counts))
+        columns = scale * rng.normal(size=(dim, labels.size))
+        if duplicate:
+            for c in range(classes):
+                where = np.flatnonzero(labels == c)
+                if where.size >= 2:
+                    columns[:, where[1]] = columns[:, where[0]]
+        return FeatureBlock(columns, labels)
+
+    config = AlignConfig(
+        sigma1=float(rng.uniform(0.1, 1.0)), sigma2=float(rng.uniform(0.1, 1.0)),
+        eta=float(rng.uniform(0.1, 1.0)), kind=kind, class_count=classes,
+        eps=float(10.0 ** rng.uniform(-6, -2)),
+    )
+    model = _ClassifierPair(
+        Classifier(rng.normal(size=(dim, classes)), rng.normal(size=classes)),
+        Classifier(rng.normal(size=(dim, classes)), rng.normal(size=classes)),
+    )
+    return model, block(n_source), block(n_target), config
+
+
+def _gap(actual, expected):
+    return float(np.linalg.norm(actual - expected)) / max(float(np.linalg.norm(expected)), 1e-300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(objective_inputs())
+def test_batched_objective_equals_loop_reference(inputs):
+    model, batch_s, batch_t, config = inputs
+    try:
+        value, grads = loop_total_objective(model, batch_s, batch_t, config)
+    except SingularityError:
+        with pytest.raises(SingularityError):
+            total_objective(model, batch_s, batch_t, config)
+        return
+    result = total_objective(model, batch_s, batch_t, config)
+    assert abs(result.value - value) <= VALUE_TOL * abs(value)
+    batched = result.grads
+    names = ["weights_source", "bias_source", "weights_target", "bias_target"]
+    for name, expected in zip(names, grads[:4]):
+        assert np.array_equal(getattr(batched, name), expected), name
+    if config.kind is not DistanceKind.AIRM:
+        assert _gap(batched.features_source, grads[4]) <= GRAD_TOL
+        assert _gap(batched.features_target, grads[5]) <= GRAD_TOL
+
+
+def test_singular_class_is_named():
+    # Scale 1e6 with eps 1e-6: rounding in the reduced scatters swamps eps.
+    rng = np.random.default_rng(5)
+    labels = np.repeat(np.arange(3), 4)
+    cols = rng.normal(size=(8, 12))
+    cols[:, labels == 1] *= 1e6
+    block_s = FeatureBlock(cols, labels)
+    block_t = FeatureBlock(rng.normal(size=(8, 6)), np.repeat(np.arange(3), 2))
+    model = _ClassifierPair(Classifier(np.zeros((8, 3)), np.zeros(3)),
+                            Classifier(np.zeros((8, 3)), np.zeros(3)))
+    for kind in (DistanceKind.JBLD, DistanceKind.AIRM):
+        config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=kind, class_count=3)
+        with pytest.raises(SingularityError, match="^class 1: "):
+            total_objective(model, block_s, block_t, config)

@@ -7,6 +7,7 @@ import numpy as np
 from spdalign.cli import main
 from spdalign.io import write_feature_container
 from spdalign.scatter import FeatureBlock
+from spdalign.trainer import synth_domain_pair
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MICRO_CASES = REPO_ROOT / "data" / "micro_cases.txt"
@@ -123,6 +124,29 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o"))
         assert code == 1
         assert "sigma1" in err
+
+    def test_empty_target_block_exit_code(self, tmp_path, capsys, monkeypatch):
+        import spdalign.cli as cli
+
+        def no_target_columns(spec):
+            source, target_train, target_test = synth_domain_pair(spec)
+            empty = FeatureBlock(np.empty((spec.input_dim, 0)), np.empty(0, dtype=int))
+            return source, empty, target_test
+
+        monkeypatch.setattr(cli, "synth_domain_pair", no_target_columns)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CONFIG, encoding="utf-8")
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert "target block has no columns" in err
+
+    def test_singular_scatter_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CONFIG + "encoder = linear\nscale = 1e6\ntau = 1e14\n",
+                       encoding="utf-8")
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert "step 1: class " in err
 
     def test_eval_command_roundtrip(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -5,7 +5,13 @@ import pytest
 
 from spdalign.align import AlignConfig, Classifier
 from spdalign.distances import DistanceKind
-from spdalign.errors import DivergenceError, ParameterError
+from spdalign.errors import (
+    DivergenceError,
+    EmptyClassError,
+    LabelError,
+    ParameterError,
+    SingularityError,
+)
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import (
     DomainShift,
@@ -212,6 +218,33 @@ class TestTrain:
         with pytest.raises(DivergenceError) as err:
             train(model, (source, target_train), small_config(), steps=50, lr=1e9, seed=1)
         assert err.value.step >= 1
+
+    def test_empty_target_block_is_typed(self):
+        spec = small_spec()
+        source, target_train, _ = synth_domain_pair(spec)
+        empty = FeatureBlock(np.empty((spec.input_dim, 0)), np.empty(0, dtype=int))
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1)
+        with pytest.raises(EmptyClassError, match="target"):
+            train(model, (source, empty), small_config(), steps=2, lr=0.1, seed=1)
+
+    def test_labels_outside_class_count_are_typed(self):
+        spec = small_spec()
+        source, target_train, _ = synth_domain_pair(spec)
+        shifted = FeatureBlock(target_train.columns, target_train.labels + spec.class_count)
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1)
+        with pytest.raises(LabelError, match="target label 7 outside class count 4"):
+            train(model, (source, shifted), small_config(), steps=2, lr=0.1, seed=1)
+
+    @pytest.mark.parametrize("kind", [DistanceKind.JBLD, DistanceKind.AIRM])
+    def test_singular_scatter_names_step_and_class(self, kind):
+        # Linear encoders on target inputs scaled by 1e6: with eps = 1e-6 the
+        # rounding in the reduced target scatters leaves them indefinite.
+        spec = small_spec(shift=DomainShift(scale=1e6))
+        source, target_train, _ = synth_domain_pair(spec)
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1, nonlinear=False)
+        config = small_config(kind=kind, tau=1e14)
+        with pytest.raises(SingularityError, match=r"^step 1: class \d: "):
+            train(model, (source, target_train), config, steps=2, lr=0.1, seed=1)
 
     def test_tau_from_config_is_respected(self):
         spec = small_spec()
