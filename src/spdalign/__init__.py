@@ -2,8 +2,10 @@
 
 Library surface: symmetric-matrix primitives (:mod:`spdalign.spd`), squared
 distances between SPD matrices and their gradients (:mod:`spdalign.distances`),
-per-class statistics and chain rules (:mod:`spdalign.scatter`), the exact
-isometric reduction (:mod:`spdalign.nystrom`), the full two-stream objective
+feature blocks, the one per-class mean and scatter builder that training,
+checks and bench share, and its chain rule back to the features
+(:mod:`spdalign.scatter`), the exact isometric reduction
+(:mod:`spdalign.nystrom`), the full two-stream objective
 (:mod:`spdalign.align`), a desk-scale trainer on synthetic shifted data
 (:mod:`spdalign.trainer`), and ranked-retrieval metrics
 (:mod:`spdalign.metrics`). The CLI lives in :mod:`spdalign.cli`.
@@ -43,7 +45,7 @@ from .metrics import (
     top_k_n,
 )
 from .nystrom import Projection, backproject_grad, isometric_project, nystrom_map
-from .scatter import ClassStats, FeatureBlock, grad_wrt_features, mean_align, mean_and_scatter
+from .scatter import FeatureBlock, mean_and_scatter
 from .spd import EigPair, SymMatrix, eig_sym, logdet, regularize, spd_fn, symmetrize
 from .trainer import (
     DomainShift,

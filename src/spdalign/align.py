@@ -30,7 +30,7 @@ from .errors import (
     DimensionError, EmptyClassError, LabelError, ParameterError, SingularityError,
 )
 from .nystrom import gram_roots
-from .scatter import FeatureBlock, _feature_grad
+from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
 
 # perfbench/tracing.py wraps these bindings by name; the batched kernel does not call them.
 from .distances import dist_sq, grad_dist_sq  # noqa: F401
@@ -198,19 +198,17 @@ def class_terms(
     grad = np.zeros_like(x) if with_grad else None
     if config.sigma1 != 0.0:
         root, inverse_root = gram_roots(x)
-        reduced = (root[:, :, :n_source], root[:, :, n_source:])
-        centers = [part.mean(axis=2) for part in reduced]
+        part_s, part_t = root[:, :, :n_source], root[:, :, n_source:]
+        center_s, sigma_s = mean_and_scatter(part_s)
+        center_t, sigma_t = mean_and_scatter(part_t)
         shift = config.eps * np.eye(width)
-        sigmas = []
-        for part, center in zip(reduced, centers):
-            centered = part - center[:, :, None]
-            scatter_part = centered @ centered.transpose(0, 2, 1) / part.shape[2]
-            sigmas.append((scatter_part + scatter_part.transpose(0, 2, 1)) / 2.0 + shift)
-        scatter, grad_a, grad_b = batch_dist_sq(config.kind, *sigmas, with_grad=with_grad)
+        scatter, grad_a, grad_b = batch_dist_sq(
+            config.kind, sigma_s + shift, sigma_t + shift, with_grad=with_grad
+        )
         if with_grad:
             chained = np.concatenate([
-                _feature_grad(grad_a, reduced[0], centers[0]),
-                _feature_grad(grad_b, reduced[1], centers[1]),
+                _feature_grad(grad_a, part_s, center_s),
+                _feature_grad(grad_b, part_t, center_t),
             ], axis=2)
             grad += config.sigma1 / config.class_count * (x @ (inverse_root @ chained))
     if config.sigma2 != 0.0:

@@ -16,24 +16,20 @@ import numpy as np
 from .align import AlignConfig, class_terms
 from .distances import DistanceKind, dist_sq
 from .errors import ParameterError
-from .spd import regularize, symmetrize
+from .scatter import mean_and_scatter
+from .spd import SymMatrix, regularize
 
-# perfbench/tracing.py wraps this binding by name; the projected path no longer calls it.
+# perfbench/tracing.py wraps these bindings by name; neither path calls them any more.
 from .nystrom import isometric_project  # noqa: F401
+from .spd import symmetrize  # noqa: F401
 
 WARMUP_REPS = 2
 
 
-def _scatter_of(columns: np.ndarray):
-    mu = columns.mean(axis=1, keepdims=True)
-    centered = columns - mu
-    return symmetrize(centered @ centered.T / columns.shape[1])
-
-
 def ambient_distance_eval(phi_s: np.ndarray, phi_t: np.ndarray, kind: DistanceKind, eps: float) -> float:
     """Distance between the two regularized scatters built in ambient dimension."""
-    sig_s = regularize(_scatter_of(phi_s), eps)
-    sig_t = regularize(_scatter_of(phi_t), eps)
+    sig_s = regularize(SymMatrix(mean_and_scatter(phi_s)[1]), eps)
+    sig_t = regularize(SymMatrix(mean_and_scatter(phi_t)[1]), eps)
     return dist_sq(kind, sig_s, sig_t)
 
 

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .align import AlignConfig, Classifier, alignment_loss, total_objective
+from .align import AlignConfig, Classifier, alignment_loss, class_terms, total_objective
 from .bench import ambient_distance_eval, projected_distance_eval
 from .distances import DistanceKind, dist_sq, grad_dist_sq
 from .errors import NumericalError
@@ -134,9 +134,11 @@ def check_scatter_chain(
 ) -> ComponentReport:
     """Feature-space chain rule (2/N) G (Phi - mu 1^T) in ambient dimension.
 
-    The regularizer is drawn per instance from [1e-3, 1e-1]: the chain rule
-    does not depend on it, and at 1e-6 the roundoff noise of the ill-
-    conditioned value computation swamps a 1e-5 central difference.
+    The analytic side runs the alignment kernel's scatter builder and chain
+    rule on the ambient columns. The regularizer is drawn per instance from
+    [1e-3, 1e-1]: the chain rule does not depend on it, and at 1e-6 the
+    roundoff noise of the ill-conditioned value computation swamps a 1e-5
+    central difference.
     """
     name = f"scatter/{kind.value}"
     worst = 0.0
@@ -147,13 +149,13 @@ def check_scatter_chain(
         n_t = int(rng.integers(2, 7))
         phi_s = rng.normal(size=(d, n_s))
         phi_t = rng.normal(size=(d, n_t))
-        stats_s = mean_and_scatter(FeatureBlock(phi_s, np.zeros(n_s, dtype=int)))
-        stats_t = mean_and_scatter(FeatureBlock(phi_t, np.zeros(n_t, dtype=int)))
+        mean_s, scatter_s = mean_and_scatter(phi_s)
+        mean_t, scatter_t = mean_and_scatter(phi_t)
         ga, gb = grad_dist_sq(
-            kind, regularize(stats_s.scatter, eps), regularize(stats_t.scatter, eps)
+            kind, regularize(SymMatrix(scatter_s), eps), regularize(SymMatrix(scatter_t), eps)
         )
-        grad_s = _feature_grad(ga.entries, phi_s, stats_s.mean)
-        grad_t = _feature_grad(gb.entries, phi_t, stats_t.mean)
+        grad_s = _feature_grad(ga.entries, phi_s, mean_s)
+        grad_t = _feature_grad(gb.entries, phi_t, mean_t)
 
         fd_s = central_difference(
             lambda flat: ambient_distance_eval(flat.reshape(d, n_s), phi_t, kind, eps), phi_s
@@ -165,10 +167,6 @@ def check_scatter_chain(
         grad_t = _maybe_corrupt(grad_t, name, corrupt)
         worst = max(worst, relative_gap(grad_s, fd_s), relative_gap(grad_t, fd_t))
     return ComponentReport(component=name, max_gap=worst, tolerance=GRAD_TOLERANCE)
-
-
-def _projected_distance(kind: DistanceKind, phi_s: np.ndarray, phi_t: np.ndarray, eps: float) -> float:
-    return projected_distance_eval(phi_s, phi_t, kind, eps)
 
 
 def projected_distance_grads(
@@ -205,10 +203,10 @@ def check_projected_chain(
         phi_t = rng.normal(size=(d, n_t))
         grad_s, grad_t = projected_distance_grads(kind, phi_s, phi_t, eps)
         fd_s = central_difference(
-            lambda flat: _projected_distance(kind, flat.reshape(d, n_s), phi_t, eps), phi_s
+            lambda flat: projected_distance_eval(flat.reshape(d, n_s), phi_t, kind, eps), phi_s
         )
         fd_t = central_difference(
-            lambda flat: _projected_distance(kind, phi_s, flat.reshape(d, n_t), eps), phi_t
+            lambda flat: projected_distance_eval(phi_s, flat.reshape(d, n_t), kind, eps), phi_t
         )
         grad_s = _maybe_corrupt(grad_s, name, corrupt)
         grad_t = _maybe_corrupt(grad_t, name, corrupt)
@@ -219,10 +217,15 @@ def check_projected_chain(
 def check_mean_alignment(
     trials: int, rng: np.random.Generator, corrupt: str | None = None
 ) -> ComponentReport:
-    """Per-column gradients of the squared mean gap, both streams."""
-    from .scatter import mean_align
+    """Per-column gradients of the squared mean gap, both streams.
 
+    The analytic side is the alignment kernel's mean term alone (sigma1 = 0,
+    sigma2 = 1, C = 1); the oracle differentiates the plain mean-gap loss.
+    """
     name = "mean-align"
+    config = AlignConfig(
+        sigma1=0.0, sigma2=1.0, eta=0.0, kind=DistanceKind.FROBENIUS, class_count=1
+    )
     worst = 0.0
     for _ in range(trials):
         d = int(rng.integers(1, 8))
@@ -230,11 +233,8 @@ def check_mean_alignment(
         n_t = int(rng.integers(1, 7))
         phi_s = rng.normal(size=(d, n_s))
         phi_t = rng.normal(size=(d, n_t))
-        stats_s = mean_and_scatter(FeatureBlock(phi_s, np.zeros(n_s, dtype=int)))
-        stats_t = mean_and_scatter(FeatureBlock(phi_t, np.zeros(n_t, dtype=int)))
-        _, g_s, g_t = mean_align(stats_s, stats_t)
-        grad_s = np.repeat(g_s[:, None], n_s, axis=1)
-        grad_t = np.repeat(g_t[:, None], n_t, axis=1)
+        _, _, grad = class_terms(np.concatenate([phi_s, phi_t], axis=1)[None], n_s, config)
+        grad_s, grad_t = grad[0, :, :n_s], grad[0, :, n_s:]
 
         def loss(cols_s, cols_t):
             diff = cols_s.mean(axis=1) - cols_t.mean(axis=1)

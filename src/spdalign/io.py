@@ -28,6 +28,8 @@ from .trainer import Encoder, TwoStreamModel
 
 FEATURE_MAGIC = b"OMICFEAT"
 MODEL_MAGIC = b"OMICMODL"
+# Magic, five u32 sizes and flags, the u32 cap flag, and the f64 cap value.
+MODEL_HEADER_BYTES = 40
 VERSION = 1
 
 
@@ -108,12 +110,16 @@ def read_model(path) -> TwoStreamModel:
         raw = handle.read()
     if len(raw) < 8 or raw[:8] != MODEL_MAGIC:
         raise FormatError(f"{path}: not a model dump (bad magic)")
+    if len(raw) < MODEL_HEADER_BYTES:
+        raise FormatError(
+            f"{path}: truncated model header: {len(raw)} of {MODEL_HEADER_BYTES} bytes"
+        )
     version, input_dim, feature_dim, class_count, nonlinear = struct.unpack_from("<5I", raw, 8)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
     (has_cap,) = struct.unpack_from("<I", raw, 28)
     (cap_value,) = struct.unpack_from("<d", raw, 32)
-    offset = 40
+    offset = MODEL_HEADER_BYTES
     streams = []
     per_stream = 8 * (feature_dim * input_dim + feature_dim + feature_dim * class_count + class_count)
     if len(raw) != offset + 2 * per_stream:

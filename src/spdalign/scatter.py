@@ -12,7 +12,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyClassError
-from .spd import SymMatrix, symmetrize
+
+# perfbench/tracing.py wraps this binding by name; the scatter builder does not call it.
+from .spd import symmetrize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -29,7 +31,10 @@ class FeatureBlock:
 
     def __post_init__(self):
         cols = np.asarray(self.columns, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        if labels.dtype.kind == "f" and not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
+            raise DimensionError("labels must be finite whole numbers")
+        labels = labels.astype(np.int64, copy=False)
         if cols.ndim != 2:
             raise DimensionError(f"columns must be a 2-d matrix, got shape {cols.shape}")
         if cols.shape[0] < 1:
@@ -54,67 +59,26 @@ class FeatureBlock:
         return self.columns.shape[1]
 
 
-@dataclass(frozen=True)
-class ClassStats:
-    """Mean vector and (population) scatter matrix of one class's columns.
+def mean_and_scatter(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column means and population scatters (1/N) sum phi phi^T - mu mu^T.
 
-    The scatter is positive semidefinite up to rounding (smallest eigenvalue
-    >= -1e-9 in practice); this is asserted by tests, not re-checked here.
+    ``columns`` is (..., d, N): one class's N columns, or a stack of classes
+    that share N. Returns the (..., d) means and the exactly symmetric
+    (..., d, d) scatters, positive semidefinite up to rounding.
     """
-
-    mean: np.ndarray
-    scatter: SymMatrix
-    count: int
-
-
-def mean_and_scatter(block: FeatureBlock) -> ClassStats:
-    """Column mean and population scatter (1/N) sum phi phi^T - mu mu^T."""
-    if block.count == 0:
+    columns = np.asarray(columns, dtype=np.float64)
+    if columns.ndim < 2:
+        raise DimensionError(f"columns must be at least 2-d, got shape {columns.shape}")
+    count = columns.shape[-1]
+    if count == 0:
         raise EmptyClassError("cannot compute statistics of an empty class")
-    mu = block.columns.mean(axis=1)
-    centered = block.columns - mu[:, None]
-    scatter = symmetrize(centered @ centered.T / block.count)
-    return ClassStats(mean=mu, scatter=scatter, count=block.count)
+    means = columns.mean(axis=-1)
+    centered = columns - means[..., None]
+    scatters = centered @ np.swapaxes(centered, -1, -2) / count
+    return means, (scatters + np.swapaxes(scatters, -1, -2)) / 2.0
 
 
 def _feature_grad(grad_sigma: np.ndarray, columns: np.ndarray, mean: np.ndarray) -> np.ndarray:
     """(2/N) grad_sigma (columns - mean 1^T), for one class or a stack of them."""
     count = columns.shape[-1]
     return (2.0 / count) * grad_sigma @ (columns - mean[..., None])
-
-
-def grad_wrt_features(grad_sigma: SymMatrix, block: FeatureBlock, stats: ClassStats) -> np.ndarray:
-    """Pull a scatter-space gradient back to the feature columns.
-
-    Returns (2/N) * grad_sigma @ (columns - mean 1^T), shaped like ``block.columns``.
-    """
-    if grad_sigma.side != block.dim:
-        raise DimensionError(
-            f"scatter gradient side {grad_sigma.side} does not match feature dim {block.dim}"
-        )
-    if stats.mean.shape[0] != block.dim:
-        raise DimensionError(
-            f"stats mean length {stats.mean.shape[0]} does not match feature dim {block.dim}"
-        )
-    if block.count == 0:
-        raise EmptyClassError("cannot back-propagate into an empty class")
-    return _feature_grad(grad_sigma.entries, block.columns, stats.mean)
-
-
-def mean_align(stats_s: ClassStats, stats_t: ClassStats) -> tuple[float, np.ndarray, np.ndarray]:
-    """Squared distance of the two means, plus its per-column gradients.
-
-    Returns (loss, g_source, g_target) where ``loss = ||mu - mu*||^2``, every
-    source column receives gradient 2 (mu - mu*) / N, and every target column
-    receives -2 (mu - mu*) / N*. Both signs check out against central finite
-    differences of the loss.
-    """
-    if stats_s.mean.shape != stats_t.mean.shape:
-        raise DimensionError(
-            f"mean dimension mismatch: {stats_s.mean.shape} vs {stats_t.mean.shape}"
-        )
-    diff = stats_s.mean - stats_t.mean
-    loss = float(diff @ diff)
-    grad_source = 2.0 * diff / stats_s.count
-    grad_target = -2.0 * diff / stats_t.count
-    return loss, grad_source, grad_target

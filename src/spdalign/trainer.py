@@ -386,6 +386,11 @@ def evaluate(model: TwoStreamModel, test: FeatureBlock) -> EvalReport:
     """Target-stream top-1 accuracy: target encoder into target classifier."""
     if test.count == 0:
         raise ParameterError("test block is empty")
+    if test.dim != model.encoder_target.input_dim:
+        raise DimensionError(
+            f"test features have dimension {test.dim}, "
+            f"the model's target encoder takes {model.encoder_target.input_dim}"
+        )
     phi, _ = encoder_forward(model.encoder_target, test.columns, model.feature_cap)
     logits = model.classifier_target.weights.T @ phi + model.classifier_target.bias[:, None]
     predicted = logits.argmax(axis=0)

@@ -22,8 +22,8 @@ from spdalign.cli import main as cli_main
 from spdalign.distances import DistanceKind, dist_sq
 from spdalign.metrics import avg_top_kk, top_k, top_k_n
 from spdalign.nystrom import isometric_project, nystrom_map
-from spdalign.scatter import FeatureBlock, mean_and_scatter
-from spdalign.spd import regularize
+from spdalign.scatter import mean_and_scatter
+from spdalign.spd import SymMatrix, regularize
 
 from test_metrics import oracle_avg_top_kk, oracle_top_k, oracle_top_k_n, random_cases
 
@@ -69,8 +69,7 @@ def test_isometry_suite(capfd):
     d, n_s, n_t = 512, 12, 8
 
     def reg_scatter(cols):
-        stats = mean_and_scatter(FeatureBlock(cols, np.zeros(cols.shape[1], dtype=int)))
-        return regularize(stats.scatter, eps)
+        return regularize(SymMatrix(mean_and_scatter(cols)[1]), eps)
 
     worst = 0.0
     for _ in range(100):

@@ -22,7 +22,7 @@ from spdalign.checks import (
 from spdalign.distances import DistanceKind, dist_sq
 from spdalign.errors import DimensionError, LabelError, ParameterError
 from spdalign.scatter import FeatureBlock, mean_and_scatter
-from spdalign.spd import regularize
+from spdalign.spd import SymMatrix, regularize
 
 
 def config_for(kind=DistanceKind.JBLD, c=1, sigma1=1.0, sigma2=1.0, eta=1.0, eps=1e-6):
@@ -204,8 +204,7 @@ class TestAlignmentLoss:
             )
 
             def ambient_scatter(cols):
-                stats = mean_and_scatter(FeatureBlock(cols, np.zeros(cols.shape[1], int)))
-                return regularize(stats.scatter, eps)
+                return regularize(SymMatrix(mean_and_scatter(cols)[1]), eps)
 
             ambient = dist_sq(kind, ambient_scatter(cols_s), ambient_scatter(cols_t))
             assert abs(result.scatter_term - ambient) <= 1e-7 * max(abs(ambient), 1e-30)

@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 
 from spdalign.cli import main
-from spdalign.io import write_feature_container
+from spdalign.io import write_feature_container, write_model
 from spdalign.scatter import FeatureBlock
-from spdalign.trainer import synth_domain_pair
+from spdalign.trainer import init_two_stream, synth_domain_pair
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MICRO_CASES = REPO_ROOT / "data" / "micro_cases.txt"
@@ -176,6 +176,27 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "eval", str(out / "model.bin"), str(features))
         assert code == 1
         assert "classes" in err
+
+    def _eval_files(self, tmp_path, model_dim, feature_dim):
+        model = tmp_path / "model.bin"
+        write_model(model, init_two_stream(model_dim, 8, 4, seed=0))
+        features = tmp_path / "test.bin"
+        block = FeatureBlock(np.ones((feature_dim, 3)), np.zeros(3, dtype=int))
+        write_feature_container(features, block, class_count=4)
+        return model, features
+
+    def test_eval_feature_dimension_mismatch(self, tmp_path, capsys):
+        model, features = self._eval_files(tmp_path, model_dim=16, feature_dim=8)
+        code, _, err = run_cli(capsys, "eval", str(model), str(features))
+        assert code == 1
+        assert "dimension 8" in err and "takes 16" in err
+
+    def test_eval_truncated_model_dump(self, tmp_path, capsys):
+        model, features = self._eval_files(tmp_path, model_dim=6, feature_dim=6)
+        model.write_bytes(model.read_bytes()[:30])
+        code, _, err = run_cli(capsys, "eval", str(model), str(features))
+        assert code == 1
+        assert "truncated model header" in err
 
 
 MICRO_METRICS_EXPECTED = """\

@@ -14,7 +14,7 @@ from spdalign.io import (
 )
 from spdalign.runconfig import default_config_text, parse_run_config
 from spdalign.scatter import FeatureBlock
-from spdalign.trainer import Encoder, TwoStreamModel
+from spdalign.trainer import Encoder, TwoStreamModel, init_two_stream
 
 
 class TestFeatureContainer:
@@ -84,6 +84,14 @@ class TestModelDump:
         loaded = read_model(path)
         assert loaded.feature_cap is None
         assert loaded.encoder_source.nonlinear is False
+
+    @pytest.mark.parametrize("length", [12, 30, 38])
+    def test_truncated_header(self, tmp_path, length):
+        path = tmp_path / "model.bin"
+        write_model(path, init_two_stream(3, 4, 5, seed=0))
+        path.write_bytes(path.read_bytes()[:length])
+        with pytest.raises(FormatError, match="truncated model header"):
+            read_model(path)
 
 
 class TestRunConfig:

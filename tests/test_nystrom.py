@@ -3,18 +3,17 @@
 import numpy as np
 import pytest
 
+from spdalign.bench import projected_distance_eval
 from spdalign.checks import central_difference, projected_distance_grads, relative_gap
 from spdalign.distances import DistanceKind, dist_sq
 from spdalign.errors import DimensionError, SingularityError
 from spdalign.nystrom import Projection, backproject_grad, isometric_project, nystrom_map
-from spdalign.scatter import FeatureBlock, mean_and_scatter
-from spdalign.spd import regularize
+from spdalign.scatter import mean_and_scatter
+from spdalign.spd import SymMatrix, regularize
 
 
 def scatter_of(columns):
-    return mean_and_scatter(
-        FeatureBlock(columns, np.zeros(columns.shape[1], dtype=int))
-    ).scatter
+    return SymMatrix(mean_and_scatter(columns)[1])
 
 
 class TestNystromMap:
@@ -139,8 +138,6 @@ class TestBackprojectGrad:
 
     @pytest.mark.parametrize("kind", list(DistanceKind))
     def test_full_pipeline_matches_finite_differences(self, kind, rng):
-        from spdalign.checks import _projected_distance
-
         worst = 0.0
         for _ in range(5):
             d = int(rng.integers(6, 12))
@@ -150,10 +147,10 @@ class TestBackprojectGrad:
             phi_t = rng.normal(size=(d, n_t))
             grad_s, grad_t = projected_distance_grads(kind, phi_s, phi_t, eps)
             fd_s = central_difference(
-                lambda flat: _projected_distance(kind, flat.reshape(d, n_s), phi_t, eps), phi_s
+                lambda flat: projected_distance_eval(flat.reshape(d, n_s), phi_t, kind, eps), phi_s
             )
             fd_t = central_difference(
-                lambda flat: _projected_distance(kind, phi_s, flat.reshape(d, n_t), eps), phi_t
+                lambda flat: projected_distance_eval(phi_s, flat.reshape(d, n_t), kind, eps), phi_t
             )
             worst = max(worst, relative_gap(grad_s, fd_s), relative_gap(grad_t, fd_t))
         assert worst < 1e-4

@@ -1,24 +1,18 @@
-"""Class statistics, the feature-space chain rule, and mean alignment."""
+"""Feature blocks, the scatter builder, the feature-space chain rule, and the mean term."""
 
 import numpy as np
 import pytest
 
+from spdalign.align import AlignConfig, alignment_loss
 from spdalign.checks import central_difference, relative_gap
 from spdalign.distances import DistanceKind, dist_sq, grad_dist_sq
 from spdalign.errors import DimensionError, EmptyClassError
-from spdalign.scatter import (
-    ClassStats,
-    FeatureBlock,
-    grad_wrt_features,
-    mean_align,
-    mean_and_scatter,
-)
-from spdalign.spd import regularize, symmetrize
+from spdalign.scatter import FeatureBlock, _feature_grad, mean_and_scatter
+from spdalign.spd import SymMatrix, regularize
 
 
-def block_of(columns):
-    columns = np.asarray(columns, dtype=float)
-    return FeatureBlock(columns, np.zeros(columns.shape[1], dtype=int))
+def regularized_scatter(columns, eps):
+    return regularize(SymMatrix(mean_and_scatter(columns)[1]), eps)
 
 
 class TestFeatureBlock:
@@ -34,76 +28,101 @@ class TestFeatureBlock:
         with pytest.raises(DimensionError):
             FeatureBlock(np.ones((1, 1)), np.array([-1]))
 
+    def test_rejects_fractional_labels(self):
+        for labels in ([0.5, 1.7], [0.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(DimensionError, match="whole numbers"):
+                FeatureBlock(np.ones((1, 2)), np.array(labels))
+
+    def test_accepts_integral_float_labels(self):
+        block = FeatureBlock(np.ones((1, 2)), np.array([1.0, 0.0]))
+        assert block.labels.dtype == np.int64
+        assert block.labels.tolist() == [1, 0]
+
 
 class TestMeanAndScatter:
     def test_single_column_has_zero_scatter(self):
         v = np.array([[1.0], [2.0], [3.0]])
-        stats = mean_and_scatter(block_of(v))
-        assert np.allclose(stats.mean, [1.0, 2.0, 3.0])
-        assert np.abs(stats.scatter.entries).max() == 0.0
+        mean, scatter = mean_and_scatter(v)
+        assert np.allclose(mean, [1.0, 2.0, 3.0])
+        assert np.abs(scatter).max() == 0.0
 
     def test_one_dimensional_hand_value(self):
         # (1 + 9)/2 - 2^2 = 1
-        stats = mean_and_scatter(block_of([[1.0, 3.0]]))
-        assert stats.mean == pytest.approx([2.0])
-        assert stats.scatter.entries == pytest.approx(np.array([[1.0]]))
+        mean, scatter = mean_and_scatter(np.array([[1.0, 3.0]]))
+        assert mean == pytest.approx([2.0])
+        assert scatter == pytest.approx(np.array([[1.0]]))
 
     def test_identical_columns_give_zero_scatter(self):
-        v = np.array([[2.0, 2.0], [5.0, 5.0]])
-        stats = mean_and_scatter(block_of(v))
-        assert np.abs(stats.scatter.entries).max() == 0.0
+        _, scatter = mean_and_scatter(np.array([[2.0, 2.0], [5.0, 5.0]]))
+        assert np.abs(scatter).max() == 0.0
 
     def test_empty_class_errors(self):
         with pytest.raises(EmptyClassError):
-            mean_and_scatter(FeatureBlock(np.empty((3, 0)), np.empty(0, dtype=int)))
+            mean_and_scatter(np.empty((3, 0)))
+        with pytest.raises(EmptyClassError):
+            mean_and_scatter(np.empty((2, 3, 0)))
 
     def test_population_normalization(self, rng):
         cols = rng.normal(size=(3, 5))
-        stats = mean_and_scatter(block_of(cols))
+        _, scatter = mean_and_scatter(cols)
         mu = cols.mean(axis=1)
         expected = cols @ cols.T / 5 - np.outer(mu, mu)
-        assert np.abs(stats.scatter.entries - expected).max() < 1e-12
+        assert np.abs(scatter - expected).max() < 1e-12
 
     def test_scatter_is_psd_up_to_rounding(self, rng):
         for _ in range(25):
             d = int(rng.integers(1, 9))
             n = int(rng.integers(1, 9))
-            stats = mean_and_scatter(block_of(rng.normal(size=(d, n))))
-            assert np.linalg.eigvalsh(stats.scatter.entries)[0] >= -1e-9
+            _, scatter = mean_and_scatter(rng.normal(size=(d, n)))
+            assert np.array_equal(scatter, scatter.T)
+            assert np.linalg.eigvalsh(scatter)[0] >= -1e-9
 
     def test_translation_covariance(self, rng):
         cols = rng.normal(size=(4, 6))
         shift = rng.normal(size=4)
-        base = mean_and_scatter(block_of(cols))
-        moved = mean_and_scatter(block_of(cols + shift[:, None]))
-        assert np.abs(base.scatter.entries - moved.scatter.entries).max() < 1e-10
-        assert moved.mean == pytest.approx(base.mean + shift)
+        base_mean, base_scatter = mean_and_scatter(cols)
+        moved_mean, moved_scatter = mean_and_scatter(cols + shift[:, None])
+        assert np.abs(base_scatter - moved_scatter).max() < 1e-10
+        assert moved_mean == pytest.approx(base_mean + shift)
+
+    def test_stack_slices_equal_single_class_calls(self, rng):
+        # The kernel builds a whole shape group at once; each class must get
+        # bit for bit what a call on that class alone gives, views included.
+        for _ in range(25):
+            g, d, n = (int(v) for v in rng.integers(1, 9, size=3))
+            scale = 10.0 ** rng.uniform(-3, 3)
+            for stack in (rng.normal(size=(g, d, n)) * scale,
+                          (rng.normal(size=(g, d, n + 3)) * scale)[:, :, 2:-1]):
+                means, scatters = mean_and_scatter(stack)
+                assert means.shape == (g, d) and scatters.shape == (g, d, d)
+                assert np.array_equal(scatters, np.swapaxes(scatters, 1, 2))
+                for i in range(g):
+                    mean, scatter = mean_and_scatter(stack[i])
+                    assert np.array_equal(means[i], mean)
+                    assert np.array_equal(scatters[i], scatter)
+
+    def test_rejects_a_single_vector(self):
+        with pytest.raises(DimensionError):
+            mean_and_scatter(np.ones(3))
 
 
 class TestGradWrtFeatures:
+    """The chain rule (2/N) G (Phi - mu 1^T) that the alignment kernel runs."""
+
     def test_zero_gradient_propagates_zero(self):
-        block = block_of(np.ones((2, 3)))
-        stats = mean_and_scatter(block)
-        out = grad_wrt_features(symmetrize(np.zeros((2, 2))), block, stats)
+        cols = np.ones((2, 3))
+        out = _feature_grad(np.zeros((2, 2)), cols, mean_and_scatter(cols)[0])
         assert np.abs(out).max() == 0.0
 
     def test_single_column_centering_annihilates(self, rng):
-        block = block_of(rng.normal(size=(3, 1)))
-        stats = mean_and_scatter(block)
-        out = grad_wrt_features(symmetrize(np.eye(3)), block, stats)
+        cols = rng.normal(size=(3, 1))
+        out = _feature_grad(np.eye(3), cols, mean_and_scatter(cols)[0])
         assert np.abs(out).max() < 1e-15
 
     def test_one_dimensional_hand_value(self):
-        block = block_of([[1.0, 3.0]])
-        stats = mean_and_scatter(block)
-        out = grad_wrt_features(symmetrize([[1.0]]), block, stats)
+        cols = np.array([[1.0, 3.0]])
+        out = _feature_grad(np.array([[1.0]]), cols, mean_and_scatter(cols)[0])
         assert out == pytest.approx(np.array([[-1.0, 1.0]]))
-
-    def test_dimension_mismatch(self):
-        block = block_of(np.ones((2, 3)))
-        stats = mean_and_scatter(block)
-        with pytest.raises(DimensionError):
-            grad_wrt_features(symmetrize(np.eye(3)), block, stats)
 
     @pytest.mark.parametrize("kind", list(DistanceKind))
     def test_end_to_end_feature_gradient(self, kind, rng):
@@ -114,56 +133,41 @@ class TestGradWrtFeatures:
             n = int(rng.integers(2, 7))
             eps = float(10.0 ** rng.uniform(-3, -1))
             phi = rng.normal(size=(d, n))
-            other = mean_and_scatter(block_of(rng.normal(size=(d, n + d)))).scatter
-            fixed = regularize(other, eps)
+            fixed = regularized_scatter(rng.normal(size=(d, n + d)), eps)
 
             def value(cols):
-                stats = mean_and_scatter(block_of(cols))
-                return dist_sq(kind, regularize(stats.scatter, eps), fixed)
+                return dist_sq(kind, regularized_scatter(cols, eps), fixed)
 
-            stats = mean_and_scatter(block_of(phi))
-            ga, _ = grad_dist_sq(kind, regularize(stats.scatter, eps), fixed)
-            analytic = grad_wrt_features(ga, block_of(phi), stats)
+            ga, _ = grad_dist_sq(kind, regularized_scatter(phi, eps), fixed)
+            analytic = _feature_grad(ga.entries, phi, mean_and_scatter(phi)[0])
             fd = central_difference(lambda flat: value(flat.reshape(d, n)), phi)
             worst = max(worst, relative_gap(analytic, fd))
         assert worst < 1e-4
 
 
 class TestMeanAlign:
-    def test_coincident_means(self, rng):
-        cols = rng.normal(size=(3, 4))
-        stats = mean_and_scatter(block_of(cols))
-        loss, gs, gt = mean_align(stats, stats)
-        assert loss == 0.0
-        assert np.abs(gs).max() == 0.0 and np.abs(gt).max() == 0.0
+    """The mean term of :func:`alignment_loss`, ||mu - mu*||^2 per class."""
+
+    config = AlignConfig(sigma1=0.0, sigma2=1.0, eta=0.0, kind=DistanceKind.FROBENIUS,
+                         class_count=1)
 
     def test_hand_value_with_counts(self):
-        stats_s = mean_and_scatter(block_of([[1.0, 3.0]]))  # mean 2, N = 2
-        stats_t = mean_and_scatter(block_of([[0.0]]))  # mean 0, N* = 1
-        loss, gs, gt = mean_align(stats_s, stats_t)
-        assert loss == pytest.approx(4.0)
-        assert gs == pytest.approx([2.0])
-        assert gt == pytest.approx([-4.0])
+        # mean 2 over N = 2 source columns, mean 0 over N* = 1 target column
+        result = alignment_loss([(np.array([[1.0, 3.0]]), np.array([[0.0]]))], self.config)
+        assert result.mean_term == pytest.approx(4.0)
+        assert result.grads_source[0] == pytest.approx(np.array([[2.0, 2.0]]))
+        assert result.grads_target[0] == pytest.approx(np.array([[-4.0]]))
 
     def test_swapping_streams_negates_gradients(self, rng):
         # With equal counts, each slot's gradient flips sign under a swap.
-        a = mean_and_scatter(block_of(rng.normal(size=(3, 4))))
-        b = mean_and_scatter(block_of(rng.normal(size=(3, 4))))
-        loss_ab, gs_ab, gt_ab = mean_align(a, b)
-        loss_ba, gs_ba, gt_ba = mean_align(b, a)
-        assert loss_ab == pytest.approx(loss_ba)
-        assert gs_ab == pytest.approx(-gs_ba)
-        assert gt_ab == pytest.approx(-gt_ba)
-
-    def test_zero_iff_means_coincide(self, rng):
-        a = mean_and_scatter(block_of(rng.normal(size=(3, 4))))
-        b = mean_and_scatter(block_of(rng.normal(size=(3, 4))))
-        loss, _, _ = mean_align(a, b)
-        gap = np.linalg.norm(a.mean - b.mean)
-        assert (loss <= 1e-12) == (gap <= 1e-6)
+        a = rng.normal(size=(3, 4))
+        b = rng.normal(size=(3, 4))
+        ab = alignment_loss([(a, b)], self.config)
+        ba = alignment_loss([(b, a)], self.config)
+        assert ab.mean_term == pytest.approx(ba.mean_term)
+        assert ab.grads_source[0] == pytest.approx(-ba.grads_source[0])
+        assert ab.grads_target[0] == pytest.approx(-ba.grads_target[0])
 
     def test_dimension_mismatch(self):
-        a = mean_and_scatter(block_of(np.ones((2, 2))))
-        b = mean_and_scatter(block_of(np.ones((3, 2))))
         with pytest.raises(DimensionError):
-            mean_align(a, b)
+            alignment_loss([(np.ones((2, 2)), np.ones((3, 2)))], self.config)

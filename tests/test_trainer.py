@@ -6,6 +6,7 @@ import pytest
 from spdalign.align import AlignConfig, Classifier
 from spdalign.distances import DistanceKind
 from spdalign.errors import (
+    DimensionError,
     DivergenceError,
     EmptyClassError,
     LabelError,
@@ -288,6 +289,12 @@ class TestEvaluate:
         report = evaluate(model, test)
         assert [row[0] for row in report.per_class] == [0, 2, 3]
         assert sum(row[2] for row in report.per_class) == 6
+
+    def test_feature_dimension_mismatch_names_both_sizes(self, rng):
+        model = init_two_stream(16, 8, 3, seed=0)
+        test = FeatureBlock(rng.normal(size=(8, 4)), np.zeros(4, dtype=int))
+        with pytest.raises(DimensionError, match="dimension 8, .* takes 16"):
+            evaluate(model, test)
 
 
 class TestAdaptationDirection:
