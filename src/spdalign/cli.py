@@ -29,7 +29,10 @@ from .errors import (
     SingularityError,
     SpdAlignError,
 )
-from .metrics import avg_top_kk, factor_breakdown, load_cases, top_k, top_k_n
+from .metrics import factor_masks, hit_rate, load_cases, mean_hit_rate_kk, sweep_ranks
+
+# perfbench/tracing.py wraps these bindings by name; the metrics command no longer calls them.
+from .metrics import avg_top_kk, factor_breakdown, top_k, top_k_n  # noqa: F401
 from .runconfig import load_run_config
 from .trainer import evaluate, init_two_stream, synth_domain_pair, train
 
@@ -169,45 +172,40 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _metrics_csv(cases, k_max: int) -> str:
+def _metrics_csv(ranks, k_max: int) -> str:
     lines = ["measure,k,n,value"]
     for k in range(1, k_max + 1):
-        lines.append(f"top_k,{k},,{_fmt(top_k(cases, k))}")
+        lines.append(f"top_k,{k},,{_fmt(hit_rate(ranks, k))}")
     for k in range(1, k_max + 1):
         for n in range(1, k_max + 1):
-            lines.append(f"top_k_n,{k},{n},{_fmt(top_k_n(cases, k, n))}")
-    lines.append(f"avg_top_kk,,,{_fmt(avg_top_kk(cases, k_max))}")
+            lines.append(f"top_k_n,{k},{n},{_fmt(hit_rate(ranks, k, n))}")
+    lines.append(f"avg_top_kk,,,{_fmt(mean_hit_rate_kk(ranks, k_max))}")
     return "\n".join(lines) + "\n"
 
 
-def _breakdown_csv(cases, k_max: int) -> str:
-    rows = factor_breakdown(cases, lambda subset: top_k(subset, 1), include_pairs=True)
-    avg_rows = {
-        row.tag: row.value
-        for row in factor_breakdown(cases, lambda subset: avg_top_kk(subset, k_max),
-                                    include_pairs=True)
-    }
+def _breakdown_csv(cases, ranks, k_max: int) -> str:
     lines = ["factor,count,top_1,avg_top_kk"]
-    for row in rows:
-        lines.append(f"{row.tag},{row.count},{_fmt(row.value)},{_fmt(avg_rows[row.tag])}")
+    for tag, mask in factor_masks(cases, include_pairs=True):
+        subset = ranks[mask]
+        lines.append(f"{tag},{len(subset)},{_fmt(hit_rate(subset, 1))},"
+                     f"{_fmt(mean_hit_rate_kk(subset, k_max))}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_metrics(args) -> int:
     cases = load_cases(args.cases)
-    text = _metrics_csv(cases, args.kmax)
-    breakdown = _breakdown_csv(cases, args.kmax) if args.breakdown else None
+    ranks = sweep_ranks(cases, args.kmax)
+    tables = {"metrics.csv": _metrics_csv(ranks, args.kmax)}
+    if args.breakdown:
+        tables["breakdown.csv"] = _breakdown_csv(cases, ranks, args.kmax)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.csv").write_text(text, encoding="utf-8")
-        if breakdown is not None:
-            (out / "breakdown.csv").write_text(breakdown, encoding="utf-8")
+        for name, text in tables.items():
+            (out / name).write_text(text, encoding="utf-8")
         print(f"tables in {out}")
     else:
-        sys.stdout.write(text)
-        if breakdown is not None:
-            sys.stdout.write(breakdown)
+        sys.stdout.write("".join(tables.values()))
     return EXIT_OK
 
 

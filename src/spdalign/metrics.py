@@ -6,6 +6,18 @@ truth measure; ``top_k_n`` counts a case as correct when any of the first k
 predictions appears among the first n truth labels; ``avg_top_kk`` averages
 top-k-k over k = 1..k_max as a single area-under-curve style score.
 
+Every measure is a count over one integer table, ``hit_ranks(cases, depth)``:
+entry [i, n-1] is the 1-based position of case i's first prediction that is
+among its first n truth labels, or depth + 1 if none is in its first depth
+predictions. Then, over N cases,
+
+    top_k_n(k, n) = count(ranks[:, n-1] <= k) / N
+    top_k(k)      = top_k_n(k, 1)
+    avg_top_kk    = (top_k_n(1, 1) + ... + top_k_n(k_max, k_max)) / k_max
+
+summed in that k order. A factor breakdown indexes the same table with one
+boolean row mask per tag and tag pair (``factor_masks``).
+
 Case file format, one case per line::
 
     pred:5,2,9|truth:2,7|factors:blr,ocl
@@ -16,7 +28,10 @@ with ids as decimal integers and the factors segment optional.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import combinations
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
 
 from .errors import FormatError, ParameterError
 
@@ -41,21 +56,65 @@ class RankedCase:
             raise ParameterError(f"duplicate truth ids in {self.truth}")
 
 
-def _check_window(cases: Sequence[RankedCase], k: int):
-    if k < 1:
-        raise ParameterError(f"k must be at least 1, got {k}")
+def _check_window(cases: Sequence[RankedCase], first: int, last: int) -> None:
+    """Raise unless every k in first..last fits the shortest prediction list.
+
+    The message names the first k that does not fit.
+    """
+    if first < 1:
+        raise ParameterError(f"k must be at least 1, got {first}")
     if not cases:
         raise ParameterError("no cases to evaluate")
     short = min(len(c.predicted) for c in cases)
-    if k > short:
-        raise ParameterError(f"k={k} exceeds the shortest prediction list ({short})")
+    if last > short:
+        raise ParameterError(
+            f"k={max(first, short + 1)} exceeds the shortest prediction list ({short})"
+        )
+
+
+def hit_ranks(cases: Sequence[RankedCase], depth: int) -> np.ndarray:
+    """The (len(cases), depth) table of first-hit positions.
+
+    Entry [i, n-1] is the 1-based position of case i's first prediction that is
+    among its first n truth labels, or depth + 1 if none is in its first depth
+    predictions. Rows never increase along n.
+    """
+    if depth < 1:
+        raise ParameterError(f"depth must be at least 1, got {depth}")
+    ranks = np.full((len(cases), depth), depth + 1, dtype=np.int64)
+    for i, case in enumerate(cases):
+        window = case.predicted[:depth]
+        for j, label in enumerate(case.truth[:depth]):
+            if label in window:
+                ranks[i, j] = window.index(label) + 1
+    return np.minimum.accumulate(ranks, axis=1, out=ranks)
+
+
+def hit_rate(ranks: np.ndarray, k: int, n: int = 1) -> float:
+    """top-k-n read from a :func:`hit_ranks` table with at least n columns."""
+    return np.count_nonzero(ranks[:, n - 1] <= k) / len(ranks)
+
+
+def mean_hit_rate_kk(ranks: np.ndarray, k_max: int) -> float:
+    """avg-top-k-k read from a :func:`hit_ranks` table with at least k_max columns."""
+    return sum(hit_rate(ranks, k, k) for k in range(1, k_max + 1)) / k_max
+
+
+def sweep_ranks(cases: Sequence[RankedCase], k_max: int) -> np.ndarray:
+    """The :func:`hit_ranks` table for every measure with k, n in 1..k_max.
+
+    Raises ``ParameterError`` for k_max < 1, no cases, or a prediction list
+    shorter than k_max.
+    """
+    if k_max < 1:
+        raise ParameterError(f"k_max must be at least 1, got {k_max}")
+    _check_window(cases, 1, k_max)
+    return hit_ranks(cases, k_max)
 
 
 def top_k(cases: Sequence[RankedCase], k: int) -> float:
     """Fraction of cases whose most salient truth label is in the first k predictions."""
-    _check_window(cases, k)
-    hits = sum(1 for c in cases if c.truth[0] in c.predicted[:k])
-    return hits / len(cases)
+    return top_k_n(cases, k, 1)
 
 
 def top_k_n(cases: Sequence[RankedCase], k: int, n: int) -> float:
@@ -65,20 +124,14 @@ def top_k_n(cases: Sequence[RankedCase], k: int, n: int) -> float:
     """
     if n < 1:
         raise ParameterError(f"n must be at least 1, got {n}")
-    _check_window(cases, k)
-    hits = 0
-    for c in cases:
-        window = set(c.truth[: min(n, len(c.truth))])
-        if window.intersection(c.predicted[:k]):
-            hits += 1
-    return hits / len(cases)
+    _check_window(cases, k, k)
+    n = min(n, max(len(c.truth) for c in cases))  # later columns repeat this one
+    return hit_rate(hit_ranks(cases, max(k, n)), k, n)
 
 
 def avg_top_kk(cases: Sequence[RankedCase], k_max: int = 5) -> float:
     """Mean of top-k-k over k = 1..k_max."""
-    if k_max < 1:
-        raise ParameterError(f"k_max must be at least 1, got {k_max}")
-    return sum(top_k_n(cases, k, k) for k in range(1, k_max + 1)) / k_max
+    return mean_hit_rate_kk(sweep_ranks(cases, k_max), k_max)
 
 
 @dataclass(frozen=True)
@@ -88,31 +141,37 @@ class BreakdownRow:
     count: int
 
 
+def factor_masks(
+    cases: Sequence[RankedCase], include_pairs: bool = False
+) -> Iterator[tuple[str, np.ndarray]]:
+    """(tag, boolean case mask) rows: "all", each tag sorted, then each pair.
+
+    With ``include_pairs`` every co-occurring unordered tag pair follows as
+    "a+b", in sorted order. Only tags and pairs that actually occur get a row.
+    """
+    if not cases:
+        raise ParameterError("no cases to evaluate")
+    yield "all", np.ones(len(cases), dtype=bool)
+    tags = sorted({t for c in cases for t in c.factors})
+    masks = {tag: np.array([tag in c.factors for c in cases]) for tag in tags}
+    yield from masks.items()
+    if include_pairs:
+        for a, b in combinations(tags, 2):
+            both = masks[a] & masks[b]
+            if both.any():
+                yield f"{a}+{b}", both
+
+
 def factor_breakdown(
     cases: Sequence[RankedCase],
     metric: Callable[[Sequence[RankedCase]], float],
     include_pairs: bool = False,
 ) -> list[BreakdownRow]:
-    """Evaluate a metric over the whole set and over each factor-tag subset.
-
-    The first row is always "all". Single tags follow in sorted order; with
-    ``include_pairs`` every co-occurring unordered tag pair is appended as
-    "a+b". Only tags and pairs that actually occur get a row.
-    """
-    if not cases:
-        raise ParameterError("no cases to evaluate")
-    rows = [BreakdownRow(tag="all", value=metric(cases), count=len(cases))]
-    tags = sorted({t for c in cases for t in c.factors})
-    for tag in tags:
-        subset = [c for c in cases if tag in c.factors]
+    """Evaluate a metric over each row of :func:`factor_masks`."""
+    rows = []
+    for tag, mask in factor_masks(cases, include_pairs):
+        subset = [cases[i] for i in np.flatnonzero(mask)]
         rows.append(BreakdownRow(tag=tag, value=metric(subset), count=len(subset)))
-    if include_pairs:
-        pairs = sorted(
-            {(a, b) for c in cases for a in c.factors for b in c.factors if a < b}
-        )
-        for a, b in pairs:
-            subset = [c for c in cases if a in c.factors and b in c.factors]
-            rows.append(BreakdownRow(tag=f"{a}+{b}", value=metric(subset), count=len(subset)))
     return rows
 
 
@@ -131,23 +190,21 @@ def _parse_ids(payload: str, what: str) -> tuple[int, ...]:
 
 def parse_case_line(line: str) -> RankedCase:
     """Parse one ``pred:...|truth:...[|factors:...]`` line into a RankedCase."""
-    predicted: tuple[int, ...] | None = None
-    truth: tuple[int, ...] | None = None
-    factors: frozenset[str] = frozenset()
+    segments: dict[str, str] = {}
     for segment in line.strip().split("|"):
         name, sep, payload = segment.partition(":")
         if not sep:
             raise FormatError(f"segment {segment!r} is not name:payload")
-        if name == "pred":
-            predicted = _parse_ids(payload, "pred")
-        elif name == "truth":
-            truth = _parse_ids(payload, "truth")
-        elif name == "factors":
-            factors = frozenset(f for f in payload.split(",") if f)
-        else:
+        if name not in ("pred", "truth", "factors"):
             raise FormatError(f"unknown segment {name!r}")
-    if predicted is None or truth is None:
+        if name in segments:
+            raise FormatError(f"repeated segment {name!r}")
+        segments[name] = payload
+    if "pred" not in segments or "truth" not in segments:
         raise FormatError("line must contain both pred and truth segments")
+    predicted = _parse_ids(segments["pred"], "pred")
+    truth = _parse_ids(segments["truth"], "truth")
+    factors = frozenset(f for f in segments.get("factors", "").split(",") if f)
     try:
         return RankedCase(predicted=predicted, truth=truth, factors=factors)
     except ParameterError as exc:

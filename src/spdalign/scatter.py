@@ -34,6 +34,8 @@ class FeatureBlock:
         labels = np.asarray(self.labels)
         if labels.dtype.kind == "f" and not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
             raise DimensionError("labels must be finite whole numbers")
+        if labels.dtype.kind in "fu" and labels.size and np.abs(labels).max() >= 2**63:
+            raise DimensionError("labels must fit in a 64-bit integer")
         labels = labels.astype(np.int64, copy=False)
         if cols.ndim != 2:
             raise DimensionError(f"columns must be a 2-d matrix, got shape {cols.shape}")

@@ -3,11 +3,14 @@
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from spdalign.cli import main
 from spdalign.io import write_feature_container, write_model
+from spdalign.metrics import format_case
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import init_two_stream, synth_domain_pair
+from test_metrics import oracle_avg_top_kk, oracle_top_k, oracle_top_k_n, random_cases
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MICRO_CASES = REPO_ROOT / "data" / "micro_cases.txt"
@@ -225,6 +228,29 @@ blr+ocl,1,0.000000,0.666667
 """
 
 
+def oracle_tables(cases, k_max):
+    """metrics.csv and breakdown.csv text formatted from the brute-force oracles."""
+    lines = ["measure,k,n,value"]
+    for k in range(1, k_max + 1):
+        lines.append(f"top_k,{k},,{oracle_top_k(cases, k):.6f}")
+    for k in range(1, k_max + 1):
+        for n in range(1, k_max + 1):
+            lines.append(f"top_k_n,{k},{n},{oracle_top_k_n(cases, k, n):.6f}")
+    lines.append(f"avg_top_kk,,,{oracle_avg_top_kk(cases, k_max):.6f}")
+    tags = sorted({t for c in cases for t in c.factors})
+    groups = [("all", list(cases))]
+    groups += [(t, [c for c in cases if t in c.factors]) for t in tags]
+    pairs = [(a, b) for a in tags for b in tags if a < b]
+    groups += [(f"{a}+{b}", [c for c in cases if a in c.factors and b in c.factors])
+               for a, b in pairs]
+    groups = [(tag, subset) for tag, subset in groups if subset]
+    lines.append("factor,count,top_1,avg_top_kk")
+    for tag, subset in groups:
+        lines.append(f"{tag},{len(subset)},{oracle_top_k(subset, 1):.6f},"
+                     f"{oracle_avg_top_kk(subset, k_max):.6f}")
+    return "\n".join(lines) + "\n"
+
+
 class TestMetricsCommand:
     def test_micro_file_golden_grid(self, capsys):
         # grid hand-computed from the three shipped cases
@@ -266,9 +292,42 @@ class TestMetricsCommand:
 
     def test_kmax_exceeding_predictions(self, tmp_path, capsys):
         path = tmp_path / "cases.txt"
-        path.write_text("pred:1,2|truth:1\n")
-        code, _, err = run_cli(capsys, "metrics", str(path), "--kmax", "5")
+        path.write_text("pred:1,2,3,4,5|truth:1\npred:1,2|truth:1\n")
+        code, _, err = run_cli(capsys, "metrics", str(path), "--kmax", "5", "--breakdown")
         assert code == 1
+        # names the first k of the sweep that fails, not k_max
+        assert err == "error: k=3 exceeds the shortest prediction list (2)\n"
+
+    def test_kmax_zero(self, capsys):
+        code, _, err = run_cli(capsys, "metrics", str(MICRO_CASES), "--kmax", "0")
+        assert code == 1
+        assert err == "error: k_max must be at least 1, got 0\n"
+
+    def test_blank_case_file(self, tmp_path, capsys):
+        path = tmp_path / "cases.txt"
+        path.write_text("\n  \n\n")
+        code, _, err = run_cli(capsys, "metrics", str(path), "--breakdown")
+        assert code == 1
+        assert err == "error: no cases to evaluate\n"
+
+    def test_repeated_segment_reports_line(self, tmp_path, capsys):
+        path = tmp_path / "cases.txt"
+        path.write_text("pred:1,2|truth:1\npred:1,2|truth:1|pred:7,8,9\n")
+        code, _, err = run_cli(capsys, "metrics", str(path), "--kmax", "2")
+        assert code == 1
+        assert "line 2: repeated segment 'pred'" in err
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_ragged_corpus_equals_oracle_tables(self, tmp_path, capsys, seed):
+        # prediction lists of 5..10 ids, truth lists of 1..6, 13 tags at 15 % each
+        cases = random_cases(np.random.default_rng(seed), 400)
+        path = tmp_path / "cases.txt"
+        path.write_text("".join(format_case(c) + "\n" for c in cases))
+        code, out, _ = run_cli(capsys, "metrics", str(path), "--kmax", "5", "--breakdown")
+        assert code == 0
+        expected = oracle_tables(cases, 5)
+        assert any("+" in line.split(",")[0] for line in expected.splitlines()), "no pair rows"
+        assert out.splitlines() == expected.splitlines()
 
     def test_output_directory_mode(self, tmp_path, capsys):
         out_dir = tmp_path / "tables"

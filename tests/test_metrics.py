@@ -11,6 +11,8 @@ from spdalign.metrics import (
     avg_top_kk,
     factor_breakdown,
     format_case,
+    hit_ranks,
+    load_cases,
     parse_case_line,
     top_k,
     top_k_n,
@@ -169,6 +171,29 @@ class TestOracleAgreement:
         assert top_k(cases, k) == oracle_top_k(cases, k)
 
 
+class TestHitRanks:
+    def test_worked_rows(self):
+        cases = [RankedCase((5, 2, 9), (2, 7)), RankedCase((3, 1), (9,))]
+        # first hit of truth {2} at 2, {2, 7} still at 2; no hit anywhere gives depth + 1
+        assert hit_ranks(cases, 3).tolist() == [[2, 2, 2], [4, 4, 4]]
+
+    def test_rejects_depth_below_one(self):
+        with pytest.raises(ParameterError):
+            hit_ranks([RankedCase((1,), (1,))], 0)
+
+    @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=8))
+    @settings(max_examples=60, deadline=None)
+    def test_hypothesis_every_window_matches_oracle(self, seed, depth):
+        # depth may exceed the shortest prediction list (5) and the longest truth list (6)
+        cases = random_cases(np.random.default_rng(seed), 30)
+        ranks = hit_ranks(cases, depth)
+        assert ranks.shape == (30, depth)
+        for k in range(1, depth + 1):
+            for n in range(1, depth + 1):
+                hits = int(np.count_nonzero(ranks[:, n - 1] <= k))
+                assert hits / len(cases) == oracle_top_k_n(cases, k, n)
+
+
 class TestFactorBreakdown:
     def metric(self, subset):
         return top_k(subset, 1)
@@ -231,3 +256,19 @@ class TestCaseFileFormat:
     def test_malformed_lines(self, bad):
         with pytest.raises(FormatError):
             parse_case_line(bad)
+
+    @pytest.mark.parametrize("line", [
+        "pred:1,2|truth:1|pred:7,8,9",
+        "pred:1,2|truth:1|truth:2",
+        "pred:1,2|truth:1|factors:blr|factors:ocl",
+    ])
+    def test_repeated_segment_is_named(self, line):
+        name = line.rpartition("|")[2].partition(":")[0]
+        with pytest.raises(FormatError, match=f"repeated segment '{name}'"):
+            parse_case_line(line)
+
+    def test_load_cases_names_the_line_of_a_repeated_segment(self, tmp_path):
+        path = tmp_path / "cases.txt"
+        path.write_text("pred:1,2|truth:1\n\npred:1,2|truth:1|pred:7,8,9\n")
+        with pytest.raises(FormatError, match="line 3: repeated segment 'pred'"):
+            load_cases(path)

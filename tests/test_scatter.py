@@ -1,5 +1,7 @@
 """Feature blocks, the scatter builder, the feature-space chain rule, and the mean term."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,14 @@ class TestFeatureBlock:
         for labels in ([0.5, 1.7], [0.0, np.nan], [np.inf, 0.0]):
             with pytest.raises(DimensionError, match="whole numbers"):
                 FeatureBlock(np.ones((1, 2)), np.array(labels))
+
+    def test_rejects_labels_beyond_int64(self):
+        for labels in (np.array([1e30, 0.0]), np.array([-1e30, 0.0]), np.array([2.0**63, 0.0]),
+                       np.array([2**63, 0], dtype=np.uint64)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DimensionError, match="64-bit"):
+                    FeatureBlock(np.ones((1, 2)), labels)
 
     def test_accepts_integral_float_labels(self):
         block = FeatureBlock(np.ones((1, 2)), np.array([1.0, 0.0]))
