@@ -77,9 +77,21 @@ def _unpack_matrix(raw: bytes, offset: int, rows: int, cols: int) -> tuple[np.nd
 
 
 def write_model(path, model: TwoStreamModel):
-    """Serialize a two-stream model (encoders, classifiers, feature cap)."""
+    """Serialize a two-stream model (encoders, classifiers, feature cap).
+
+    The header holds one encoder kind and one set of sizes for both streams,
+    so streams that differ in either are rejected before the file is opened.
+    """
     enc = model.encoder_source
     clf = model.classifier_source
+    enc_t, clf_t = model.encoder_target, model.classifier_target
+    source = (enc.nonlinear, enc.input_dim, enc.feature_dim, clf.class_count)
+    target = (enc_t.nonlinear, enc_t.input_dim, enc_t.feature_dim, clf_t.class_count)
+    if source != target:
+        raise FormatError(
+            "model streams differ in (nonlinear, input_dim, feature_dim, class_count): "
+            f"source {source}, target {target}"
+        )
     with open(path, "wb") as handle:
         handle.write(MODEL_MAGIC)
         handle.write(

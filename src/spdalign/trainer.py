@@ -3,8 +3,10 @@
 Encoders are a single linear map with optional elementwise tanh; the source and
 target streams each own an encoder and a linear classifier, trained jointly by
 plain SGD on the full objective. Single-stream softmax baselines (source-only,
-target-only, source+target) share the same encoder family, initialization
-scheme, and batch policy, so accuracy gaps come from the alignment terms alone.
+target-only, source+target) train one encoder and classifier, initialized,
+batched and capped exactly as the source stream of the full objective, so
+accuracy gaps come from the alignment terms alone. Both trainers take their SGD
+steps through the same per-stream update.
 
 Everything is deterministic given the seeds: per-step batches are drawn from
 ``default_rng([seed, step])``, with all source-class draws consumed before any
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import AlignConfig, Classifier, total_objective
+from .align import AlignConfig, Classifier, softmax_ce, total_objective
 from .distances import DistanceKind
 from .errors import (
     DimensionError, DivergenceError, EmptyClassError, LabelError, ParameterError,
@@ -283,10 +285,37 @@ def _sample_batch(
     return FeatureBlock(block.columns[:, chosen], block.labels[chosen])
 
 
-def _check_finite_params(arrays: list[np.ndarray], step: int):
-    for arr in arrays:
-        if not np.isfinite(arr).all():
-            raise DivergenceError(step, f"parameters became non-finite after step {step}")
+def _check_schedule(steps: int, lr: float):
+    if steps < 1:
+        raise ParameterError(f"steps must be at least 1, got {steps}")
+    if lr < 0:
+        raise ParameterError(f"learning rate must be nonnegative, got {lr}")
+
+
+def _first_batch_cap(enc: Encoder, columns: np.ndarray) -> float:
+    """Mean squared norm of the uncapped encoder outputs on one batch."""
+    raw, _ = encoder_forward(enc, columns, None)
+    return float(np.einsum("ij,ij->j", raw, raw).mean())
+
+
+def _sgd_step(
+    enc: Encoder, clf: Classifier, tape: EncoderTape, grads: tuple, lr: float, step: int
+) -> tuple[Encoder, Classifier]:
+    """Backward pass and SGD update of one stream; returns its new (encoder, classifier).
+
+    ``grads`` are the loss gradients with respect to the classifier weights,
+    the classifier bias and the encoder outputs. A zero ``lr`` leaves the
+    stream as it is.
+    """
+    if lr == 0.0:
+        return enc, clf
+    grad_w, grad_b, grad_phi = grads
+    grad_enc_w, grad_enc_b = encoder_backward(enc, tape, grad_phi)
+    clf_w, clf_b = clf.weights - lr * grad_w, clf.bias - lr * grad_b
+    enc_w, enc_b = enc.weights - lr * grad_enc_w, enc.bias - lr * grad_enc_b
+    if not all(np.isfinite(arr).all() for arr in (clf_w, clf_b, enc_w, enc_b)):
+        raise DivergenceError(step, f"parameters became non-finite after step {step}")
+    return Encoder(enc_w, enc_b, enc.nonlinear), Classifier(weights=clf_w, bias=clf_b)
 
 
 def train(
@@ -304,10 +333,7 @@ def train(
     the mean squared norm of the encoder outputs on the first batch and then
     held fixed.
     """
-    if steps < 1:
-        raise ParameterError(f"steps must be at least 1, got {steps}")
-    if lr < 0:
-        raise ParameterError(f"learning rate must be nonnegative, got {lr}")
+    _check_schedule(steps, lr)
     source, target = data
     model = copy.deepcopy(model)
     idx_s = _class_indices(source, config.class_count, "source")
@@ -318,14 +344,10 @@ def train(
         batch_s = _sample_batch(source, idx_s, SOURCE_BATCH_CAP, rng)
         batch_t = _sample_batch(target, idx_t, TARGET_BATCH_CAP, rng)
         if model.feature_cap is None:
-            if config.tau is not None:
-                model.feature_cap = config.tau
-            else:
-                # Stand-in for a reference-corpus norm statistic: the source
-                # stream's first batch. Keeping the target batch out preserves
-                # stream decoupling when all couplings are zero.
-                raw_s, _ = encoder_forward(model.encoder_source, batch_s.columns, None)
-                model.feature_cap = float(np.einsum("ij,ij->j", raw_s, raw_s).mean())
+            # Stand-in for a reference-corpus norm statistic: the source
+            # stream's first batch. Keeping the target batch out preserves
+            # stream decoupling when all couplings are zero.
+            model.feature_cap = config.tau or _first_batch_cap(model.encoder_source, batch_s.columns)
         phi_s, tape_s = encoder_forward(model.encoder_source, batch_s.columns, model.feature_cap)
         phi_t, tape_t = encoder_forward(model.encoder_target, batch_t.columns, model.feature_cap)
         try:
@@ -350,27 +372,15 @@ def train(
                 mean=result.parts.mean,
             )
         )
-        if lr == 0.0:
-            continue
-        gw_s, gb_s = encoder_backward(model.encoder_source, tape_s, result.grads.features_source)
-        gw_t, gb_t = encoder_backward(model.encoder_target, tape_t, result.grads.features_target)
-        new_params = [
-            model.classifier_source.weights - lr * result.grads.weights_source,
-            model.classifier_source.bias - lr * result.grads.bias_source,
-            model.classifier_target.weights - lr * result.grads.weights_target,
-            model.classifier_target.bias - lr * result.grads.bias_target,
-            model.encoder_source.weights - lr * gw_s,
-            model.encoder_source.bias - lr * gb_s,
-            model.encoder_target.weights - lr * gw_t,
-            model.encoder_target.bias - lr * gb_t,
-        ]
-        _check_finite_params(new_params, step)
-        model.classifier_source = Classifier(weights=new_params[0], bias=new_params[1])
-        model.classifier_target = Classifier(weights=new_params[2], bias=new_params[3])
-        model.encoder_source.weights = new_params[4]
-        model.encoder_source.bias = new_params[5]
-        model.encoder_target.weights = new_params[6]
-        model.encoder_target.bias = new_params[7]
+        g = result.grads
+        model.encoder_source, model.classifier_source = _sgd_step(
+            model.encoder_source, model.classifier_source, tape_s,
+            (g.weights_source, g.bias_source, g.features_source), lr, step,
+        )
+        model.encoder_target, model.classifier_target = _sgd_step(
+            model.encoder_target, model.classifier_target, tape_t,
+            (g.weights_target, g.bias_target, g.features_target), lr, step,
+        )
     return model, history
 
 
@@ -390,6 +400,11 @@ def evaluate(model: TwoStreamModel, test: FeatureBlock) -> EvalReport:
         raise DimensionError(
             f"test features have dimension {test.dim}, "
             f"the model's target encoder takes {model.encoder_target.input_dim}"
+        )
+    if test.labels.max() >= model.classifier_target.class_count:
+        raise LabelError(
+            f"test label {int(test.labels.max())} outside class count "
+            f"{model.classifier_target.class_count}"
         )
     phi, _ = encoder_forward(model.encoder_target, test.columns, model.feature_cap)
     logits = model.classifier_target.weights.T @ phi + model.classifier_target.bias[:, None]
@@ -416,25 +431,30 @@ def train_single_stream(
     nonlinear: bool = True,
     tau: float | None = None,
 ) -> TwoStreamModel:
-    """Plain softmax training of one encoder+classifier on one data block.
+    """Plain softmax training of one encoder and classifier on one data block.
 
-    Packaged as a TwoStreamModel with both streams aliased to the trained
-    stream so that :func:`evaluate` applies unchanged. Couplings are zero, so
-    this is exactly the decoupled special case of the full objective.
+    Only one stream is trained. Its initialization, batches and feature cap
+    are those of the source stream of :func:`train` with all couplings zero,
+    so its parameters equal that stream's bit for bit. The result aliases both
+    streams of a TwoStreamModel to it only so that :func:`evaluate` applies.
     """
-    config = AlignConfig(
-        sigma1=0.0, sigma2=0.0, eta=0.0,
-        kind=DistanceKind.JBLD, class_count=class_count, tau=tau,
-    )
-    model = init_two_stream(block.dim, feature_dim, class_count, seed, nonlinear)
-    trained, _ = train(model, (block, block), config, steps, lr, seed)
-    return TwoStreamModel(
-        encoder_source=trained.encoder_source,
-        encoder_target=trained.encoder_source,
-        classifier_source=trained.classifier_source,
-        classifier_target=trained.classifier_source,
-        feature_cap=trained.feature_cap,
-    )
+    # Built only to validate class_count and tau as the aligned trainer does.
+    AlignConfig(sigma1=0.0, sigma2=0.0, eta=0.0, kind=DistanceKind.JBLD,
+                class_count=class_count, tau=tau)
+    init = init_two_stream(block.dim, feature_dim, class_count, seed, nonlinear)
+    _check_schedule(steps, lr)
+    indices = _class_indices(block, class_count, "source")
+    enc, clf, cap = init.encoder_source, init.classifier_source, tau
+    for step in range(1, steps + 1):
+        batch = _sample_batch(block, indices, SOURCE_BATCH_CAP, np.random.default_rng([seed, step]))
+        if cap is None:
+            cap = _first_batch_cap(enc, batch.columns)
+        phi, tape = encoder_forward(enc, batch.columns, cap)
+        ce = softmax_ce(clf, FeatureBlock(phi, batch.labels))
+        if not np.isfinite(ce.loss):
+            raise DivergenceError(step, f"loss became non-finite at step {step}")
+        enc, clf = _sgd_step(enc, clf, tape, (ce.grad_weights, ce.grad_bias, ce.grad_columns), lr, step)
+    return TwoStreamModel(enc, enc, clf, clf, feature_cap=cap)
 
 
 def concat_blocks(a: FeatureBlock, b: FeatureBlock) -> FeatureBlock:
@@ -504,26 +524,11 @@ def run_adaptation_benchmark(
         model = init_two_stream(input_dim, feature_dim, class_count, seed)
         model, _ = train(model, (source, target_train), config, steps, lr, seed)
         aligned.append(evaluate(model, target_test).overall)
-        s_only.append(
-            evaluate(
-                train_single_stream(source, class_count, feature_dim, steps, lr, seed),
-                target_test,
-            ).overall
-        )
-        t_only.append(
-            evaluate(
-                train_single_stream(target_train, class_count, feature_dim, steps, lr, seed),
-                target_test,
-            ).overall
-        )
-        st.append(
-            evaluate(
-                train_single_stream(
-                    concat_blocks(source, target_train), class_count, feature_dim, steps, lr, seed
-                ),
-                target_test,
-            ).overall
-        )
+        for results, block in (
+            (s_only, source), (t_only, target_train), (st, concat_blocks(source, target_train)),
+        ):
+            baseline = train_single_stream(block, class_count, feature_dim, steps, lr, seed)
+            results.append(evaluate(baseline, target_test).overall)
     return BenchmarkOutcome(
         aligned=aligned, source_only=s_only, target_only=t_only, source_plus_target=st
     )

@@ -85,6 +85,27 @@ class TestModelDump:
         assert loaded.feature_cap is None
         assert loaded.encoder_source.nonlinear is False
 
+    @pytest.mark.parametrize("target", [
+        dict(nonlinear=False), dict(input_dim=3), dict(class_count=4),
+    ], ids=["kind", "input_dim", "class_count"])
+    def test_mixed_streams_rejected_before_writing(self, rng, tmp_path, target):
+        # The header stores one kind and one set of sizes for both streams.
+        layout = dict(input_dim=2, feature_dim=3, class_count=5, nonlinear=True)
+
+        def stream(input_dim, feature_dim, class_count, nonlinear):
+            return (
+                Encoder(rng.normal(size=(feature_dim, input_dim)), np.zeros(feature_dim), nonlinear),
+                Classifier(rng.normal(size=(feature_dim, class_count)), np.zeros(class_count)),
+            )
+
+        enc_s, clf_s = stream(**layout)
+        enc_t, clf_t = stream(**{**layout, **target})
+        model = TwoStreamModel(enc_s, enc_t, clf_s, clf_t, feature_cap=1.0)
+        path = tmp_path / "model.bin"
+        with pytest.raises(FormatError, match="model streams differ"):
+            write_model(path, model)
+        assert not path.exists()
+
     @pytest.mark.parametrize("length", [12, 30, 38])
     def test_truncated_header(self, tmp_path, length):
         path = tmp_path / "model.bin"

@@ -1,5 +1,7 @@
 """Synthetic data generation, two-stream training, and evaluation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -295,6 +297,59 @@ class TestEvaluate:
         test = FeatureBlock(rng.normal(size=(8, 4)), np.zeros(4, dtype=int))
         with pytest.raises(DimensionError, match="dimension 8, .* takes 16"):
             evaluate(model, test)
+
+    def test_label_outside_class_count_is_typed(self, rng):
+        model = init_two_stream(3, 4, 3, seed=0)
+        test = FeatureBlock(rng.normal(size=(3, 4)), np.array([0, 1, 2, 3]))
+        with pytest.raises(LabelError, match="test label 3 outside class count 3"):
+            evaluate(model, test)
+
+
+class TestSingleStream:
+    @pytest.mark.parametrize("tau", [None, 0.5])
+    @pytest.mark.parametrize("nonlinear", [True, False])
+    def test_matches_source_stream_of_decoupled_train(self, tau, nonlinear):
+        spec = small_spec()
+        block, _, _ = synth_domain_pair(spec)
+        baseline = train_single_stream(block, spec.class_count, 8, steps=15, lr=0.2, seed=5,
+                                       nonlinear=nonlinear, tau=tau)
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=5, nonlinear=nonlinear)
+        config = small_config(sigma1=0.0, sigma2=0.0, eta=0.0, tau=tau)
+        trained, _ = train(model, (block, block), config, steps=15, lr=0.2, seed=5)
+        for got, want in [
+            (baseline.encoder_source.weights, trained.encoder_source.weights),
+            (baseline.encoder_source.bias, trained.encoder_source.bias),
+            (baseline.classifier_source.weights, trained.classifier_source.weights),
+            (baseline.classifier_source.bias, trained.classifier_source.bias),
+        ]:
+            assert np.array_equal(got, want)
+        assert baseline.feature_cap == trained.feature_cap
+        assert baseline.encoder_source.nonlinear is nonlinear
+        assert baseline.encoder_target is baseline.encoder_source
+        assert baseline.classifier_target is baseline.classifier_source
+
+    @pytest.mark.parametrize("overrides, error, message", [
+        (dict(class_count=0), ParameterError, "class_count must be at least 1, got 0"),
+        (dict(tau=0), ParameterError, "tau must be positive, got 0"),
+        (dict(steps=0), ParameterError, "steps must be at least 1, got 0"),
+        (dict(lr=-1), ParameterError, "learning rate must be nonnegative, got -1"),
+        (dict(block="empty"), EmptyClassError, "source block has no columns"),
+        (dict(block="shifted"), LabelError, "source label 7 outside class count 4"),
+    ], ids=["class_count", "tau", "steps", "lr", "empty_block", "label"])
+    def test_invalid_input_is_typed(self, overrides, error, message):
+        spec = small_spec()
+        source, _, _ = synth_domain_pair(spec)
+        blocks = {
+            "source": source,
+            "empty": FeatureBlock(np.empty((spec.input_dim, 0)), np.empty(0, dtype=int)),
+            "shifted": FeatureBlock(source.columns, source.labels + spec.class_count),
+        }
+        args = dict(block="source", class_count=spec.class_count, feature_dim=8,
+                    steps=2, lr=0.1, seed=1)
+        args.update(overrides)
+        args["block"] = blocks[args["block"]]
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            train_single_stream(**args)
 
 
 class TestAdaptationDirection:
