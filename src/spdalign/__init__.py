@@ -17,7 +17,6 @@ from .align import (
     Classifier,
     ObjectiveResult,
     alignment_loss,
-    clip_feature_norm,
     proximity,
     softmax_ce,
     total_objective,

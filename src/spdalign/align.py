@@ -152,17 +152,6 @@ def proximity(w: Classifier, w_star: Classifier, eta: float) -> tuple[float, np.
     return value, 2.0 * eta * diff, -2.0 * eta * diff
 
 
-def clip_feature_norm(column: np.ndarray, tau: float) -> np.ndarray:
-    """Rescale a vector onto the ball ||v||^2 <= tau; inside it is left alone."""
-    if tau <= 0:
-        raise ParameterError(f"tau must be positive, got {tau}")
-    column = np.asarray(column, dtype=np.float64)
-    sq = float(column @ column)
-    if sq <= tau:
-        return column
-    return column * np.sqrt(tau / sq)
-
-
 @dataclass(frozen=True)
 class AlignmentResult:
     """Alignment loss split into its scatter and mean parts, plus feature gradients.

@@ -5,6 +5,14 @@ tests. Analytic gradients are compared entrywise against central differences;
 the comparison is relative, with a small floor in the denominator so that
 entries whose true value is essentially zero are judged on the absolute scale
 of the finite-difference noise instead of blowing up the ratio.
+
+Every component is a trial function: one random draw from the shared
+generator, returning its deviations (gradient components return
+(analytic, numeric) pairs, which ``_component`` turns into relative gaps).
+One harness, ``_worst``, runs it the requested number of times and reports the
+largest deviation against the component's tolerance. It rejects a count below
+one, and a NaN deviation fails the component. Draws happen in a fixed order, so
+a seed fixes every report.
 """
 
 from __future__ import annotations
@@ -14,12 +22,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .align import AlignConfig, Classifier, alignment_loss, class_terms, total_objective
+from .align import AlignConfig, Classifier, class_terms, total_objective
 from .bench import ambient_distance_eval, projected_distance_eval
 from .distances import DistanceKind, dist_sq, grad_dist_sq
-from .errors import NumericalError
+from .errors import NumericalError, ParameterError
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
-from .spd import SymMatrix, regularize, symmetrize
+from .spd import SymMatrix, regularize, spd_fn, symmetrize
 
 FD_STEP = 1e-5
 GRAD_TOLERANCE = 1e-4
@@ -71,7 +79,7 @@ def random_rotation(rng: np.random.Generator, side: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gradient suite
+# Trial harness
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -94,38 +102,81 @@ class CheckReport:
         return all(c.passed for c in self.components)
 
 
-def _maybe_corrupt(grad: np.ndarray, component: str, corrupt: str | None) -> np.ndarray:
-    if corrupt is not None and component == corrupt:
-        return grad + 0.05
-    return grad
+def _worst(
+    name: str, tolerance: float, trials: int, trial: Callable[[], Sequence[float]]
+) -> ComponentReport:
+    """Run ``trial`` (one random draw, returning its deviations) ``trials`` times.
 
+    The report carries the largest deviation, floored at zero. A count below
+    one is rejected rather than passed on no evidence, and a NaN deviation
+    propagates into ``max_gap`` so that the component fails.
+    """
+    if trials < 1:
+        raise ParameterError(f"{name}: trial count must be at least 1, got {trials}")
+    deviations = [0.0]
+    for _ in range(trials):
+        deviations.extend(trial())
+    # Builtin max() would step over a NaN.
+    worst = np.nan if np.isnan(deviations).any() else max(deviations)
+    return ComponentReport(name, float(worst), tolerance)
+
+
+def _component(
+    name: str, trials: int, trial: Callable[[], Sequence[tuple[np.ndarray, np.ndarray]]],
+    corrupt: str | None,
+) -> ComponentReport:
+    """Gradient component: ``trial`` returns (analytic, numeric) gradient pairs.
+
+    ``corrupt`` naming this component shifts every analytic gradient by 0.05,
+    the negative control of the ``--corrupt`` flag.
+    """
+    shift = 0.05 if corrupt == name else 0.0
+    return _worst(name, GRAD_TOLERANCE, trials, lambda: [
+        relative_gap(analytic + shift, numeric) for analytic, numeric in trial()
+    ])
+
+
+# ---------------------------------------------------------------------------
+# Gradient suite
+# ---------------------------------------------------------------------------
 
 def check_distance_gradients(
     kind: DistanceKind, trials: int, rng: np.random.Generator, corrupt: str | None = None
 ) -> ComponentReport:
     """Matrix-level gradients of d^2 against finite differences on both slots."""
-    name = f"distance/{kind.value}"
-    worst = 0.0
-    for _ in range(trials):
+    def trial():
         side = int(rng.integers(2, 7))
         a = random_spd(rng, side)
         b = random_spd(rng, side)
         ga, gb = grad_dist_sq(kind, a, b)
+        # d^2 is evaluated on the symmetrized perturbation, so the FD gradient
+        # of f(sym(M)) equals the symmetric-matrix gradient.
+        fd_a = central_difference(
+            lambda flat: dist_sq(kind, symmetrize(flat.reshape(side, side)), b), a.entries
+        )
+        fd_b = central_difference(
+            lambda flat: dist_sq(kind, a, symmetrize(flat.reshape(side, side))), b.entries
+        )
+        return [(ga.entries, fd_a), (gb.entries, fd_b)]
 
-        def f_a(flat, b=b, side=side):
-            return dist_sq(kind, symmetrize(flat.reshape(side, side)), b)
+    return _component(f"distance/{kind.value}", trials, trial, corrupt)
 
-        def f_b(flat, a=a, side=side):
-            return dist_sq(kind, a, symmetrize(flat.reshape(side, side)))
 
-        # d^2 is evaluated on the symmetrized perturbation, so the A-slot FD
-        # gradient of f(sym(M)) equals the symmetric-matrix gradient.
-        fd_a = central_difference(f_a, a.entries).reshape(side, side)
-        fd_b = central_difference(f_b, b.entries).reshape(side, side)
-        ga_arr = _maybe_corrupt(ga.entries, name, corrupt)
-        gb_arr = _maybe_corrupt(gb.entries, name, corrupt)
-        worst = max(worst, relative_gap(ga_arr, fd_a), relative_gap(gb_arr, fd_b))
-    return ComponentReport(component=name, max_gap=worst, tolerance=GRAD_TOLERANCE)
+def _feature_pair(rng: np.random.Generator, dims: tuple[int, int], counts: tuple[int, int]):
+    """Regularizer from [1e-3, 1e-1], then one (d, N) and one (d, N*) normal block."""
+    eps = float(10.0 ** rng.uniform(-3, -1))
+    d = int(rng.integers(*dims))
+    n_s = int(rng.integers(*counts))
+    n_t = int(rng.integers(*counts))
+    return eps, rng.normal(size=(d, n_s)), rng.normal(size=(d, n_t))
+
+
+def _pair_differences(f, phi_s: np.ndarray, phi_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central differences of ``f(phi_s, phi_t)`` in each block, the other held fixed."""
+    return (
+        central_difference(lambda flat: f(flat.reshape(phi_s.shape), phi_t), phi_s),
+        central_difference(lambda flat: f(phi_s, flat.reshape(phi_t.shape)), phi_t),
+    )
 
 
 def check_scatter_chain(
@@ -140,45 +191,37 @@ def check_scatter_chain(
     roundoff noise of the ill-conditioned value computation swamps a 1e-5
     central difference.
     """
-    name = f"scatter/{kind.value}"
-    worst = 0.0
-    for _ in range(trials):
-        eps = float(10.0 ** rng.uniform(-3, -1))
-        d = int(rng.integers(2, 6))
-        n_s = int(rng.integers(2, 7))
-        n_t = int(rng.integers(2, 7))
-        phi_s = rng.normal(size=(d, n_s))
-        phi_t = rng.normal(size=(d, n_t))
+    def trial():
+        eps, phi_s, phi_t = _feature_pair(rng, (2, 6), (2, 7))
         mean_s, scatter_s = mean_and_scatter(phi_s)
         mean_t, scatter_t = mean_and_scatter(phi_t)
         ga, gb = grad_dist_sq(
             kind, regularize(SymMatrix(scatter_s), eps), regularize(SymMatrix(scatter_t), eps)
         )
-        grad_s = _feature_grad(ga.entries, phi_s, mean_s)
-        grad_t = _feature_grad(gb.entries, phi_t, mean_t)
+        fd_s, fd_t = _pair_differences(
+            lambda s, t: ambient_distance_eval(s, t, kind, eps), phi_s, phi_t
+        )
+        return [(_feature_grad(ga.entries, phi_s, mean_s), fd_s),
+                (_feature_grad(gb.entries, phi_t, mean_t), fd_t)]
 
-        fd_s = central_difference(
-            lambda flat: ambient_distance_eval(flat.reshape(d, n_s), phi_t, kind, eps), phi_s
-        )
-        fd_t = central_difference(
-            lambda flat: ambient_distance_eval(phi_s, flat.reshape(d, n_t), kind, eps), phi_t
-        )
-        grad_s = _maybe_corrupt(grad_s, name, corrupt)
-        grad_t = _maybe_corrupt(grad_t, name, corrupt)
-        worst = max(worst, relative_gap(grad_s, fd_s), relative_gap(grad_t, fd_t))
-    return ComponentReport(component=name, max_gap=worst, tolerance=GRAD_TOLERANCE)
+    return _component(f"scatter/{kind.value}", trials, trial, corrupt)
+
+
+def _one_class_grads(
+    config: AlignConfig, phi_s: np.ndarray, phi_t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature gradients of the alignment kernel that training runs, on one class."""
+    n_s = phi_s.shape[1]
+    _, _, grad = class_terms(np.concatenate([phi_s, phi_t], axis=1)[None], n_s, config)
+    return grad[0, :, :n_s], grad[0, :, n_s:]
 
 
 def projected_distance_grads(
     kind: DistanceKind, phi_s: np.ndarray, phi_t: np.ndarray, eps: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic gradients of the reduced-space distance, projector held constant.
-
-    These come from the alignment kernel that training runs, on one class.
-    """
+    """Analytic gradients of the reduced-space distance, projector held constant."""
     config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=kind, class_count=1, eps=eps)
-    result = alignment_loss([(phi_s, phi_t)], config)
-    return result.grads_source[0], result.grads_target[0]
+    return _one_class_grads(config, phi_s, phi_t)
 
 
 def check_projected_chain(
@@ -192,26 +235,14 @@ def check_projected_chain(
     statement that the projector may be treated as a constant. The regularizer
     is drawn from [1e-3, 1e-1], same reasoning as in the scatter check.
     """
-    name = f"projected/{kind.value}"
-    worst = 0.0
-    for _ in range(trials):
-        eps = float(10.0 ** rng.uniform(-3, -1))
-        d = int(rng.integers(6, 12))
-        n_s = int(rng.integers(2, 5))
-        n_t = int(rng.integers(2, 5))
-        phi_s = rng.normal(size=(d, n_s))
-        phi_t = rng.normal(size=(d, n_t))
-        grad_s, grad_t = projected_distance_grads(kind, phi_s, phi_t, eps)
-        fd_s = central_difference(
-            lambda flat: projected_distance_eval(flat.reshape(d, n_s), phi_t, kind, eps), phi_s
+    def trial():
+        eps, phi_s, phi_t = _feature_pair(rng, (6, 12), (2, 5))
+        fd = _pair_differences(
+            lambda s, t: projected_distance_eval(s, t, kind, eps), phi_s, phi_t
         )
-        fd_t = central_difference(
-            lambda flat: projected_distance_eval(phi_s, flat.reshape(d, n_t), kind, eps), phi_t
-        )
-        grad_s = _maybe_corrupt(grad_s, name, corrupt)
-        grad_t = _maybe_corrupt(grad_t, name, corrupt)
-        worst = max(worst, relative_gap(grad_s, fd_s), relative_gap(grad_t, fd_t))
-    return ComponentReport(component=name, max_gap=worst, tolerance=GRAD_TOLERANCE)
+        return list(zip(projected_distance_grads(kind, phi_s, phi_t, eps), fd))
+
+    return _component(f"projected/{kind.value}", trials, trial, corrupt)
 
 
 def check_mean_alignment(
@@ -222,30 +253,23 @@ def check_mean_alignment(
     The analytic side is the alignment kernel's mean term alone (sigma1 = 0,
     sigma2 = 1, C = 1); the oracle differentiates the plain mean-gap loss.
     """
-    name = "mean-align"
     config = AlignConfig(
         sigma1=0.0, sigma2=1.0, eta=0.0, kind=DistanceKind.FROBENIUS, class_count=1
     )
-    worst = 0.0
-    for _ in range(trials):
+
+    def loss(cols_s, cols_t):
+        diff = cols_s.mean(axis=1) - cols_t.mean(axis=1)
+        return float(diff @ diff)
+
+    def trial():
         d = int(rng.integers(1, 8))
         n_s = int(rng.integers(1, 7))
         n_t = int(rng.integers(1, 7))
         phi_s = rng.normal(size=(d, n_s))
         phi_t = rng.normal(size=(d, n_t))
-        _, _, grad = class_terms(np.concatenate([phi_s, phi_t], axis=1)[None], n_s, config)
-        grad_s, grad_t = grad[0, :, :n_s], grad[0, :, n_s:]
+        return list(zip(_one_class_grads(config, phi_s, phi_t), _pair_differences(loss, phi_s, phi_t)))
 
-        def loss(cols_s, cols_t):
-            diff = cols_s.mean(axis=1) - cols_t.mean(axis=1)
-            return float(diff @ diff)
-
-        fd_s = central_difference(lambda flat: loss(flat.reshape(d, n_s), phi_t), phi_s)
-        fd_t = central_difference(lambda flat: loss(phi_s, flat.reshape(d, n_t)), phi_t)
-        grad_s = _maybe_corrupt(grad_s, name, corrupt)
-        grad_t = _maybe_corrupt(grad_t, name, corrupt)
-        worst = max(worst, relative_gap(grad_s, fd_s), relative_gap(grad_t, fd_t))
-    return ComponentReport(component=name, max_gap=worst, tolerance=GRAD_TOLERANCE)
+    return _component("mean-align", trials, trial, corrupt)
 
 
 @dataclass
@@ -282,41 +306,29 @@ def check_objective(
     kind: DistanceKind, trials: int, rng: np.random.Generator, corrupt: str | None = None
 ) -> ComponentReport:
     """Full objective: gradients to W, W*, biases, and both feature blocks."""
-    name = f"objective/{kind.value}"
-    worst = 0.0
-    for _ in range(trials):
+    def trial():
         model, phi_s, labels_s, phi_t, labels_t, config = _random_objective_instance(rng, kind)
-        result = total_objective(
-            model, FeatureBlock(phi_s, labels_s), FeatureBlock(phi_t, labels_t), config
-        )
+        clf_s, clf_t = model.classifier_source, model.classifier_target
+        slots = [clf_s.weights, clf_s.bias, clf_t.weights, clf_t.bias, phi_s, phi_t]
 
-        def value_at(ws, bs, wt, bt, fs, ft):
+        def objective(ws, bs, wt, bt, fs, ft):
             probe = _ClassifierPair(Classifier(ws, bs), Classifier(wt, bt))
             return total_objective(
                 probe, FeatureBlock(fs, labels_s), FeatureBlock(ft, labels_t), config
-            ).value
+            )
 
-        ws = model.classifier_source.weights
-        bs = model.classifier_source.bias
-        wt = model.classifier_target.weights
-        bt = model.classifier_target.bias
-        pairs = [
-            (result.grads.weights_source,
-             central_difference(lambda v: value_at(v.reshape(ws.shape), bs, wt, bt, phi_s, phi_t), ws)),
-            (result.grads.bias_source,
-             central_difference(lambda v: value_at(ws, v, wt, bt, phi_s, phi_t), bs)),
-            (result.grads.weights_target,
-             central_difference(lambda v: value_at(ws, bs, v.reshape(wt.shape), bt, phi_s, phi_t), wt)),
-            (result.grads.bias_target,
-             central_difference(lambda v: value_at(ws, bs, wt, v, phi_s, phi_t), bt)),
-            (result.grads.features_source,
-             central_difference(lambda v: value_at(ws, bs, wt, bt, v.reshape(phi_s.shape), phi_t), phi_s)),
-            (result.grads.features_target,
-             central_difference(lambda v: value_at(ws, bs, wt, bt, phi_s, v.reshape(phi_t.shape)), phi_t)),
+        def value_at(i, flat):
+            return objective(*slots[:i], flat.reshape(slots[i].shape), *slots[i + 1:]).value
+
+        grads = objective(*slots).grads
+        analytic = [grads.weights_source, grads.bias_source, grads.weights_target,
+                    grads.bias_target, grads.features_source, grads.features_target]
+        return [
+            (analytic[i], central_difference(lambda flat, i=i: value_at(i, flat), slot))
+            for i, slot in enumerate(slots)
         ]
-        for analytic, numeric in pairs:
-            worst = max(worst, relative_gap(_maybe_corrupt(analytic, name, corrupt), numeric))
-    return ComponentReport(component=name, max_gap=worst, tolerance=GRAD_TOLERANCE)
+
+    return _component(f"objective/{kind.value}", trials, trial, corrupt)
 
 
 def run_gradient_checks(
@@ -352,73 +364,64 @@ def _rel_dev(x: float, y: float) -> float:
     return abs(x - y) / max(abs(x), abs(y), 1e-30)
 
 
-def check_rotation_invariance(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
-    worst = 0.0
-    for _ in range(trials):
+def _invariance(
+    name: str, kind: DistanceKind, tolerance: float, trials: int, rng: np.random.Generator,
+    transform: Callable[[int], Callable[[SymMatrix], SymMatrix]],
+) -> ComponentReport:
+    """d^2(g(A), g(B)) against d^2(A, B) for random SPD pairs A, B.
+
+    ``transform(side)`` draws the map g after the pair.
+    """
+    def trial():
         side = int(rng.integers(2, 9))
         a = random_spd(rng, side)
         b = random_spd(rng, side)
-        rot = random_rotation(rng, side)
-        base = dist_sq(kind, a, b)
-        rotated = dist_sq(kind, symmetrize(rot @ a.entries @ rot.T), symmetrize(rot @ b.entries @ rot.T))
-        worst = max(worst, _rel_dev(base, rotated))
-    return ComponentReport(f"rotation/{kind.value}", worst, ROTATION_TOL)
+        g = transform(side)
+        return [_rel_dev(dist_sq(kind, a, b), dist_sq(kind, g(a), g(b)))]
+
+    return _worst(f"{name}/{kind.value}", tolerance, trials, trial)
+
+
+def _congruence(m: np.ndarray) -> Callable[[SymMatrix], SymMatrix]:
+    return lambda s: symmetrize(m @ s.entries @ m.T)
+
+
+def check_rotation_invariance(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
+    return _invariance("rotation", kind, ROTATION_TOL, trials, rng,
+                       lambda side: _congruence(random_rotation(rng, side)))
 
 
 def check_affine_invariance(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
-    worst = 0.0
-    for _ in range(trials):
-        side = int(rng.integers(2, 9))
-        a = random_spd(rng, side)
-        b = random_spd(rng, side)
-        # Keep the congruence well conditioned so rounding stays inside 1e-7.
-        m = random_spd(rng, side, lo=0.5, hi=2.0)
-        base = dist_sq(kind, a, b)
-        mapped = dist_sq(kind, symmetrize(m.entries @ a.entries @ m.entries.T),
-                         symmetrize(m.entries @ b.entries @ m.entries.T))
-        worst = max(worst, _rel_dev(base, mapped))
-    return ComponentReport(f"affine/{kind.value}", worst, AFFINE_TOL)
+    # Keep the congruence well conditioned so rounding stays inside 1e-7.
+    return _invariance("affine", kind, AFFINE_TOL, trials, rng,
+                       lambda side: _congruence(random_spd(rng, side, lo=0.5, hi=2.0).entries))
 
 
 def check_inversion_invariance(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
-    from .spd import spd_fn
-
-    worst = 0.0
-    for _ in range(trials):
-        side = int(rng.integers(2, 9))
-        a = random_spd(rng, side)
-        b = random_spd(rng, side)
-        base = dist_sq(kind, a, b)
-        inverted = dist_sq(kind, spd_fn(a, "inv"), spd_fn(b, "inv"))
-        worst = max(worst, _rel_dev(base, inverted))
-    return ComponentReport(f"inversion/{kind.value}", worst, AFFINE_TOL)
+    return _invariance("inversion", kind, AFFINE_TOL, trials, rng,
+                       lambda side: lambda s: spd_fn(s, "inv"))
 
 
 def check_triangle_inequality(triples: int, rng: np.random.Generator) -> ComponentReport:
     """sqrt(AIRM) on random SPD triples; reports the worst violation."""
-    worst = 0.0
-    for _ in range(triples):
+    def trial():
         side = int(rng.integers(2, 7))
-        a = random_spd(rng, side)
-        b = random_spd(rng, side)
-        c = random_spd(rng, side)
-        dab = np.sqrt(dist_sq(DistanceKind.AIRM, a, b))
-        dbc = np.sqrt(dist_sq(DistanceKind.AIRM, b, c))
-        dac = np.sqrt(dist_sq(DistanceKind.AIRM, a, c))
-        worst = max(worst, dac - (dab + dbc))
-    return ComponentReport("triangle/airm", worst, TRIANGLE_TOL)
+        a, b, c = (random_spd(rng, side) for _ in range(3))
+        dab, dbc, dac = (np.sqrt(dist_sq(DistanceKind.AIRM, x, y)) for x, y in ((a, b), (b, c), (a, c)))
+        return [dac - (dab + dbc)]
+
+    return _worst("triangle/airm", TRIANGLE_TOL, triples, trial)
 
 
 def check_coincidence(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
     """d^2(S, S) = 0 and both gradients vanish at coincident arguments."""
-    worst = 0.0
-    for _ in range(trials):
-        side = int(rng.integers(2, 9))
-        s = random_spd(rng, side)
-        worst = max(worst, abs(dist_sq(kind, s, s)))
+    def trial():
+        s = random_spd(rng, int(rng.integers(2, 9)))
         ga, gb = grad_dist_sq(kind, s, s)
-        worst = max(worst, float(np.abs(ga.entries).max()), float(np.abs(gb.entries).max()))
-    return ComponentReport(f"coincidence/{kind.value}", worst, COINCIDENCE_TOL)
+        return [abs(dist_sq(kind, s, s)), float(np.abs(ga.entries).max()),
+                float(np.abs(gb.entries).max())]
+
+    return _worst(f"coincidence/{kind.value}", COINCIDENCE_TOL, trials, trial)
 
 
 def run_invariance_checks(trials: int, seed: int, triples: int = 1000) -> CheckReport:

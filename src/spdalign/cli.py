@@ -18,17 +18,7 @@ from . import io as containers
 from .bench import run_bench
 from .checks import run_gradient_checks, run_invariance_checks
 from .distances import DistanceKind
-from .errors import (
-    ConfigError,
-    DimensionError,
-    EmptyClassError,
-    FormatError,
-    LabelError,
-    NumericalError,
-    ParameterError,
-    SingularityError,
-    SpdAlignError,
-)
+from .errors import FormatError, NumericalError, SingularityError, SpdAlignError
 from .metrics import factor_masks, hit_rate, load_cases, mean_hit_rate_kk, sweep_ranks
 
 # perfbench/tracing.py wraps these bindings by name; the metrics command no longer calls them.
@@ -40,9 +30,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
-_VALIDATION_ERRORS = (
-    ConfigError, FormatError, ParameterError, DimensionError, LabelError, EmptyClassError,
-)
 _NUMERICAL_ERRORS = (SingularityError, NumericalError)
 
 
@@ -64,10 +51,20 @@ def _fmt(value: float) -> str:
 def _parse_kinds(values: list[str] | None) -> list[DistanceKind]:
     if not values:
         return list(DistanceKind)
-    try:
-        return [DistanceKind.parse(v) for v in values]
-    except ValueError as exc:
-        raise ParameterError(str(exc)) from None
+    return [DistanceKind.parse(v) for v in values]
+
+
+def _print_report(command: str, gap_label: str, report) -> int:
+    """One line per component, then the verdict; the exit code follows it."""
+    for comp in report.components:
+        status = "PASS" if comp.passed else "FAIL"
+        print(f"{comp.component:22s} {gap_label}={comp.max_gap:.3e} tol={comp.tolerance:.0e} {status}")
+    if report.passed:
+        print(f"{command}: PASS")
+        return EXIT_OK
+    failed = ", ".join(c.component for c in report.components if not c.passed)
+    print(f"{command}: FAIL ({failed})")
+    return EXIT_NUMERICAL
 
 
 def cmd_gradcheck(args) -> int:
@@ -75,28 +72,12 @@ def cmd_gradcheck(args) -> int:
         kinds=_parse_kinds(args.kind), trials=args.trials, seed=args.seed,
         corrupt=args.corrupt,
     )
-    for comp in report.components:
-        status = "PASS" if comp.passed else "FAIL"
-        print(f"{comp.component:22s} max_rel_err={comp.max_gap:.3e} tol={comp.tolerance:.0e} {status}")
-    if report.passed:
-        print("gradcheck: PASS")
-        return EXIT_OK
-    failed = ", ".join(c.component for c in report.components if not c.passed)
-    print(f"gradcheck: FAIL ({failed})")
-    return EXIT_NUMERICAL
+    return _print_report("gradcheck", "max_rel_err", report)
 
 
 def cmd_invariance(args) -> int:
     report = run_invariance_checks(trials=args.trials, seed=args.seed, triples=args.triples)
-    for comp in report.components:
-        status = "PASS" if comp.passed else "FAIL"
-        print(f"{comp.component:22s} max_dev={comp.max_gap:.3e} tol={comp.tolerance:.0e} {status}")
-    if report.passed:
-        print("invariance: PASS")
-        return EXIT_OK
-    failed = ", ".join(c.component for c in report.components if not c.passed)
-    print(f"invariance: FAIL ({failed})")
-    return EXIT_NUMERICAL
+    return _print_report("invariance", "max_dev", report)
 
 
 def cmd_bench(args) -> int:
@@ -264,16 +245,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except SpdAlignError as exc:
+    except (_UsageError, SpdAlignError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

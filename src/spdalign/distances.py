@@ -31,7 +31,7 @@ import enum
 import numpy as np
 from scipy.linalg import solve as _solve
 
-from .errors import DimensionError, SingularityError
+from .errors import DimensionError, ParameterError, SingularityError
 from .spd import SymMatrix
 
 # perfbench/tracing.py counts calls through these bindings; nothing here calls them.
@@ -49,7 +49,7 @@ class DistanceKind(enum.Enum):
         try:
             return cls(name.strip().lower())
         except ValueError:
-            raise ValueError(
+            raise ParameterError(
                 f"unknown distance kind {name!r}; expected one of "
                 f"{[k.value for k in cls]}"
             ) from None

@@ -83,7 +83,7 @@ def _parse_scalar(key: str, text: str, line: int):
     if key == "kind":
         try:
             return DistanceKind.parse(text)
-        except ValueError as exc:
+        except ParameterError as exc:
             raise ConfigError(str(exc), line) from None
     if key == "encoder":
         if text not in ("tanh", "linear"):

@@ -1,4 +1,4 @@
-"""Objective components: cross-entropy, proximity, norm clipping, alignment."""
+"""Objective components: cross-entropy, proximity, alignment."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from spdalign.align import (
     AlignConfig,
     Classifier,
     alignment_loss,
-    clip_feature_norm,
     group_columns_by_class,
     proximity,
     softmax_ce,
@@ -130,28 +129,6 @@ class TestProximity:
         b = Classifier(np.zeros((2, 2)), np.zeros(2))
         with pytest.raises(DimensionError):
             proximity(a, b, 1.0)
-
-
-class TestClipFeatureNorm:
-    def test_zero_vector(self):
-        assert np.abs(clip_feature_norm(np.zeros(3), 1.0)).max() == 0.0
-
-    def test_boundary_unchanged(self):
-        v = np.array([1.0, 0.0])
-        assert clip_feature_norm(v, 1.0) == pytest.approx(v)
-
-    def test_rescales_to_sphere(self):
-        out = clip_feature_norm(np.array([3.0, 4.0]), 1.0)
-        assert out == pytest.approx(np.array([0.6, 0.8]))
-        assert out @ out == pytest.approx(1.0)
-
-    def test_inside_untouched(self, rng):
-        v = rng.normal(size=4) * 0.01
-        assert clip_feature_norm(v, 1.0) == pytest.approx(v)
-
-    def test_rejects_nonpositive_tau(self):
-        with pytest.raises(ParameterError):
-            clip_feature_norm(np.ones(2), 0.0)
 
 
 class TestAlignmentLoss:

@@ -62,6 +62,27 @@ class TestGradcheckCommand:
         assert code == 1
         assert "euclid" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("--trials", "0"),
+        ("--trials", "-5", "--corrupt", "scatter/jbld"),
+    ])
+    def test_trial_count_below_one_is_validation_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "gradcheck", *argv)
+        assert code == 1
+        assert "PASS" not in out
+        assert err.startswith("error: ") and "trial count must be at least 1" in err
+
+    @pytest.mark.parametrize("component", [
+        f"{stage}/{kind}" for kind in ("frobenius", "jbld", "airm")
+        for stage in ("distance", "scatter", "projected", "objective")
+    ] + ["mean-align"])
+    def test_every_component_fails_when_corrupted(self, capsys, component):
+        kind = component.split("/")[1] if "/" in component else "frobenius"
+        code, out, _ = run_cli(capsys, "gradcheck", "--trials", "1", "--kind", kind,
+                               "--corrupt", component)
+        assert code == 2
+        assert f"gradcheck: FAIL ({component})" in out
+
 
 class TestInvarianceCommand:
     def test_pass(self, capsys):
@@ -69,6 +90,16 @@ class TestInvarianceCommand:
                                "--triples", "50", "--seed", "2")
         assert code == 0
         assert "invariance: PASS" in out
+
+    @pytest.mark.parametrize("argv", [
+        ("--trials", "0", "--triples", "0"),
+        ("--trials", "1", "--triples", "-1"),
+    ])
+    def test_count_below_one_is_validation_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "invariance", *argv)
+        assert code == 1
+        assert "PASS" not in out
+        assert err.startswith("error: ") and "trial count must be at least 1" in err
 
 
 class TestBenchCommand:

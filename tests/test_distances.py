@@ -10,7 +10,7 @@ from spdalign.checks import (
     relative_gap,
 )
 from spdalign.distances import DistanceKind, dist_sq, grad_dist_sq
-from spdalign.errors import DimensionError, SingularityError
+from spdalign.errors import DimensionError, ParameterError, SingularityError
 from spdalign.spd import spd_fn, symmetrize
 
 ALL_KINDS = list(DistanceKind)
@@ -19,6 +19,15 @@ CURVED_KINDS = [DistanceKind.JBLD, DistanceKind.AIRM]
 
 def one_by_one(x):
     return symmetrize([[float(x)]])
+
+
+class TestParse:
+    def test_names_are_case_and_space_insensitive(self):
+        assert DistanceKind.parse(" JBLD ") is DistanceKind.JBLD
+
+    def test_unknown_name_is_typed(self):
+        with pytest.raises(ParameterError, match="unknown distance kind 'euclid'; expected one of"):
+            DistanceKind.parse("euclid")
 
 
 class TestValues:

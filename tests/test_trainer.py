@@ -17,6 +17,7 @@ from spdalign.errors import (
 )
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import (
+    _cap_columns,
     DomainShift,
     Encoder,
     SynthSpec,
@@ -92,6 +93,32 @@ class TestSynthDomainPair:
             small_spec(source_per_class=0)
 
 
+class TestCapColumns:
+    """Columnwise rescaling onto the ball ||v||^2 <= tau.
+
+    A tau <= 0 never reaches it: AlignConfig and the baselines reject it (the
+    ``tau`` case of ``TestSingleStream::test_invalid_input_is_typed`` below).
+    """
+
+    def test_zero_vector(self):
+        capped, scale = _cap_columns(np.zeros((3, 1)), 1.0)
+        assert np.abs(capped).max() == 0.0
+        assert scale.tolist() == [1.0]
+
+    def test_boundary_unchanged(self):
+        v = np.array([[1.0], [0.0]])
+        assert _cap_columns(v, 1.0)[0] == pytest.approx(v)
+
+    def test_rescales_to_sphere(self):
+        out = _cap_columns(np.array([[3.0], [4.0]]), 1.0)[0][:, 0]
+        assert out == pytest.approx(np.array([0.6, 0.8]))
+        assert out @ out == pytest.approx(1.0)
+
+    def test_inside_untouched(self, rng):
+        v = rng.normal(size=(4, 1)) * 0.01
+        assert _cap_columns(v, 1.0)[0] == pytest.approx(v)
+
+
 class TestEncoder:
     def test_forward_shapes_and_cap(self, rng):
         enc = Encoder(rng.normal(size=(5, 3)), np.zeros(5))
@@ -101,14 +128,16 @@ class TestEncoder:
         assert norms.max() <= 0.5 + 1e-12
 
     def test_cap_matches_columnwise_clip(self, rng):
-        from spdalign.align import clip_feature_norm
+        def clip(column, tau):
+            sq = float(column @ column)
+            return column if sq <= tau else column * np.sqrt(tau / sq)
 
         enc = Encoder(rng.normal(size=(4, 3)), rng.normal(size=4))
         x = rng.normal(size=(3, 6)) * 3.0
         phi, _ = encoder_forward(enc, x, cap=0.8)
         raw, _ = encoder_forward(enc, x, cap=None)
         for j in range(6):
-            assert phi[:, j] == pytest.approx(clip_feature_norm(raw[:, j], 0.8))
+            assert phi[:, j] == pytest.approx(clip(raw[:, j], 0.8))
 
     def test_backward_matches_finite_differences(self, rng):
         from spdalign.checks import central_difference, relative_gap
