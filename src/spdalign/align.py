@@ -27,7 +27,7 @@ import numpy as np
 
 from .distances import DistanceKind, batch_dist_sq
 from .errors import (
-    DimensionError, EmptyClassError, LabelError, ParameterError, SingularityError,
+    DimensionError, EmptyClassError, LabelError, ParameterError, SingularityError, check_finite,
 )
 from .nystrom import gram_roots
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
@@ -59,18 +59,19 @@ class AlignConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if self.sigma1 < 0:
-            raise ParameterError(f"sigma1 must be nonnegative, got {self.sigma1}")
-        if self.sigma2 < 0:
-            raise ParameterError(f"sigma2 must be nonnegative, got {self.sigma2}")
-        if self.eta < 0:
-            raise ParameterError(f"eta must be nonnegative, got {self.eta}")
+        check_finite(sigma1=self.sigma1, sigma2=self.sigma2, eta=self.eta,
+                     tau=self.tau, eps=self.eps)
+        for name in ("sigma1", "sigma2", "eta"):
+            if getattr(self, name) < 0:
+                raise ParameterError(f"{name} must be nonnegative, got {getattr(self, name)}", name=name)
         if self.tau is not None and self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}")
+            raise ParameterError(f"tau must be positive, got {self.tau}", name="tau")
         if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}")
+            raise ParameterError(f"eps must be positive, got {self.eps}", name="eps")
         if self.class_count < 1:
-            raise ParameterError(f"class_count must be at least 1, got {self.class_count}")
+            raise ParameterError(
+                f"class_count must be at least 1, got {self.class_count}", name="class_count"
+            )
 
 
 @dataclass(frozen=True)

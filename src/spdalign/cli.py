@@ -44,6 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _seed(text: str) -> int:
+    """argparse type of ``--seed``: numpy takes only nonnegative seeds."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"needs a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
@@ -195,7 +202,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p, kinds=True):
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_seed, default=0)
         if kinds:
             p.add_argument("--kind", action="append",
                            help="frobenius|jbld|airm (repeatable; default all)")

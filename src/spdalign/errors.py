@@ -1,5 +1,7 @@
 """Exception hierarchy shared by every module in the package."""
 
+import math
+
 
 class SpdAlignError(Exception):
     """Base class for all errors raised by this package."""
@@ -10,7 +12,22 @@ class DimensionError(SpdAlignError):
 
 
 class ParameterError(SpdAlignError):
-    """A numeric parameter lies outside its documented range."""
+    """A numeric parameter lies outside its documented range.
+
+    ``name`` is the parameter's field name when the raise site knows it, so
+    that the run-config reader can report the line that set it.
+    """
+
+    def __init__(self, message: str, name: str | None = None):
+        super().__init__(message)
+        self.name = name
+
+
+def check_finite(**values: float | None) -> None:
+    """Raise ParameterError naming the first value that is NaN or infinite; None passes."""
+    for name, value in values.items():
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}", name=name)
 
 
 class SingularityError(SpdAlignError):

@@ -1,17 +1,20 @@
 """Line-based ``key = value`` run configuration for the train command.
 
 Blank lines and ``#`` comments are skipped. Every key has a default; unknown
-keys are rejected outright, and range violations name the offending key.
+and duplicate keys are rejected outright. This module only parses: each range
+rule lives in the type the value feeds (``SynthSpec`` and ``DomainShift`` for
+the data, ``AlignConfig`` for the objective, ``RunConfig`` for the schedule and
+feature width), and a value that breaks one is reported at the line that set it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .align import AlignConfig
 from .distances import DistanceKind
 from .errors import ConfigError, ParameterError
-from .trainer import DomainShift, SynthSpec
+from .trainer import DomainShift, SynthSpec, _check_schedule
 
 
 @dataclass(frozen=True)
@@ -23,149 +26,92 @@ class RunConfig:
     feature_dim: int
     nonlinear: bool
 
+    def __post_init__(self):
+        _check_schedule(self.steps, self.learning_rate)
+        if self.feature_dim < 1:
+            raise ParameterError(
+                f"feature_dim must be at least 1, got {self.feature_dim}", name="feature_dim"
+            )
 
-_DEFAULTS: dict[str, str] = {
-    "class_count": "20",
-    "input_dim": "16",
-    "source_per_class": "30",
-    "target_train_per_class": "3",
-    "target_test_per_class": "20",
-    "rotation_deg": "30.0",
-    "translation": "1.0",
-    "scale": "1.0",
-    "noise": "0.05",
-    "seed": "0",
-    "sigma1": "0.5",
-    "sigma2": "1.0",
-    "eta": "1.0",
-    "tau": "none",
-    "eps": "1e-6",
-    "kind": "jbld",
-    "steps": "400",
-    "learning_rate": "0.25",
-    "feature_dim": "32",
-    "encoder": "tanh",
-}
 
-_INT_KEYS = {
-    "class_count", "input_dim", "source_per_class", "target_train_per_class",
-    "target_test_per_class", "seed", "steps", "feature_dim",
-}
-_FLOAT_KEYS = {
-    "rotation_deg", "translation", "scale", "noise",
-    "sigma1", "sigma2", "eta", "eps", "learning_rate",
+def _tau(text: str) -> float | None:
+    return None if text.lower() == "none" else float(text)
+
+
+def _nonlinear(text: str) -> bool:
+    return {"tanh": True, "linear": False}[text]
+
+
+_INT = (int, "an integer")
+_NUMBER = (float, "a number")
+
+# key: (default text, parser, what the parser accepts)
+_KEYS = {
+    "class_count": ("20", *_INT),
+    "input_dim": ("16", *_INT),
+    "source_per_class": ("30", *_INT),
+    "target_train_per_class": ("3", *_INT),
+    "target_test_per_class": ("20", *_INT),
+    "rotation_deg": ("30.0", *_NUMBER),
+    "translation": ("1.0", *_NUMBER),
+    "scale": ("1.0", *_NUMBER),
+    "noise": ("0.05", *_NUMBER),
+    "seed": ("0", *_INT),
+    "sigma1": ("0.5", *_NUMBER),
+    "sigma2": ("1.0", *_NUMBER),
+    "eta": ("1.0", *_NUMBER),
+    "tau": ("none", _tau, "a number or 'none'"),
+    "eps": ("1e-6", *_NUMBER),
+    "kind": ("jbld", DistanceKind.parse, "one of " + ", ".join(k.value for k in DistanceKind)),
+    "steps": ("400", *_INT),
+    "learning_rate": ("0.25", *_NUMBER),
+    "feature_dim": ("32", *_INT),
+    "encoder": ("tanh", _nonlinear, "'tanh' or 'linear'"),
 }
 
 
 def default_config_text() -> str:
     """The shipped default configuration, one key per line."""
-    return "\n".join(f"{key} = {value}" for key, value in _DEFAULTS.items()) + "\n"
+    return "".join(f"{key} = {default}\n" for key, (default, _, _) in _KEYS.items())
 
 
-def _parse_scalar(key: str, text: str, line: int):
-    if key in _INT_KEYS:
-        try:
-            return int(text)
-        except ValueError:
-            raise ConfigError(f"key {key!r} needs an integer, got {text!r}", line) from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"key {key!r} needs a number, got {text!r}", line) from None
-    if key == "tau":
-        if text.lower() == "none":
-            return None
-        try:
-            return float(text)
-        except ValueError:
-            raise ConfigError(f"key 'tau' needs a number or 'none', got {text!r}", line) from None
-    if key == "kind":
-        try:
-            return DistanceKind.parse(text)
-        except ParameterError as exc:
-            raise ConfigError(str(exc), line) from None
-    if key == "encoder":
-        if text not in ("tanh", "linear"):
-            raise ConfigError(f"key 'encoder' must be 'tanh' or 'linear', got {text!r}", line)
-        return text
-    raise AssertionError(f"unhandled key {key}")
+def _build(cls, values: dict, **given):
+    """``cls`` with each field not ``given`` read from the parsed key of the same name."""
+    return cls(**{f.name: values[f.name] for f in fields(cls) if f.name not in given}, **given)
 
 
 def parse_run_config(text: str) -> RunConfig:
     """Parse configuration text; raises ConfigError with a line number on failure."""
-    values = {}
-    lines = {}
+    texts: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep:
             raise ConfigError(f"expected 'key = value', got {raw!r}", lineno)
-        key = key.strip()
-        value = value.strip()
-        if key not in _DEFAULTS:
+        if key not in _KEYS:
             raise ConfigError(f"unknown key {key!r}", lineno)
-        if key in values:
+        if key in texts:
             raise ConfigError(f"duplicate key {key!r}", lineno)
-        values[key] = value
-        lines[key] = lineno
-    merged = {**_DEFAULTS, **values}
-    parsed = {key: _parse_scalar(key, merged[key], lines.get(key)) for key in merged}
+        texts[key], lines[key] = value.strip(), lineno
 
-    nonneg = ["sigma1", "sigma2", "eta", "noise"]
-    for key in nonneg:
-        if parsed[key] < 0:
-            raise ConfigError(f"key {key!r} must be nonnegative, got {parsed[key]}", lines.get(key))
-    if parsed["eps"] <= 0:
-        raise ConfigError(f"key 'eps' must be positive, got {parsed['eps']}", lines.get("eps"))
-    if parsed["tau"] is not None and parsed["tau"] <= 0:
-        raise ConfigError(f"key 'tau' must be positive, got {parsed['tau']}", lines.get("tau"))
-    if parsed["learning_rate"] < 0:
-        raise ConfigError(
-            f"key 'learning_rate' must be nonnegative, got {parsed['learning_rate']}",
-            lines.get("learning_rate"),
-        )
-    for key in ("class_count", "input_dim", "source_per_class", "target_train_per_class",
-                "target_test_per_class", "steps", "feature_dim"):
-        if parsed[key] < 1:
-            raise ConfigError(f"key {key!r} must be at least 1, got {parsed[key]}", lines.get(key))
+    parsed = {}
+    for key, (default, parse, accepts) in _KEYS.items():
+        value = texts.get(key, default)
+        try:
+            parsed[key] = parse(value)
+        except (ValueError, KeyError, ParameterError):
+            raise ConfigError(f"key {key!r} needs {accepts}, got {value!r}", lines.get(key)) from None
 
     try:
-        synth = SynthSpec(
-            class_count=parsed["class_count"],
-            input_dim=parsed["input_dim"],
-            source_per_class=parsed["source_per_class"],
-            target_train_per_class=parsed["target_train_per_class"],
-            target_test_per_class=parsed["target_test_per_class"],
-            shift=DomainShift(
-                rotation_deg=parsed["rotation_deg"],
-                translation=parsed["translation"],
-                scale=parsed["scale"],
-                noise=parsed["noise"],
-            ),
-            seed=parsed["seed"],
-        )
-        align = AlignConfig(
-            sigma1=parsed["sigma1"],
-            sigma2=parsed["sigma2"],
-            eta=parsed["eta"],
-            kind=parsed["kind"],
-            class_count=parsed["class_count"],
-            tau=parsed["tau"],
-            eps=parsed["eps"],
-        )
+        synth = _build(SynthSpec, parsed, shift=_build(DomainShift, parsed))
+        return _build(RunConfig, parsed, synth=synth, align=_build(AlignConfig, parsed),
+                      nonlinear=parsed["encoder"])
     except ParameterError as exc:
-        raise ConfigError(str(exc)) from None
-    return RunConfig(
-        synth=synth,
-        align=align,
-        steps=parsed["steps"],
-        learning_rate=parsed["learning_rate"],
-        feature_dim=parsed["feature_dim"],
-        nonlinear=parsed["encoder"] == "tanh",
-    )
+        raise ConfigError(str(exc), lines.get(exc.name)) from None
 
 
 def load_run_config(path) -> RunConfig:

@@ -24,7 +24,7 @@ from .align import AlignConfig, Classifier, softmax_ce, total_objective
 from .distances import DistanceKind
 from .errors import (
     DimensionError, DivergenceError, EmptyClassError, LabelError, ParameterError,
-    SingularityError,
+    SingularityError, check_finite,
 )
 from .scatter import FeatureBlock
 
@@ -130,6 +130,7 @@ def init_two_stream(
     input_dim: int, feature_dim: int, class_count: int, seed: int, nonlinear: bool = True
 ) -> TwoStreamModel:
     """Fresh model with seeded encoder weights and zero classifiers."""
+    _check_seed(seed)
     rng = np.random.default_rng([seed, 0xE0])
     zero_clf = Classifier(weights=np.zeros((feature_dim, class_count)), bias=np.zeros(class_count))
     return TwoStreamModel(
@@ -152,13 +153,19 @@ class DomainShift:
     with R a rotation in the plane of the first two coordinates and t_hat the
     first axis orthogonal to that plane (falling back to the last axis in one
     or two input dimensions), so the translation lifts target clusters out of
-    the class-separating plane.
+    the class-separating plane. Every field must be finite, and ``noise``
+    nonnegative.
     """
 
     rotation_deg: float = 0.0
     translation: float = 0.0
     scale: float = 1.0
     noise: float = 0.0
+
+    def __post_init__(self):
+        check_finite(**vars(self))
+        if self.noise < 0:
+            raise ParameterError(f"noise must be nonnegative, got {self.noise}", name="noise")
 
 
 @dataclass(frozen=True)
@@ -177,7 +184,8 @@ class SynthSpec:
         for name in ("class_count", "input_dim", "source_per_class",
                      "target_train_per_class", "target_test_per_class"):
             if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}")
+                raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}", name=name)
+        _check_seed(self.seed)
 
 
 _CIRCLE_RADIUS = 6.0
@@ -285,11 +293,18 @@ def _sample_batch(
     return FeatureBlock(block.columns[:, chosen], block.labels[chosen])
 
 
+def _check_seed(seed: int):
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}", name="seed")
+
+
 def _check_schedule(steps: int, lr: float):
+    """The rules of ``steps`` and the learning rate; errors carry the run-config key."""
     if steps < 1:
-        raise ParameterError(f"steps must be at least 1, got {steps}")
+        raise ParameterError(f"steps must be at least 1, got {steps}", name="steps")
+    check_finite(learning_rate=lr)
     if lr < 0:
-        raise ParameterError(f"learning rate must be nonnegative, got {lr}")
+        raise ParameterError(f"learning rate must be nonnegative, got {lr}", name="learning_rate")
 
 
 def _first_batch_cap(enc: Encoder, columns: np.ndarray) -> float:
@@ -334,6 +349,7 @@ def train(
     held fixed.
     """
     _check_schedule(steps, lr)
+    _check_seed(seed)
     source, target = data
     model = copy.deepcopy(model)
     idx_s = _class_indices(source, config.class_count, "source")

@@ -43,6 +43,19 @@ class TestAlignConfig:
         with pytest.raises(ParameterError, match="class_count"):
             AlignConfig(sigma1=0, sigma2=0, eta=0, kind=DistanceKind.JBLD, class_count=0)
 
+    @pytest.mark.parametrize("name", ["sigma1", "sigma2", "eta", "tau", "eps"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite(self, name, value):
+        params = dict(sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=2)
+        with pytest.raises(ParameterError, match=f"^{name} must be finite, got {value}$") as info:
+            AlignConfig(**{**params, name: value})
+        assert info.value.name == name
+
+    def test_range_error_names_field(self):
+        with pytest.raises(ParameterError) as info:
+            AlignConfig(sigma1=0, sigma2=-1, eta=0, kind=DistanceKind.JBLD, class_count=1)
+        assert info.value.name == "sigma2"
+
 
 class TestSoftmaxCE:
     def test_uniform_logits_give_log_c(self, rng):

@@ -159,6 +159,15 @@ class TestTrainCommand:
         assert code == 1
         assert "sigma1" in err
 
+    @pytest.mark.parametrize("line", ["tau = nan", "noise = nan", "eta = inf", "seed = -1"])
+    def test_rejected_value_exit_code_names_line(self, tmp_path, capsys, line):
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"steps = 2\n{line}\n")
+        code, _, err = run_cli(capsys, "train", "--config", str(config), "--out", str(tmp_path / "o"))
+        assert code == 1
+        assert err.startswith("error: line 2: ")
+        assert not (tmp_path / "o").exists()
+
     def test_empty_target_block_exit_code(self, tmp_path, capsys, monkeypatch):
         import spdalign.cli as cli
 
@@ -370,6 +379,13 @@ class TestMetricsCommand:
 
 
 class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["gradcheck", "invariance", "bench"])
+    def test_negative_seed_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--seed", "-1")
+        assert code == 1
+        assert out == ""
+        assert "--seed: needs a nonnegative integer, got '-1'" in err
+
     def test_unknown_command(self, capsys):
         code, _, err = run_cli(capsys, "frobnicate")
         assert code == 1

@@ -1,5 +1,8 @@
 """Binary containers, model dumps, and run-config parsing."""
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from spdalign.io import (
     write_feature_container,
     write_model,
 )
-from spdalign.runconfig import default_config_text, parse_run_config
+from spdalign.runconfig import _KEYS, default_config_text, parse_run_config
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import Encoder, TwoStreamModel, init_two_stream
 
@@ -164,3 +167,73 @@ class TestRunConfig:
     def test_linear_encoder(self):
         run = parse_run_config("encoder = linear\n")
         assert run.nonlinear is False
+
+
+SHIPPED_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "synth_default.cfg"
+
+# A valid value different from the default, for every key.
+NON_DEFAULT = {
+    "class_count": "5", "input_dim": "7", "source_per_class": "9",
+    "target_train_per_class": "2", "target_test_per_class": "4", "rotation_deg": "10",
+    "translation": "0.5", "scale": "2", "noise": "0", "seed": "3", "sigma1": "0.1",
+    "sigma2": "0.2", "eta": "0.3", "tau": "2.5", "eps": "1e-4", "kind": "airm",
+    "steps": "7", "learning_rate": "0.1", "feature_dim": "5", "encoder": "linear",
+}
+
+
+def rejects_at_line_2(key, value, message):
+    """``key = value`` on line 2, below a comment, fails with exactly ``line 2: message``."""
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'line 2: {message}')}$"):
+        parse_run_config(f"# run\n{key} = {value}\n")
+
+
+class TestRunConfigKeys:
+    def test_shipped_config_is_default(self):
+        assert SHIPPED_CONFIG.read_bytes() == default_config_text().encode("utf-8")
+
+    def test_non_default_table_covers_every_key(self):
+        assert set(NON_DEFAULT) == set(_KEYS)
+
+    @pytest.mark.parametrize("key", list(_KEYS))
+    def test_every_key_reaches_run_config(self, key):
+        default = parse_run_config("")
+        assert parse_run_config(f"{key} = {NON_DEFAULT[key]}\n") != default
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sigma1", "-0.5", "sigma1 must be nonnegative, got -0.5"),
+        ("sigma2", "-1", "sigma2 must be nonnegative, got -1.0"),
+        ("eta", "-1", "eta must be nonnegative, got -1.0"),
+        ("tau", "0", "tau must be positive, got 0.0"),
+        ("eps", "0", "eps must be positive, got 0.0"),
+        ("class_count", "0", "class_count must be at least 1, got 0"),
+        ("input_dim", "0", "input_dim must be at least 1, got 0"),
+        ("source_per_class", "0", "source_per_class must be at least 1, got 0"),
+        ("target_train_per_class", "0", "target_train_per_class must be at least 1, got 0"),
+        ("target_test_per_class", "-2", "target_test_per_class must be at least 1, got -2"),
+        ("noise", "-0.1", "noise must be nonnegative, got -0.1"),
+        ("seed", "-1", "seed must be nonnegative, got -1"),
+        ("steps", "0", "steps must be at least 1, got 0"),
+        ("learning_rate", "-1", "learning rate must be nonnegative, got -1.0"),
+        ("feature_dim", "0", "feature_dim must be at least 1, got 0"),
+    ])
+    def test_range_rule_reports_line(self, key, value, message):
+        rejects_at_line_2(key, value, message)
+
+    @pytest.mark.parametrize("key", [
+        "sigma1", "sigma2", "eta", "eps", "tau", "learning_rate",
+        "rotation_deg", "translation", "scale", "noise",
+    ])
+    def test_non_finite_rejected_with_line(self, key):
+        for value in ("nan", "inf", "-inf"):
+            rejects_at_line_2(key, value, f"{key} must be finite, got {value}")
+
+    @pytest.mark.parametrize("key, value, accepts", [
+        ("steps", "abc", "an integer"),
+        ("seed", "1.5", "an integer"),
+        ("noise", "lots", "a number"),
+        ("tau", "auto", "a number or 'none'"),
+        ("kind", "euclid", "one of frobenius, jbld, airm"),
+        ("encoder", "relu", "'tanh' or 'linear'"),
+    ])
+    def test_parse_failure_names_key_and_line(self, key, value, accepts):
+        rejects_at_line_2(key, value, f"key {key!r} needs {accepts}, got {value!r}")

@@ -381,6 +381,45 @@ class TestSingleStream:
             train_single_stream(**args)
 
 
+class TestParameterHomes:
+    """Rules whose only home is the receiving type or trainer entry point."""
+
+    @pytest.mark.parametrize("name", ["rotation_deg", "translation", "scale", "noise"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_shift_rejects_non_finite(self, name, value):
+        with pytest.raises(ParameterError, match=f"^{name} must be finite, got {value}$") as info:
+            DomainShift(**{name: value})
+        assert info.value.name == name
+
+    def test_shift_rejects_negative_noise(self):
+        with pytest.raises(ParameterError, match=r"^noise must be nonnegative, got -0\.1$") as info:
+            DomainShift(noise=-0.1)
+        assert info.value.name == "noise"
+
+    def test_spec_rejects_negative_seed(self):
+        with pytest.raises(ParameterError, match="^seed must be nonnegative, got -1$") as info:
+            small_spec(seed=-1)
+        assert info.value.name == "seed"
+
+    def test_train_rejects_negative_seed(self):
+        source, target_train, _ = synth_domain_pair(small_spec())
+        model = init_two_stream(6, 8, 4, seed=0)
+        with pytest.raises(ParameterError, match="^seed must be nonnegative, got -2$"):
+            train(model, (source, target_train), small_config(), steps=2, lr=0.1, seed=-2)
+
+    def test_single_stream_rejects_negative_seed(self):
+        source, _, _ = synth_domain_pair(small_spec())
+        with pytest.raises(ParameterError, match="^seed must be nonnegative, got -1$"):
+            train_single_stream(source, 4, 8, steps=2, lr=0.1, seed=-1)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_train_rejects_non_finite_learning_rate(self, lr):
+        source, target_train, _ = synth_domain_pair(small_spec())
+        model = init_two_stream(6, 8, 4, seed=0)
+        with pytest.raises(ParameterError, match=f"^learning_rate must be finite, got {lr}$"):
+            train(model, (source, target_train), small_config(), steps=2, lr=lr, seed=0)
+
+
 class TestAdaptationDirection:
     def test_source_only_below_aligned_small_case(self):
         # C = 5, rotation 30, translation 1.0: aligned strictly beats source-only
