@@ -26,9 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .distances import DistanceKind, batch_dist_sq
-from .errors import (
-    DimensionError, EmptyClassError, LabelError, ParameterError, SingularityError, check_finite,
-)
+from .errors import DimensionError, LabelError, ParameterError, SingularityError, check_finite
 from .nystrom import gram_roots
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
 
@@ -59,6 +57,8 @@ class AlignConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
+        if not isinstance(self.kind, DistanceKind):
+            raise ParameterError(f"kind must be a DistanceKind, got {self.kind!r}", name="kind")
         check_finite(sigma1=self.sigma1, sigma2=self.sigma2, eta=self.eta,
                      tau=self.tau, eps=self.eps)
         for name in ("sigma1", "sigma2", "eta"):
@@ -114,16 +114,7 @@ class SoftmaxResult:
 
 def softmax_ce(classifier: Classifier, block: FeatureBlock) -> SoftmaxResult:
     """Mean softmax cross-entropy over the block, with all three gradients."""
-    if block.count == 0:
-        raise EmptyClassError("cross-entropy needs at least one column")
-    if block.dim != classifier.feature_dim:
-        raise DimensionError(
-            f"feature dim {block.dim} does not match classifier dim {classifier.feature_dim}"
-        )
-    if block.labels.max() >= classifier.class_count:
-        raise LabelError(
-            f"label {int(block.labels.max())} outside class count {classifier.class_count}"
-        )
+    block.check("feature", classifier.class_count, classifier.feature_dim)
     logits = classifier.weights.T @ block.columns + classifier.bias[:, None]
     logits -= logits.max(axis=0, keepdims=True)
     exp = np.exp(logits)
@@ -354,10 +345,9 @@ def total_objective(
     """Full objective value and gradients, with feature columns as the leaves.
 
     The batches hold already-encoded feature vectors; gradients with respect to
-    them are what the trainer chains through its encoders.
+    them are what the trainer chains through its encoders. Each batch must meet
+    its classifier's block rules (:meth:`FeatureBlock.check`).
     """
-    if batch_s.count == 0 or batch_t.count == 0:
-        raise EmptyClassError("both batches must be nonempty")
     clf_s = model.classifier_source
     clf_t = model.classifier_target
     ce_s = softmax_ce(clf_s, batch_s)

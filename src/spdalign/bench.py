@@ -15,7 +15,7 @@ import numpy as np
 
 from .align import AlignConfig, class_terms
 from .distances import DistanceKind, dist_sq
-from .errors import ParameterError
+from .errors import ParameterError, check_seed
 from .scatter import mean_and_scatter
 from .spd import SymMatrix, regularize
 
@@ -88,6 +88,7 @@ def run_bench(
         raise ParameterError(f"reps must be at least 3, got {reps}")
     if d < 1 or n < 1 or nstar < 1:
         raise ParameterError("d, n and nstar must all be at least 1")
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     phi_s = rng.normal(size=(d, n))
     phi_t = rng.normal(size=(d, nstar))

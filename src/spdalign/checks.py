@@ -25,7 +25,7 @@ import numpy as np
 from .align import AlignConfig, Classifier, class_terms, total_objective
 from .bench import ambient_distance_eval, projected_distance_eval
 from .distances import DistanceKind, dist_sq, grad_dist_sq
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, check_seed
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
 from .spd import SymMatrix, regularize, spd_fn, symmetrize
 
@@ -338,6 +338,7 @@ def run_gradient_checks(
     corrupt: str | None = None,
 ) -> CheckReport:
     """All gradient components for the requested distance kinds, one report each."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     components = []
     for kind in kinds:
@@ -425,6 +426,7 @@ def check_coincidence(kind: DistanceKind, trials: int, rng: np.random.Generator)
 
 
 def run_invariance_checks(trials: int, seed: int, triples: int = 1000) -> CheckReport:
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     components = []
     for kind in DistanceKind:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: gradcheck, invariance, bench, train, eval, metrics. Exit codes:
-0 success, 1 validation failure (bad arguments, config, file formats), 2
-numerical failure (failed checks, singular matrices, divergence).
+0 success, 1 validation failure (bad arguments, config, file formats, missing or
+unreadable files), 2 numerical failure (failed checks, singular matrices,
+divergence).
 
 All CSV output uses fixed 6-decimal formatting so byte-identical reruns are a
 testable property.
@@ -255,7 +256,7 @@ def main(argv: list[str] | None = None) -> int:
     except _NUMERICAL_ERRORS as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (_UsageError, SpdAlignError) as exc:
+    except (_UsageError, SpdAlignError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

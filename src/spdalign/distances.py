@@ -149,7 +149,7 @@ def batch_dist_sq(
         scaled = m * np.concatenate([logs, logs])[:, None, :]
         grads = scaled @ m.transpose(0, 2, 1)
         return values, _sym(-4.0 * grads[:pairs]), _sym(4.0 * grads[pairs:])
-    raise ValueError(f"unhandled distance kind {kind!r}")
+    raise ParameterError(f"kind must be a DistanceKind, got {kind!r}", name="kind")
 
 
 def dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> float:

@@ -30,6 +30,12 @@ def check_finite(**values: float | None) -> None:
             raise ParameterError(f"{name} must be finite, got {value}", name=name)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ParameterError unless ``seed`` is nonnegative, as numpy's generators require."""
+    if seed < 0:
+        raise ParameterError(f"seed must be nonnegative, got {seed}", name="seed")
+
+
 class SingularityError(SpdAlignError):
     """Strict positive definiteness was required but not met.
 

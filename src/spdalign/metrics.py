@@ -223,14 +223,17 @@ def format_case(case: RankedCase) -> str:
 
 
 def load_cases(path) -> list[RankedCase]:
-    """Read a case file; malformed lines fail with their 1-based line number."""
+    """Read a UTF-8 case file; malformed lines fail with their 1-based line number."""
     cases = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                cases.append(parse_case_line(line))
-            except FormatError as exc:
-                raise FormatError(f"{path}, line {lineno}: {exc}") from None
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            for lineno, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    cases.append(parse_case_line(line))
+                except FormatError as exc:
+                    raise FormatError(f"{path}, line {lineno}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return cases

@@ -115,5 +115,10 @@ def parse_run_config(text: str) -> RunConfig:
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_run_config(handle.read())
+    """Read and parse a UTF-8 configuration file."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return parse_run_config(text)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyClassError
+from .errors import DimensionError, EmptyClassError, LabelError
 
 # perfbench/tracing.py wraps this binding by name; the scatter builder does not call it.
 from .spd import symmetrize  # noqa: F401
@@ -21,9 +21,8 @@ from .spd import symmetrize  # noqa: F401
 class FeatureBlock:
     """Column-major feature block: a (dim, count) matrix with one label per column.
 
-    Labels are nonnegative class ids; validation against a declared class count
-    happens where that count is known (classifier and container code). A block
-    may be empty (count 0); statistics then raise ``EmptyClassError``.
+    Labels are nonnegative class ids. A block may be empty (count 0); each
+    consumer states what it needs of a block through :meth:`check`.
     """
 
     columns: np.ndarray
@@ -59,6 +58,19 @@ class FeatureBlock:
     @property
     def count(self) -> int:
         return self.columns.shape[1]
+
+    def check(self, name: str, class_count: int, dim: int) -> None:
+        """Raise unless the block is nonempty, ``dim``-dimensional and labelled below ``class_count``.
+
+        These are the rules of every block consumer; ``name`` is the block's
+        role ("source", "test", ...) and leads each message.
+        """
+        if self.count == 0:
+            raise EmptyClassError(f"{name} block has no columns")
+        if self.dim != dim:
+            raise DimensionError(f"{name} block has dimension {self.dim}, its consumer takes {dim}")
+        if self.labels.max() >= class_count:
+            raise LabelError(f"{name} label {int(self.labels.max())} outside class count {class_count}")
 
 
 def mean_and_scatter(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -23,8 +23,7 @@ import numpy as np
 from .align import AlignConfig, Classifier, softmax_ce, total_objective
 from .distances import DistanceKind
 from .errors import (
-    DimensionError, DivergenceError, EmptyClassError, LabelError, ParameterError,
-    SingularityError, check_finite,
+    DimensionError, DivergenceError, ParameterError, SingularityError, check_finite, check_seed,
 )
 from .scatter import FeatureBlock
 
@@ -130,7 +129,7 @@ def init_two_stream(
     input_dim: int, feature_dim: int, class_count: int, seed: int, nonlinear: bool = True
 ) -> TwoStreamModel:
     """Fresh model with seeded encoder weights and zero classifiers."""
-    _check_seed(seed)
+    check_seed(seed)
     rng = np.random.default_rng([seed, 0xE0])
     zero_clf = Classifier(weights=np.zeros((feature_dim, class_count)), bias=np.zeros(class_count))
     return TwoStreamModel(
@@ -185,7 +184,7 @@ class SynthSpec:
                      "target_train_per_class", "target_test_per_class"):
             if getattr(self, name) < 1:
                 raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}", name=name)
-        _check_seed(self.seed)
+        check_seed(self.seed)
 
 
 _CIRCLE_RADIUS = 6.0
@@ -269,14 +268,8 @@ class LossRecord:
     mean: float
 
 
-def _class_indices(block: FeatureBlock, class_count: int, name: str) -> list[np.ndarray]:
-    """Column indices of each class; the block must hold at least one labelled column."""
-    if block.count == 0:
-        raise EmptyClassError(f"{name} block has no columns")
-    if block.labels.max() >= class_count:
-        raise LabelError(
-            f"{name} label {int(block.labels.max())} outside class count {class_count}"
-        )
+def _class_indices(block: FeatureBlock, class_count: int) -> list[np.ndarray]:
+    """Column indices of each class."""
     return [np.flatnonzero(block.labels == c) for c in range(class_count)]
 
 
@@ -291,11 +284,6 @@ def _sample_batch(
         picked.append(rng.choice(idx, size=take, replace=False))
     chosen = np.concatenate(picked)
     return FeatureBlock(block.columns[:, chosen], block.labels[chosen])
-
-
-def _check_seed(seed: int):
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}", name="seed")
 
 
 def _check_schedule(steps: int, lr: float):
@@ -349,11 +337,13 @@ def train(
     held fixed.
     """
     _check_schedule(steps, lr)
-    _check_seed(seed)
+    check_seed(seed)
     source, target = data
+    source.check("source", config.class_count, model.encoder_source.input_dim)
+    target.check("target", config.class_count, model.encoder_target.input_dim)
     model = copy.deepcopy(model)
-    idx_s = _class_indices(source, config.class_count, "source")
-    idx_t = _class_indices(target, config.class_count, "target")
+    idx_s = _class_indices(source, config.class_count)
+    idx_t = _class_indices(target, config.class_count)
     history: list[LossRecord] = []
     for step in range(1, steps + 1):
         rng = np.random.default_rng([seed, step])
@@ -410,18 +400,7 @@ class EvalReport:
 
 def evaluate(model: TwoStreamModel, test: FeatureBlock) -> EvalReport:
     """Target-stream top-1 accuracy: target encoder into target classifier."""
-    if test.count == 0:
-        raise ParameterError("test block is empty")
-    if test.dim != model.encoder_target.input_dim:
-        raise DimensionError(
-            f"test features have dimension {test.dim}, "
-            f"the model's target encoder takes {model.encoder_target.input_dim}"
-        )
-    if test.labels.max() >= model.classifier_target.class_count:
-        raise LabelError(
-            f"test label {int(test.labels.max())} outside class count "
-            f"{model.classifier_target.class_count}"
-        )
+    test.check("test", model.classifier_target.class_count, model.encoder_target.input_dim)
     phi, _ = encoder_forward(model.encoder_target, test.columns, model.feature_cap)
     logits = model.classifier_target.weights.T @ phi + model.classifier_target.bias[:, None]
     predicted = logits.argmax(axis=0)
@@ -459,7 +438,8 @@ def train_single_stream(
                 class_count=class_count, tau=tau)
     init = init_two_stream(block.dim, feature_dim, class_count, seed, nonlinear)
     _check_schedule(steps, lr)
-    indices = _class_indices(block, class_count, "source")
+    block.check("source", class_count, init.encoder_source.input_dim)
+    indices = _class_indices(block, class_count)
     enc, clf, cap = init.encoder_source, init.classifier_source, tau
     for step in range(1, steps + 1):
         batch = _sample_batch(block, indices, SOURCE_BATCH_CAP, np.random.default_rng([seed, step]))

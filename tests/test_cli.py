@@ -1,5 +1,8 @@
 """CLI behavior: exit codes, report formats, determinism, golden values."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +379,32 @@ class TestMetricsCommand:
         assert code == 0
         assert (out_dir / "metrics.csv").read_text() == MICRO_METRICS_EXPECTED
         assert (out_dir / "breakdown.csv").read_text() == MICRO_BREAKDOWN_EXPECTED
+
+
+class TestUnreadableFiles:
+    """A missing or undecodable input file is a validation failure, not a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["metrics", "missing.txt"],
+        ["metrics", "latin1.txt"],
+        ["eval", "missing.bin", "missing-features.bin"],
+        ["train", "--config", "missing.cfg", "--out", "out"],
+        ["train", "--config", "latin1.cfg", "--out", "out"],
+    ], ids=["metrics-missing", "metrics-not-utf8", "eval-missing-model",
+            "train-missing-config", "train-not-utf8-config"])
+    def test_exit_one_without_traceback(self, tmp_path, argv):
+        (tmp_path / "latin1.txt").write_bytes(b"pred:1,2|truth:1|factors:caf\xe9\n")
+        (tmp_path / "latin1.cfg").write_bytes(b"# caf\xe9\nsteps = 2\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run([sys.executable, "-m", "spdalign", *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ")
+        assert "Traceback" not in done.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestUsageErrors:

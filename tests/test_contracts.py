@@ -1,0 +1,211 @@
+"""Data contracts at the library's entry points.
+
+Each contract is stated once in the code: the block rules of every consumer on
+``FeatureBlock.check``, each binary header as one ``struct.Struct``, the seed
+rule in ``errors.check_seed``, and the distance kind in ``AlignConfig``. These
+tests pin the errors and bytes that those single statements produce.
+"""
+
+import re
+import struct
+
+import numpy as np
+import pytest
+
+from spdalign.align import AlignConfig, Classifier, softmax_ce, total_objective
+from spdalign.bench import run_bench
+from spdalign.checks import run_gradient_checks, run_invariance_checks
+from spdalign.distances import DistanceKind, batch_dist_sq, dist_sq
+from spdalign.errors import (
+    ConfigError, DimensionError, EmptyClassError, FormatError, LabelError, ParameterError,
+)
+from spdalign.io import (
+    MODEL_HEADER_BYTES, read_feature_container, read_model, write_feature_container, write_model,
+)
+from spdalign.metrics import load_cases
+from spdalign.runconfig import load_run_config
+from spdalign.scatter import FeatureBlock
+from spdalign.spd import SymMatrix
+from spdalign.trainer import (
+    Encoder, SynthSpec, TwoStreamModel, evaluate, init_two_stream, train, train_single_stream,
+)
+
+INPUT_DIM, FEATURE_DIM, CLASSES = 3, 4, 3
+
+
+def _block(dim, labels=(0, 1, 2, 0, 1, 2)):
+    return FeatureBlock(np.random.default_rng(0).normal(size=(dim, len(labels))), np.array(labels))
+
+
+def _config():
+    return AlignConfig(sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=CLASSES)
+
+
+def _model():
+    return init_two_stream(INPUT_DIM, FEATURE_DIM, CLASSES, seed=0)
+
+
+# consumer id: (block name in messages, dimension the consumer takes, call with the block)
+CONSUMERS = {
+    "train/source": ("source", INPUT_DIM, lambda b: train(
+        _model(), (b, _block(INPUT_DIM)), _config(), steps=2, lr=0.1, seed=0)),
+    "train/target": ("target", INPUT_DIM, lambda b: train(
+        _model(), (_block(INPUT_DIM), b), _config(), steps=2, lr=0.1, seed=0)),
+    "train_single_stream": ("source", INPUT_DIM, lambda b: train_single_stream(
+        b, CLASSES, FEATURE_DIM, steps=2, lr=0.1, seed=0)),
+    "evaluate": ("test", INPUT_DIM, lambda b: evaluate(_model(), b)),
+    "softmax_ce": ("feature", FEATURE_DIM, lambda b: softmax_ce(
+        Classifier(np.zeros((FEATURE_DIM, CLASSES)), np.zeros(CLASSES)), b)),
+    "total_objective/source": ("feature", FEATURE_DIM, lambda b: total_objective(
+        _model(), b, _block(FEATURE_DIM), _config())),
+    "total_objective/target": ("feature", FEATURE_DIM, lambda b: total_objective(
+        _model(), _block(FEATURE_DIM), b, _config())),
+}
+
+
+def _fault(kind, dim):
+    """(faulty block, error type, message template over the block name and consumer dimension)."""
+    if kind == "empty":
+        return (FeatureBlock(np.empty((dim, 0)), np.empty(0, dtype=int)), EmptyClassError,
+                "{name} block has no columns")
+    if kind == "dimension":
+        return (_block(dim + 1), DimensionError,
+                f"{{name}} block has dimension {dim + 1}, its consumer takes {dim}")
+    return (_block(dim, (0, 1, CLASSES + 2)), LabelError,
+            f"{{name}} label {CLASSES + 2} outside class count {CLASSES}")
+
+
+# train_single_stream sizes its encoder from the block, so no block has the wrong dimension.
+BLOCK_CASES = [
+    (consumer, fault) for consumer in CONSUMERS for fault in ("empty", "dimension", "label")
+    if (consumer, fault) != ("train_single_stream", "dimension")
+]
+
+
+class TestBlockRules:
+    @pytest.mark.parametrize("consumer, fault", BLOCK_CASES,
+                             ids=[f"{c}-{f}" for c, f in BLOCK_CASES])
+    def test_consumer_rejects_fault(self, consumer, fault):
+        name, dim, call = CONSUMERS[consumer]
+        block, error, template = _fault(fault, dim)
+        with pytest.raises(error, match=f"^{re.escape(template.format(name=name))}$"):
+            call(block)
+
+    def test_valid_block_passes(self):
+        _block(INPUT_DIM).check("source", CLASSES, INPUT_DIM)
+
+
+class TestHeaderBytes:
+    def test_feature_container(self, tmp_path):
+        block = FeatureBlock(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), np.array([0, 2, 1]))
+        path = tmp_path / "features.bin"
+        write_feature_container(path, block, class_count=3)
+        expected = (
+            b"OMICFEAT"
+            + struct.pack("<I", 1) + struct.pack("<I", 2) + struct.pack("<I", 3)
+            + struct.pack("<I", 3)
+            + struct.pack("<3I", 0, 2, 1)
+            + struct.pack("<6d", 1.0, 4.0, 2.0, 5.0, 3.0, 6.0)
+        )
+        assert path.read_bytes() == expected
+        loaded, class_count = read_feature_container(path)
+        assert class_count == 3
+        assert np.array_equal(loaded.columns, block.columns)
+        assert np.array_equal(loaded.labels, block.labels)
+
+    @pytest.mark.parametrize("nonlinear, cap", [(True, 1.5), (False, None)],
+                             ids=["tanh-capped", "linear-uncapped"])
+    def test_model_dump(self, tmp_path, nonlinear, cap):
+        # input_dim 3, feature_dim 2, class_count 2; the target stream negates the source.
+        def stream(sign):
+            return (
+                Encoder(sign * np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]),
+                        sign * np.array([0.5, -0.5]), nonlinear),
+                Classifier(sign * np.array([[7.0, 8.0], [9.0, 10.0]]), sign * np.array([0.25, -0.25])),
+            )
+
+        (enc_s, clf_s), (enc_t, clf_t) = stream(1.0), stream(-1.0)
+        model = TwoStreamModel(enc_s, enc_t, clf_s, clf_t, feature_cap=cap)
+        path = tmp_path / "model.bin"
+        write_model(path, model)
+
+        def stream_bytes(sign):
+            return (
+                struct.pack("<6d", *(sign * v for v in (1.0, 4.0, 2.0, 5.0, 3.0, 6.0)))
+                + struct.pack("<2d", sign * 0.5, sign * -0.5)
+                + struct.pack("<4d", *(sign * v for v in (7.0, 9.0, 8.0, 10.0)))
+                + struct.pack("<2d", sign * 0.25, sign * -0.25)
+            )
+
+        header = (
+            b"OMICMODL"
+            + struct.pack("<I", 1)
+            + struct.pack("<3I", 3, 2, 2)
+            + struct.pack("<I", 1 if nonlinear else 0)
+            + struct.pack("<I", 0 if cap is None else 1)
+            + struct.pack("<d", 0.0 if cap is None else cap)
+        )
+        assert len(header) == MODEL_HEADER_BYTES == 40
+        assert path.read_bytes() == header + stream_bytes(1.0) + stream_bytes(-1.0)
+        loaded = read_model(path)
+        assert loaded.feature_cap == cap
+        assert loaded.encoder_target.nonlinear is nonlinear
+        for got, want in [
+            (loaded.encoder_source.weights, enc_s.weights), (loaded.encoder_source.bias, enc_s.bias),
+            (loaded.classifier_source.weights, clf_s.weights), (loaded.classifier_source.bias, clf_s.bias),
+            (loaded.encoder_target.weights, enc_t.weights), (loaded.encoder_target.bias, enc_t.bias),
+            (loaded.classifier_target.weights, clf_t.weights), (loaded.classifier_target.bias, clf_t.bias),
+        ]:
+            assert np.array_equal(got, want)
+
+
+SEED_ENTRY_POINTS = {
+    "init_two_stream": lambda: init_two_stream(INPUT_DIM, FEATURE_DIM, CLASSES, seed=-1),
+    "SynthSpec": lambda: SynthSpec(class_count=2, input_dim=2, source_per_class=2, seed=-1),
+    "train": lambda: train(_model(), (_block(INPUT_DIM), _block(INPUT_DIM)), _config(),
+                           steps=1, lr=0.1, seed=-1),
+    "train_single_stream": lambda: train_single_stream(_block(INPUT_DIM), CLASSES, FEATURE_DIM,
+                                                       steps=1, lr=0.1, seed=-1),
+    "run_bench": lambda: run_bench(d=8, n=3, nstar=2, reps=3, kind=DistanceKind.JBLD, seed=-1),
+    "run_gradient_checks": lambda: run_gradient_checks(kinds=[DistanceKind.FROBENIUS], trials=1, seed=-1),
+    "run_invariance_checks": lambda: run_invariance_checks(trials=1, seed=-1),
+}
+
+
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_negative_seed_is_typed(entry):
+    with pytest.raises(ParameterError, match="^seed must be nonnegative, got -1$") as info:
+        SEED_ENTRY_POINTS[entry]()
+    assert info.value.name == "seed"
+
+
+class TestDistanceKind:
+    @pytest.mark.parametrize("kind", ["jbld", None, 1])
+    def test_align_config_rejects_non_member(self, kind):
+        with pytest.raises(ParameterError, match="^kind must be a DistanceKind, got ") as info:
+            AlignConfig(sigma1=0.5, sigma2=1.0, eta=1.0, kind=kind, class_count=2)
+        assert info.value.name == "kind"
+
+    def test_dist_sq_rejects_non_member(self):
+        eye = SymMatrix(np.eye(2))
+        with pytest.raises(ParameterError, match="^kind must be a DistanceKind, got 'jbld'$"):
+            dist_sq("jbld", eye, eye)
+
+    def test_batch_dist_sq_rejects_non_member(self):
+        stack = np.eye(2)[None]
+        with pytest.raises(ParameterError, match="^kind must be a DistanceKind, got 'airm'$"):
+            batch_dist_sq("airm", stack, stack, with_grad=False)
+
+
+class TestTextReaders:
+    def test_case_file_not_utf8(self, tmp_path):
+        path = tmp_path / "cases.txt"
+        path.write_bytes(b"pred:1,2|truth:1\n\xff\xfe\n")
+        with pytest.raises(FormatError, match=r"cases\.txt: not UTF-8 text \("):
+            load_cases(path)
+
+    def test_run_config_not_utf8(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"steps = 2\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match=r"run\.cfg: not UTF-8 text \("):
+            load_run_config(path)

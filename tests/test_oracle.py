@@ -7,13 +7,13 @@ formulas, and pulls the matrix gradient back to the columns with
 involved, so agreement checks both.
 """
 
+import mpmath
 import numpy as np
 import pytest
 
 from spdalign.align import AlignConfig, alignment_loss
 from spdalign.distances import DistanceKind
 
-mpmath = pytest.importorskip("mpmath")
 mp = mpmath.mp
 
 DIGITS = 40
