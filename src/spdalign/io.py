@@ -91,7 +91,8 @@ def write_model(path, model: TwoStreamModel):
     """Serialize a two-stream model (encoders, classifiers, feature cap).
 
     The header holds one encoder kind and one set of sizes for both streams,
-    so streams that differ in either are rejected before the file is opened.
+    so streams that differ in either, or an array whose size does not fit its
+    ``_stream_shapes`` entry, are rejected before the file is opened.
     """
     streams = (
         (model.encoder_source, model.classifier_source),
@@ -107,14 +108,20 @@ def write_model(path, model: TwoStreamModel):
         )
     nonlinear, *sizes = source
     shapes = _stream_shapes(*sizes)
+    payload = []
+    for enc, clf in streams:
+        for array, shape in zip((enc.weights, enc.bias, clf.weights, clf.bias), shapes):
+            if np.size(array) != shape[0] * shape[1]:
+                raise FormatError(
+                    f"model array of shape {np.shape(array)} does not fit its stored shape {shape}"
+                )
+            payload.append(np.reshape(array, shape).astype("<f8").tobytes(order="F"))
     cap = model.feature_cap
     with open(path, "wb") as handle:
         handle.write(MODEL_HEADER.pack(
             MODEL_MAGIC, VERSION, *sizes, 1 if nonlinear else 0, cap is not None, cap or 0.0
         ))
-        for enc, clf in streams:
-            for array, shape in zip((enc.weights, enc.bias, clf.weights, clf.bias), shapes):
-                handle.write(np.reshape(array, shape).astype("<f8").tobytes(order="F"))
+        handle.writelines(payload)
 
 
 def read_model(path) -> TwoStreamModel:

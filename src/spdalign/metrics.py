@@ -22,11 +22,26 @@ Case file format, one case per line::
 
     pred:5,2,9|truth:2,7|factors:blr,ocl
 
-with ids as decimal integers and the factors segment optional.
+:func:`load_cases` reads it by these rules:
+
+* ``pred`` and ``truth`` appear exactly once each, ``factors`` at most once,
+  and no other segment is allowed;
+* ids are ASCII decimal integers with an optional leading ``-`` (no spaces,
+  ``+`` or ``_``), and neither list repeats an id;
+* the truth list is not empty;
+* factor tags are comma-separated, without whitespace;
+* blank lines are skipped.
+
+A line that breaks a rule raises ``FormatError`` naming its 1-based line
+number (``spdalign metrics`` exits 1). The rules are checked once, at the
+reader: :func:`parse_case_line` builds each ``RankedCase`` from values it has
+checked itself, without the conversion and checks that the public
+constructor applies to API input.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterator, Sequence
@@ -36,9 +51,34 @@ import numpy as np
 from .errors import FormatError, ParameterError
 
 
-@dataclass(frozen=True)
+# A factor tag that format_case writes back unchanged: no separator, no whitespace.
+_TAG = re.compile(r"[^\s,|]+")
+
+
+def _check_case(
+    predicted: tuple[int, ...], truth: tuple[int, ...], factors: frozenset[str]
+) -> None:
+    """Raise ``ParameterError`` unless the fields make a case; both entries call this."""
+    if not truth:
+        raise ParameterError("a case needs at least one ground-truth label")
+    if len(set(predicted)) != len(predicted):
+        raise ParameterError(f"duplicate predicted ids in {predicted}")
+    if len(set(truth)) != len(truth):
+        raise ParameterError(f"duplicate truth ids in {truth}")
+    for tag in factors:
+        if not _TAG.fullmatch(tag):
+            raise ParameterError(
+                f"factor tag {tag!r} is empty or holds ',', '|' or whitespace"
+            )
+
+
+@dataclass(frozen=True, slots=True)
 class RankedCase:
-    """One evaluated item: predictions by score, truth labels by saliency."""
+    """One evaluated item: predictions by score, truth labels by saliency.
+
+    The constructor converts and checks API input; :func:`parse_case_line`
+    checks file input itself and builds the case without a second pass.
+    """
 
     predicted: tuple[int, ...]
     truth: tuple[int, ...]
@@ -48,12 +88,7 @@ class RankedCase:
         object.__setattr__(self, "predicted", tuple(int(p) for p in self.predicted))
         object.__setattr__(self, "truth", tuple(int(t) for t in self.truth))
         object.__setattr__(self, "factors", frozenset(str(f) for f in self.factors))
-        if not self.truth:
-            raise ParameterError("a case needs at least one ground-truth label")
-        if len(set(self.predicted)) != len(self.predicted):
-            raise ParameterError(f"duplicate predicted ids in {self.predicted}")
-        if len(set(self.truth)) != len(self.truth):
-            raise ParameterError(f"duplicate truth ids in {self.truth}")
+        _check_case(self.predicted, self.truth, self.factors)
 
 
 def _check_window(cases: Sequence[RankedCase], first: int, last: int) -> None:
@@ -152,11 +187,17 @@ def factor_masks(
     if not cases:
         raise ParameterError("no cases to evaluate")
     yield "all", np.ones(len(cases), dtype=bool)
-    tags = sorted({t for c in cases for t in c.factors})
-    masks = {tag: np.array([tag in c.factors for c in cases]) for tag in tags}
+    rows: dict[str, list[int]] = {}
+    for i, case in enumerate(cases):
+        for tag in case.factors:
+            rows.setdefault(tag, []).append(i)
+    masks = {}
+    for tag in sorted(rows):
+        masks[tag] = mask = np.zeros(len(cases), dtype=bool)
+        mask[rows[tag]] = True
     yield from masks.items()
     if include_pairs:
-        for a, b in combinations(tags, 2):
+        for a, b in combinations(masks, 2):
             both = masks[a] & masks[b]
             if both.any():
                 yield f"{a}+{b}", both
@@ -179,17 +220,27 @@ def factor_breakdown(
 # Case file parsing
 # ---------------------------------------------------------------------------
 
+# ASCII decimal ids with an optional leading "-", comma-separated.
+_IDS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+
+
 def _parse_ids(payload: str, what: str) -> tuple[int, ...]:
     if not payload:
         raise FormatError(f"empty {what} list")
+    if not _IDS.fullmatch(payload):
+        raise FormatError(f"non-decimal id in {what} list: {payload!r}")
     try:
-        return tuple(int(part) for part in payload.split(","))
-    except ValueError:
-        raise FormatError(f"non-integer id in {what} list: {payload!r}") from None
+        return tuple(map(int, payload.split(",")))
+    except ValueError:  # beyond int()'s digit limit
+        raise FormatError(f"id too long in {what} list") from None
 
 
 def parse_case_line(line: str) -> RankedCase:
-    """Parse one ``pred:...|truth:...[|factors:...]`` line into a RankedCase."""
+    """Parse one ``pred:...|truth:...[|factors:...]`` line into a RankedCase.
+
+    The line's values are checked here, once; the case is built from them
+    without the constructor's conversion and checks.
+    """
     segments: dict[str, str] = {}
     for segment in line.strip().split("|"):
         name, sep, payload = segment.partition(":")
@@ -204,11 +255,16 @@ def parse_case_line(line: str) -> RankedCase:
         raise FormatError("line must contain both pred and truth segments")
     predicted = _parse_ids(segments["pred"], "pred")
     truth = _parse_ids(segments["truth"], "truth")
-    factors = frozenset(f for f in segments.get("factors", "").split(",") if f)
+    factors = frozenset(filter(None, segments.get("factors", "").split(",")))
     try:
-        return RankedCase(predicted=predicted, truth=truth, factors=factors)
+        _check_case(predicted, truth, factors)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
+    case = object.__new__(RankedCase)
+    object.__setattr__(case, "predicted", predicted)
+    object.__setattr__(case, "truth", truth)
+    object.__setattr__(case, "factors", factors)
+    return case
 
 
 def format_case(case: RankedCase) -> str:

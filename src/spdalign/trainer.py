@@ -55,6 +55,9 @@ class TwoStreamModel:
 
     ``feature_cap`` is the squared-norm ceiling applied to every encoder output
     column; ``None`` means no cap has been fixed yet (training sets it).
+
+    Construction checks each encoder's shapes once; :class:`Encoder` itself
+    checks nothing, since every SGD step builds a new one.
     """
 
     encoder_source: Encoder
@@ -68,6 +71,11 @@ class TwoStreamModel:
             (self.encoder_source, self.classifier_source),
             (self.encoder_target, self.classifier_target),
         ):
+            if np.ndim(enc.weights) != 2 or np.shape(enc.bias) != (enc.feature_dim,):
+                raise DimensionError(
+                    f"encoder weights {np.shape(enc.weights)} and bias {np.shape(enc.bias)} "
+                    "are not a (feature_dim, input_dim) matrix and a (feature_dim,) vector"
+                )
             if enc.feature_dim != clf.feature_dim:
                 raise DimensionError(
                     f"encoder output dim {enc.feature_dim} does not match "

@@ -109,6 +109,17 @@ class TestModelDump:
             write_model(path, model)
         assert not path.exists()
 
+    def test_array_that_does_not_fit_is_rejected_before_writing(self, rng, tmp_path):
+        # The dataclass does not stop a field from being replaced after construction.
+        enc = Encoder(rng.normal(size=(2, 3)), np.zeros(2))
+        clf = Classifier(rng.normal(size=(2, 4)), np.zeros(4))
+        model = TwoStreamModel(enc, enc, clf, clf)
+        model.encoder_target = Encoder(np.ones((2, 3)), np.zeros(5))
+        path = tmp_path / "model.bin"
+        with pytest.raises(FormatError, match=r"shape \(5,\) does not fit .* \(2, 1\)"):
+            write_model(path, model)
+        assert not path.exists()
+
     @pytest.mark.parametrize("length", [12, 30, 38])
     def test_truncated_header(self, tmp_path, length):
         path = tmp_path / "model.bin"

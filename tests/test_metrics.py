@@ -1,5 +1,7 @@
 """Ranked-retrieval measures against an exhaustive set-intersection oracle."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +83,11 @@ class TestRankedCase:
     def test_rejects_duplicate_truth(self):
         with pytest.raises(ParameterError):
             RankedCase((1, 2), (3, 3))
+
+    @pytest.mark.parametrize("tag", ["", "a,b", "a|b", "a b", " a", "a\t", "a\n"])
+    def test_rejects_factor_tags_format_case_cannot_write_back(self, tag):
+        with pytest.raises(ParameterError, match="factor tag"):
+            RankedCase((1,), (1,), frozenset({tag}))
 
 
 class TestTopK:
@@ -242,8 +249,16 @@ class TestCaseFileFormat:
         assert case.factors == frozenset()
 
     def test_roundtrip(self, rng):
-        for case in random_cases(rng, 50):
-            assert parse_case_line(format_case(case)) == case
+        # The parser builds cases without the constructor, so compare field
+        # types and hashes as well as equality.
+        for case in random_cases(rng, 200):
+            parsed = parse_case_line(format_case(case))
+            for got in (parsed, case):
+                assert type(got.predicted) is tuple and type(got.truth) is tuple
+                assert all(type(i) is int for i in got.predicted + got.truth)
+                assert type(got.factors) is frozenset
+                assert all(type(tag) is str for tag in got.factors)
+            assert parsed == case and hash(parsed) == hash(case)
 
     @pytest.mark.parametrize("bad", [
         "pred:1,2",                     # missing truth
@@ -252,10 +267,28 @@ class TestCaseFileFormat:
         "pred:1,2|truth:1|extra:x",     # unknown segment
         "pred:1,1|truth:2",             # duplicate ids
         "nonsense",
+        "pred:1_0,2|truth:10",          # digit separator
+        "pred:\u0663,1|truth:3",        # non-ASCII digit
+        "pred: 5,2|truth:5",            # space
+        "pred:5,+2|truth:5",            # leading plus
+        "pred:1,2|truth:1|factors:a b",  # whitespace inside a factor tag
+        pytest.param("pred:" + "1" * 5000 + "|truth:1", id="beyond-int-digit-limit"),
     ])
     def test_malformed_lines(self, bad):
         with pytest.raises(FormatError):
             parse_case_line(bad)
+
+    @pytest.mark.parametrize("line, message", [
+        ("pred:1,1,2|truth:3", "duplicate predicted ids in (1, 1, 2)"),
+        ("pred:1,2|truth:3,3", "duplicate truth ids in (3, 3)"),
+        ("pred:1,2|truth:", "empty truth list"),
+        ("pred:1_0,2|truth:10", "non-decimal id in pred list: '1_0,2'"),
+    ])
+    def test_load_cases_names_the_line_and_the_rule(self, tmp_path, line, message):
+        path = tmp_path / "cases.txt"
+        path.write_text(f"pred:1,2|truth:1\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"line 3: {message}")):
+            load_cases(path)
 
     @pytest.mark.parametrize("line", [
         "pred:1,2|truth:1|pred:7,8,9",

@@ -158,6 +158,21 @@ class TestEncoder:
         assert relative_gap(gw, fd_w) < 1e-5
         assert relative_gap(gb, fd_b) < 1e-5
 
+    @pytest.mark.parametrize("call", ["evaluate", "train"])
+    def test_bias_length_mismatch_is_typed_before_the_call(self, rng, call):
+        # The model is rejected where it is built, so neither call reaches numpy.
+        spec = small_spec(input_dim=3)
+        source, target_train, target_test = synth_domain_pair(spec)
+        runs = {
+            "evaluate": lambda model: evaluate(model, target_test),
+            "train": lambda model: train(model, (source, target_train), small_config(),
+                                         steps=1, lr=0.1, seed=0),
+        }
+        bad = Encoder(np.ones((2, 3)), np.zeros(5))
+        clf = Classifier(rng.normal(size=(2, 4)), np.zeros(4))
+        with pytest.raises(DimensionError, match=r"bias \(5,\)"):
+            runs[call](TwoStreamModel(bad, bad, clf, clf))
+
 
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
