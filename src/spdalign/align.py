@@ -26,7 +26,10 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .distances import DistanceKind, batch_dist_sq
-from .errors import DimensionError, LabelError, ParameterError, SingularityError, check_finite
+from .errors import (
+    DimensionError, LabelError, ParameterError, SingularityError, check_at_least, check_nonnegative,
+    check_positive,
+)
 from .nystrom import gram_roots
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
 
@@ -59,19 +62,9 @@ class AlignConfig:
     def __post_init__(self):
         if not isinstance(self.kind, DistanceKind):
             raise ParameterError(f"kind must be a DistanceKind, got {self.kind!r}", name="kind")
-        check_finite(sigma1=self.sigma1, sigma2=self.sigma2, eta=self.eta,
-                     tau=self.tau, eps=self.eps)
-        for name in ("sigma1", "sigma2", "eta"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be nonnegative, got {getattr(self, name)}", name=name)
-        if self.tau is not None and self.tau <= 0:
-            raise ParameterError(f"tau must be positive, got {self.tau}", name="tau")
-        if self.eps <= 0:
-            raise ParameterError(f"eps must be positive, got {self.eps}", name="eps")
-        if self.class_count < 1:
-            raise ParameterError(
-                f"class_count must be at least 1, got {self.class_count}", name="class_count"
-            )
+        check_nonnegative(sigma1=self.sigma1, sigma2=self.sigma2, eta=self.eta)
+        check_positive(tau=self.tau, eps=self.eps)
+        check_at_least(1, class_count=self.class_count)
 
 
 @dataclass(frozen=True)

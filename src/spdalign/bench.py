@@ -15,7 +15,7 @@ import numpy as np
 
 from .align import AlignConfig, class_terms
 from .distances import DistanceKind, dist_sq
-from .errors import ParameterError, check_seed
+from .errors import check_at_least, check_seed
 from .scatter import mean_and_scatter
 from .spd import SymMatrix, regularize
 
@@ -84,10 +84,8 @@ def run_bench(
     seed: int = 0,
 ) -> BenchResult:
     """Time both evaluation paths on one random instance of the given sizes."""
-    if reps < 3:
-        raise ParameterError(f"reps must be at least 3, got {reps}")
-    if d < 1 or n < 1 or nstar < 1:
-        raise ParameterError("d, n and nstar must all be at least 1")
+    check_at_least(3, reps=reps)
+    check_at_least(1, d=d, n=n, nstar=nstar)
     check_seed(seed)
     rng = np.random.default_rng(seed)
     phi_s = rng.normal(size=(d, n))

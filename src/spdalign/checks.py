@@ -25,7 +25,7 @@ import numpy as np
 from .align import AlignConfig, Classifier, class_terms, total_objective
 from .bench import ambient_distance_eval, projected_distance_eval
 from .distances import DistanceKind, dist_sq, grad_dist_sq
-from .errors import NumericalError, ParameterError, check_seed
+from .errors import NumericalError, check_at_least, check_seed
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
 from .spd import SymMatrix, regularize, spd_fn, symmetrize
 
@@ -111,8 +111,7 @@ def _worst(
     one is rejected rather than passed on no evidence, and a NaN deviation
     propagates into ``max_gap`` so that the component fails.
     """
-    if trials < 1:
-        raise ParameterError(f"{name}: trial count must be at least 1, got {trials}")
+    check_at_least(1, **{f"{name}: trial count": trials})
     deviations = [0.0]
     for _ in range(trials):
         deviations.extend(trial())

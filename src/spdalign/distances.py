@@ -51,7 +51,7 @@ class DistanceKind(enum.Enum):
         except ValueError:
             raise ParameterError(
                 f"unknown distance kind {name!r}; expected one of "
-                f"{[k.value for k in cls]}"
+                f"{[k.value for k in cls]}", name="kind"
             ) from None
 
 

@@ -1,6 +1,16 @@
-"""Exception hierarchy shared by every module in the package."""
+"""Exception hierarchy shared by every module in the package, and the numeric-parameter rules.
+
+Each range rule of a numeric parameter is stated once, here, and every entry
+point that takes such a parameter calls it: :func:`check_at_least` for counts
+and seeds (whole numbers with a minimum), :func:`check_finite`,
+:func:`check_nonnegative` and :func:`check_positive` for real values, and
+:func:`whole_numbers` for a sequence of ids. Each raises ``ParameterError``
+with the parameter's name as its ``name``.
+"""
 
 import math
+import numbers
+import operator
 
 
 class SpdAlignError(Exception):
@@ -12,13 +22,13 @@ class DimensionError(SpdAlignError):
 
 
 class ParameterError(SpdAlignError):
-    """A numeric parameter lies outside its documented range.
+    """A parameter is not of its documented type or lies outside its range.
 
-    ``name`` is the parameter's field name when the raise site knows it, so
-    that the run-config reader can report the line that set it.
+    ``name`` is the parameter's name, so that the run-config reader can
+    report the line that set it.
     """
 
-    def __init__(self, message: str, name: str | None = None):
+    def __init__(self, message: str, name: str):
         super().__init__(message)
         self.name = name
 
@@ -30,10 +40,47 @@ def check_finite(**values: float | None) -> None:
             raise ParameterError(f"{name} must be finite, got {value}", name=name)
 
 
+def check_nonnegative(**values: float) -> None:
+    """Raise ParameterError naming the first value that is not finite, then the first below zero."""
+    check_finite(**values)
+    for name, value in values.items():
+        if value < 0:
+            raise ParameterError(f"{name} must be nonnegative, got {value}", name=name)
+
+
+def check_positive(**values: float | None) -> None:
+    """Raise ParameterError naming the first value that is not finite, then the first not above zero.
+
+    None passes, as it does :func:`check_finite`.
+    """
+    check_finite(**values)
+    for name, value in values.items():
+        if value is not None and value <= 0:
+            raise ParameterError(f"{name} must be positive, got {value}", name=name)
+
+
+def check_at_least(minimum: int, **values: int) -> None:
+    """Raise ParameterError naming the first value that is not a whole number of at least ``minimum``."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ParameterError(f"{name} must be a whole number, got {value!r}", name=name)
+        if value < minimum:
+            rule = "nonnegative" if minimum == 0 else f"at least {minimum}"
+            raise ParameterError(f"{name} must be {rule}, got {value}", name=name)
+
+
 def check_seed(seed: int) -> None:
-    """Raise ParameterError unless ``seed`` is nonnegative, as numpy's generators require."""
-    if seed < 0:
-        raise ParameterError(f"seed must be nonnegative, got {seed}", name="seed")
+    """Raise ParameterError unless ``seed`` is a nonnegative whole number, as numpy's generators require."""
+    check_at_least(0, seed=seed)
+
+
+def whole_numbers(name: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; raise ParameterError unless it is a sequence of whole numbers."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ParameterError(f"{name} must be a sequence of whole numbers, got {values!r}",
+                             name=name) from None
 
 
 class SingularityError(SpdAlignError):

@@ -48,7 +48,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError, ParameterError, check_at_least, whole_numbers
 
 
 # A factor tag that format_case writes back unchanged: no separator, no whitespace.
@@ -60,15 +60,15 @@ def _check_case(
 ) -> None:
     """Raise ``ParameterError`` unless the fields make a case; both entries call this."""
     if not truth:
-        raise ParameterError("a case needs at least one ground-truth label")
+        raise ParameterError("a case needs at least one ground-truth label", name="truth")
     if len(set(predicted)) != len(predicted):
-        raise ParameterError(f"duplicate predicted ids in {predicted}")
+        raise ParameterError(f"duplicate predicted ids in {predicted}", name="predicted")
     if len(set(truth)) != len(truth):
-        raise ParameterError(f"duplicate truth ids in {truth}")
+        raise ParameterError(f"duplicate truth ids in {truth}", name="truth")
     for tag in factors:
         if not _TAG.fullmatch(tag):
             raise ParameterError(
-                f"factor tag {tag!r} is empty or holds ',', '|' or whitespace"
+                f"factor tag {tag!r} is empty or holds ',', '|' or whitespace", name="factors"
             )
 
 
@@ -76,8 +76,9 @@ def _check_case(
 class RankedCase:
     """One evaluated item: predictions by score, truth labels by saliency.
 
-    The constructor converts and checks API input; :func:`parse_case_line`
-    checks file input itself and builds the case without a second pass.
+    The constructor converts and checks API input: ids must be whole numbers
+    (they may be negative). :func:`parse_case_line` checks file input itself
+    and builds the case without a second pass.
     """
 
     predicted: tuple[int, ...]
@@ -85,8 +86,8 @@ class RankedCase:
     factors: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        object.__setattr__(self, "predicted", tuple(int(p) for p in self.predicted))
-        object.__setattr__(self, "truth", tuple(int(t) for t in self.truth))
+        object.__setattr__(self, "predicted", whole_numbers("predicted", self.predicted))
+        object.__setattr__(self, "truth", whole_numbers("truth", self.truth))
         object.__setattr__(self, "factors", frozenset(str(f) for f in self.factors))
         _check_case(self.predicted, self.truth, self.factors)
 
@@ -96,14 +97,13 @@ def _check_window(cases: Sequence[RankedCase], first: int, last: int) -> None:
 
     The message names the first k that does not fit.
     """
-    if first < 1:
-        raise ParameterError(f"k must be at least 1, got {first}")
+    check_at_least(1, k=first)
     if not cases:
-        raise ParameterError("no cases to evaluate")
+        raise ParameterError("no cases to evaluate", name="cases")
     short = min(len(c.predicted) for c in cases)
     if last > short:
         raise ParameterError(
-            f"k={max(first, short + 1)} exceeds the shortest prediction list ({short})"
+            f"k={max(first, short + 1)} exceeds the shortest prediction list ({short})", name="k"
         )
 
 
@@ -114,8 +114,7 @@ def hit_ranks(cases: Sequence[RankedCase], depth: int) -> np.ndarray:
     among its first n truth labels, or depth + 1 if none is in its first depth
     predictions. Rows never increase along n.
     """
-    if depth < 1:
-        raise ParameterError(f"depth must be at least 1, got {depth}")
+    check_at_least(1, depth=depth)
     ranks = np.full((len(cases), depth), depth + 1, dtype=np.int64)
     for i, case in enumerate(cases):
         window = case.predicted[:depth]
@@ -141,8 +140,7 @@ def sweep_ranks(cases: Sequence[RankedCase], k_max: int) -> np.ndarray:
     Raises ``ParameterError`` for k_max < 1, no cases, or a prediction list
     shorter than k_max.
     """
-    if k_max < 1:
-        raise ParameterError(f"k_max must be at least 1, got {k_max}")
+    check_at_least(1, k_max=k_max)
     _check_window(cases, 1, k_max)
     return hit_ranks(cases, k_max)
 
@@ -157,8 +155,7 @@ def top_k_n(cases: Sequence[RankedCase], k: int, n: int) -> float:
 
     Truth lists shorter than n are used whole.
     """
-    if n < 1:
-        raise ParameterError(f"n must be at least 1, got {n}")
+    check_at_least(1, n=n)
     _check_window(cases, k, k)
     n = min(n, max(len(c.truth) for c in cases))  # later columns repeat this one
     return hit_rate(hit_ranks(cases, max(k, n)), k, n)
@@ -185,7 +182,7 @@ def factor_masks(
     "a+b", in sorted order. Only tags and pairs that actually occur get a row.
     """
     if not cases:
-        raise ParameterError("no cases to evaluate")
+        raise ParameterError("no cases to evaluate", name="cases")
     yield "all", np.ones(len(cases), dtype=bool)
     rows: dict[str, list[int]] = {}
     for i, case in enumerate(cases):

@@ -1,4 +1,4 @@
-"""Kernel feature maps and the exact isometric self-projection of feature columns.
+"""The linear-kernel feature map and the exact isometric self-projection of feature columns.
 
 With pivots equal to the data and a linear kernel, the feature map collapses to
 Pi(X) = (X^T X)^{1/2}: a reduction from ambient dimension d to d' = (number of
@@ -14,7 +14,6 @@ differentiating the reduced pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -23,14 +22,6 @@ from .spd import symmetrize
 
 # Diagonal jitter applied to the pivot kernel matrix before inversion.
 KERNEL_JITTER = 1e-12
-
-Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
-
-
-def linear_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Gram block of plain inner products: (columns of x)^T (columns of y)."""
-    return x.T @ y
-
 
 @dataclass(frozen=True)
 class Projection:
@@ -47,11 +38,12 @@ class Projection:
         return self.projector.shape[1]
 
 
-def nystrom_map(pivots: np.ndarray, data: np.ndarray, kernel: Kernel = linear_kernel) -> np.ndarray:
-    """Feature map K_ZZ^{-1/2} K_ZX of ``data`` against ``pivots``.
+def nystrom_map(pivots: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """Linear-kernel feature map K_ZZ^{-1/2} K_ZX of ``data`` against ``pivots``.
 
-    With pivots == data the Gram matrix of the result reproduces the kernel
-    matrix exactly (up to the 1e-12 jitter used to keep K_ZZ invertible).
+    The kernel blocks are plain inner products, K_ZX = Z^T X. With pivots ==
+    data the Gram matrix of the result reproduces the kernel matrix exactly (up
+    to the 1e-12 jitter used to keep K_ZZ invertible).
     """
     pivots = np.asarray(pivots, dtype=np.float64)
     data = np.asarray(data, dtype=np.float64)
@@ -61,7 +53,9 @@ def nystrom_map(pivots: np.ndarray, data: np.ndarray, kernel: Kernel = linear_ke
         raise DimensionError(
             f"pivot dimension {pivots.shape[0]} does not match data dimension {data.shape[0]}"
         )
-    kzz = symmetrize(kernel(pivots, pivots)).entries
+    if not (np.isfinite(pivots).all() and np.isfinite(data).all()):
+        raise DimensionError("pivots or data contain non-finite entries")
+    kzz = symmetrize(pivots.T @ pivots).entries
     kzz[np.diag_indices_from(kzz)] += KERNEL_JITTER
     values, vectors = np.linalg.eigh(kzz)
     if values[0] <= 0.0:
@@ -70,7 +64,7 @@ def nystrom_map(pivots: np.ndarray, data: np.ndarray, kernel: Kernel = linear_ke
             f"(smallest eigenvalue {values[0]:.6e})"
         )
     inv_root = (vectors / np.sqrt(values)) @ vectors.T
-    return inv_root @ kernel(pivots, data)
+    return inv_root @ (pivots.T @ data)
 
 
 def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +119,8 @@ def isometric_project(
     x = np.concatenate([phi_s, phi_t], axis=1)
     if x.shape[1] < 1:
         raise DimensionError("need at least one column across the two streams")
+    if not np.isfinite(x).all():
+        raise DimensionError("feature blocks contain non-finite entries")
     root, inverse_root = gram_roots(x[None])
     projector = inverse_root[0] @ x.T
     return root[0, :, :n_source], root[0, :, n_source:], Projection(projector=projector)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .align import AlignConfig
 from .distances import DistanceKind
-from .errors import ConfigError, ParameterError
+from .errors import ConfigError, ParameterError, check_at_least
 from .trainer import DomainShift, SynthSpec, _check_schedule
 
 
@@ -28,10 +28,7 @@ class RunConfig:
 
     def __post_init__(self):
         _check_schedule(self.steps, self.learning_rate)
-        if self.feature_dim < 1:
-            raise ParameterError(
-                f"feature_dim must be at least 1, got {self.feature_dim}", name="feature_dim"
-            )
+        check_at_least(1, feature_dim=self.feature_dim)
 
 
 def _tau(text: str) -> float | None:

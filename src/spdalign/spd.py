@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError, SingularityError
+from .errors import DimensionError, NumericalError, ParameterError, SingularityError, check_positive
 
 # Spectral functions refuse to evaluate below this eigenvalue. This turns the
 # infinite-value/infinite-gradient regime of the non-Euclidean distances on
@@ -23,8 +23,9 @@ EIGENVALUE_FLOOR = 1e-12
 class SymMatrix:
     """Square symmetric real matrix with side length ``side``.
 
-    The constructor enforces exact entrywise symmetry, so downstream spectral
-    code never sees drift between ``entries[i, j]`` and ``entries[j, i]``.
+    The constructor enforces finite entries and exact entrywise symmetry, so
+    downstream spectral code never sees an Inf or NaN, or drift between
+    ``entries[i, j]`` and ``entries[j, i]``.
     """
 
     entries: np.ndarray
@@ -35,6 +36,8 @@ class SymMatrix:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise DimensionError("matrix side must be at least 1")
+        if not np.isfinite(arr).all():
+            raise DimensionError("matrix contains non-finite entries")
         if not np.array_equal(arr, arr.T):
             raise DimensionError("entries are not exactly symmetric; use symmetrize()")
         object.__setattr__(self, "entries", arr)
@@ -69,8 +72,7 @@ def symmetrize(m) -> SymMatrix:
 
 def regularize(s: SymMatrix, eps: float) -> SymMatrix:
     """Add ``eps`` to the diagonal, shifting the whole spectrum up by ``eps``."""
-    if eps <= 0:
-        raise ParameterError(f"regularization constant must be positive, got {eps}")
+    check_positive(eps=eps)
     out = s.entries.copy()
     out[np.diag_indices_from(out)] += eps
     return SymMatrix(out)
@@ -100,7 +102,8 @@ def spd_fn(s: SymMatrix, f: str) -> SymMatrix:
     eigenvalue must exceed ``EIGENVALUE_FLOOR``; regularize first if needed.
     """
     if f not in _SPECTRAL_FNS:
-        raise ParameterError(f"unknown spectral function {f!r}; expected one of {sorted(_SPECTRAL_FNS)}")
+        raise ParameterError(f"unknown spectral function {f!r}; expected one of {sorted(_SPECTRAL_FNS)}",
+                             name="f")
     pair = eig_sym(s)
     smallest = float(pair.values[0])
     if smallest <= EIGENVALUE_FLOOR:

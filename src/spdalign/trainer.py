@@ -23,7 +23,8 @@ import numpy as np
 from .align import AlignConfig, Classifier, softmax_ce, total_objective
 from .distances import DistanceKind
 from .errors import (
-    DimensionError, DivergenceError, ParameterError, SingularityError, check_finite, check_seed,
+    DimensionError, DivergenceError, SingularityError, check_at_least, check_finite, check_nonnegative,
+    check_positive, check_seed,
 )
 from .scatter import FeatureBlock
 
@@ -56,8 +57,10 @@ class TwoStreamModel:
     ``feature_cap`` is the squared-norm ceiling applied to every encoder output
     column; ``None`` means no cap has been fixed yet (training sets it).
 
-    Construction checks each encoder's shapes once; :class:`Encoder` itself
-    checks nothing, since every SGD step builds a new one.
+    :meth:`check` states the shape rule of each stream. Construction,
+    :func:`train` and :func:`evaluate` run it, since a field may be replaced
+    after construction; :class:`Encoder` itself checks nothing, since every
+    SGD step builds a new one.
     """
 
     encoder_source: Encoder
@@ -67,6 +70,10 @@ class TwoStreamModel:
     feature_cap: float | None = None
 
     def __post_init__(self):
+        self.check()
+
+    def check(self) -> None:
+        """Raise DimensionError unless each encoder feeds its classifier."""
         for enc, clf in (
             (self.encoder_source, self.classifier_source),
             (self.encoder_target, self.classifier_target),
@@ -137,6 +144,7 @@ def init_two_stream(
     input_dim: int, feature_dim: int, class_count: int, seed: int, nonlinear: bool = True
 ) -> TwoStreamModel:
     """Fresh model with seeded encoder weights and zero classifiers."""
+    check_at_least(1, input_dim=input_dim, feature_dim=feature_dim, class_count=class_count)
     check_seed(seed)
     rng = np.random.default_rng([seed, 0xE0])
     zero_clf = Classifier(weights=np.zeros((feature_dim, class_count)), bias=np.zeros(class_count))
@@ -171,8 +179,7 @@ class DomainShift:
 
     def __post_init__(self):
         check_finite(**vars(self))
-        if self.noise < 0:
-            raise ParameterError(f"noise must be nonnegative, got {self.noise}", name="noise")
+        check_nonnegative(noise=self.noise)
 
 
 @dataclass(frozen=True)
@@ -188,10 +195,8 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("class_count", "input_dim", "source_per_class",
-                     "target_train_per_class", "target_test_per_class"):
-            if getattr(self, name) < 1:
-                raise ParameterError(f"{name} must be at least 1, got {getattr(self, name)}", name=name)
+        # Every field but the shift and the seed is a count.
+        check_at_least(1, **{k: v for k, v in vars(self).items() if k not in ("shift", "seed")})
         check_seed(self.seed)
 
 
@@ -296,11 +301,8 @@ def _sample_batch(
 
 def _check_schedule(steps: int, lr: float):
     """The rules of ``steps`` and the learning rate; errors carry the run-config key."""
-    if steps < 1:
-        raise ParameterError(f"steps must be at least 1, got {steps}", name="steps")
-    check_finite(learning_rate=lr)
-    if lr < 0:
-        raise ParameterError(f"learning rate must be nonnegative, got {lr}", name="learning_rate")
+    check_at_least(1, steps=steps)
+    check_nonnegative(learning_rate=lr)
 
 
 def _first_batch_cap(enc: Encoder, columns: np.ndarray) -> float:
@@ -347,9 +349,10 @@ def train(
     _check_schedule(steps, lr)
     check_seed(seed)
     source, target = data
+    model = copy.deepcopy(model)
+    model.check()
     source.check("source", config.class_count, model.encoder_source.input_dim)
     target.check("target", config.class_count, model.encoder_target.input_dim)
-    model = copy.deepcopy(model)
     idx_s = _class_indices(source, config.class_count)
     idx_t = _class_indices(target, config.class_count)
     history: list[LossRecord] = []
@@ -408,6 +411,7 @@ class EvalReport:
 
 def evaluate(model: TwoStreamModel, test: FeatureBlock) -> EvalReport:
     """Target-stream top-1 accuracy: target encoder into target classifier."""
+    model.check()
     test.check("test", model.classifier_target.class_count, model.encoder_target.input_dim)
     phi, _ = encoder_forward(model.encoder_target, test.columns, model.feature_cap)
     logits = model.classifier_target.weights.T @ phi + model.classifier_target.bias[:, None]
@@ -440,10 +444,10 @@ def train_single_stream(
     are those of the source stream of :func:`train` with all couplings zero,
     so its parameters equal that stream's bit for bit. The result aliases both
     streams of a TwoStreamModel to it only so that :func:`evaluate` applies.
+    The size rules of ``class_count`` and ``feature_dim`` are those of
+    :func:`init_two_stream`, which builds that stream.
     """
-    # Built only to validate class_count and tau as the aligned trainer does.
-    AlignConfig(sigma1=0.0, sigma2=0.0, eta=0.0, kind=DistanceKind.JBLD,
-                class_count=class_count, tau=tau)
+    check_positive(tau=tau)
     init = init_two_stream(block.dim, feature_dim, class_count, seed, nonlinear)
     _check_schedule(steps, lr)
     block.check("source", class_count, init.encoder_source.input_dim)

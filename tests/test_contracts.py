@@ -1,17 +1,23 @@
 """Data contracts at the library's entry points.
 
 Each contract is stated once in the code: the block rules of every consumer on
-``FeatureBlock.check``, each binary header as one ``struct.Struct``, the seed
-rule in ``errors.check_seed``, and the distance kind in ``AlignConfig``. These
-tests pin the errors and bytes that those single statements produce.
+``FeatureBlock.check``, each binary header as one ``struct.Struct``, the range
+rules of numeric parameters (counts, seeds, nonnegative and positive values)
+in ``errors``, and the distance kind in ``AlignConfig``. These tests pin the
+errors and bytes that those single statements produce, at every entry point
+that takes a count or a seed, and an AST guard keeps the range rules' wording
+out of every other module.
 """
 
+import ast
 import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spdalign
 from spdalign.align import AlignConfig, Classifier, softmax_ce, total_objective
 from spdalign.bench import run_bench
 from spdalign.checks import run_gradient_checks, run_invariance_checks
@@ -22,12 +28,15 @@ from spdalign.errors import (
 from spdalign.io import (
     MODEL_HEADER_BYTES, read_feature_container, read_model, write_feature_container, write_model,
 )
-from spdalign.metrics import load_cases
-from spdalign.runconfig import load_run_config
+from spdalign.metrics import (
+    RankedCase, avg_top_kk, hit_ranks, load_cases, sweep_ranks, top_k, top_k_n,
+)
+from spdalign.runconfig import RunConfig, load_run_config
 from spdalign.scatter import FeatureBlock
-from spdalign.spd import SymMatrix
+from spdalign.spd import SymMatrix, regularize
 from spdalign.trainer import (
-    Encoder, SynthSpec, TwoStreamModel, evaluate, init_two_stream, train, train_single_stream,
+    Encoder, SynthSpec, TwoStreamModel, evaluate, init_two_stream, synth_domain_pair, train,
+    train_single_stream,
 )
 
 INPUT_DIM, FEATURE_DIM, CLASSES = 3, 4, 3
@@ -159,24 +168,164 @@ class TestHeaderBytes:
             assert np.array_equal(got, want)
 
 
+# entry id: call with the seed
 SEED_ENTRY_POINTS = {
-    "init_two_stream": lambda: init_two_stream(INPUT_DIM, FEATURE_DIM, CLASSES, seed=-1),
-    "SynthSpec": lambda: SynthSpec(class_count=2, input_dim=2, source_per_class=2, seed=-1),
-    "train": lambda: train(_model(), (_block(INPUT_DIM), _block(INPUT_DIM)), _config(),
-                           steps=1, lr=0.1, seed=-1),
-    "train_single_stream": lambda: train_single_stream(_block(INPUT_DIM), CLASSES, FEATURE_DIM,
-                                                       steps=1, lr=0.1, seed=-1),
-    "run_bench": lambda: run_bench(d=8, n=3, nstar=2, reps=3, kind=DistanceKind.JBLD, seed=-1),
-    "run_gradient_checks": lambda: run_gradient_checks(kinds=[DistanceKind.FROBENIUS], trials=1, seed=-1),
-    "run_invariance_checks": lambda: run_invariance_checks(trials=1, seed=-1),
+    "init_two_stream": lambda seed: init_two_stream(INPUT_DIM, FEATURE_DIM, CLASSES, seed=seed),
+    "SynthSpec": lambda seed: SynthSpec(class_count=2, input_dim=2, source_per_class=2, seed=seed),
+    "train": lambda seed: train(_model(), (_block(INPUT_DIM), _block(INPUT_DIM)), _config(),
+                                steps=1, lr=0.1, seed=seed),
+    "train_single_stream": lambda seed: train_single_stream(_block(INPUT_DIM), CLASSES, FEATURE_DIM,
+                                                            steps=1, lr=0.1, seed=seed),
+    "run_bench": lambda seed: run_bench(d=8, n=3, nstar=2, reps=3, kind=DistanceKind.JBLD, seed=seed),
+    "run_gradient_checks": lambda seed: run_gradient_checks(
+        kinds=[DistanceKind.FROBENIUS], trials=1, seed=seed),
+    "run_invariance_checks": lambda seed: run_invariance_checks(trials=1, seed=seed),
 }
 
 
 @pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
 def test_negative_seed_is_typed(entry):
     with pytest.raises(ParameterError, match="^seed must be nonnegative, got -1$") as info:
-        SEED_ENTRY_POINTS[entry]()
+        SEED_ENTRY_POINTS[entry](-1)
     assert info.value.name == "seed"
+
+
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_fractional_seed_is_typed(entry):
+    with pytest.raises(ParameterError, match=r"^seed must be a whole number, got 1\.5$") as info:
+        SEED_ENTRY_POINTS[entry](1.5)
+    assert info.value.name == "seed"
+
+
+def _spec(**counts):
+    return SynthSpec(**{"class_count": 2, "input_dim": 2, "source_per_class": 2, **counts})
+
+
+def _run_config(steps=2, feature_dim=FEATURE_DIM):
+    return RunConfig(synth=_spec(), align=_config(), steps=steps, learning_rate=0.1,
+                     feature_dim=feature_dim, nonlinear=True)
+
+
+def _cases():
+    return [RankedCase((1, 2, 3), (2,)), RankedCase((4, 5, 6), (6, 4))]
+
+
+def _train(**given):
+    args = {"config": _config(), "steps": 1, "lr": 0.1, "seed": 0, **given}
+    return train(_model(), (_block(INPUT_DIM), _block(INPUT_DIM)), **args)
+
+
+def _single_stream(**counts):
+    args = {"class_count": CLASSES, "feature_dim": FEATURE_DIM, "steps": 1, **counts}
+    return train_single_stream(_block(INPUT_DIM), lr=0.1, seed=0, **args)
+
+
+def _bench(**counts):
+    return run_bench(**{"d": 8, "n": 3, "nstar": 2, "reps": 3, **counts}, kind=DistanceKind.JBLD)
+
+
+# entry id: (parameter name in the error, minimum, call with the value)
+COUNT_ENTRY_POINTS = {
+    "AlignConfig.class_count": ("class_count", 1, lambda v: AlignConfig(
+        sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=v)),
+    **{f"SynthSpec.{name}": (name, 1, lambda v, name=name: _spec(**{name: v})) for name in (
+        "class_count", "input_dim", "source_per_class", "target_train_per_class",
+        "target_test_per_class")},
+    "RunConfig.steps": ("steps", 1, lambda v: _run_config(steps=v)),
+    "RunConfig.feature_dim": ("feature_dim", 1, lambda v: _run_config(feature_dim=v)),
+    "train.steps": ("steps", 1, lambda v: _train(steps=v)),
+    **{f"train_single_stream.{name}": (name, 1, lambda v, name=name: _single_stream(**{name: v}))
+       for name in ("class_count", "feature_dim", "steps")},
+    **{f"init_two_stream.{name}": (name, 1, lambda v, name=name: init_two_stream(**{
+        "input_dim": INPUT_DIM, "feature_dim": FEATURE_DIM, "class_count": CLASSES, name: v},
+        seed=0)) for name in ("input_dim", "feature_dim", "class_count")},
+    "run_bench.reps": ("reps", 3, lambda v: _bench(reps=v)),
+    **{f"run_bench.{name}": (name, 1, lambda v, name=name: _bench(**{name: v}))
+       for name in ("d", "n", "nstar")},
+    "run_gradient_checks.trials": ("distance/frobenius: trial count", 1, lambda v: run_gradient_checks(
+        kinds=[DistanceKind.FROBENIUS], trials=v, seed=0)),
+    "run_invariance_checks.trials": ("rotation/frobenius: trial count", 1,
+                                     lambda v: run_invariance_checks(trials=v, seed=0)),
+    "run_invariance_checks.triples": ("triangle/airm: trial count", 1,
+                                      lambda v: run_invariance_checks(trials=1, seed=0, triples=v)),
+    "hit_ranks.depth": ("depth", 1, lambda v: hit_ranks(_cases(), v)),
+    "sweep_ranks.k_max": ("k_max", 1, lambda v: sweep_ranks(_cases(), v)),
+    "avg_top_kk.k_max": ("k_max", 1, lambda v: avg_top_kk(_cases(), v)),
+    "top_k.k": ("k", 1, lambda v: top_k(_cases(), v)),
+    "top_k_n.k": ("k", 1, lambda v: top_k_n(_cases(), v, 1)),
+    "top_k_n.n": ("n", 1, lambda v: top_k_n(_cases(), 1, v)),
+}
+
+
+class TestCountRules:
+    @pytest.mark.parametrize("entry", list(COUNT_ENTRY_POINTS))
+    def test_below_minimum_is_typed(self, entry):
+        name, minimum, call = COUNT_ENTRY_POINTS[entry]
+        message = f"{name} must be at least {minimum}, got {minimum - 1}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$") as info:
+            call(minimum - 1)
+        assert info.value.name == name
+
+    @pytest.mark.parametrize("entry", list(COUNT_ENTRY_POINTS))
+    def test_fraction_is_typed(self, entry):
+        name, minimum, call = COUNT_ENTRY_POINTS[entry]
+        message = f"{name} must be a whole number, got {minimum + 1.5}"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$") as info:
+            call(minimum + 1.5)
+        assert info.value.name == name
+
+
+# Inputs that used to escape as a raw TypeError, a RuntimeWarning, an empty model or an
+# Inf matrix: (parameter name in the error, call).
+PARAMETER_FAULTS = {
+    "train-steps-2.5": ("steps", lambda: _train(steps=2.5)),
+    "train-seed-1.5": ("seed", lambda: _train(seed=1.5)),
+    "train-class_count-3.5": ("class_count", lambda: _train(config=AlignConfig(
+        sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=3.5))),
+    "synth_domain_pair-class_count-2.5": ("class_count", lambda: synth_domain_pair(
+        _spec(class_count=2.5))),
+    "run_bench-d-4.5": ("d", lambda: _bench(d=4.5)),
+    "run_gradient_checks-trials-2.5": ("distance/frobenius: trial count", lambda: run_gradient_checks(
+        kinds=[DistanceKind.FROBENIUS], trials=2.5, seed=0)),
+    "hit_ranks-1.5": ("depth", lambda: hit_ranks(_cases(), 1.5)),
+    "top_k-1.5": ("k", lambda: top_k(_cases(), 1.5)),
+    "regularize-inf": ("eps", lambda: regularize(SymMatrix(np.eye(2)), float("inf"))),
+    "init_two_stream-input_dim-0": ("input_dim", lambda: init_two_stream(0, 4, 3, 0)),
+    "init_two_stream-feature_dim-0": ("feature_dim", lambda: init_two_stream(3, 0, 3, 0)),
+}
+
+
+@pytest.mark.parametrize("fault", list(PARAMETER_FAULTS))
+def test_parameter_fault_is_typed(fault):
+    name, call = PARAMETER_FAULTS[fault]
+    with pytest.raises(ParameterError) as info:
+        call()
+    assert info.value.name == name
+
+
+# Phrases that state a numeric range rule; only errors.py may put them in a ParameterError.
+_RANGE_RULE = re.compile(r"must (all )?be (at least|nonnegative|positive|a whole number)")
+_PACKAGE = Path(spdalign.__file__).parent
+
+
+def _message_text(node):
+    """The literal text of a message expression, f-string parts included."""
+    return "".join(
+        part.value for part in ast.walk(node)
+        if isinstance(part, ast.Constant) and isinstance(part.value, str)
+    )
+
+
+def test_range_rules_are_stated_only_in_errors():
+    offenders = []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ParameterError"
+                    and node.args and _RANGE_RULE.search(_message_text(node.args[0]))):
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert not offenders, f"range rules written outside errors.py: {offenders}"
 
 
 class TestDistanceKind:

@@ -224,7 +224,7 @@ class TestRunConfigKeys:
         ("noise", "-0.1", "noise must be nonnegative, got -0.1"),
         ("seed", "-1", "seed must be nonnegative, got -1"),
         ("steps", "0", "steps must be at least 1, got 0"),
-        ("learning_rate", "-1", "learning rate must be nonnegative, got -1.0"),
+        ("learning_rate", "-1", "learning_rate must be nonnegative, got -1.0"),
         ("feature_dim", "0", "feature_dim must be at least 1, got 0"),
     ])
     def test_range_rule_reports_line(self, key, value, message):

@@ -84,6 +84,23 @@ class TestRankedCase:
         with pytest.raises(ParameterError):
             RankedCase((1, 2), (3, 3))
 
+    @pytest.mark.parametrize("predicted, truth, name", [
+        ((1.5,), (1,), "predicted"),
+        (("a",), (1,), "predicted"),
+        (None, (1,), "predicted"),
+        ((1,), (np.float64(2.0),), "truth"),
+        ((1,), "12", "truth"),
+    ], ids=["fraction", "string-id", "none", "numpy-float", "string"])
+    def test_rejects_ids_that_are_not_whole_numbers(self, predicted, truth, name):
+        with pytest.raises(ParameterError, match=f"^{name} must be a sequence of whole numbers, got ") as info:
+            RankedCase(predicted, truth)
+        assert info.value.name == name
+
+    def test_whole_number_ids_become_ints(self):
+        case = RankedCase(np.array([-3, 4]), [np.int64(-3)])
+        assert case.predicted == (-3, 4) and case.truth == (-3,)
+        assert all(type(i) is int for i in case.predicted + case.truth)
+
     @pytest.mark.parametrize("tag", ["", "a,b", "a|b", "a b", " a", "a\t", "a\n"])
     def test_rejects_factor_tags_format_case_cannot_write_back(self, tag):
         with pytest.raises(ParameterError, match="factor tag"):

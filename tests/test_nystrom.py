@@ -45,14 +45,23 @@ class TestNystromMap:
         assert np.isfinite(out).all()
         assert np.abs(out.T @ out - (z.T @ x).T @ np.linalg.pinv(z.T @ z) @ (z.T @ x)).max() < 1e-6
 
-    def test_indefinite_kernel_rejected(self):
-        z = np.eye(2)
-        with pytest.raises(SingularityError):
-            nystrom_map(z, z, kernel=lambda a, b: -(a.T @ b))
+    def test_singular_pivots_rejected(self):
+        # K_ZZ = 1e16 * ones((2, 2)) absorbs the jitter; its smallest eigenvalue is exactly 0.
+        z = np.array([[1e8, 1e8]])
+        with pytest.raises(SingularityError, match=r"smallest eigenvalue 0\.000000e\+00"):
+            nystrom_map(z, z)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
             nystrom_map(np.ones((2, 1)), np.ones((3, 1)))
+
+    @pytest.mark.parametrize("pivots, data", [
+        (np.ones((2, 1)), np.array([[np.inf], [1.0]])),
+        (np.array([[np.nan], [1.0]]), np.ones((2, 1))),
+    ], ids=["inf-data", "nan-pivot"])
+    def test_non_finite_input_rejected(self, pivots, data):
+        with pytest.raises(DimensionError, match="^pivots or data contain non-finite entries$"):
+            nystrom_map(pivots, data)
 
 
 class TestIsometricProject:
@@ -90,6 +99,14 @@ class TestIsometricProject:
             _, _, proj = isometric_project(phi_s, phi_t)
             gram = proj.projector @ proj.projector.T
             assert np.abs(gram - np.eye(proj.reduced_dim)).max() < 1e-7
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("stream", ["source", "target"])
+    def test_non_finite_input_rejected(self, stream, value):
+        bad = np.array([[1.0, value], [0.0, 1.0]])
+        phi_s, phi_t = (bad, np.eye(2)) if stream == "source" else (np.eye(2), bad)
+        with pytest.raises(DimensionError, match="^feature blocks contain non-finite entries$"):
+            isometric_project(phi_s, phi_t)
 
     def test_rank_deficient_duplicate_columns(self):
         v = np.array([[1.0], [2.0]])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdalign.checks import random_spd
+from spdalign.distances import DistanceKind, dist_sq
 from spdalign.errors import DimensionError, ParameterError, SingularityError
 from spdalign.spd import SymMatrix, eig_sym, logdet, regularize, spd_fn, symmetrize
 
@@ -43,6 +44,16 @@ class TestSymmetrize:
         with pytest.raises(DimensionError):
             SymMatrix(np.array([[0.0, 1.0], [0.5, 0.0]]))
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_constructor_rejects_non_finite(self, value):
+        # NaN != NaN, so without this rule a NaN matrix fails as "not exactly symmetric".
+        with pytest.raises(DimensionError, match="^matrix contains non-finite entries$"):
+            SymMatrix(np.array([[1.0, value], [value, 1.0]]))
+
+    def test_distance_to_infinite_matrix_is_typed(self):
+        with pytest.raises(DimensionError, match="non-finite entries"):
+            dist_sq(DistanceKind.FROBENIUS, SymMatrix(np.eye(2)), SymMatrix(np.diag([1.0, np.inf])))
+
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_exact_symmetry_for_random_matrices(self, seed):
@@ -68,8 +79,15 @@ class TestRegularize:
 
     @pytest.mark.parametrize("eps", [0.0, -1e-3])
     def test_rejects_nonpositive_eps(self, eps):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match=f"^eps must be positive, got {eps}$") as info:
             regularize(symmetrize(np.eye(2)), eps)
+        assert info.value.name == "eps"
+
+    @pytest.mark.parametrize("eps", [np.inf, np.nan])
+    def test_rejects_non_finite_eps(self, eps):
+        with pytest.raises(ParameterError, match=f"^eps must be finite, got {eps}$") as info:
+            regularize(symmetrize(np.eye(2)), eps)
+        assert info.value.name == "eps"
 
     def test_makes_psd_strictly_positive(self, rng):
         for _ in range(20):

@@ -173,6 +173,21 @@ class TestEncoder:
         with pytest.raises(DimensionError, match=r"bias \(5,\)"):
             runs[call](TwoStreamModel(bad, bad, clf, clf))
 
+    @pytest.mark.parametrize("field", ["encoder_source", "encoder_target"])
+    @pytest.mark.parametrize("call", ["evaluate", "train"])
+    def test_field_replaced_after_construction_is_typed(self, call, field):
+        # The model is mutable, so each consumer runs the shape rule again.
+        model = init_two_stream(3, 2, 4, seed=0)
+        setattr(model, field, Encoder(np.ones((2, 3)), np.zeros(5)))
+        block = FeatureBlock(np.ones((3, 4)), np.arange(4))
+        config = AlignConfig(sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=4)
+        runs = {
+            "evaluate": lambda: evaluate(model, block),
+            "train": lambda: train(model, (block, block), config, steps=1, lr=0.1, seed=0),
+        }
+        with pytest.raises(DimensionError, match=r"^encoder weights \(2, 3\) and bias \(5,\) "):
+            runs[call]()
+
 
 class TestTrain:
     def test_zero_learning_rate_is_noop(self):
@@ -376,7 +391,7 @@ class TestSingleStream:
         (dict(class_count=0), ParameterError, "class_count must be at least 1, got 0"),
         (dict(tau=0), ParameterError, "tau must be positive, got 0"),
         (dict(steps=0), ParameterError, "steps must be at least 1, got 0"),
-        (dict(lr=-1), ParameterError, "learning rate must be nonnegative, got -1"),
+        (dict(lr=-1), ParameterError, "learning_rate must be nonnegative, got -1"),
         (dict(block="empty"), EmptyClassError, "source block has no columns"),
         (dict(block="shifted"), LabelError, "source label 7 outside class count 4"),
     ], ids=["class_count", "tau", "steps", "lr", "empty_block", "label"])
