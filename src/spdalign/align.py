@@ -27,8 +27,7 @@ import numpy as np
 
 from .distances import DistanceKind, batch_dist_sq
 from .errors import (
-    DimensionError, LabelError, ParameterError, SingularityError, check_at_least, check_nonnegative,
-    check_positive,
+    DimensionError, LabelError, SingularityError, check_at_least, check_nonnegative, check_positive,
 )
 from .nystrom import gram_roots
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
@@ -60,8 +59,7 @@ class AlignConfig:
     eps: float = 1e-6
 
     def __post_init__(self):
-        if not isinstance(self.kind, DistanceKind):
-            raise ParameterError(f"kind must be a DistanceKind, got {self.kind!r}", name="kind")
+        DistanceKind.check(self.kind)
         check_nonnegative(sigma1=self.sigma1, sigma2=self.sigma2, eta=self.eta)
         check_positive(tau=self.tau, eps=self.eps)
         check_at_least(1, class_count=self.class_count)

@@ -54,6 +54,12 @@ class DistanceKind(enum.Enum):
                 f"{[k.value for k in cls]}", name="kind"
             ) from None
 
+    @classmethod
+    def check(cls, kind) -> None:
+        """Raise ParameterError unless ``kind`` is a member; every consumer of a kind calls this."""
+        if not isinstance(kind, cls):
+            raise ParameterError(f"kind must be a DistanceKind, got {kind!r}", name="kind")
+
 
 def _check_pair(a: SymMatrix, b: SymMatrix):
     if a.side != b.side:
@@ -103,6 +109,7 @@ def batch_dist_sq(
     ``b``, each exactly symmetric, or ``None`` for both when ``with_grad`` is
     false. A ``SingularityError`` carries the position of the failing pair.
     """
+    DistanceKind.check(kind)
     pairs = a.shape[0]
     if kind is DistanceKind.FROBENIUS:
         diff = a - b
@@ -127,29 +134,28 @@ def batch_dist_sq(
         inverse = inv_factor.transpose(0, 2, 1) @ inv_factor
         inv_a, inv_b, inv_mid = inverse[:pairs], inverse[pairs:2 * pairs], inverse[2 * pairs:]
         return values, _sym(inv_mid - inv_a) / 2.0, _sym(inv_mid - inv_b) / 2.0
-    if kind is DistanceKind.AIRM:
-        chol = _cholesky(np.concatenate([a, b]), pairs)
-        w = _lower_solve(chol[:pairs], chol[pairs:])
-        if with_grad:
-            u, sigma, vt = np.linalg.svd(w)
-        else:
-            sigma = np.linalg.svd(w, compute_uv=False)
-        if not (sigma[:, -1] > 0.0).all():
-            raise SingularityError(
-                "AIRM operand pair is numerically singular",
-                index=int(np.argmin(sigma[:, -1] > 0.0)),
-            )
-        # Eigenvalues of A^{-1/2} B A^{-1/2} are sigma^2, so ||log(.)||_F^2
-        # is the sum of (2 log sigma)^2.
-        logs = np.log(sigma)
-        values = 4.0 * np.einsum("gi,gi->g", logs, logs)
-        if not with_grad:
-            return values, None, None
-        m = _lower_solve(chol, np.concatenate([u, vt.transpose(0, 2, 1)]), transposed=True)
-        scaled = m * np.concatenate([logs, logs])[:, None, :]
-        grads = scaled @ m.transpose(0, 2, 1)
-        return values, _sym(-4.0 * grads[:pairs]), _sym(4.0 * grads[pairs:])
-    raise ParameterError(f"kind must be a DistanceKind, got {kind!r}", name="kind")
+    # AIRM
+    chol = _cholesky(np.concatenate([a, b]), pairs)
+    w = _lower_solve(chol[:pairs], chol[pairs:])
+    if with_grad:
+        u, sigma, vt = np.linalg.svd(w)
+    else:
+        sigma = np.linalg.svd(w, compute_uv=False)
+    if not (sigma[:, -1] > 0.0).all():
+        raise SingularityError(
+            "AIRM operand pair is numerically singular",
+            index=int(np.argmin(sigma[:, -1] > 0.0)),
+        )
+    # Eigenvalues of A^{-1/2} B A^{-1/2} are sigma^2, so ||log(.)||_F^2
+    # is the sum of (2 log sigma)^2.
+    logs = np.log(sigma)
+    values = 4.0 * np.einsum("gi,gi->g", logs, logs)
+    if not with_grad:
+        return values, None, None
+    m = _lower_solve(chol, np.concatenate([u, vt.transpose(0, 2, 1)]), transposed=True)
+    scaled = m * np.concatenate([logs, logs])[:, None, :]
+    grads = scaled @ m.transpose(0, 2, 1)
+    return values, _sym(-4.0 * grads[:pairs]), _sym(4.0 * grads[pairs:])
 
 
 def dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> float:

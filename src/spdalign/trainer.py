@@ -8,9 +8,9 @@ batched and capped exactly as the source stream of the full objective, so
 accuracy gaps come from the alignment terms alone. Both trainers take their SGD
 steps through the same per-stream update.
 
-Everything is deterministic given the seeds: per-step batches are drawn from
-``default_rng([seed, step])``, with all source-class draws consumed before any
-target-class draws.
+Everything is deterministic given the seeds: each step draws one uniform key
+per column from ``default_rng([seed, step])``, all source keys before any
+target keys, and each class keeps its columns with the lowest keys.
 """
 
 from __future__ import annotations
@@ -55,12 +55,14 @@ class TwoStreamModel:
     """Source and target encoders with their classifiers.
 
     ``feature_cap`` is the squared-norm ceiling applied to every encoder output
-    column; ``None`` means no cap has been fixed yet (training sets it).
+    column; ``None`` means no cap has been fixed yet (training sets it). A
+    fixed cap is finite and nonnegative; zero is legal, since a first batch
+    whose encoder outputs are all zero yields it.
 
-    :meth:`check` states the shape rule of each stream. Construction,
-    :func:`train` and :func:`evaluate` run it, since a field may be replaced
-    after construction; :class:`Encoder` itself checks nothing, since every
-    SGD step builds a new one.
+    :meth:`check` states the shape rule of each stream and the cap rule.
+    Construction, :func:`train` and :func:`evaluate` run it, since a field may
+    be replaced after construction; :class:`Encoder` itself checks nothing,
+    since every SGD step builds a new one.
     """
 
     encoder_source: Encoder
@@ -73,7 +75,9 @@ class TwoStreamModel:
         self.check()
 
     def check(self) -> None:
-        """Raise DimensionError unless each encoder feeds its classifier."""
+        """Raise DimensionError unless each encoder feeds its classifier, ParameterError for a bad cap."""
+        if self.feature_cap is not None:
+            check_nonnegative(feature_cap=self.feature_cap)
         for enc, clf in (
             (self.encoder_source, self.classifier_source),
             (self.encoder_target, self.classifier_target),
@@ -281,21 +285,15 @@ class LossRecord:
     mean: float
 
 
-def _class_indices(block: FeatureBlock, class_count: int) -> list[np.ndarray]:
-    """Column indices of each class."""
-    return [np.flatnonzero(block.labels == c) for c in range(class_count)]
+def _sample_batch(block: FeatureBlock, cap: int, rng: np.random.Generator) -> FeatureBlock:
+    """Each class's min(available, cap) columns without replacement, grouped by ascending class.
 
-
-def _sample_batch(
-    block: FeatureBlock, indices: list[np.ndarray], cap: int, rng: np.random.Generator
-) -> FeatureBlock:
-    picked = []
-    for idx in indices:
-        if idx.size == 0:
-            continue
-        take = min(idx.size, cap)
-        picked.append(rng.choice(idx, size=take, replace=False))
-    chosen = np.concatenate(picked)
+    Every column gets one uniform key; a class keeps its ``cap`` lowest keys.
+    """
+    order = np.lexsort((rng.random(block.count), block.labels))
+    labels = block.labels[order]
+    # A sorted column's rank in its class is its position minus the class's first position.
+    chosen = order[np.arange(order.size) - np.searchsorted(labels, labels) < cap]
     return FeatureBlock(block.columns[:, chosen], block.labels[chosen])
 
 
@@ -353,13 +351,11 @@ def train(
     model.check()
     source.check("source", config.class_count, model.encoder_source.input_dim)
     target.check("target", config.class_count, model.encoder_target.input_dim)
-    idx_s = _class_indices(source, config.class_count)
-    idx_t = _class_indices(target, config.class_count)
     history: list[LossRecord] = []
     for step in range(1, steps + 1):
         rng = np.random.default_rng([seed, step])
-        batch_s = _sample_batch(source, idx_s, SOURCE_BATCH_CAP, rng)
-        batch_t = _sample_batch(target, idx_t, TARGET_BATCH_CAP, rng)
+        batch_s = _sample_batch(source, SOURCE_BATCH_CAP, rng)
+        batch_t = _sample_batch(target, TARGET_BATCH_CAP, rng)
         if model.feature_cap is None:
             # Stand-in for a reference-corpus norm statistic: the source
             # stream's first batch. Keeping the target batch out preserves
@@ -451,10 +447,9 @@ def train_single_stream(
     init = init_two_stream(block.dim, feature_dim, class_count, seed, nonlinear)
     _check_schedule(steps, lr)
     block.check("source", class_count, init.encoder_source.input_dim)
-    indices = _class_indices(block, class_count)
     enc, clf, cap = init.encoder_source, init.classifier_source, tau
     for step in range(1, steps + 1):
-        batch = _sample_batch(block, indices, SOURCE_BATCH_CAP, np.random.default_rng([seed, step]))
+        batch = _sample_batch(block, SOURCE_BATCH_CAP, np.random.default_rng([seed, step]))
         if cap is None:
             cap = _first_batch_cap(enc, batch.columns)
         phi, tape = encoder_forward(enc, batch.columns, cap)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from spdalign.cli import main
-from spdalign.io import write_feature_container, write_model
+from spdalign.io import MODEL_HEADER, write_feature_container, write_model
 from spdalign.metrics import format_case
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import init_two_stream, synth_domain_pair
@@ -243,6 +243,19 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "eval", str(model), str(features))
         assert code == 1
         assert "truncated model header" in err
+
+    @pytest.mark.parametrize("cap, rule", [
+        (-1.0, "nonnegative, got -1.0"), (float("nan"), "finite, got nan"),
+    ])
+    def test_eval_bad_feature_cap_in_model_dump(self, tmp_path, capsys, cap, rule):
+        model, features = self._eval_files(tmp_path, model_dim=6, feature_dim=6)
+        raw = bytearray(model.read_bytes())
+        *fields, _, _ = MODEL_HEADER.unpack_from(raw)
+        MODEL_HEADER.pack_into(raw, 0, *fields, 1, cap)
+        model.write_bytes(raw)
+        code, _, err = run_cli(capsys, "eval", str(model), str(features))
+        assert code == 1
+        assert f"error: feature_cap must be {rule}" in err
 
 
 MICRO_METRICS_EXPECTED = """\

@@ -3,10 +3,10 @@
 Each contract is stated once in the code: the block rules of every consumer on
 ``FeatureBlock.check``, each binary header as one ``struct.Struct``, the range
 rules of numeric parameters (counts, seeds, nonnegative and positive values)
-in ``errors``, and the distance kind in ``AlignConfig``. These tests pin the
-errors and bytes that those single statements produce, at every entry point
-that takes a count or a seed, and an AST guard keeps the range rules' wording
-out of every other module.
+in ``errors``, and the distance kind in ``DistanceKind.check``. These tests pin
+the errors and bytes that those single statements produce, at every entry
+point that takes a count or a seed, and AST guards keep the range rules'
+wording out of every other module and the kind rule's in one place.
 """
 
 import ast
@@ -329,6 +329,15 @@ def test_range_rules_are_stated_only_in_errors():
 
 
 class TestDistanceKind:
+    def test_rule_is_stated_once(self):
+        sites = []
+        for path in sorted(_PACKAGE.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ParameterError"
+                        and node.args and "must be a DistanceKind" in _message_text(node.args[0])):
+                    sites.append(f"{path.name}:{node.lineno}")
+        assert len(sites) == 1, sites
+
     @pytest.mark.parametrize("kind", ["jbld", None, 1])
     def test_align_config_rejects_non_member(self, kind):
         with pytest.raises(ParameterError, match="^kind must be a DistanceKind, got ") as info:

@@ -18,6 +18,7 @@ from spdalign.errors import (
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import (
     _cap_columns,
+    _sample_batch,
     DomainShift,
     Encoder,
     SynthSpec,
@@ -411,6 +412,69 @@ class TestSingleStream:
             train_single_stream(**args)
 
 
+class TestSampleBatch:
+    """The batch policy: min(available, cap) columns per class, without replacement."""
+
+    SIZES = (0, 2, 3, 5, 30)  # columns of classes 0-4; class 0 has none
+
+    def ragged_block(self):
+        rng = np.random.default_rng(7)
+        labels = rng.permutation(np.repeat(np.arange(len(self.SIZES)), self.SIZES))
+        # Row 0 holds each column's position in the block, so a batch names its picks.
+        columns = np.vstack([np.arange(labels.size, dtype=float), rng.normal(size=labels.size)])
+        return FeatureBlock(columns, labels)
+
+    @staticmethod
+    def positions(batch):
+        return batch.columns[0].astype(int)
+
+    @pytest.mark.parametrize("cap", [1, 3, 10, 40])
+    def test_per_class_counts_and_order(self, cap):
+        block = self.ragged_block()
+        batch = _sample_batch(block, cap, np.random.default_rng([5, 1]))
+        assert (np.diff(batch.labels) >= 0).all()
+        for c, size in enumerate(self.SIZES):
+            picked = self.positions(batch)[batch.labels == c]
+            assert picked.size == min(size, cap)
+            assert np.unique(picked).size == picked.size
+
+    def test_columns_and_labels_come_from_the_chosen_positions(self):
+        block = self.ragged_block()
+        batch = _sample_batch(block, 4, np.random.default_rng([5, 1]))
+        chosen = self.positions(batch)
+        assert np.array_equal(batch.columns, block.columns[:, chosen])
+        assert np.array_equal(batch.labels, block.labels[chosen])
+
+    def test_repeats_for_the_same_generator_state(self):
+        block = self.ragged_block()
+        a = _sample_batch(block, 4, np.random.default_rng([5, 1]))
+        b = _sample_batch(block, 4, np.random.default_rng([5, 1]))
+        assert np.array_equal(a.columns, b.columns)
+        assert np.array_equal(a.labels, b.labels)
+
+    def test_another_step_draws_another_subset(self):
+        block = self.ragged_block()
+        subsets = [
+            set(self.positions(batch)[batch.labels == 4])
+            for batch in (_sample_batch(block, 10, np.random.default_rng([5, step])) for step in (1, 2))
+        ]
+        assert subsets[0] != subsets[1]
+
+    def test_selection_is_uniform(self):
+        # Each of 30 columns is kept with probability 1/3 per draw of 10; over
+        # 20,000 draws its frequency has standard deviation sqrt(2/9 / 20000),
+        # about 0.0033. Five of those bound every column's deviation.
+        draws, size, cap = 20_000, 30, 10
+        block = FeatureBlock(np.arange(size, dtype=float)[None], np.zeros(size, dtype=int))
+        rng = np.random.default_rng(11)
+        hits = np.zeros(size)
+        for _ in range(draws):
+            hits[self.positions(_sample_batch(block, cap, rng))] += 1
+        p = cap / size
+        bound = 5.0 * np.sqrt(p * (1.0 - p) / draws)
+        assert np.abs(hits / draws - p).max() < bound
+
+
 class TestParameterHomes:
     """Rules whose only home is the receiving type or trainer entry point."""
 
@@ -441,6 +505,28 @@ class TestParameterHomes:
         source, _, _ = synth_domain_pair(small_spec())
         with pytest.raises(ParameterError, match="^seed must be nonnegative, got -1$"):
             train_single_stream(source, 4, 8, steps=2, lr=0.1, seed=-1)
+
+    @pytest.mark.parametrize("cap, message", [
+        (-1.0, r"nonnegative, got -1\.0"),
+        (float("nan"), "finite, got nan"),
+        (float("inf"), "finite, got inf"),
+    ])
+    def test_model_rejects_bad_feature_cap(self, cap, message):
+        model = init_two_stream(3, 2, 4, seed=0)
+        with pytest.raises(ParameterError, match=f"^feature_cap must be {message}$") as info:
+            TwoStreamModel(model.encoder_source, model.encoder_target,
+                           model.classifier_source, model.classifier_target, feature_cap=cap)
+        assert info.value.name == "feature_cap"
+        # A cap set after construction is caught where the model is consumed.
+        model.feature_cap = cap
+        with pytest.raises(ParameterError, match="^feature_cap must be "):
+            evaluate(model, FeatureBlock(np.ones((3, 4)), np.arange(4)))
+
+    def test_zero_feature_cap_is_legal(self):
+        model = init_two_stream(3, 2, 4, seed=0)
+        model.feature_cap = 0.0
+        report = evaluate(model, FeatureBlock(np.ones((3, 4)), np.arange(4)))
+        assert report.overall == 0.25
 
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_train_rejects_non_finite_learning_rate(self, lr):
