@@ -45,9 +45,9 @@ if TYPE_CHECKING:  # real definition lives in trainer; only the classifiers are 
 class AlignConfig:
     """Hyper-parameters of the objective.
 
-    ``tau`` is the squared-norm cap on feature vectors; ``None`` lets the
-    trainer derive it from its first batch. ``eps`` keeps every scatter
-    strictly positive definite before a non-Euclidean distance sees it.
+    ``eps`` keeps every scatter strictly positive definite before a
+    non-Euclidean distance sees it. The feature-norm cap is not one of them:
+    it belongs to the model (``TwoStreamModel.feature_cap``).
     """
 
     sigma1: float
@@ -55,13 +55,12 @@ class AlignConfig:
     eta: float
     kind: DistanceKind
     class_count: int
-    tau: float | None = None
     eps: float = 1e-6
 
     def __post_init__(self):
         DistanceKind.check(self.kind)
         check_nonnegative(sigma1=self.sigma1, sigma2=self.sigma2, eta=self.eta)
-        check_positive(tau=self.tau, eps=self.eps)
+        check_positive(eps=self.eps)
         check_at_least(1, class_count=self.class_count)
 
 

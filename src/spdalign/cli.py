@@ -12,6 +12,7 @@ testable property.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -52,14 +53,17 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+class _Once(argparse.Action):
+    """Store the option's value; a second occurrence is a usage error, not an override."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            parser.error(f"{option_string} may be given only once")
+        setattr(namespace, self.dest, values)
+
+
 def _fmt(value: float) -> str:
     return f"{value:.6f}"
-
-
-def _parse_kinds(values: list[str] | None) -> list[DistanceKind]:
-    if not values:
-        return list(DistanceKind)
-    return [DistanceKind.parse(v) for v in values]
 
 
 def _print_report(command: str, gap_label: str, report) -> int:
@@ -76,10 +80,7 @@ def _print_report(command: str, gap_label: str, report) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = run_gradient_checks(
-        kinds=_parse_kinds(args.kind), trials=args.trials, seed=args.seed,
-        corrupt=args.corrupt,
-    )
+    report = run_gradient_checks(kinds=args.kind or list(DistanceKind), trials=args.trials, seed=args.seed)
     return _print_report("gradcheck", "max_rel_err", report)
 
 
@@ -89,9 +90,8 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    kind = _parse_kinds(args.kind)[0] if args.kind else DistanceKind.JBLD
     result = run_bench(d=args.d, n=args.n, nstar=args.nstar, reps=args.reps,
-                       kind=kind, seed=args.seed)
+                       kind=args.kind or DistanceKind.JBLD, seed=args.seed)
     print(f"kind={result.kind.value} d={result.d} n={result.n} nstar={result.nstar} reps={result.reps}")
     print(f"naive     mean={result.naive_mean:.6f}s std={result.naive_std:.6f}s value={result.naive_value:.6f}")
     print(f"projected mean={result.projected_mean:.6f}s std={result.projected_std:.6f}s value={result.projected_value:.6f}")
@@ -123,9 +123,12 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     source, target_train, target_test = synth_domain_pair(run.synth)
-    model = init_two_stream(
-        run.synth.input_dim, run.feature_dim, run.synth.class_count,
-        run.synth.seed, run.nonlinear,
+    model = dataclasses.replace(
+        init_two_stream(
+            run.synth.input_dim, run.feature_dim, run.synth.class_count,
+            run.synth.seed, run.nonlinear,
+        ),
+        feature_cap=run.tau,
     )
     model, history = train(
         model, (source, target_train), run.align,
@@ -202,26 +205,27 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="spdalign", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, kinds=True):
+    def add_seed(p):
         p.add_argument("--seed", type=_seed, default=0)
-        if kinds:
-            p.add_argument("--kind", action="append",
-                           help="frobenius|jbld|airm (repeatable; default all)")
 
+    # DistanceKind.parse raises a ParameterError, which main reports with the validation exit code.
     p = sub.add_parser("gradcheck", help="analytic gradients vs finite differences")
-    add_common(p)
+    add_seed(p)
+    p.add_argument("--kind", type=DistanceKind.parse, action="append",
+                   help="frobenius|jbld|airm (repeatable; default all)")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--corrupt", help=argparse.SUPPRESS)  # test hook: negative control
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("invariance", help="rotation/affine/inversion/triangle checks")
-    add_common(p, kinds=False)
+    add_seed(p)
     p.add_argument("--trials", type=int, default=50)
     p.add_argument("--triples", type=int, default=1000)
     p.set_defaults(fn=cmd_invariance)
 
     p = sub.add_parser("bench", help="naive ambient vs projected timing")
-    add_common(p)
+    add_seed(p)
+    p.add_argument("--kind", type=DistanceKind.parse, action=_Once,
+                   help="frobenius|jbld|airm (one kind; default jbld)")
     p.add_argument("--d", type=int, default=4096)
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--nstar", type=int, default=3)

@@ -90,10 +90,11 @@ def _stream_shapes(input_dim: int, feature_dim: int, class_count: int) -> tuple[
 def write_model(path, model: TwoStreamModel):
     """Serialize a two-stream model (encoders, classifiers, feature cap).
 
-    The header holds one encoder kind and one set of sizes for both streams,
-    so streams that differ in either, or an array whose size does not fit its
-    ``_stream_shapes`` entry, are rejected before the file is opened.
+    The header holds one encoder kind and one set of sizes for both streams.
+    A model that breaks :meth:`TwoStreamModel.check`, or whose streams differ
+    in encoder kind or sizes, is rejected before the file is opened.
     """
+    model.check()
     streams = (
         (model.encoder_source, model.classifier_source),
         (model.encoder_target, model.classifier_target),
@@ -108,14 +109,11 @@ def write_model(path, model: TwoStreamModel):
         )
     nonlinear, *sizes = source
     shapes = _stream_shapes(*sizes)
-    payload = []
-    for enc, clf in streams:
-        for array, shape in zip((enc.weights, enc.bias, clf.weights, clf.bias), shapes):
-            if np.size(array) != shape[0] * shape[1]:
-                raise FormatError(
-                    f"model array of shape {np.shape(array)} does not fit its stored shape {shape}"
-                )
-            payload.append(np.reshape(array, shape).astype("<f8").tobytes(order="F"))
+    payload = [
+        np.reshape(array, shape).astype("<f8").tobytes(order="F")
+        for enc, clf in streams
+        for array, shape in zip((enc.weights, enc.bias, clf.weights, clf.bias), shapes)
+    ]
     cap = model.feature_cap
     with open(path, "wb") as handle:
         handle.write(MODEL_HEADER.pack(

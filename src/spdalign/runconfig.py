@@ -3,8 +3,9 @@
 Blank lines and ``#`` comments are skipped. Every key has a default; unknown
 and duplicate keys are rejected outright. This module only parses: each range
 rule lives in the type the value feeds (``SynthSpec`` and ``DomainShift`` for
-the data, ``AlignConfig`` for the objective, ``RunConfig`` for the schedule and
-feature width), and a value that breaks one is reported at the line that set it.
+the data, ``AlignConfig`` for the objective, ``RunConfig`` for the schedule,
+feature width and feature cap), and a value that breaks one is reported at the
+line that set it.
 """
 
 from __future__ import annotations
@@ -13,22 +14,26 @@ from dataclasses import dataclass, fields
 
 from .align import AlignConfig
 from .distances import DistanceKind
-from .errors import ConfigError, ParameterError, check_at_least
+from .errors import ConfigError, ParameterError, check_at_least, check_positive
 from .trainer import DomainShift, SynthSpec, _check_schedule
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One training run. ``tau`` is the model's feature cap; ``None`` lets training derive it."""
+
     synth: SynthSpec
     align: AlignConfig
     steps: int
     learning_rate: float
     feature_dim: int
     nonlinear: bool
+    tau: float | None = None
 
     def __post_init__(self):
         _check_schedule(self.steps, self.learning_rate)
         check_at_least(1, feature_dim=self.feature_dim)
+        check_positive(tau=self.tau)
 
 
 def _tau(text: str) -> float | None:

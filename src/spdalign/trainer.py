@@ -11,11 +11,15 @@ steps through the same per-stream update.
 Everything is deterministic given the seeds: each step draws one uniform key
 per column from ``default_rng([seed, step])``, all source keys before any
 target keys, and each class keeps its columns with the lowest keys.
+
+The feature-norm cap has one home, :attr:`TwoStreamModel.feature_cap`. A model
+that arrives without one gets it fixed once, before the first step, from the
+source stream's step-1 batch (:func:`_first_batch_cap`).
 """
 
 from __future__ import annotations
 
-import copy
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +28,7 @@ from .align import AlignConfig, Classifier, softmax_ce, total_objective
 from .distances import DistanceKind
 from .errors import (
     DimensionError, DivergenceError, SingularityError, check_at_least, check_finite, check_nonnegative,
-    check_positive, check_seed,
+    check_seed,
 )
 from .scatter import FeatureBlock
 
@@ -55,7 +59,7 @@ class TwoStreamModel:
     """Source and target encoders with their classifiers.
 
     ``feature_cap`` is the squared-norm ceiling applied to every encoder output
-    column; ``None`` means no cap has been fixed yet (training sets it). A
+    column; ``None`` means no cap has been fixed yet (training fixes it). A
     fixed cap is finite and nonnegative; zero is legal, since a first batch
     whose encoder outputs are all zero yields it.
 
@@ -285,16 +289,16 @@ class LossRecord:
     mean: float
 
 
-def _sample_batch(block: FeatureBlock, cap: int, rng: np.random.Generator) -> FeatureBlock:
-    """Each class's min(available, cap) columns without replacement, grouped by ascending class.
+def _sample_batch(block: FeatureBlock, cap: int, rng: np.random.Generator) -> np.ndarray:
+    """Positions of each class's min(available, cap) columns without replacement, by ascending class.
 
     Every column gets one uniform key; a class keeps its ``cap`` lowest keys.
+    The caller slices its already checked block at these positions.
     """
     order = np.lexsort((rng.random(block.count), block.labels))
     labels = block.labels[order]
     # A sorted column's rank in its class is its position minus the class's first position.
-    chosen = order[np.arange(order.size) - np.searchsorted(labels, labels) < cap]
-    return FeatureBlock(block.columns[:, chosen], block.labels[chosen])
+    return order[np.arange(order.size) - np.searchsorted(labels, labels) < cap]
 
 
 def _check_schedule(steps: int, lr: float):
@@ -303,9 +307,14 @@ def _check_schedule(steps: int, lr: float):
     check_nonnegative(learning_rate=lr)
 
 
-def _first_batch_cap(enc: Encoder, columns: np.ndarray) -> float:
-    """Mean squared norm of the uncapped encoder outputs on one batch."""
-    raw, _ = encoder_forward(enc, columns, None)
+def _first_batch_cap(enc: Encoder, block: FeatureBlock, seed: int) -> float:
+    """Mean squared norm of the uncapped encoder outputs on step 1's source batch.
+
+    A stand-in for a reference-corpus norm statistic. Only the source stream
+    feeds it, which keeps the streams decoupled when all couplings are zero.
+    """
+    chosen = _sample_batch(block, SOURCE_BATCH_CAP, np.random.default_rng([seed, 1]))
+    raw, _ = encoder_forward(enc, block.columns[:, chosen], None)
     return float(np.einsum("ij,ij->j", raw, raw).mean())
 
 
@@ -339,61 +348,63 @@ def train(
 ) -> tuple[TwoStreamModel, list[LossRecord]]:
     """SGD on the full objective. Returns a trained copy and per-step losses.
 
-    ``data`` is (source block, target training block) of raw inputs. When
-    neither the config nor the model fixes the feature-norm cap, it is set to
-    the mean squared norm of the encoder outputs on the first batch and then
-    held fixed.
+    ``data`` is (source block, target training block) of raw inputs. A model
+    without a feature cap gets the one :func:`_first_batch_cap` derives, held
+    fixed for the whole run; a model with one keeps it. The input model is
+    left as it was.
+
+    A step whose values overflow raises :class:`DivergenceError` from the loss
+    and parameter finiteness checks rather than emitting numpy warnings.
     """
     _check_schedule(steps, lr)
     check_seed(seed)
     source, target = data
-    model = copy.deepcopy(model)
     model.check()
     source.check("source", config.class_count, model.encoder_source.input_dim)
     target.check("target", config.class_count, model.encoder_target.input_dim)
+    cap = model.feature_cap
+    if cap is None:
+        cap = _first_batch_cap(model.encoder_source, source, seed)
+    model = dataclasses.replace(model, feature_cap=cap)
     history: list[LossRecord] = []
-    for step in range(1, steps + 1):
-        rng = np.random.default_rng([seed, step])
-        batch_s = _sample_batch(source, SOURCE_BATCH_CAP, rng)
-        batch_t = _sample_batch(target, TARGET_BATCH_CAP, rng)
-        if model.feature_cap is None:
-            # Stand-in for a reference-corpus norm statistic: the source
-            # stream's first batch. Keeping the target batch out preserves
-            # stream decoupling when all couplings are zero.
-            model.feature_cap = config.tau or _first_batch_cap(model.encoder_source, batch_s.columns)
-        phi_s, tape_s = encoder_forward(model.encoder_source, batch_s.columns, model.feature_cap)
-        phi_t, tape_t = encoder_forward(model.encoder_target, batch_t.columns, model.feature_cap)
-        try:
-            result = total_objective(
-                model,
-                FeatureBlock(phi_s, batch_s.labels),
-                FeatureBlock(phi_t, batch_t.labels),
-                config,
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            rng = np.random.default_rng([seed, step])
+            chosen_s = _sample_batch(source, SOURCE_BATCH_CAP, rng)
+            chosen_t = _sample_batch(target, TARGET_BATCH_CAP, rng)
+            phi_s, tape_s = encoder_forward(model.encoder_source, source.columns[:, chosen_s], cap)
+            phi_t, tape_t = encoder_forward(model.encoder_target, target.columns[:, chosen_t], cap)
+            try:
+                result = total_objective(
+                    model,
+                    FeatureBlock(phi_s, source.labels[chosen_s]),
+                    FeatureBlock(phi_t, target.labels[chosen_t]),
+                    config,
+                )
+            except SingularityError as exc:
+                raise SingularityError(f"step {step}: {exc}") from exc
+            if not np.isfinite(result.value):
+                raise DivergenceError(step, f"loss became non-finite at step {step}")
+            history.append(
+                LossRecord(
+                    step=step,
+                    total=result.value,
+                    ce_source=result.parts.ce_source,
+                    ce_target=result.parts.ce_target,
+                    proximity=result.parts.proximity,
+                    scatter=result.parts.scatter,
+                    mean=result.parts.mean,
+                )
             )
-        except SingularityError as exc:
-            raise SingularityError(f"step {step}: {exc}") from exc
-        if not np.isfinite(result.value):
-            raise DivergenceError(step, f"loss became non-finite at step {step}")
-        history.append(
-            LossRecord(
-                step=step,
-                total=result.value,
-                ce_source=result.parts.ce_source,
-                ce_target=result.parts.ce_target,
-                proximity=result.parts.proximity,
-                scatter=result.parts.scatter,
-                mean=result.parts.mean,
+            g = result.grads
+            model.encoder_source, model.classifier_source = _sgd_step(
+                model.encoder_source, model.classifier_source, tape_s,
+                (g.weights_source, g.bias_source, g.features_source), lr, step,
             )
-        )
-        g = result.grads
-        model.encoder_source, model.classifier_source = _sgd_step(
-            model.encoder_source, model.classifier_source, tape_s,
-            (g.weights_source, g.bias_source, g.features_source), lr, step,
-        )
-        model.encoder_target, model.classifier_target = _sgd_step(
-            model.encoder_target, model.classifier_target, tape_t,
-            (g.weights_target, g.bias_target, g.features_target), lr, step,
-        )
+            model.encoder_target, model.classifier_target = _sgd_step(
+                model.encoder_target, model.classifier_target, tape_t,
+                (g.weights_target, g.bias_target, g.features_target), lr, step,
+            )
     return model, history
 
 
@@ -432,7 +443,6 @@ def train_single_stream(
     lr: float,
     seed: int,
     nonlinear: bool = True,
-    tau: float | None = None,
 ) -> TwoStreamModel:
     """Plain softmax training of one encoder and classifier on one data block.
 
@@ -443,17 +453,15 @@ def train_single_stream(
     The size rules of ``class_count`` and ``feature_dim`` are those of
     :func:`init_two_stream`, which builds that stream.
     """
-    check_positive(tau=tau)
     init = init_two_stream(block.dim, feature_dim, class_count, seed, nonlinear)
     _check_schedule(steps, lr)
     block.check("source", class_count, init.encoder_source.input_dim)
-    enc, clf, cap = init.encoder_source, init.classifier_source, tau
+    enc, clf = init.encoder_source, init.classifier_source
+    cap = _first_batch_cap(enc, block, seed)
     for step in range(1, steps + 1):
-        batch = _sample_batch(block, SOURCE_BATCH_CAP, np.random.default_rng([seed, step]))
-        if cap is None:
-            cap = _first_batch_cap(enc, batch.columns)
-        phi, tape = encoder_forward(enc, batch.columns, cap)
-        ce = softmax_ce(clf, FeatureBlock(phi, batch.labels))
+        chosen = _sample_batch(block, SOURCE_BATCH_CAP, np.random.default_rng([seed, step]))
+        phi, tape = encoder_forward(enc, block.columns[:, chosen], cap)
+        ce = softmax_ce(clf, FeatureBlock(phi, block.labels[chosen]))
         if not np.isfinite(ce.loss):
             raise DivergenceError(step, f"loss became non-finite at step {step}")
         enc, clf = _sgd_step(enc, clf, tape, (ce.grad_weights, ce.grad_bias, ce.grad_columns), lr, step)

@@ -43,7 +43,7 @@ class TestAlignConfig:
         with pytest.raises(ParameterError, match="class_count"):
             AlignConfig(sigma1=0, sigma2=0, eta=0, kind=DistanceKind.JBLD, class_count=0)
 
-    @pytest.mark.parametrize("name", ["sigma1", "sigma2", "eta", "tau", "eps"])
+    @pytest.mark.parametrize("name", ["sigma1", "sigma2", "eta", "eps"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_rejects_non_finite(self, name, value):
         params = dict(sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=2)

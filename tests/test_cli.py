@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from spdalign import checks
 from spdalign.cli import main
-from spdalign.io import MODEL_HEADER, write_feature_container, write_model
+from spdalign.io import MODEL_HEADER, read_model, write_feature_container, write_model
 from spdalign.metrics import format_case
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import init_two_stream, synth_domain_pair
@@ -37,6 +38,32 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_module(tmp_path, *argv, flags=()):
+    """``python [flags] -m spdalign argv`` in ``tmp_path``, with this checkout's sources first."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run([sys.executable, *flags, "-m", "spdalign", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+@pytest.fixture
+def corrupt(monkeypatch):
+    """Negative control: ``corrupt(name)`` shifts the analytic side of that gradient component by 0.05."""
+    original = checks._component
+
+    def install(target):
+        def component(name, trials, trial):
+            if name == target:
+                return original(name, trials, lambda: [(a + 0.05, n) for a, n in trial()])
+            return original(name, trials, trial)
+
+        monkeypatch.setattr(checks, "_component", component)
+
+    return install
+
+
 class TestGradcheckCommand:
     def test_pass_on_defaults_small(self, capsys):
         code, out, _ = run_cli(capsys, "gradcheck", "--trials", "3", "--seed", "1")
@@ -52,10 +79,10 @@ class TestGradcheckCommand:
                                    "--kind", "jbld")
         assert (code_a, out_a) == (code_b, out_b)
 
-    def test_corrupted_gradient_fails_naming_component(self, capsys):
+    def test_corrupted_gradient_fails_naming_component(self, capsys, corrupt):
+        corrupt("scatter/jbld")
         code, out, _ = run_cli(
-            capsys, "gradcheck", "--trials", "2", "--seed", "1",
-            "--kind", "jbld", "--corrupt", "scatter/jbld",
+            capsys, "gradcheck", "--trials", "2", "--seed", "1", "--kind", "jbld",
         )
         assert code == 2
         assert "gradcheck: FAIL (scatter/jbld)" in out
@@ -67,7 +94,7 @@ class TestGradcheckCommand:
 
     @pytest.mark.parametrize("argv", [
         ("--trials", "0"),
-        ("--trials", "-5", "--corrupt", "scatter/jbld"),
+        ("--trials", "-5"),
     ])
     def test_trial_count_below_one_is_validation_error(self, capsys, argv):
         code, out, err = run_cli(capsys, "gradcheck", *argv)
@@ -79,10 +106,10 @@ class TestGradcheckCommand:
         f"{stage}/{kind}" for kind in ("frobenius", "jbld", "airm")
         for stage in ("distance", "scatter", "projected", "objective")
     ] + ["mean-align"])
-    def test_every_component_fails_when_corrupted(self, capsys, component):
+    def test_every_component_fails_when_corrupted(self, capsys, corrupt, component):
         kind = component.split("/")[1] if "/" in component else "frobenius"
-        code, out, _ = run_cli(capsys, "gradcheck", "--trials", "1", "--kind", kind,
-                               "--corrupt", component)
+        corrupt(component)
+        code, out, _ = run_cli(capsys, "gradcheck", "--trials", "1", "--kind", kind)
         assert code == 2
         assert f"gradcheck: FAIL ({component})" in out
 
@@ -136,6 +163,19 @@ class TestBenchCommand:
 
         assert speedup(3) > 1.0
         assert speedup(10) > 1.0
+
+    @pytest.mark.parametrize("argv, kind", [((), "jbld"), (("--kind", "frobenius"), "frobenius")])
+    def test_runs_the_one_kind_given(self, capsys, argv, kind):
+        code, out, _ = run_cli(capsys, "bench", "--d", "8", "--n", "3", "--nstar", "2", *argv)
+        assert code == 0
+        assert out.startswith(f"kind={kind} d=8 ")
+
+    def test_second_kind_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--d", "8", "--n", "3", "--nstar", "2",
+                                 "--kind", "frobenius", "--kind", "airm")
+        assert code == 1
+        assert out == ""
+        assert "error: --kind may be given only once" in err
 
 
 class TestTrainCommand:
@@ -193,6 +233,20 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "o"))
         assert code == 2
         assert "step 1: class " in err
+
+    def test_config_tau_is_the_dumped_cap(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(FAST_CONFIG + "tau = 3.5\n", encoding="utf-8")
+        code, _, _ = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert read_model(tmp_path / "o" / "model.bin").feature_cap == 3.5
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["default", "warnings-as-errors"])
+    def test_divergence_exit_code_without_warnings(self, tmp_path, flags):
+        (tmp_path / "run.cfg").write_text("learning_rate = 1000\n", encoding="utf-8")
+        done = run_module(tmp_path, "train", "--config", "run.cfg", "--out", "o", flags=flags)
+        assert done.returncode == 2
+        assert done.stderr == "numerical error: loss became non-finite at step 44\n"
 
     def test_eval_command_roundtrip(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -408,12 +462,7 @@ class TestUnreadableFiles:
     def test_exit_one_without_traceback(self, tmp_path, argv):
         (tmp_path / "latin1.txt").write_bytes(b"pred:1,2|truth:1|factors:caf\xe9\n")
         (tmp_path / "latin1.cfg").write_bytes(b"# caf\xe9\nsteps = 2\n")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
-        )
-        done = subprocess.run([sys.executable, "-m", "spdalign", *argv], cwd=tmp_path, env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = run_module(tmp_path, *argv)
         assert done.returncode == 1
         assert done.stderr.startswith("error: ")
         assert "Traceback" not in done.stderr

@@ -8,14 +8,14 @@ import pytest
 
 from spdalign.align import Classifier
 from spdalign.distances import DistanceKind
-from spdalign.errors import ConfigError, FormatError
+from spdalign.errors import ConfigError, DimensionError, FormatError, ParameterError
 from spdalign.io import (
     read_feature_container,
     read_model,
     write_feature_container,
     write_model,
 )
-from spdalign.runconfig import _KEYS, default_config_text, parse_run_config
+from spdalign.runconfig import _KEYS, RunConfig, default_config_text, parse_run_config
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import Encoder, TwoStreamModel, init_two_stream
 
@@ -116,7 +116,7 @@ class TestModelDump:
         model = TwoStreamModel(enc, enc, clf, clf)
         model.encoder_target = Encoder(np.ones((2, 3)), np.zeros(5))
         path = tmp_path / "model.bin"
-        with pytest.raises(FormatError, match=r"shape \(5,\) does not fit .* \(2, 1\)"):
+        with pytest.raises(DimensionError, match=r"bias \(5,\) are not .* a \(feature_dim,\) vector"):
             write_model(path, model)
         assert not path.exists()
 
@@ -134,7 +134,7 @@ class TestRunConfig:
         run = parse_run_config(default_config_text())
         assert run.synth.class_count == 20
         assert run.align.kind is DistanceKind.JBLD
-        assert run.align.tau is None
+        assert run.tau is None
         assert run.nonlinear is True
 
     def test_partial_config_gets_defaults(self):
@@ -173,7 +173,14 @@ class TestRunConfig:
 
     def test_explicit_tau(self):
         run = parse_run_config("tau = 3.5\n")
-        assert run.align.tau == 3.5
+        assert run.tau == 3.5
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_tau_rejects_non_finite(self, value):
+        fields = vars(parse_run_config(""))
+        with pytest.raises(ParameterError, match=f"^tau must be finite, got {value}$") as info:
+            RunConfig(**{**fields, "tau": value})
+        assert info.value.name == "tau"
 
     def test_linear_encoder(self):
         run = parse_run_config("encoder = linear\n")

@@ -1,6 +1,9 @@
 """Synthetic data generation, two-stream training, and evaluation."""
 
+import copy
+import dataclasses
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from spdalign.errors import (
     ParameterError,
     SingularityError,
 )
+from spdalign.runconfig import parse_run_config
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import (
     _cap_columns,
@@ -46,6 +50,11 @@ def small_spec(seed=0, **overrides):
     )
     params.update(overrides)
     return SynthSpec(**params)
+
+
+def capped(model, cap):
+    """``model`` with a fixed feature cap, as ``spdalign train`` builds it from a run config's ``tau``."""
+    return dataclasses.replace(model, feature_cap=cap)
 
 
 def small_config(**overrides):
@@ -97,8 +106,9 @@ class TestSynthDomainPair:
 class TestCapColumns:
     """Columnwise rescaling onto the ball ||v||^2 <= tau.
 
-    A tau <= 0 never reaches it: AlignConfig and the baselines reject it (the
-    ``tau`` case of ``TestSingleStream::test_invalid_input_is_typed`` below).
+    A negative or non-finite tau never reaches it: ``TwoStreamModel.check``
+    rejects such a cap (``TestParameterHomes`` below), and a run config's
+    ``tau`` must be positive (``tests/test_io_config.py``).
     """
 
     def test_zero_vector(self):
@@ -246,14 +256,14 @@ class TestTrain:
         assert np.array_equal(clf_a, clf_b)
 
     def test_decoupled_target_stream_ignores_source_data(self):
-        # with an explicit tau there is no shared derived statistic at all
+        # with a fixed cap there is no shared derived statistic at all
         spec = small_spec()
         source_a, target, _ = synth_domain_pair(spec)
         source_b, _, _ = synth_domain_pair(small_spec(seed=77))
-        config = small_config(sigma1=0.0, sigma2=0.0, eta=0.0, tau=5.0)
+        config = small_config(sigma1=0.0, sigma2=0.0, eta=0.0)
 
         def target_weights(source):
-            model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=5)
+            model = capped(init_two_stream(spec.input_dim, 8, spec.class_count, seed=5), 5.0)
             trained, _ = train(model, (source, target), config, steps=15, lr=0.2, seed=5)
             return trained.classifier_target.weights
 
@@ -272,8 +282,6 @@ class TestTrain:
 
         assert not np.array_equal(source_weights(target_a), source_weights(target_b))
 
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_divergence_reports_step(self):
         spec = small_spec()
         source, target_train, _ = synth_domain_pair(spec)
@@ -305,17 +313,55 @@ class TestTrain:
         spec = small_spec(shift=DomainShift(scale=1e6))
         source, target_train, _ = synth_domain_pair(spec)
         model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1, nonlinear=False)
-        config = small_config(kind=kind, tau=1e14)
         with pytest.raises(SingularityError, match=r"^step 1: class \d: "):
-            train(model, (source, target_train), config, steps=2, lr=0.1, seed=1)
+            train(capped(model, 1e14), (source, target_train), small_config(kind=kind),
+                  steps=2, lr=0.1, seed=1)
+
+    def test_divergence_is_typed_under_warnings_as_errors(self):
+        run = parse_run_config("learning_rate = 1000\n")
+        source, target_train, _ = synth_domain_pair(run.synth)
+        model = init_two_stream(run.synth.input_dim, run.feature_dim, run.synth.class_count,
+                                run.synth.seed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                train(model, (source, target_train), run.align, run.steps, run.learning_rate,
+                      run.synth.seed)
+        assert err.value.step == 44
 
     def test_tau_from_config_is_respected(self):
         spec = small_spec()
         source, target_train, _ = synth_domain_pair(spec)
-        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1)
-        trained, _ = train(model, (source, target_train), small_config(tau=0.123),
-                           steps=2, lr=0.1, seed=1)
+        run = parse_run_config("tau = 0.123\n")
+        model = capped(init_two_stream(spec.input_dim, 8, spec.class_count, seed=1), run.tau)
+        trained, _ = train(model, (source, target_train), small_config(), steps=2, lr=0.1, seed=1)
         assert trained.feature_cap == 0.123
+
+    def test_fixed_cap_is_kept_and_applied(self):
+        spec = small_spec()
+        source, target_train, _ = synth_domain_pair(spec)
+        model = capped(init_two_stream(spec.input_dim, 8, spec.class_count, seed=1), 0.05)
+        trained, _ = train(model, (source, target_train), small_config(), steps=3, lr=0.1, seed=1)
+        assert trained.feature_cap == 0.05
+        derived, _ = train(capped(model, None), (source, target_train), small_config(),
+                           steps=3, lr=0.1, seed=1)
+        assert derived.feature_cap > 0.05
+        assert not np.array_equal(trained.classifier_source.weights, derived.classifier_source.weights)
+
+    @pytest.mark.parametrize("cap", [None, 2.0])
+    def test_input_model_is_untouched(self, cap):
+        spec = small_spec()
+        source, target_train, _ = synth_domain_pair(spec)
+        model = capped(init_two_stream(spec.input_dim, 8, spec.class_count, seed=1), cap)
+        fields = dict(vars(model))
+        snapshot = copy.deepcopy(model)
+        train(model, (source, target_train), small_config(), steps=3, lr=0.1, seed=1)
+        assert model.feature_cap is cap
+        for name, part in fields.items():
+            assert getattr(model, name) is part
+            if name != "feature_cap":
+                assert np.array_equal(part.weights, getattr(snapshot, name).weights)
+                assert np.array_equal(part.bias, getattr(snapshot, name).bias)
 
     def test_tau_derived_from_first_batch(self):
         spec = small_spec()
@@ -366,15 +412,14 @@ class TestEvaluate:
 
 
 class TestSingleStream:
-    @pytest.mark.parametrize("tau", [None, 0.5])
     @pytest.mark.parametrize("nonlinear", [True, False])
-    def test_matches_source_stream_of_decoupled_train(self, tau, nonlinear):
+    def test_matches_source_stream_of_decoupled_train(self, nonlinear):
         spec = small_spec()
         block, _, _ = synth_domain_pair(spec)
         baseline = train_single_stream(block, spec.class_count, 8, steps=15, lr=0.2, seed=5,
-                                       nonlinear=nonlinear, tau=tau)
+                                       nonlinear=nonlinear)
         model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=5, nonlinear=nonlinear)
-        config = small_config(sigma1=0.0, sigma2=0.0, eta=0.0, tau=tau)
+        config = small_config(sigma1=0.0, sigma2=0.0, eta=0.0)
         trained, _ = train(model, (block, block), config, steps=15, lr=0.2, seed=5)
         for got, want in [
             (baseline.encoder_source.weights, trained.encoder_source.weights),
@@ -390,12 +435,11 @@ class TestSingleStream:
 
     @pytest.mark.parametrize("overrides, error, message", [
         (dict(class_count=0), ParameterError, "class_count must be at least 1, got 0"),
-        (dict(tau=0), ParameterError, "tau must be positive, got 0"),
         (dict(steps=0), ParameterError, "steps must be at least 1, got 0"),
         (dict(lr=-1), ParameterError, "learning_rate must be nonnegative, got -1"),
         (dict(block="empty"), EmptyClassError, "source block has no columns"),
         (dict(block="shifted"), LabelError, "source label 7 outside class count 4"),
-    ], ids=["class_count", "tau", "steps", "lr", "empty_block", "label"])
+    ], ids=["class_count", "steps", "lr", "empty_block", "label"])
     def test_invalid_input_is_typed(self, overrides, error, message):
         spec = small_spec()
         source, _, _ = synth_domain_pair(spec)
@@ -413,50 +457,45 @@ class TestSingleStream:
 
 
 class TestSampleBatch:
-    """The batch policy: min(available, cap) columns per class, without replacement."""
+    """The batch policy: positions of min(available, cap) columns per class, without replacement."""
 
     SIZES = (0, 2, 3, 5, 30)  # columns of classes 0-4; class 0 has none
 
     def ragged_block(self):
         rng = np.random.default_rng(7)
         labels = rng.permutation(np.repeat(np.arange(len(self.SIZES)), self.SIZES))
-        # Row 0 holds each column's position in the block, so a batch names its picks.
-        columns = np.vstack([np.arange(labels.size, dtype=float), rng.normal(size=labels.size)])
-        return FeatureBlock(columns, labels)
-
-    @staticmethod
-    def positions(batch):
-        return batch.columns[0].astype(int)
+        return FeatureBlock(rng.normal(size=(2, labels.size)), labels)
 
     @pytest.mark.parametrize("cap", [1, 3, 10, 40])
     def test_per_class_counts_and_order(self, cap):
         block = self.ragged_block()
-        batch = _sample_batch(block, cap, np.random.default_rng([5, 1]))
-        assert (np.diff(batch.labels) >= 0).all()
+        chosen = _sample_batch(block, cap, np.random.default_rng([5, 1]))
+        labels = block.labels[chosen]
+        assert (np.diff(labels) >= 0).all()
         for c, size in enumerate(self.SIZES):
-            picked = self.positions(batch)[batch.labels == c]
+            picked = chosen[labels == c]
             assert picked.size == min(size, cap)
             assert np.unique(picked).size == picked.size
 
     def test_columns_and_labels_come_from_the_chosen_positions(self):
+        # The trainers slice their checked block at the positions, so they must index it.
         block = self.ragged_block()
-        batch = _sample_batch(block, 4, np.random.default_rng([5, 1]))
-        chosen = self.positions(batch)
-        assert np.array_equal(batch.columns, block.columns[:, chosen])
-        assert np.array_equal(batch.labels, block.labels[chosen])
+        chosen = _sample_batch(block, 4, np.random.default_rng([5, 1]))
+        assert chosen.dtype.kind == "i" and chosen.ndim == 1
+        assert ((0 <= chosen) & (chosen < block.count)).all()
+        assert block.columns[:, chosen].shape == (block.dim, chosen.size)
 
     def test_repeats_for_the_same_generator_state(self):
         block = self.ragged_block()
         a = _sample_batch(block, 4, np.random.default_rng([5, 1]))
         b = _sample_batch(block, 4, np.random.default_rng([5, 1]))
-        assert np.array_equal(a.columns, b.columns)
-        assert np.array_equal(a.labels, b.labels)
+        assert np.array_equal(a, b)
 
     def test_another_step_draws_another_subset(self):
         block = self.ragged_block()
         subsets = [
-            set(self.positions(batch)[batch.labels == 4])
-            for batch in (_sample_batch(block, 10, np.random.default_rng([5, step])) for step in (1, 2))
+            set(chosen[block.labels[chosen] == 4])
+            for chosen in (_sample_batch(block, 10, np.random.default_rng([5, step])) for step in (1, 2))
         ]
         assert subsets[0] != subsets[1]
 
@@ -469,7 +508,7 @@ class TestSampleBatch:
         rng = np.random.default_rng(11)
         hits = np.zeros(size)
         for _ in range(draws):
-            hits[self.positions(_sample_batch(block, cap, rng))] += 1
+            hits[_sample_batch(block, cap, rng)] += 1
         p = cap / size
         bound = 5.0 * np.sqrt(p * (1.0 - p) / draws)
         assert np.abs(hits / draws - p).max() < bound
