@@ -16,6 +16,10 @@ classes that share a ``(N_c, N*_c)`` shape, with one batched LAPACK call per
 stage. The objective sorts each batch by label once, gathers every shape group
 into a stack, and writes the stack's feature gradients back with one indexed
 assignment per group.
+
+:func:`total_objective` returns the five terms as one :class:`ObjectiveParts`;
+its ``total`` is the one place they are summed, and it is the objective's
+value. The trainer keeps those parts, step by step, as its loss history.
 """
 
 from __future__ import annotations
@@ -286,11 +290,17 @@ def alignment_loss(
 
 @dataclass(frozen=True)
 class ObjectiveParts:
+    """The five terms of one objective evaluation; :attr:`total` is their sum."""
+
     ce_source: float
     ce_target: float
     proximity: float
     scatter: float
     mean: float
+
+    @property
+    def total(self) -> float:
+        return self.ce_source + self.ce_target + self.proximity + (self.scatter + self.mean)
 
 
 @dataclass(frozen=True)
@@ -336,10 +346,18 @@ def total_objective(
 
     The batches hold already-encoded feature vectors; gradients with respect to
     them are what the trainer chains through its encoders. Each batch must meet
-    its classifier's block rules (:meth:`FeatureBlock.check`).
+    its classifier's block rules (:meth:`FeatureBlock.check`). The alignment
+    terms normalize by ``config.class_count``, so both classifiers must have
+    that many classes; otherwise a :class:`DimensionError` names all three
+    counts.
     """
     clf_s = model.classifier_source
     clf_t = model.classifier_target
+    if not config.class_count == clf_s.class_count == clf_t.class_count:
+        raise DimensionError(
+            f"objective class count {config.class_count} does not match the classifiers' "
+            f"class counts: source {clf_s.class_count}, target {clf_t.class_count}"
+        )
     ce_s = softmax_ce(clf_s, batch_s)
     ce_t = softmax_ce(clf_t, batch_t)
     prox_value, prox_gw, prox_gw_star = proximity(clf_s, clf_t, config.eta)
@@ -360,5 +378,4 @@ def total_objective(
         features_source=ce_s.grad_columns + align_s,
         features_target=ce_t.grad_columns + align_t,
     )
-    value = ce_s.loss + ce_t.loss + prox_value + (scatter_term + mean_term)
-    return ObjectiveResult(value=value, parts=parts, grads=grads)
+    return ObjectiveResult(value=parts.total, parts=parts, grads=grads)

@@ -6,7 +6,8 @@ unreadable files), 2 numerical failure (failed checks, singular matrices,
 divergence).
 
 All CSV output uses fixed 6-decimal formatting so byte-identical reruns are a
-testable property.
+testable property. ``loss_history.csv`` numbers the objective parts that
+``train`` returns for each step from 1, and writes their total before them.
 """
 
 from __future__ import annotations
@@ -100,11 +101,12 @@ def cmd_bench(args) -> int:
 
 
 def _loss_history_csv(history) -> str:
+    """One row per step, numbered from 1: the objective's total, then its five parts."""
     lines = ["step,loss_total,loss_ce_s,loss_ce_t,loss_prox,loss_scatter,loss_mean"]
-    for rec in history:
+    for step, parts in enumerate(history, 1):
         lines.append(
-            f"{rec.step},{_fmt(rec.total)},{_fmt(rec.ce_source)},{_fmt(rec.ce_target)},"
-            f"{_fmt(rec.proximity)},{_fmt(rec.scatter)},{_fmt(rec.mean)}"
+            f"{step},{_fmt(parts.total)},{_fmt(parts.ce_source)},{_fmt(parts.ce_target)},"
+            f"{_fmt(parts.proximity)},{_fmt(parts.scatter)},{_fmt(parts.mean)}"
         )
     return "\n".join(lines) + "\n"
 

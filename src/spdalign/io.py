@@ -36,7 +36,7 @@ import struct
 import numpy as np
 
 from .align import Classifier
-from .errors import FormatError
+from .errors import FormatError, check_at_least
 from .scatter import FeatureBlock
 from .trainer import Encoder, TwoStreamModel
 
@@ -51,7 +51,14 @@ MODEL_HEADER_BYTES = MODEL_HEADER.size
 
 
 def write_feature_container(path, block: FeatureBlock, class_count: int):
-    """Serialize a feature block; every label must sit below ``class_count``."""
+    """Serialize a feature block; every label must sit below ``class_count``.
+
+    ``class_count`` is a whole number from 1 to 2**32 - 1, the range of its
+    u32 header field. Every rule is checked before the file is opened.
+    """
+    check_at_least(1, class_count=class_count)
+    if class_count >= 2**32:
+        raise FormatError(f"class count {class_count} does not fit the header's u32 field")
     if block.count and int(block.labels.max()) >= class_count:
         raise FormatError(
             f"label {int(block.labels.max())} outside class count {class_count}"

@@ -6,7 +6,8 @@ plain SGD on the full objective. Single-stream softmax baselines (source-only,
 target-only, source+target) train one encoder and classifier, initialized,
 batched and capped exactly as the source stream of the full objective, so
 accuracy gaps come from the alignment terms alone. Both trainers take their SGD
-steps through the same per-stream update.
+steps through the same per-stream update. The loss history of :func:`train` is
+the objective's own :class:`~spdalign.align.ObjectiveParts`, one per step.
 
 Everything is deterministic given the seeds: each step draws one uniform key
 per column from ``default_rng([seed, step])``, all source keys before any
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .align import AlignConfig, Classifier, softmax_ce, total_objective
+from .align import AlignConfig, Classifier, ObjectiveParts, softmax_ce, total_objective
 from .distances import DistanceKind
 from .errors import (
     DimensionError, DivergenceError, SingularityError, check_at_least, check_finite, check_nonnegative,
@@ -63,10 +64,11 @@ class TwoStreamModel:
     fixed cap is finite and nonnegative; zero is legal, since a first batch
     whose encoder outputs are all zero yields it.
 
-    :meth:`check` states the shape rule of each stream and the cap rule.
-    Construction, :func:`train` and :func:`evaluate` run it, since a field may
-    be replaced after construction; :class:`Encoder` itself checks nothing,
-    since every SGD step builds a new one.
+    :meth:`check` states the shape rule of each stream, the rule that encoder
+    parameters are finite (:class:`Classifier` checks its own), and the cap
+    rule. Construction, :func:`train` and :func:`evaluate` run it, since a
+    field may be replaced after construction; :class:`Encoder` itself checks
+    nothing, since every SGD step builds a new one.
     """
 
     encoder_source: Encoder
@@ -79,7 +81,7 @@ class TwoStreamModel:
         self.check()
 
     def check(self) -> None:
-        """Raise DimensionError unless each encoder feeds its classifier, ParameterError for a bad cap."""
+        """DimensionError unless each encoder is finite and feeds its classifier; ParameterError for a bad cap."""
         if self.feature_cap is not None:
             check_nonnegative(feature_cap=self.feature_cap)
         for enc, clf in (
@@ -91,6 +93,8 @@ class TwoStreamModel:
                     f"encoder weights {np.shape(enc.weights)} and bias {np.shape(enc.bias)} "
                     "are not a (feature_dim, input_dim) matrix and a (feature_dim,) vector"
                 )
+            if not (np.isfinite(enc.weights).all() and np.isfinite(enc.bias).all()):
+                raise DimensionError("encoder parameters contain non-finite entries")
             if enc.feature_dim != clf.feature_dim:
                 raise DimensionError(
                     f"encoder output dim {enc.feature_dim} does not match "
@@ -109,36 +113,35 @@ def _cap_columns(raw: np.ndarray, cap: float | None) -> tuple[np.ndarray, np.nda
 
 @dataclass
 class EncoderTape:
-    """Intermediates recorded by a forward pass, consumed by the backward pass."""
+    """Intermediates recorded by a forward pass, consumed by the backward pass.
+
+    ``scale`` is each column's cap factor: 1 where the cap did not clip the
+    column, and everywhere when there is no cap.
+    """
 
     inputs: np.ndarray
     pre_cap: np.ndarray
     scale: np.ndarray
-    cap: float | None
 
 
 def encoder_forward(enc: Encoder, inputs: np.ndarray, cap: float | None) -> tuple[np.ndarray, EncoderTape]:
     z = enc.weights @ inputs + enc.bias[:, None]
     u = np.tanh(z) if enc.nonlinear else z
     phi, scale = _cap_columns(u, cap)
-    return phi, EncoderTape(inputs=inputs, pre_cap=u, scale=scale, cap=cap)
+    return phi, EncoderTape(inputs=inputs, pre_cap=u, scale=scale)
 
 
 def encoder_backward(enc: Encoder, tape: EncoderTape, grad_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Gradients (d loss / d weights, d loss / d bias) given d loss / d phi."""
     u = tape.pre_cap
-    if tape.cap is None:
-        grad_u = grad_phi
-    else:
-        # Clipped columns: phi = s u with s = sqrt(cap)/||u||, whose Jacobian
-        # is s (I - u u^T / ||u||^2). Unclipped columns pass through.
+    # Clipped columns: phi = s u with s = sqrt(cap)/||u||, whose Jacobian is
+    # s (I - u u^T / ||u||^2). Unclipped columns have s = 1 and pass through.
+    grad_u = grad_phi * tape.scale
+    clipped = tape.scale < 1.0
+    if clipped.any():
         sq = np.einsum("ij,ij->j", u, u)
-        clipped = tape.scale < 1.0
-        grad_u = grad_phi * tape.scale
-        if clipped.any():
-            dots = np.einsum("ij,ij->j", u, grad_phi)
-            corr = u * np.where(clipped, tape.scale * dots / np.maximum(sq, 1e-300), 0.0)
-            grad_u = grad_u - corr
+        dots = np.einsum("ij,ij->j", u, grad_phi)
+        grad_u = grad_u - u * np.where(clipped, tape.scale * dots / np.maximum(sq, 1e-300), 0.0)
     grad_z = grad_u * (1.0 - u * u) if enc.nonlinear else grad_u
     return grad_z @ tape.inputs.T, grad_z.sum(axis=1)
 
@@ -278,17 +281,6 @@ def synth_domain_pair(spec: SynthSpec) -> tuple[FeatureBlock, FeatureBlock, Feat
 # Training
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LossRecord:
-    step: int
-    total: float
-    ce_source: float
-    ce_target: float
-    proximity: float
-    scatter: float
-    mean: float
-
-
 def _sample_batch(block: FeatureBlock, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Positions of each class's min(available, cap) columns without replacement, by ascending class.
 
@@ -345,10 +337,12 @@ def train(
     steps: int,
     lr: float,
     seed: int,
-) -> tuple[TwoStreamModel, list[LossRecord]]:
-    """SGD on the full objective. Returns a trained copy and per-step losses.
+) -> tuple[TwoStreamModel, list[ObjectiveParts]]:
+    """SGD on the full objective. Returns a trained copy and its loss history.
 
-    ``data`` is (source block, target training block) of raw inputs. A model
+    The history holds the objective's parts of every step: entry ``i`` is step
+    ``i + 1``. ``data`` is (source block, target training block) of raw
+    inputs; ``config.class_count`` must equal the model's class count. A model
     without a feature cap gets the one :func:`_first_batch_cap` derives, held
     fixed for the whole run; a model with one keeps it. The input model is
     left as it was.
@@ -366,7 +360,7 @@ def train(
     if cap is None:
         cap = _first_batch_cap(model.encoder_source, source, seed)
     model = dataclasses.replace(model, feature_cap=cap)
-    history: list[LossRecord] = []
+    history: list[ObjectiveParts] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             rng = np.random.default_rng([seed, step])
@@ -385,17 +379,7 @@ def train(
                 raise SingularityError(f"step {step}: {exc}") from exc
             if not np.isfinite(result.value):
                 raise DivergenceError(step, f"loss became non-finite at step {step}")
-            history.append(
-                LossRecord(
-                    step=step,
-                    total=result.value,
-                    ce_source=result.parts.ce_source,
-                    ce_target=result.parts.ce_target,
-                    proximity=result.parts.proximity,
-                    scatter=result.parts.scatter,
-                    mean=result.parts.mean,
-                )
-            )
+            history.append(result.parts)
             g = result.grads
             model.encoder_source, model.classifier_source = _sgd_step(
                 model.encoder_source, model.classifier_source, tape_s,
@@ -505,16 +489,19 @@ def run_adaptation_benchmark(
     input_dim: int = 16,
     feature_dim: int = 32,
     source_per_class: int = 30,
-    target_test_per_class: int = 20,
     rotation_deg: float = 30.0,
     translation: float = 1.0,
     steps: int = 2000,
-    lr: float = 0.25,
     sigma1: float = 0.5,
     sigma2: float = 1.0,
-    eta: float = 1.0,
 ) -> BenchmarkOutcome:
-    """Aligned-JBLD model vs the three single-stream baselines on the shift task."""
+    """Aligned-JBLD model vs the three single-stream baselines on the shift task.
+
+    Every seed draws 3 target training and 20 target test columns per class,
+    and every training runs at learning rate 0.25; the aligned model uses
+    classifier proximity ``eta = 1``.
+    """
+    lr = 0.25
     aligned, s_only, t_only, st = [], [], [], []
     for seed in seeds:
         spec = SynthSpec(
@@ -522,14 +509,14 @@ def run_adaptation_benchmark(
             input_dim=input_dim,
             source_per_class=source_per_class,
             target_train_per_class=3,
-            target_test_per_class=target_test_per_class,
+            target_test_per_class=20,
             shift=DomainShift(rotation_deg=rotation_deg, translation=translation,
                               scale=1.0, noise=0.05),
             seed=seed,
         )
         source, target_train, target_test = synth_domain_pair(spec)
         config = AlignConfig(
-            sigma1=sigma1, sigma2=sigma2, eta=eta,
+            sigma1=sigma1, sigma2=sigma2, eta=1.0,
             kind=DistanceKind.JBLD, class_count=class_count,
         )
         model = init_two_stream(input_dim, feature_dim, class_count, seed)

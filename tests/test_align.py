@@ -1,5 +1,7 @@
 """Objective components: cross-entropy, proximity, alignment."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,33 @@ class TestTotalObjective:
             + softmax_ce(model.classifier_target, block_t).loss
         )
         assert result.value == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_value_is_the_parts_total(self, kind, rng):
+        model, phi_s, labels_s, phi_t, labels_t, config = _random_objective_instance(rng, kind)
+        result = total_objective(model, FeatureBlock(phi_s, labels_s), FeatureBlock(phi_t, labels_t),
+                                 config)
+        parts = result.parts
+        assert result.value == parts.total
+        assert parts.total == (
+            parts.ce_source + parts.ce_target + parts.proximity + (parts.scatter + parts.mean)
+        )
+
+    @pytest.mark.parametrize("source, target, config_classes",
+                             [(6, 6, 4), (6, 6, 8), (6, 5, 6)], ids=["fewer", "more", "streams"])
+    def test_class_count_must_match_classifiers(self, rng, source, target, config_classes):
+        # Every label sits below every count, so no label rule can catch the mismatch.
+        from spdalign.checks import _ClassifierPair
+
+        model = _ClassifierPair(
+            Classifier(rng.normal(size=(3, source)), np.zeros(source)),
+            Classifier(rng.normal(size=(3, target)), np.zeros(target)),
+        )
+        block = FeatureBlock(rng.normal(size=(3, 8)), np.arange(8) % 4)
+        message = (f"objective class count {config_classes} does not match the classifiers' "
+                   f"class counts: source {source}, target {target}")
+        with pytest.raises(DimensionError, match=f"^{re.escape(message)}$"):
+            total_objective(model, block, block, config_for(c=config_classes))
 
     @pytest.mark.parametrize("kind", list(DistanceKind))
     def test_descent_direction(self, kind, rng):

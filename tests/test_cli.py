@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, report formats, determinism, golden values."""
 
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 from spdalign import checks
 from spdalign.cli import main
-from spdalign.io import MODEL_HEADER, read_model, write_feature_container, write_model
+from spdalign.io import (
+    MODEL_HEADER, _stream_shapes, read_model, write_feature_container, write_model,
+)
 from spdalign.metrics import format_case
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import init_two_stream, synth_domain_pair
@@ -310,6 +313,19 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "eval", str(model), str(features))
         assert code == 1
         assert f"error: feature_cap must be {rule}" in err
+
+    def test_eval_non_finite_encoder_weight_in_model_dump(self, tmp_path, capsys):
+        # The first target encoder weight follows the source stream's four arrays.
+        model, features = self._eval_files(tmp_path, model_dim=6, feature_dim=6)
+        raw = bytearray(model.read_bytes())
+        source_values = sum(rows * cols for rows, cols in _stream_shapes(6, 8, 4))
+        struct.pack_into("<d", raw, MODEL_HEADER.size + 8 * source_values, float("nan"))
+        model.write_bytes(raw)
+        assert np.isnan(np.frombuffer(raw, "<f8", offset=MODEL_HEADER.size)).sum() == 1
+        code, out, err = run_cli(capsys, "eval", str(model), str(features))
+        assert code == 1
+        assert out == ""
+        assert err == "error: encoder parameters contain non-finite entries\n"
 
 
 MICRO_METRICS_EXPECTED = """\

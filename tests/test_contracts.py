@@ -12,6 +12,7 @@ wording out of every other module and the kind rule's in one place.
 import ast
 import re
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -220,6 +221,11 @@ def _single_stream(**counts):
     return train_single_stream(_block(INPUT_DIM), lr=0.1, seed=0, **args)
 
 
+def _write_features(class_count):
+    with tempfile.TemporaryDirectory() as tmp:
+        write_feature_container(Path(tmp) / "features.bin", _block(FEATURE_DIM), class_count)
+
+
 def _bench(**counts):
     return run_bench(**{"d": 8, "n": 3, "nstar": 2, "reps": 3, **counts}, kind=DistanceKind.JBLD)
 
@@ -239,6 +245,7 @@ COUNT_ENTRY_POINTS = {
     **{f"init_two_stream.{name}": (name, 1, lambda v, name=name: init_two_stream(**{
         "input_dim": INPUT_DIM, "feature_dim": FEATURE_DIM, "class_count": CLASSES, name: v},
         seed=0)) for name in ("input_dim", "feature_dim", "class_count")},
+    "write_feature_container.class_count": ("class_count", 1, lambda v: _write_features(v)),
     "run_bench.reps": ("reps", 3, lambda v: _bench(reps=v)),
     **{f"run_bench.{name}": (name, 1, lambda v, name=name: _bench(**{name: v}))
        for name in ("d", "n", "nstar")},

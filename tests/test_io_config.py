@@ -56,6 +56,24 @@ class TestFeatureContainer:
         with pytest.raises(FormatError, match="label"):
             write_feature_container(tmp_path / "x.bin", block, class_count=2)
 
+    @pytest.mark.parametrize("class_count, error, message", [
+        (2**32, FormatError, "class count 4294967296 does not fit the header's u32 field"),
+        (3.5, ParameterError, "class_count must be a whole number, got 3.5"),
+        (0, ParameterError, "class_count must be at least 1, got 0"),
+    ], ids=["above-u32", "fraction", "zero"])
+    def test_bad_class_count_leaves_no_file(self, rng, tmp_path, class_count, error, message):
+        block = FeatureBlock(rng.normal(size=(2, 3)), np.array([0, 1, 0]))
+        path = tmp_path / "x.bin"
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            write_feature_container(path, block, class_count=class_count)
+        assert not path.exists()
+
+    def test_largest_class_count_is_written(self, rng, tmp_path):
+        block = FeatureBlock(rng.normal(size=(2, 3)), np.array([0, 1, 0]))
+        path = tmp_path / "x.bin"
+        write_feature_container(path, block, class_count=2**32 - 1)
+        assert read_feature_container(path)[1] == 2**32 - 1
+
 
 class TestModelDump:
     def test_roundtrip(self, rng, tmp_path):
@@ -117,6 +135,17 @@ class TestModelDump:
         model.encoder_target = Encoder(np.ones((2, 3)), np.zeros(5))
         path = tmp_path / "model.bin"
         with pytest.raises(DimensionError, match=r"bias \(5,\) are not .* a \(feature_dim,\) vector"):
+            write_model(path, model)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field", ["encoder_source", "encoder_target"])
+    def test_non_finite_encoder_is_rejected_before_writing(self, tmp_path, field):
+        model = init_two_stream(3, 2, 4, seed=0)
+        weights = getattr(model, field).weights.copy()
+        weights[1, 2] = np.nan
+        setattr(model, field, Encoder(weights, np.zeros(2)))
+        path = tmp_path / "model.bin"
+        with pytest.raises(DimensionError, match="^encoder parameters contain non-finite entries$"):
             write_model(path, model)
         assert not path.exists()
 

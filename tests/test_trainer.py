@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from spdalign.align import AlignConfig, Classifier
+from spdalign.align import AlignConfig, Classifier, ObjectiveParts
 from spdalign.distances import DistanceKind
 from spdalign.errors import (
     DimensionError,
@@ -199,8 +199,37 @@ class TestEncoder:
         with pytest.raises(DimensionError, match=r"^encoder weights \(2, 3\) and bias \(5,\) "):
             runs[call]()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    @pytest.mark.parametrize("field", ["encoder_source", "encoder_target"])
+    def test_non_finite_encoder_parameter_is_typed(self, field, part, value):
+        model = init_two_stream(3, 2, 4, seed=0)
+        enc = getattr(model, field)
+        params = {"weights": enc.weights.copy(), "bias": enc.bias.copy()}
+        params[part].flat[0] = value
+        bad = Encoder(params["weights"], params["bias"], enc.nonlinear)
+        with pytest.raises(DimensionError, match=r"^encoder parameters contain non-finite entries$"):
+            dataclasses.replace(model, **{field: bad})
+        # A field replaced after construction is caught where the model is used.
+        setattr(model, field, bad)
+        with pytest.raises(DimensionError, match=r"^encoder parameters contain non-finite entries$"):
+            evaluate(model, FeatureBlock(np.ones((3, 4)), np.arange(4)))
+
 
 class TestTrain:
+    @pytest.mark.parametrize("config_classes", [3, 5])
+    def test_config_class_count_must_match_the_model(self, config_classes):
+        # Every label sits below both counts, so only the objective's check can catch it.
+        spec = small_spec(class_count=3)
+        source, target_train, _ = synth_domain_pair(spec)
+        model = init_two_stream(spec.input_dim, 8, 4, seed=0)
+        with pytest.raises(DimensionError, match=(
+            rf"^objective class count {config_classes} does not match the classifiers' "
+            r"class counts: source 4, target 4$"
+        )):
+            train(model, (source, target_train), small_config(class_count=config_classes),
+                  steps=2, lr=0.1, seed=0)
+
     def test_zero_learning_rate_is_noop(self):
         # batch caps exceed the per-class counts, so every step sees the whole
         # dataset and the recorded loss is exactly flat
@@ -211,7 +240,8 @@ class TestTrain:
                                  steps=5, lr=0.0, seed=1)
         assert np.array_equal(trained.encoder_source.weights, model.encoder_source.weights)
         assert np.array_equal(trained.classifier_target.weights, model.classifier_target.weights)
-        totals = [rec.total for rec in history]
+        assert all(isinstance(parts, ObjectiveParts) for parts in history)
+        totals = [parts.total for parts in history]
         assert totals == pytest.approx([totals[0]] * 5)
 
     def test_determinism_bit_identical_parameters(self):
@@ -226,7 +256,7 @@ class TestTrain:
         two, hist_two = run()
         assert np.array_equal(one.encoder_target.weights, two.encoder_target.weights)
         assert np.array_equal(one.classifier_source.weights, two.classifier_source.weights)
-        assert [r.total for r in hist_one] == [r.total for r in hist_two]
+        assert hist_one == hist_two
 
     def test_training_reduces_loss(self):
         # loss at step 500 is below the loss at step 1, across 10 seeds
@@ -236,7 +266,7 @@ class TestTrain:
             model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=seed)
             _, history = train(model, (source, target_train), small_config(),
                                steps=500, lr=0.2, seed=seed)
-            assert history[499].step == 500
+            assert len(history) == 500
             assert history[499].total < history[0].total
 
     def test_decoupled_source_stream_ignores_target_data(self):
