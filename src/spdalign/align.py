@@ -32,6 +32,7 @@ import numpy as np
 from .distances import DistanceKind, batch_dist_sq
 from .errors import (
     DimensionError, LabelError, SingularityError, check_at_least, check_nonnegative, check_positive,
+    real_array,
 )
 from .nystrom import gram_roots
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
@@ -76,8 +77,8 @@ class Classifier:
     bias: np.ndarray  # (class_count,)
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
-        bias = np.asarray(self.bias, dtype=np.float64)
+        weights = real_array("weights", self.weights)
+        bias = real_array("bias", self.bias)
         if weights.ndim != 2:
             raise DimensionError(f"weights must be 2-d, got shape {weights.shape}")
         if bias.ndim != 1 or bias.shape[0] != weights.shape[1]:
@@ -266,7 +267,7 @@ def alignment_loss(
         raise DimensionError(
             f"got {len(per_class)} class entries for class_count {config.class_count}"
         )
-    streams = [[np.asarray(pair[side], dtype=np.float64) for pair in per_class] for side in (0, 1)]
+    streams = [[real_array("class block", pair[side]) for pair in per_class] for side in (0, 1)]
     if any(block.ndim != 2 for stream in streams for block in stream):
         raise DimensionError("class blocks must be 2-d column matrices")
     dims = {block.shape[0] for stream in streams for block in stream}

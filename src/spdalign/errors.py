@@ -5,12 +5,16 @@ point that takes such a parameter calls it: :func:`check_at_least` for counts
 and seeds (whole numbers with a minimum), :func:`check_finite`,
 :func:`check_nonnegative` and :func:`check_positive` for real values, and
 :func:`whole_numbers` for a sequence of ids. Each raises ``ParameterError``
-with the parameter's name as its ``name``.
+with the parameter's name as its ``name``. Array input at the public entry
+points goes through :func:`real_array`, which raises ``DimensionError``
+unless it is an array of real numbers.
 """
 
 import math
 import numbers
 import operator
+
+import numpy as np
 
 
 class SpdAlignError(Exception):
@@ -81,6 +85,23 @@ def whole_numbers(name: str, values) -> tuple[int, ...]:
     except TypeError:
         raise ParameterError(f"{name} must be a sequence of whole numbers, got {values!r}",
                              name=name) from None
+
+
+def real_array(name: str, value, as_float: bool = True) -> np.ndarray:
+    """``value`` as a numpy array of real numbers, converted to float64 when ``as_float``.
+
+    Booleans, integers and floats pass. Ragged nesting, strings, complex
+    numbers and object arrays (``None`` entries among them) raise
+    ``DimensionError`` naming ``name``, instead of numpy's ``ValueError`` or a
+    ``ComplexWarning`` that drops the imaginary part.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        raise DimensionError(f"{name} must be a rectangular array of real numbers") from None
+    if arr.dtype.kind not in "biuf":
+        raise DimensionError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    return arr.astype(np.float64, copy=False) if as_float else arr
 
 
 class SingularityError(SpdAlignError):

@@ -29,14 +29,21 @@ Case file format, one case per line::
 * ids are ASCII decimal integers with an optional leading ``-`` (no spaces,
   ``+`` or ``_``), and neither list repeats an id;
 * the truth list is not empty;
-* factor tags are comma-separated, without whitespace;
+* factor tags are comma-separated, without whitespace or ``+`` (a breakdown
+  names the row of a tag pair ``a+b``);
 * blank lines are skipped.
 
 A line that breaks a rule raises ``FormatError`` naming its 1-based line
 number (``spdalign metrics`` exits 1). The rules are checked once, at the
 reader: :func:`parse_case_line` builds each ``RankedCase`` from values it has
 checked itself, without the conversion and checks that the public
-constructor applies to API input.
+constructor applies to API input. It reads a line in two branches. A line in
+the form that :func:`format_case` writes (``pred``, ``truth``, then optional
+``factors``) takes one pattern match, which accepts only what the rules
+accept, and a duplicate check per id list. Every other line, including one
+with a repeated id or an id past ``int()``'s digit limit, goes through the
+segment-by-segment rules, which accept segments in any order and are the one
+source of the reader's messages. Both branches give equal cases.
 """
 
 from __future__ import annotations
@@ -51,8 +58,9 @@ import numpy as np
 from .errors import FormatError, ParameterError, check_at_least, whole_numbers
 
 
-# A factor tag that format_case writes back unchanged: no separator, no whitespace.
-_TAG = re.compile(r"[^\s,|]+")
+# A factor tag that format_case writes back unchanged and factor_masks can pair:
+# no separator, no pair mark ("+"), no whitespace.
+_TAG = re.compile(r"[^\s,|+]+")
 
 
 def _check_case(
@@ -68,7 +76,8 @@ def _check_case(
     for tag in factors:
         if not _TAG.fullmatch(tag):
             raise ParameterError(
-                f"factor tag {tag!r} is empty or holds ',', '|' or whitespace", name="factors"
+                f"factor tag {tag!r} is empty or holds ',', '|', '+' or whitespace",
+                name="factors",
             )
 
 
@@ -220,6 +229,13 @@ def factor_breakdown(
 # ASCII decimal ids with an optional leading "-", comma-separated.
 _IDS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
+# The line format_case writes. It matches only lines that the rules accept,
+# except for a repeated id or an id past int()'s digit limit, which
+# parse_case_line checks before it takes the match.
+_CANONICAL = re.compile(
+    rf"pred:({_IDS.pattern})\|truth:({_IDS.pattern})(?:\|factors:([^\s|+]*))?"
+)
+
 
 def _parse_ids(payload: str, what: str) -> tuple[int, ...]:
     if not payload:
@@ -232,11 +248,22 @@ def _parse_ids(payload: str, what: str) -> tuple[int, ...]:
         raise FormatError(f"id too long in {what} list") from None
 
 
-def parse_case_line(line: str) -> RankedCase:
-    """Parse one ``pred:...|truth:...[|factors:...]`` line into a RankedCase.
+def _new_case(
+    predicted: tuple[int, ...], truth: tuple[int, ...], factors: frozenset[str]
+) -> RankedCase:
+    """A RankedCase from checked values, without the constructor's conversion and checks."""
+    case = object.__new__(RankedCase)
+    object.__setattr__(case, "predicted", predicted)
+    object.__setattr__(case, "truth", truth)
+    object.__setattr__(case, "factors", factors)
+    return case
 
-    The line's values are checked here, once; the case is built from them
-    without the constructor's conversion and checks.
+
+def _parse_segments(line: str) -> RankedCase:
+    """Parse a case line segment by segment, checking every rule in turn.
+
+    This is the only source of the reader's ``FormatError`` messages, and it
+    accepts the segments in any order.
     """
     segments: dict[str, str] = {}
     for segment in line.strip().split("|"):
@@ -257,11 +284,31 @@ def parse_case_line(line: str) -> RankedCase:
         _check_case(predicted, truth, factors)
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
-    case = object.__new__(RankedCase)
-    object.__setattr__(case, "predicted", predicted)
-    object.__setattr__(case, "truth", truth)
-    object.__setattr__(case, "factors", factors)
-    return case
+    return _new_case(predicted, truth, factors)
+
+
+def parse_case_line(line: str) -> RankedCase:
+    """Parse one ``pred:...|truth:...[|factors:...]`` line into a RankedCase.
+
+    A line in the form that :func:`format_case` writes takes one pattern
+    match and a duplicate check per id list; every other line, and every
+    error, goes through :func:`_parse_segments`. Both branches give equal
+    cases. The line's values are checked here, once; the case is built from
+    them without the constructor's conversion and checks.
+    """
+    match = _CANONICAL.fullmatch(line.strip())
+    if match:
+        pred_text, truth_text, tags = match.groups()
+        try:
+            predicted = tuple(map(int, pred_text.split(",")))
+            truth = tuple(map(int, truth_text.split(",")))
+        except ValueError:  # beyond int()'s digit limit: the rules name the list
+            pass
+        else:
+            if len(set(predicted)) == len(predicted) and len(set(truth)) == len(truth):
+                factors = frozenset(filter(None, tags.split(","))) if tags else frozenset()
+                return _new_case(predicted, truth, factors)
+    return _parse_segments(line)
 
 
 def format_case(case: RankedCase) -> str:

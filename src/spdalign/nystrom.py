@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularityError
+from .errors import DimensionError, SingularityError, real_array
 from .spd import symmetrize
 
 # Diagonal jitter applied to the pivot kernel matrix before inversion.
@@ -45,8 +45,8 @@ def nystrom_map(pivots: np.ndarray, data: np.ndarray) -> np.ndarray:
     data the Gram matrix of the result reproduces the kernel matrix exactly (up
     to the 1e-12 jitter used to keep K_ZZ invertible).
     """
-    pivots = np.asarray(pivots, dtype=np.float64)
-    data = np.asarray(data, dtype=np.float64)
+    pivots = real_array("pivots", pivots)
+    data = real_array("data", data)
     if pivots.ndim != 2 or data.ndim != 2:
         raise DimensionError("pivots and data must be 2-d column matrices")
     if pivots.shape[0] != data.shape[0]:
@@ -107,8 +107,8 @@ def isometric_project(
     columns equal those of the originals. This is the one-class case of
     :func:`gram_roots`, which the alignment objective runs batched.
     """
-    phi_s = np.asarray(phi_s, dtype=np.float64)
-    phi_t = np.asarray(phi_t, dtype=np.float64)
+    phi_s = real_array("phi_s", phi_s)
+    phi_t = real_array("phi_t", phi_t)
     if phi_s.ndim != 2 or phi_t.ndim != 2:
         raise DimensionError("feature blocks must be 2-d column matrices")
     if phi_s.shape[0] != phi_t.shape[0]:
@@ -128,7 +128,7 @@ def isometric_project(
 
 def backproject_grad(p: Projection, grad_reduced: np.ndarray) -> np.ndarray:
     """Push a reduced-space feature gradient back to ambient space: Zbar^T grad."""
-    grad_reduced = np.asarray(grad_reduced, dtype=np.float64)
+    grad_reduced = real_array("grad_reduced", grad_reduced)
     if grad_reduced.ndim != 2 or grad_reduced.shape[0] != p.reduced_dim:
         raise DimensionError(
             f"gradient rows {grad_reduced.shape} do not match reduced dimension {p.reduced_dim}"

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, EmptyClassError, LabelError
+from .errors import DimensionError, EmptyClassError, LabelError, real_array
 
 # perfbench/tracing.py wraps this binding by name; the scatter builder does not call it.
 from .spd import symmetrize  # noqa: F401
@@ -29,8 +29,8 @@ class FeatureBlock:
     labels: np.ndarray
 
     def __post_init__(self):
-        cols = np.asarray(self.columns, dtype=np.float64)
-        labels = np.asarray(self.labels)
+        cols = real_array("columns", self.columns)
+        labels = real_array("labels", self.labels, as_float=False)
         if labels.dtype.kind == "f" and not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
             raise DimensionError("labels must be finite whole numbers")
         if labels.dtype.kind in "fu" and labels.size and np.abs(labels).max() >= 2**63:
@@ -80,7 +80,7 @@ def mean_and_scatter(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     that share N. Returns the (..., d) means and the exactly symmetric
     (..., d, d) scatters, positive semidefinite up to rounding.
     """
-    columns = np.asarray(columns, dtype=np.float64)
+    columns = real_array("columns", columns)
     if columns.ndim < 2:
         raise DimensionError(f"columns must be at least 2-d, got shape {columns.shape}")
     count = columns.shape[-1]

@@ -11,7 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, ParameterError, SingularityError, check_positive
+from .errors import (
+    DimensionError, NumericalError, ParameterError, SingularityError, check_positive, real_array,
+)
 
 # Spectral functions refuse to evaluate below this eigenvalue. This turns the
 # infinite-value/infinite-gradient regime of the non-Euclidean distances on
@@ -31,7 +33,7 @@ class SymMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.entries, dtype=np.float64)
+        arr = real_array("entries", self.entries)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
         if arr.shape[0] < 1:
@@ -64,7 +66,7 @@ def symmetrize(m) -> SymMatrix:
 
     IEEE addition is commutative, so the result is exactly symmetric.
     """
-    arr = np.asarray(m, dtype=np.float64)
+    arr = real_array("matrix", m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"cannot symmetrize non-square input of shape {arr.shape}")
     return SymMatrix((arr + arr.T) / 2.0)

@@ -416,6 +416,16 @@ class TestMetricsCommand:
         assert code == 1
         assert "line 2" in err
 
+    def test_plus_in_factor_tag_reports_line(self, tmp_path, capsys):
+        # A tag "a+b" would share its breakdown row name with the pair of "a" and "b".
+        path = tmp_path / "cases.txt"
+        path.write_text("pred:1,2|truth:1|factors:a,b\npred:1,2|truth:2|factors:a+b\n"
+                        "pred:2,1|truth:2|factors:a\n")
+        code, out, err = run_cli(capsys, "metrics", str(path), "--kmax", "2", "--breakdown")
+        assert code == 1 and out == ""
+        assert err == (f"error: {path}, line 2: factor tag 'a+b' is empty or holds "
+                       "',', '|', '+' or whitespace\n")
+
     def test_kmax_exceeding_predictions(self, tmp_path, capsys):
         path = tmp_path / "cases.txt"
         path.write_text("pred:1,2,3,4,5|truth:1\npred:1,2|truth:1\n")

@@ -3,7 +3,8 @@
 Each contract is stated once in the code: the block rules of every consumer on
 ``FeatureBlock.check``, each binary header as one ``struct.Struct``, the range
 rules of numeric parameters (counts, seeds, nonnegative and positive values)
-in ``errors``, and the distance kind in ``DistanceKind.check``. These tests pin
+and the conversion of array input (``real_array``) in ``errors``, and the
+distance kind in ``DistanceKind.check``. These tests pin
 the errors and bytes that those single statements produce, at every entry
 point that takes a count or a seed, and AST guards keep the range rules'
 wording out of every other module and the kind rule's in one place.
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 import spdalign
-from spdalign.align import AlignConfig, Classifier, softmax_ce, total_objective
+from spdalign.align import AlignConfig, Classifier, alignment_loss, softmax_ce, total_objective
 from spdalign.bench import run_bench
 from spdalign.checks import run_gradient_checks, run_invariance_checks
 from spdalign.distances import DistanceKind, batch_dist_sq, dist_sq
@@ -32,9 +33,10 @@ from spdalign.io import (
 from spdalign.metrics import (
     RankedCase, avg_top_kk, hit_ranks, load_cases, sweep_ranks, top_k, top_k_n,
 )
+from spdalign.nystrom import Projection, backproject_grad, isometric_project, nystrom_map
 from spdalign.runconfig import RunConfig, load_run_config
-from spdalign.scatter import FeatureBlock
-from spdalign.spd import SymMatrix, regularize
+from spdalign.scatter import FeatureBlock, mean_and_scatter
+from spdalign.spd import SymMatrix, regularize, symmetrize
 from spdalign.trainer import (
     Encoder, SynthSpec, TwoStreamModel, evaluate, init_two_stream, synth_domain_pair, train,
     train_single_stream,
@@ -374,3 +376,38 @@ class TestTextReaders:
         path.write_bytes(b"steps = 2\n\xff\xfe\n")
         with pytest.raises(ConfigError, match=r"run\.cfg: not UTF-8 text \("):
             load_run_config(path)
+
+
+# entry point: (dimensions of the array it is given, call with that array)
+ARRAY_ENTRY_POINTS = {
+    "FeatureBlock.columns": (2, lambda x: FeatureBlock(x, np.array([0, 1]))),
+    "FeatureBlock.labels": (1, lambda x: FeatureBlock(np.eye(2), x)),
+    "Classifier.weights": (2, lambda x: Classifier(x, np.zeros(2))),
+    "Classifier.bias": (1, lambda x: Classifier(np.eye(2), x)),
+    "SymMatrix": (2, SymMatrix),
+    "symmetrize": (2, symmetrize),
+    "nystrom_map": (2, lambda x: nystrom_map(np.eye(2), x)),
+    "isometric_project": (2, lambda x: isometric_project(x, np.eye(2))),
+    "backproject_grad": (2, lambda x: backproject_grad(Projection(np.eye(2)), x)),
+    "mean_and_scatter": (2, mean_and_scatter),
+    "alignment_loss": (2, lambda x: alignment_loss([(x, np.eye(2))], AlignConfig(
+        sigma1=1.0, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=1))),
+}
+
+# input kind: (1-d input, 2-d input); none of them is an array of real numbers
+ARRAY_FAULTS = {
+    "string": (["a", "b"], [["a", "b"], ["b", "a"]]),
+    "ragged": ([0.0, [1.0, 2.0]], [[1.0, 0.0], [0.0]]),
+    "complex": (np.array([0.0, 1.0 + 1.0j]), np.array([[1.0, 1.0j], [-1.0j, 1.0]])),
+    "object-none": (np.array([0.0, None], dtype=object),
+                    np.array([[1.0, None], [None, 1.0]], dtype=object)),
+}
+
+
+@pytest.mark.parametrize("fault", list(ARRAY_FAULTS))
+@pytest.mark.parametrize("entry", list(ARRAY_ENTRY_POINTS))
+def test_non_real_array_is_typed(entry, fault):
+    # Under filterwarnings = error a ComplexWarning fails this test as well.
+    ndim, call = ARRAY_ENTRY_POINTS[entry]
+    with pytest.raises(DimensionError, match="real numbers"):
+        call(ARRAY_FAULTS[fault][ndim - 1])

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdalign import metrics
 from spdalign.errors import FormatError, ParameterError
 from spdalign.metrics import (
     RankedCase,
+    _parse_segments,
     avg_top_kk,
     factor_breakdown,
     format_case,
@@ -105,6 +107,14 @@ class TestRankedCase:
     def test_rejects_factor_tags_format_case_cannot_write_back(self, tag):
         with pytest.raises(ParameterError, match="factor tag"):
             RankedCase((1,), (1,), frozenset({tag}))
+
+    @pytest.mark.parametrize("tag", ["a+b", "+", "blr+"])
+    def test_rejects_plus_in_factor_tag(self, tag):
+        # "+" joins the two tags of a breakdown pair row, so a tag may not hold it.
+        message = f"factor tag {tag!r} is empty or holds ',', '|', '+' or whitespace"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$") as info:
+            RankedCase((1,), (1,), frozenset({"a", tag}))
+        assert info.value.name == "factors"
 
 
 class TestTopK:
@@ -317,8 +327,193 @@ class TestCaseFileFormat:
         with pytest.raises(FormatError, match=f"repeated segment '{name}'"):
             parse_case_line(line)
 
+    def test_load_cases_rejects_plus_in_factor_tag(self, tmp_path):
+        path = tmp_path / "cases.txt"
+        path.write_text("pred:1,2|truth:1|factors:a,b\npred:1,2|truth:2|factors:a+b\n")
+        message = "line 2: factor tag 'a+b' is empty or holds ',', '|', '+' or whitespace"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            load_cases(path)
+
     def test_load_cases_names_the_line_of_a_repeated_segment(self, tmp_path):
         path = tmp_path / "cases.txt"
         path.write_text("pred:1,2|truth:1\n\npred:1,2|truth:1|pred:7,8,9\n")
         with pytest.raises(FormatError, match="line 3: repeated segment 'pred'"):
             load_cases(path)
+
+
+# -- the two parser branches --------------------------------------------------
+
+def _parsed(parse, line):
+    """("case", fields) or ("error", message); fields carry types and the hash."""
+    try:
+        case = parse(line)
+    except FormatError as exc:
+        return "error", str(exc)
+    fields = (case.predicted, case.truth, case.factors)
+    types = (type(case.predicted), type(case.truth), type(case.factors),
+             {type(i) for i in case.predicted + case.truth}, {type(t) for t in case.factors})
+    return "case", (fields, types, hash(case))
+
+
+# Tag characters: ASCII and non-ASCII letters, the ":" and "_" a tag may hold.
+_TAG_TEXT = st.text(alphabet="abcxyz:_\u00e9\u03bb0", min_size=1, max_size=4)
+_IDS_LIST = st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=5, unique=True)
+
+# Text that a mutation inserts: into an id list, sign, digit and space forms
+# that the rules reject or accept; into a factor tag, the pair mark and
+# whitespace; anywhere, the separators.
+_ID_INSERTS = ["+", "\u0663", "-0", "0", "_", " ", "-", ",", "\uff11", "\u00a0"]
+_TAG_INSERTS = ["+", " ", "\x0c", "\u00a0", "\u2028", "\u3000", ",", ":", "_"]
+_SEPARATORS = ["|", ":", ",", ",,", "-0,", "0,"]
+# Text around a line: str.strip() removes all but the byte-order mark.
+_ENDS = ["", " ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000", "\x1c", "\x85", "\ufeff"]
+
+
+def _segments(line):
+    return line.split("|")
+
+
+def _reorder(line, data):
+    return "|".join(data.draw(st.permutations(_segments(line))))
+
+
+def _repeat_segment(line, data):
+    segments = _segments(line)
+    return "|".join(segments + [data.draw(st.sampled_from(segments))])
+
+
+def _drop_segment(line, data):
+    segments = _segments(line)
+    segments.pop(data.draw(st.integers(0, len(segments) - 1)))
+    return "|".join(segments)
+
+
+def _insert_in_payload(segments, i, text, data):
+    """Insert into segment i's payload: anywhere, or where an id or tag starts or ends."""
+    name, _, payload = segments[i].partition(":")
+    edges = [0, len(payload)] + [j + d for j, c in enumerate(payload) if c == "," for d in (0, 1)]
+    at = data.draw(st.one_of(st.sampled_from(edges), st.integers(0, len(payload))))
+    segments[i] = f"{name}:{payload[:at]}{text}{payload[at:]}"
+    return "|".join(segments)
+
+
+def _id_segment(line, data):
+    """(segments, index of a pred or truth segment), or None if there is none."""
+    segments = _segments(line)
+    ids = [i for i, s in enumerate(segments) if s.startswith(("pred:", "truth:"))]
+    return (segments, data.draw(st.sampled_from(ids))) if ids else None
+
+
+def _repeat_id(line, data):
+    found = _id_segment(line, data)
+    if found is None:
+        return line
+    segments, i = found
+    first = segments[i].partition(":")[2].split(",")[0]
+    segments[i] += "," + first
+    return "|".join(segments)
+
+
+def _long_id(line, data):
+    found = _id_segment(line, data)
+    if found is None:
+        return line
+    segments, i = found
+    segments[i] += ",1" + "2" * 4400  # past int()'s default 4300-digit limit
+    return "|".join(segments)
+
+
+def _pad_factors(line, data):
+    segments = [s for s in _segments(line) if not s.startswith("factors:")]
+    tags = [s.partition(":")[2] for s in _segments(line) if s.startswith("factors:")]
+    payload = data.draw(st.sampled_from(["", ",", ",{},", "{},,", ",,{}"]))
+    return "|".join(segments + ["factors:" + payload.format(tags[0] if tags else "a")])
+
+
+def _named(function, name):
+    function.__name__ = name
+    return function
+
+
+def _insert(text):
+    def mutate(line, data):
+        at = data.draw(st.integers(0, len(line)))
+        return line[:at] + text + line[at:]
+    return _named(mutate, f"insert-{ascii(text)[1:-1]}")
+
+
+def _insert_in_ids(text):
+    def mutate(line, data):
+        found = _id_segment(line, data)
+        return line if found is None else _insert_in_payload(*found, text, data)
+    return _named(mutate, f"ids-{ascii(text)[1:-1]}")
+
+
+def _insert_in_tags(text):
+    def mutate(line, data):
+        segments = _segments(line)
+        tags = [i for i, s in enumerate(segments) if s.startswith("factors:")]
+        if not tags:
+            segments.append("factors:a")
+            tags = [len(segments) - 1]
+        return _insert_in_payload(segments, tags[0], text, data)
+    return _named(mutate, f"tags-{ascii(text)[1:-1]}")
+
+
+def _wrap(line, data):
+    return data.draw(st.sampled_from(_ENDS)) + line + data.draw(st.sampled_from(_ENDS))
+
+
+_MUTATIONS = [
+    _reorder, _repeat_segment, _drop_segment, _repeat_id, _long_id, _pad_factors, _wrap,
+    *map(_insert, _SEPARATORS), *map(_insert_in_ids, _ID_INSERTS),
+    *map(_insert_in_tags, _TAG_INSERTS),
+]
+
+
+class TestParserBranches:
+    """``parse_case_line`` takes canonical lines by one pattern match; on every
+    line it must agree with the segment-by-segment rules."""
+
+    @pytest.mark.parametrize("mutate", _MUTATIONS, ids=lambda m: m.__name__.strip("_"))
+    @given(predicted=_IDS_LIST, truth=_IDS_LIST,
+           factors=st.frozensets(_TAG_TEXT, max_size=4),
+           more=st.lists(st.sampled_from(_MUTATIONS), max_size=2), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_branches_agree(self, mutate, predicted, truth, factors, more, data):
+        # Each mutation (each inserted text apart) leads its own run, so that
+        # every one of them is tried often; up to two more follow at random.
+        line = format_case(RankedCase(tuple(predicted), tuple(truth), factors))
+        for step in [mutate, *more]:
+            line = step(line, data)
+        assert _parsed(parse_case_line, line) == _parsed(_parse_segments, line)
+
+    @pytest.mark.parametrize("line", [
+        "pred:1,2|truth:1|factors:",
+        "pred:1,2|truth:1|factors:,a,,",
+        "pred:1,2|truth:1|factors:a:b",
+        "pred:-0,0|truth:1",
+        "pred:01,1|truth:1",
+        "\ufeffpred:1,2|truth:1",
+        "pred:1,2|truth:1|factors:a\x0cb",
+        "pred:1,2|truth:1|factors:a\u00a0b",
+        "truth:1|pred:1,2|factors:a",
+        "factors:a|truth:1|pred:1,2",
+        "pred:1,2|truth:1|",
+        "pred:1,2|truth:1|factors:a+b",
+        "pred:" + "1" * 5000 + "|truth:1",
+        "pred:\u0663,1|truth:3",
+        "pred:1,1|truth:2",
+        "  pred:1,2|truth:1\u3000\n",
+        "pred:1,2|truth:-3,3|factors:b,a",
+    ])
+    def test_edge_lines_agree(self, line):
+        assert _parsed(parse_case_line, line) == _parsed(_parse_segments, line)
+
+    def test_canonical_lines_take_the_pattern(self, rng, monkeypatch):
+        def rules(line):
+            raise AssertionError(f"rule-by-rule parse of a canonical line: {line!r}")
+
+        monkeypatch.setattr(metrics, "_parse_segments", rules)
+        for case in random_cases(rng, 200):
+            assert parse_case_line(format_case(case)) == case
