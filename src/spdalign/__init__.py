@@ -45,7 +45,7 @@ from .metrics import (
 )
 from .nystrom import Projection, backproject_grad, isometric_project, nystrom_map
 from .scatter import FeatureBlock, mean_and_scatter
-from .spd import EigPair, SymMatrix, eig_sym, logdet, regularize, spd_fn, symmetrize
+from .spd import SymMatrix, eig_sym, logdet, regularize, spd_fn, symmetrize
 from .trainer import (
     DomainShift,
     Encoder,

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.linalg import solve as _solve
 
 from .errors import DimensionError, ParameterError, SingularityError
-from .spd import SymMatrix
+from .spd import SymMatrix, symmetric_part
 
 # perfbench/tracing.py counts calls through these bindings; nothing here calls them.
 from scipy.linalg import solve_triangular  # noqa: F401
@@ -64,11 +64,6 @@ class DistanceKind(enum.Enum):
 def _check_pair(a: SymMatrix, b: SymMatrix):
     if a.side != b.side:
         raise DimensionError(f"side mismatch: {a.side} vs {b.side}")
-
-
-def _sym(stack: np.ndarray) -> np.ndarray:
-    """Exactly symmetric part of every matrix in a stack."""
-    return (stack + stack.transpose(0, 2, 1)) / 2.0
 
 
 def _cholesky(stack: np.ndarray, pairs: int) -> np.ndarray:
@@ -133,7 +128,7 @@ def batch_dist_sq(
         inv_factor = _lower_solve(chol, np.eye(a.shape[1]))
         inverse = inv_factor.transpose(0, 2, 1) @ inv_factor
         inv_a, inv_b, inv_mid = inverse[:pairs], inverse[pairs:2 * pairs], inverse[2 * pairs:]
-        return values, _sym(inv_mid - inv_a) / 2.0, _sym(inv_mid - inv_b) / 2.0
+        return values, symmetric_part(inv_mid - inv_a) / 2.0, symmetric_part(inv_mid - inv_b) / 2.0
     # AIRM
     chol = _cholesky(np.concatenate([a, b]), pairs)
     w = _lower_solve(chol[:pairs], chol[pairs:])
@@ -155,7 +150,7 @@ def batch_dist_sq(
     m = _lower_solve(chol, np.concatenate([u, vt.transpose(0, 2, 1)]), transposed=True)
     scaled = m * np.concatenate([logs, logs])[:, None, :]
     grads = scaled @ m.transpose(0, 2, 1)
-    return values, _sym(-4.0 * grads[:pairs]), _sym(4.0 * grads[pairs:])
+    return values, symmetric_part(-4.0 * grads[:pairs]), symmetric_part(4.0 * grads[pairs:])
 
 
 def dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> float:

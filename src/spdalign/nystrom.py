@@ -9,6 +9,9 @@ than the ambient one, but the column geometry is still reproduced exactly.
 The matching row-orthonormal projector Zbar = (X^T X)^{-1/2} X^T is what
 gradients are pushed back through; it may be treated as a constant when
 differentiating the reduced pipeline.
+
+Every inverse Gram root here comes from :func:`gram_roots`, with its one rank
+policy: no jitter, and eigenvalues at rounding level count as zero.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, SingularityError, real_array
-from .spd import symmetrize
+from .errors import DimensionError, real_array
+from .spd import symmetric_part
 
-# Diagonal jitter applied to the pivot kernel matrix before inversion.
-KERNEL_JITTER = 1e-12
+# perfbench/tracing.py counts calls through this binding; nothing here calls it.
+from .spd import symmetrize  # noqa: F401
+
 
 @dataclass(frozen=True)
 class Projection:
@@ -41,9 +45,10 @@ class Projection:
 def nystrom_map(pivots: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Linear-kernel feature map K_ZZ^{-1/2} K_ZX of ``data`` against ``pivots``.
 
-    The kernel blocks are plain inner products, K_ZX = Z^T X. With pivots ==
-    data the Gram matrix of the result reproduces the kernel matrix exactly (up
-    to the 1e-12 jitter used to keep K_ZZ invertible).
+    The kernel blocks are plain inner products, K_ZX = Z^T X, and K_ZZ^{-1/2}
+    is the inverse root of :func:`gram_roots`, so rank-deficient pivots get its
+    pseudo-inverse. With pivots == data the Gram matrix of the result
+    reproduces the kernel matrix to rounding, at any column scale.
     """
     pivots = real_array("pivots", pivots)
     data = real_array("data", data)
@@ -53,18 +58,11 @@ def nystrom_map(pivots: np.ndarray, data: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"pivot dimension {pivots.shape[0]} does not match data dimension {data.shape[0]}"
         )
+    if pivots.shape[1] < 1:
+        raise DimensionError("need at least one pivot column")
     if not (np.isfinite(pivots).all() and np.isfinite(data).all()):
         raise DimensionError("pivots or data contain non-finite entries")
-    kzz = symmetrize(pivots.T @ pivots).entries
-    kzz[np.diag_indices_from(kzz)] += KERNEL_JITTER
-    values, vectors = np.linalg.eigh(kzz)
-    if values[0] <= 0.0:
-        raise SingularityError(
-            f"pivot kernel matrix is numerically singular beyond jitter "
-            f"(smallest eigenvalue {values[0]:.6e})"
-        )
-    inv_root = (vectors / np.sqrt(values)) @ vectors.T
-    return inv_root @ (pivots.T @ data)
+    return gram_roots(pivots[None])[1][0] @ (pivots.T @ data)
 
 
 def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +83,7 @@ def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns and their inverse square roots would blow up rounding noise.
     """
     gram = x.transpose(0, 2, 1) @ x
-    values, vectors = np.linalg.eigh((gram + gram.transpose(0, 2, 1)) / 2.0)
+    values, vectors = np.linalg.eigh(symmetric_part(gram))
     cutoff = max(x.shape[1], x.shape[2]) * np.finfo(np.float64).eps * values[:, -1:]
     kept = values > cutoff
     roots = np.sqrt(np.where(kept, values, 0.0))
@@ -93,7 +91,7 @@ def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     vectors_t = vectors.transpose(0, 2, 1)
     root = (vectors * roots[:, None, :]) @ vectors_t
     inverse_root = (vectors * inverse_roots[:, None, :]) @ vectors_t
-    return (root + root.transpose(0, 2, 1)) / 2.0, inverse_root
+    return symmetric_part(root), inverse_root
 
 
 def isometric_project(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyClassError, LabelError, real_array
+from .spd import symmetric_part
 
 # perfbench/tracing.py wraps this binding by name; the scatter builder does not call it.
 from .spd import symmetrize  # noqa: F401
@@ -89,7 +90,7 @@ def mean_and_scatter(columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     means = columns.mean(axis=-1)
     centered = columns - means[..., None]
     scatters = centered @ np.swapaxes(centered, -1, -2) / count
-    return means, (scatters + np.swapaxes(scatters, -1, -2)) / 2.0
+    return means, symmetric_part(scatters)
 
 
 def _feature_grad(grad_sigma: np.ndarray, columns: np.ndarray, mean: np.ndarray) -> np.ndarray:

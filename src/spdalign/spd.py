@@ -49,27 +49,20 @@ class SymMatrix:
         return self.entries.shape[0]
 
 
-@dataclass(frozen=True)
-class EigPair:
-    """Eigendecomposition of a symmetric matrix.
+def symmetric_part(stack: np.ndarray) -> np.ndarray:
+    """(A + A^T) / 2 of every matrix in a (..., k, k) array.
 
-    ``values`` are ascending; ``vectors`` holds the matching orthonormal
-    eigenvectors in its columns.
+    IEEE addition is commutative, so each result is exactly symmetric.
     """
-
-    values: np.ndarray
-    vectors: np.ndarray
+    return (stack + np.swapaxes(stack, -1, -2)) / 2.0
 
 
 def symmetrize(m) -> SymMatrix:
-    """Return the symmetric part (m + m^T) / 2 of a square matrix.
-
-    IEEE addition is commutative, so the result is exactly symmetric.
-    """
+    """Return the symmetric part (m + m^T) / 2 of a square matrix."""
     arr = real_array("matrix", m)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"cannot symmetrize non-square input of shape {arr.shape}")
-    return SymMatrix((arr + arr.T) / 2.0)
+    return SymMatrix(symmetric_part(arr))
 
 
 def regularize(s: SymMatrix, eps: float) -> SymMatrix:
@@ -80,13 +73,15 @@ def regularize(s: SymMatrix, eps: float) -> SymMatrix:
     return SymMatrix(out)
 
 
-def eig_sym(s: SymMatrix) -> EigPair:
-    """Full symmetric eigendecomposition with eigenvalues sorted ascending."""
+def eig_sym(s: SymMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Full symmetric eigendecomposition: ascending eigenvalues, then eigenvectors in columns.
+
+    The result is numpy's ``eigh`` pair; unpack it as ``values, vectors``.
+    """
     try:
-        values, vectors = np.linalg.eigh(s.entries)
+        return np.linalg.eigh(s.entries)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"symmetric eigendecomposition did not converge: {exc}") from exc
-    return EigPair(values=values, vectors=vectors)
 
 
 _SPECTRAL_FNS = {
@@ -106,15 +101,15 @@ def spd_fn(s: SymMatrix, f: str) -> SymMatrix:
     if f not in _SPECTRAL_FNS:
         raise ParameterError(f"unknown spectral function {f!r}; expected one of {sorted(_SPECTRAL_FNS)}",
                              name="f")
-    pair = eig_sym(s)
-    smallest = float(pair.values[0])
+    values, vectors = eig_sym(s)
+    smallest = float(values[0])
     if smallest <= EIGENVALUE_FLOOR:
         raise SingularityError(
             f"spectral function {f!r} needs eigenvalues above {EIGENVALUE_FLOOR:g}; "
             f"smallest eigenvalue is {smallest:.6e}"
         )
-    mapped = _SPECTRAL_FNS[f](pair.values)
-    return symmetrize((pair.vectors * mapped) @ pair.vectors.T)
+    mapped = _SPECTRAL_FNS[f](values)
+    return symmetrize((vectors * mapped) @ vectors.T)
 
 
 def logdet(s: SymMatrix) -> float:

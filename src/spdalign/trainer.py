@@ -310,6 +310,21 @@ def _first_batch_cap(enc: Encoder, block: FeatureBlock, seed: int) -> float:
     return float(np.einsum("ij,ij->j", raw, raw).mean())
 
 
+def _encoded_batch(
+    enc: Encoder, block: FeatureBlock, batch_cap: int, feature_cap: float,
+    rng: np.random.Generator, step: int,
+) -> tuple[FeatureBlock, EncoderTape]:
+    """One stream's step-``step`` batch drawn from ``rng``, encoded and capped, as a labelled block.
+
+    Non-finite features are a divergence of the run, not malformed input.
+    """
+    chosen = _sample_batch(block, batch_cap, rng)
+    phi, tape = encoder_forward(enc, block.columns[:, chosen], feature_cap)
+    if not np.isfinite(phi).all():
+        raise DivergenceError(step, f"features became non-finite at step {step}")
+    return FeatureBlock(phi, block.labels[chosen]), tape
+
+
 def _sgd_step(
     enc: Encoder, clf: Classifier, tape: EncoderTape, grads: tuple, lr: float, step: int
 ) -> tuple[Encoder, Classifier]:
@@ -347,8 +362,9 @@ def train(
     fixed for the whole run; a model with one keeps it. The input model is
     left as it was.
 
-    A step whose values overflow raises :class:`DivergenceError` from the loss
-    and parameter finiteness checks rather than emitting numpy warnings.
+    A step whose values overflow raises :class:`DivergenceError` from the
+    feature, loss and parameter finiteness checks rather than emitting numpy
+    warnings; :func:`train_single_stream` does the same.
     """
     _check_schedule(steps, lr)
     check_seed(seed)
@@ -364,17 +380,10 @@ def train(
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, steps + 1):
             rng = np.random.default_rng([seed, step])
-            chosen_s = _sample_batch(source, SOURCE_BATCH_CAP, rng)
-            chosen_t = _sample_batch(target, TARGET_BATCH_CAP, rng)
-            phi_s, tape_s = encoder_forward(model.encoder_source, source.columns[:, chosen_s], cap)
-            phi_t, tape_t = encoder_forward(model.encoder_target, target.columns[:, chosen_t], cap)
+            batch_s, tape_s = _encoded_batch(model.encoder_source, source, SOURCE_BATCH_CAP, cap, rng, step)
+            batch_t, tape_t = _encoded_batch(model.encoder_target, target, TARGET_BATCH_CAP, cap, rng, step)
             try:
-                result = total_objective(
-                    model,
-                    FeatureBlock(phi_s, source.labels[chosen_s]),
-                    FeatureBlock(phi_t, target.labels[chosen_t]),
-                    config,
-                )
+                result = total_objective(model, batch_s, batch_t, config)
             except SingularityError as exc:
                 raise SingularityError(f"step {step}: {exc}") from exc
             if not np.isfinite(result.value):
@@ -442,13 +451,14 @@ def train_single_stream(
     block.check("source", class_count, init.encoder_source.input_dim)
     enc, clf = init.encoder_source, init.classifier_source
     cap = _first_batch_cap(enc, block, seed)
-    for step in range(1, steps + 1):
-        chosen = _sample_batch(block, SOURCE_BATCH_CAP, np.random.default_rng([seed, step]))
-        phi, tape = encoder_forward(enc, block.columns[:, chosen], cap)
-        ce = softmax_ce(clf, FeatureBlock(phi, block.labels[chosen]))
-        if not np.isfinite(ce.loss):
-            raise DivergenceError(step, f"loss became non-finite at step {step}")
-        enc, clf = _sgd_step(enc, clf, tape, (ce.grad_weights, ce.grad_bias, ce.grad_columns), lr, step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, steps + 1):
+            rng = np.random.default_rng([seed, step])
+            batch, tape = _encoded_batch(enc, block, SOURCE_BATCH_CAP, cap, rng, step)
+            ce = softmax_ce(clf, batch)
+            if not np.isfinite(ce.loss):
+                raise DivergenceError(step, f"loss became non-finite at step {step}")
+            enc, clf = _sgd_step(enc, clf, tape, (ce.grad_weights, ce.grad_bias, ce.grad_columns), lr, step)
     return TwoStreamModel(enc, enc, clf, clf, feature_cap=cap)
 
 

@@ -244,12 +244,19 @@ class TestTrainCommand:
         assert code == 0
         assert read_model(tmp_path / "o" / "model.bin").feature_cap == 3.5
 
-    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["default", "warnings-as-errors"])
-    def test_divergence_exit_code_without_warnings(self, tmp_path, flags):
-        (tmp_path / "run.cfg").write_text("learning_rate = 1000\n", encoding="utf-8")
+    # A linear encoder at this rate overflows W x itself; the cap then turns inf into NaN.
+    @pytest.mark.parametrize("flags, config, message", [
+        ((), "learning_rate = 1000\n", "loss became non-finite at step 44"),
+        (("-W", "error"), "learning_rate = 1000\n", "loss became non-finite at step 44"),
+        ((), "encoder = linear\nlearning_rate = 1e306\n", "features became non-finite at step 2"),
+        (("-W", "error"), "encoder = linear\nlearning_rate = 1e306\n",
+         "features became non-finite at step 2"),
+    ], ids=["default", "warnings-as-errors", "linear-default", "linear-warnings-as-errors"])
+    def test_divergence_exit_code_without_warnings(self, tmp_path, flags, config, message):
+        (tmp_path / "run.cfg").write_text(config, encoding="utf-8")
         done = run_module(tmp_path, "train", "--config", "run.cfg", "--out", "o", flags=flags)
         assert done.returncode == 2
-        assert done.stderr == "numerical error: loss became non-finite at step 44\n"
+        assert done.stderr == f"numerical error: {message}\n"
 
     def test_eval_command_roundtrip(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -293,6 +300,26 @@ class TestTrainCommand:
         code, _, err = run_cli(capsys, "eval", str(model), str(features))
         assert code == 1
         assert "dimension 8" in err and "takes 16" in err
+
+    def test_eval_out_writes_the_stdout_report(self, tmp_path, capsys):
+        model, features = self._eval_files(tmp_path, model_dim=6, feature_dim=6)
+        code, report, _ = run_cli(capsys, "eval", str(model), str(features))
+        assert code == 0
+        out = tmp_path / "reports"
+        code, text, _ = run_cli(capsys, "eval", str(model), str(features), "--out", str(out))
+        assert code == 0
+        assert text == f"report in {out}\n"
+        assert (out / "eval_report.csv").read_text(encoding="utf-8") == report
+
+    def test_eval_unsupported_model_version(self, tmp_path, capsys):
+        model, features = self._eval_files(tmp_path, model_dim=6, feature_dim=6)
+        raw = bytearray(model.read_bytes())
+        struct.pack_into("<I", raw, 8, 2)
+        model.write_bytes(raw)
+        code, out, err = run_cli(capsys, "eval", str(model), str(features))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {model}: unsupported model version 2\n"
 
     def test_eval_truncated_model_dump(self, tmp_path, capsys):
         model, features = self._eval_files(tmp_path, model_dim=6, feature_dim=6)

@@ -1,6 +1,7 @@
 """Binary containers, model dumps, and run-config parsing."""
 
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from spdalign.align import Classifier
 from spdalign.distances import DistanceKind
 from spdalign.errors import ConfigError, DimensionError, FormatError, ParameterError
 from spdalign.io import (
+    FEATURE_HEADER,
     read_feature_container,
     read_model,
     write_feature_container,
@@ -55,6 +57,23 @@ class TestFeatureContainer:
         block = FeatureBlock(rng.normal(size=(2, 3)), np.array([0, 1, 2]))
         with pytest.raises(FormatError, match="label"):
             write_feature_container(tmp_path / "x.bin", block, class_count=2)
+
+    # Header fields: magic, version, d, n, class count.
+    @pytest.mark.parametrize("field, value, message", [
+        (1, 2, "unsupported container version 2"),
+        (4, 2, "label 2 outside class count 2"),
+    ], ids=["version", "label"])
+    def test_bad_header_field_on_read(self, tmp_path, field, value, message):
+        block = FeatureBlock(np.ones((2, 3)), np.array([0, 2, 1]))
+        path = tmp_path / "x.bin"
+        write_feature_container(path, block, class_count=3)
+        raw = bytearray(path.read_bytes())
+        fields = list(FEATURE_HEADER.unpack_from(raw))
+        fields[field] = value
+        FEATURE_HEADER.pack_into(raw, 0, *fields)
+        path.write_bytes(raw)
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_feature_container(path)
 
     @pytest.mark.parametrize("class_count, error, message", [
         (2**32, FormatError, "class count 4294967296 does not fit the header's u32 field"),
@@ -148,6 +167,18 @@ class TestModelDump:
         with pytest.raises(DimensionError, match="^encoder parameters contain non-finite entries$"):
             write_model(path, model)
         assert not path.exists()
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda raw: b"NOTMODEL" + raw[8:], "not a model dump (bad magic)"),
+        (lambda raw: raw[:8] + struct.pack("<I", 7) + raw[12:], "unsupported model version 7"),
+        (lambda raw: raw + bytes(8), "expected 696 bytes, found 704"),
+    ], ids=["magic", "version", "length"])
+    def test_corrupt_dump_on_read(self, tmp_path, corrupt, message):
+        path = tmp_path / "model.bin"
+        write_model(path, init_two_stream(3, 4, 5, seed=0))
+        path.write_bytes(corrupt(path.read_bytes()))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_model(path)
 
     @pytest.mark.parametrize("length", [12, 30, 38])
     def test_truncated_header(self, tmp_path, length):

@@ -6,7 +6,7 @@ import pytest
 from spdalign.bench import projected_distance_eval
 from spdalign.checks import central_difference, projected_distance_grads, relative_gap
 from spdalign.distances import DistanceKind, dist_sq
-from spdalign.errors import DimensionError, SingularityError
+from spdalign.errors import DimensionError
 from spdalign.nystrom import Projection, backproject_grad, isometric_project, nystrom_map
 from spdalign.scatter import mean_and_scatter
 from spdalign.spd import SymMatrix, regularize
@@ -30,26 +30,38 @@ class TestNystromMap:
             mapped = nystrom_map(x, x)
             assert np.abs(mapped.T @ mapped - x.T @ x).max() <= 1e-10
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3])
+    def test_self_pivots_reproduce_gram_at_every_scale(self, scale, rng):
+        # Relative to the Gram matrix, so that an absolute error floor shows at small scales.
+        for _ in range(25):
+            d = int(rng.integers(2, 12))
+            x = scale * rng.normal(size=(d, int(rng.integers(1, d + 4))))
+            mapped = nystrom_map(x, x)
+            gram = x.T @ x
+            assert np.abs(mapped.T @ mapped - gram).max() <= 1e-12 * np.abs(gram).max()
+
     def test_single_pivot_hand_value(self):
         z = np.array([[1.0], [0.0]])
         x = np.eye(2)
         out = nystrom_map(z, x)
         assert out == pytest.approx(np.array([[1.0, 0.0]]), abs=1e-9)
 
-    def test_duplicate_pivots_survive_jitter(self):
-        # Rank-deficient PSD pivot kernels are exactly what the jitter rescues;
-        # structure keeps the map bounded and the Gram reproduction tight.
+    def test_duplicate_pivots_take_the_pseudo_inverse(self):
         z = np.ones((3, 2))
         x = np.eye(3)
         out = nystrom_map(z, x)
         assert np.isfinite(out).all()
-        assert np.abs(out.T @ out - (z.T @ x).T @ np.linalg.pinv(z.T @ z) @ (z.T @ x)).max() < 1e-6
+        assert np.abs(out.T @ out - (z.T @ x).T @ np.linalg.pinv(z.T @ z) @ (z.T @ x)).max() < 1e-12
 
-    def test_singular_pivots_rejected(self):
-        # K_ZZ = 1e16 * ones((2, 2)) absorbs the jitter; its smallest eigenvalue is exactly 0.
+    def test_singular_pivots_reproduce_their_gram(self):
+        # K_ZZ = 1e16 * ones((2, 2)) has an exactly zero eigenvalue.
         z = np.array([[1e8, 1e8]])
-        with pytest.raises(SingularityError, match=r"smallest eigenvalue 0\.000000e\+00"):
-            nystrom_map(z, z)
+        mapped = nystrom_map(z, z)
+        assert np.abs(mapped.T @ mapped - z.T @ z).max() <= 1e-12 * 1e16
+
+    def test_empty_pivots_rejected(self):
+        with pytest.raises(DimensionError, match="^need at least one pivot column$"):
+            nystrom_map(np.ones((2, 0)), np.ones((2, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):

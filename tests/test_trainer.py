@@ -359,6 +359,16 @@ class TestTrain:
                       run.synth.seed)
         assert err.value.step == 44
 
+    def test_parameter_overflow_reports_step(self):
+        spec = SynthSpec(class_count=4, input_dim=5, source_per_class=6)
+        source, target_train, _ = synth_domain_pair(spec)
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="^parameters became non-finite after step 1$") as err:
+                train(model, (source, target_train), small_config(), steps=5, lr=1e308, seed=0)
+        assert err.value.step == 1
+
     def test_tau_from_config_is_respected(self):
         spec = small_spec()
         source, target_train, _ = synth_domain_pair(spec)
@@ -462,6 +472,15 @@ class TestSingleStream:
         assert baseline.encoder_source.nonlinear is nonlinear
         assert baseline.encoder_target is baseline.encoder_source
         assert baseline.classifier_target is baseline.classifier_source
+
+    def test_divergence_is_typed_under_warnings_as_errors(self):
+        # Step 2 overflows at this rate; numpy must not warn before the typed error.
+        block, _, _ = synth_domain_pair(SynthSpec(class_count=4, input_dim=5, source_per_class=6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="^loss became non-finite at step 2$") as err:
+                train_single_stream(block, 4, 8, steps=50, lr=3e307, seed=0, nonlinear=False)
+        assert err.value.step == 2
 
     @pytest.mark.parametrize("overrides, error, message", [
         (dict(class_count=0), ParameterError, "class_count must be at least 1, got 0"),
