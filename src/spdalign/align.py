@@ -210,8 +210,6 @@ def _alignment(
     """
     grad_s = np.zeros_like(block_s.columns)
     grad_t = np.zeros_like(block_t.columns)
-    if config.sigma1 == 0.0 and config.sigma2 == 0.0:
-        return 0.0, 0.0, grad_s, grad_t
     counts_s = np.bincount(block_s.labels, minlength=config.class_count)
     counts_t = np.bincount(block_t.labels, minlength=config.class_count)
     order_s = np.argsort(block_s.labels, kind="stable")

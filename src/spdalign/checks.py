@@ -7,8 +7,11 @@ entries whose true value is essentially zero are judged on the absolute scale
 of the finite-difference noise instead of blowing up the ratio.
 
 Every component is a trial function: one random draw from the shared
-generator, returning its deviations (gradient components return
-(analytic, numeric) pairs, which ``_component`` turns into relative gaps).
+generator, returning its deviations. A gradient component's trial returns its
+value function, the slots it differentiates in and the analytic gradients;
+``_gradient_component`` takes every central difference through one function,
+``_slot_differences``, and ``_component`` turns the (analytic, numeric) pairs
+into relative gaps.
 One harness, ``_worst``, runs it the requested number of times and reports the
 largest deviation against the component's tolerance. It rejects a count below
 one, and a NaN deviation fails the component. Draws happen in a fixed order, so
@@ -38,20 +41,30 @@ _REL_FLOOR = 1e-3
 
 
 def central_difference(f: Callable[[np.ndarray], float], x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function of an array."""
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    while not it.finished:
-        idx = it.multi_index
-        bumped = x.copy()
-        bumped[idx] = x[idx] + step
-        plus = f(bumped)
-        bumped[idx] = x[idx] - step
-        minus = f(bumped)
+    """Central finite-difference gradient of a scalar function of an array.
+
+    One working copy is stepped in place, entry by entry, and each entry is
+    restored before the next; ``x`` itself is left as it was.
+    """
+    work = np.array(x, dtype=np.float64)
+    grad = np.zeros_like(work)
+    for idx in np.ndindex(work.shape):
+        center = work[idx]
+        work[idx] = center + step
+        plus = f(work)
+        work[idx] = center - step
+        minus = f(work)
+        work[idx] = center
         grad[idx] = (plus - minus) / (2.0 * step)
-        it.iternext()
     return grad
+
+
+def _slot_differences(f: Callable[..., float], slots: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Central differences of ``f(*slots)`` in each slot, the other slots held fixed."""
+    return [
+        central_difference(lambda x, i=i: f(*slots[:i], x, *slots[i + 1:]), slot)
+        for i, slot in enumerate(slots)
+    ]
 
 
 def relative_gap(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -131,6 +144,15 @@ def _component(
     ])
 
 
+def _gradient_component(name: str, trials: int, trial: Callable[[], tuple]) -> ComponentReport:
+    """``trial`` returns (value function, slots, analytic gradients, one per slot)."""
+    def pairs():
+        f, slots, analytic = trial()
+        return list(zip(analytic, _slot_differences(f, slots)))
+
+    return _component(name, trials, pairs)
+
+
 # ---------------------------------------------------------------------------
 # Gradient suite
 # ---------------------------------------------------------------------------
@@ -141,18 +163,12 @@ def check_distance_gradients(kind: DistanceKind, trials: int, rng: np.random.Gen
         side = int(rng.integers(2, 7))
         a = random_spd(rng, side)
         b = random_spd(rng, side)
-        ga, gb = grad_dist_sq(kind, a, b)
         # d^2 is evaluated on the symmetrized perturbation, so the FD gradient
         # of f(sym(M)) equals the symmetric-matrix gradient.
-        fd_a = central_difference(
-            lambda flat: dist_sq(kind, symmetrize(flat.reshape(side, side)), b), a.entries
-        )
-        fd_b = central_difference(
-            lambda flat: dist_sq(kind, a, symmetrize(flat.reshape(side, side))), b.entries
-        )
-        return [(ga.entries, fd_a), (gb.entries, fd_b)]
+        return (lambda x, y: dist_sq(kind, symmetrize(x), symmetrize(y)), [a.entries, b.entries],
+                [g.entries for g in grad_dist_sq(kind, a, b)])
 
-    return _component(f"distance/{kind.value}", trials, trial)
+    return _gradient_component(f"distance/{kind.value}", trials, trial)
 
 
 def _feature_pair(rng: np.random.Generator, dims: tuple[int, int], counts: tuple[int, int]):
@@ -162,14 +178,6 @@ def _feature_pair(rng: np.random.Generator, dims: tuple[int, int], counts: tuple
     n_s = int(rng.integers(*counts))
     n_t = int(rng.integers(*counts))
     return eps, rng.normal(size=(d, n_s)), rng.normal(size=(d, n_t))
-
-
-def _pair_differences(f, phi_s: np.ndarray, phi_t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences of ``f(phi_s, phi_t)`` in each block, the other held fixed."""
-    return (
-        central_difference(lambda flat: f(flat.reshape(phi_s.shape), phi_t), phi_s),
-        central_difference(lambda flat: f(phi_s, flat.reshape(phi_t.shape)), phi_t),
-    )
 
 
 def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
@@ -188,13 +196,10 @@ def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generato
         ga, gb = grad_dist_sq(
             kind, regularize(SymMatrix(scatter_s), eps), regularize(SymMatrix(scatter_t), eps)
         )
-        fd_s, fd_t = _pair_differences(
-            lambda s, t: ambient_distance_eval(s, t, kind, eps), phi_s, phi_t
-        )
-        return [(_feature_grad(ga.entries, phi_s, mean_s), fd_s),
-                (_feature_grad(gb.entries, phi_t, mean_t), fd_t)]
+        return (lambda s, t: ambient_distance_eval(s, t, kind, eps), [phi_s, phi_t],
+                [_feature_grad(ga.entries, phi_s, mean_s), _feature_grad(gb.entries, phi_t, mean_t)])
 
-    return _component(f"scatter/{kind.value}", trials, trial)
+    return _gradient_component(f"scatter/{kind.value}", trials, trial)
 
 
 def _one_class_grads(
@@ -224,12 +229,10 @@ def check_projected_chain(kind: DistanceKind, trials: int, rng: np.random.Genera
     """
     def trial():
         eps, phi_s, phi_t = _feature_pair(rng, (6, 12), (2, 5))
-        fd = _pair_differences(
-            lambda s, t: projected_distance_eval(s, t, kind, eps), phi_s, phi_t
-        )
-        return list(zip(projected_distance_grads(kind, phi_s, phi_t, eps), fd))
+        return (lambda s, t: projected_distance_eval(s, t, kind, eps), [phi_s, phi_t],
+                projected_distance_grads(kind, phi_s, phi_t, eps))
 
-    return _component(f"projected/{kind.value}", trials, trial)
+    return _gradient_component(f"projected/{kind.value}", trials, trial)
 
 
 def check_mean_alignment(trials: int, rng: np.random.Generator) -> ComponentReport:
@@ -252,9 +255,9 @@ def check_mean_alignment(trials: int, rng: np.random.Generator) -> ComponentRepo
         n_t = int(rng.integers(1, 7))
         phi_s = rng.normal(size=(d, n_s))
         phi_t = rng.normal(size=(d, n_t))
-        return list(zip(_one_class_grads(config, phi_s, phi_t), _pair_differences(loss, phi_s, phi_t)))
+        return loss, [phi_s, phi_t], _one_class_grads(config, phi_s, phi_t)
 
-    return _component("mean-align", trials, trial)
+    return _gradient_component("mean-align", trials, trial)
 
 
 @dataclass
@@ -300,18 +303,13 @@ def check_objective(kind: DistanceKind, trials: int, rng: np.random.Generator) -
                 probe, FeatureBlock(fs, labels_s), FeatureBlock(ft, labels_t), config
             )
 
-        def value_at(i, flat):
-            return objective(*slots[:i], flat.reshape(slots[i].shape), *slots[i + 1:]).value
+        g = objective(*slots).grads
+        return (lambda *args: objective(*args).value, slots, [
+            g.weights_source, g.bias_source, g.weights_target, g.bias_target,
+            g.features_source, g.features_target,
+        ])
 
-        grads = objective(*slots).grads
-        analytic = [grads.weights_source, grads.bias_source, grads.weights_target,
-                    grads.bias_target, grads.features_source, grads.features_target]
-        return [
-            (analytic[i], central_difference(lambda flat, i=i: value_at(i, flat), slot))
-            for i, slot in enumerate(slots)
-        ]
-
-    return _component(f"objective/{kind.value}", trials, trial)
+    return _gradient_component(f"objective/{kind.value}", trials, trial)
 
 
 def run_gradient_checks(kinds: Sequence[DistanceKind], trials: int, seed: int) -> CheckReport:

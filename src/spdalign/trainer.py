@@ -28,8 +28,8 @@ import numpy as np
 from .align import AlignConfig, Classifier, ObjectiveParts, softmax_ce, total_objective
 from .distances import DistanceKind
 from .errors import (
-    DimensionError, DivergenceError, SingularityError, check_at_least, check_finite, check_nonnegative,
-    check_seed,
+    DimensionError, DivergenceError, NumericalError, SingularityError, check_at_least, check_finite,
+    check_nonnegative, check_seed, real_array,
 )
 from .scatter import FeatureBlock
 
@@ -40,11 +40,19 @@ TARGET_BATCH_CAP = 3
 
 @dataclass
 class Encoder:
-    """Linear map plus optional elementwise tanh: phi = tanh(W x + b)."""
+    """Linear map plus optional elementwise tanh: phi = tanh(W x + b).
+
+    Construction only converts both arrays with ``real_array``; the shape and
+    finiteness rules live in :meth:`TwoStreamModel.check`.
+    """
 
     weights: np.ndarray  # (feature_dim, input_dim)
     bias: np.ndarray  # (feature_dim,)
     nonlinear: bool = True
+
+    def __post_init__(self):
+        self.weights = real_array("encoder weights", self.weights)
+        self.bias = real_array("encoder bias", self.bias)
 
     @property
     def input_dim(self) -> int:
@@ -68,7 +76,7 @@ class TwoStreamModel:
     parameters are finite (:class:`Classifier` checks its own), and the cap
     rule. Construction, :func:`train` and :func:`evaluate` run it, since a
     field may be replaced after construction; :class:`Encoder` itself checks
-    nothing, since every SGD step builds a new one.
+    no rule, since every SGD step builds a new one.
     """
 
     encoder_source: Encoder
@@ -127,6 +135,9 @@ class EncoderTape:
 def encoder_forward(enc: Encoder, inputs: np.ndarray, cap: float | None) -> tuple[np.ndarray, EncoderTape]:
     z = enc.weights @ inputs + enc.bias[:, None]
     u = np.tanh(z) if enc.nonlinear else z
+    if enc.nonlinear and not np.isfinite(z).all():
+        # tanh would turn an overflowed pre-activation into a finite +-1; it stays non-finite.
+        u = np.where(np.isfinite(z), u, np.nan)
     phi, scale = _cap_columns(u, cap)
     return phi, EncoderTape(inputs=inputs, pre_cap=u, scale=scale)
 
@@ -261,19 +272,17 @@ def synth_domain_pair(spec: SynthSpec) -> tuple[FeatureBlock, FeatureBlock, Feat
             y = y + spec.shift.noise * rng.normal(size=y.shape)
         return y
 
-    src_cols, tt_cols, te_cols = [], [], []
-    src_labels, tt_labels, te_labels = [], [], []
+    # (count, shifted) of source, target-train and target-test; each class draws all three in turn.
+    splits = ((spec.source_per_class, False), (spec.target_train_per_class, True),
+              (spec.target_test_per_class, True))
+    cols: list[list[np.ndarray]] = [[] for _ in splits]
     for c in range(c_count):
-        src_cols.append(draw(c, spec.source_per_class))
-        src_labels.extend([c] * spec.source_per_class)
-        tt_cols.append(shift(draw(c, spec.target_train_per_class)))
-        tt_labels.extend([c] * spec.target_train_per_class)
-        te_cols.append(shift(draw(c, spec.target_test_per_class)))
-        te_labels.extend([c] * spec.target_test_per_class)
-    return (
-        FeatureBlock(np.concatenate(src_cols, axis=1), np.array(src_labels)),
-        FeatureBlock(np.concatenate(tt_cols, axis=1), np.array(tt_labels)),
-        FeatureBlock(np.concatenate(te_cols, axis=1), np.array(te_labels)),
+        for split, (count, shifted) in enumerate(splits):
+            x = draw(c, count)
+            cols[split].append(shift(x) if shifted else x)
+    return tuple(
+        FeatureBlock(np.concatenate(blocks, axis=1), np.repeat(np.arange(c_count), count))
+        for blocks, (count, _) in zip(cols, splits)
     )
 
 
@@ -410,11 +419,21 @@ class EvalReport:
 
 
 def evaluate(model: TwoStreamModel, test: FeatureBlock) -> EvalReport:
-    """Target-stream top-1 accuracy: target encoder into target classifier."""
+    """Target-stream top-1 accuracy: target encoder into target classifier.
+
+    Finite parameters can still overflow on the test columns; non-finite
+    target logits raise :class:`NumericalError` instead of numpy warnings and
+    a top-1 taken from them.
+    """
     model.check()
     test.check("test", model.classifier_target.class_count, model.encoder_target.input_dim)
-    phi, _ = encoder_forward(model.encoder_target, test.columns, model.feature_cap)
-    logits = model.classifier_target.weights.T @ phi + model.classifier_target.bias[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi, _ = encoder_forward(model.encoder_target, test.columns, model.feature_cap)
+        logits = model.classifier_target.weights.T @ phi + model.classifier_target.bias[:, None]
+    if not np.isfinite(logits).all():
+        raise NumericalError(
+            "target logits are non-finite: the target stream overflows on the test columns"
+        )
     predicted = logits.argmax(axis=0)
     hits = predicted == test.labels
     rows = []

@@ -43,6 +43,26 @@ def test_suites_reject_empty_runs(run):
         run()
 
 
+def test_central_difference_of_a_quadratic(rng):
+    # f(x) = <x, A x> / 2 + <c, x> has gradient sym(A) x + c; central differences are exact
+    # on a quadratic up to roundoff.
+    a = rng.normal(size=(6, 6))
+    c = rng.normal(size=(2, 3))
+    x = rng.normal(size=(2, 3))
+    before = x.copy()
+    grad = checks.central_difference(lambda y: 0.5 * y.ravel() @ a @ y.ravel() + np.sum(c * y), x)
+    np.testing.assert_array_equal(x, before)
+    np.testing.assert_allclose(grad, (0.5 * (a + a.T) @ x.ravel()).reshape(2, 3) + c, rtol=0, atol=1e-8)
+
+
+def test_slot_differences_hold_the_other_slots_fixed(rng):
+    a = rng.normal(size=(3, 2))
+    b = rng.normal(size=(3, 2))
+    fd_a, fd_b = checks._slot_differences(lambda x, y: float(np.sum(x * y)), [a, b])
+    np.testing.assert_allclose(fd_a, b, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(fd_b, a, rtol=0, atol=1e-9)
+
+
 def test_nan_gap_fails_its_component(monkeypatch, rng):
     monkeypatch.setattr(
         checks, "central_difference", lambda f, x, step=checks.FD_STEP: np.full(np.shape(x), np.nan)

@@ -18,6 +18,7 @@ from spdalign.metrics import format_case
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import init_two_stream, synth_domain_pair
 from test_metrics import oracle_avg_top_kk, oracle_top_k, oracle_top_k_n, random_cases
+from test_trainer import overflowing_target_model
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 MICRO_CASES = REPO_ROOT / "data" / "micro_cases.txt"
@@ -257,6 +258,17 @@ class TestTrainCommand:
         done = run_module(tmp_path, "train", "--config", "run.cfg", "--out", "o", flags=flags)
         assert done.returncode == 2
         assert done.stderr == f"numerical error: {message}\n"
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["default", "warnings-as-errors"])
+    def test_eval_overflow_exit_code_without_warnings(self, tmp_path, flags):
+        model, test = overflowing_target_model()
+        write_model(tmp_path / "model.bin", model)
+        write_feature_container(tmp_path / "test.bin", test, class_count=20)
+        done = run_module(tmp_path, "eval", "model.bin", "test.bin", flags=flags)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == (
+            "numerical error: target logits are non-finite: the target stream overflows on the test columns\n"
+        )
 
     def test_eval_command_roundtrip(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

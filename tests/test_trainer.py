@@ -15,6 +15,7 @@ from spdalign.errors import (
     DivergenceError,
     EmptyClassError,
     LabelError,
+    NumericalError,
     ParameterError,
     SingularityError,
 )
@@ -61,6 +62,15 @@ def small_config(**overrides):
     params = dict(sigma1=0.3, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=4)
     params.update(overrides)
     return AlignConfig(**params)
+
+
+def overflowing_target_model(nonlinear=True):
+    """(model, test block): every target encoder weight is a finite 1e308, so ``W x`` overflows."""
+    model = init_two_stream(16, 32, 20, seed=0, nonlinear=nonlinear)
+    model.encoder_target = Encoder(np.full((32, 16), 1e308), model.encoder_target.bias, nonlinear)
+    model.feature_cap = 1.0
+    _, _, test = synth_domain_pair(SynthSpec(class_count=20, input_dim=16, source_per_class=1))
+    return model, test
 
 
 class TestSynthDomainPair:
@@ -168,6 +178,33 @@ class TestEncoder:
         fd_b = central_difference(lambda b: loss_of(enc.weights, b), enc.bias)
         assert relative_gap(gw, fd_w) < 1e-5
         assert relative_gap(gb, fd_b) < 1e-5
+
+    @pytest.mark.parametrize("value", [
+        [[1.0, 2.0, 3.0], [4.0]],
+        np.ones((2, 3), dtype=object),
+        "abc",
+        np.ones((2, 3)) * 1j,
+    ], ids=["ragged-list", "object", "string", "complex"])
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    def test_non_real_array_is_typed(self, part, value):
+        params = {"weights": np.ones((2, 3)), "bias": np.zeros(2)}
+        params[part] = value
+        with pytest.raises(DimensionError, match=f"^encoder {part} must "):
+            Encoder(params["weights"], params["bias"])
+
+    def test_real_lists_become_float_arrays(self):
+        enc = Encoder([[1, 2, 3], [4, 5, 6]], [0, 0])
+        assert enc.weights.dtype == enc.bias.dtype == np.float64
+        clf = Classifier(np.zeros((2, 4)), np.zeros(4))
+        assert TwoStreamModel(enc, enc, clf, clf).encoder_source.feature_dim == 2
+
+    def test_overflowed_pre_activation_stays_non_finite(self):
+        # 1e308 * 6 overflows, so W x reads inf or NaN although its exact value is 0;
+        # tanh(inf) would pass for a finite 1.
+        enc = Encoder(np.full((1, 2), 1e308), np.zeros(1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            phi, _ = encoder_forward(enc, np.array([[6.0], [-6.0]]), cap=None)
+        assert np.isnan(phi).all()
 
     @pytest.mark.parametrize("call", ["evaluate", "train"])
     def test_bias_length_mismatch_is_typed_before_the_call(self, rng, call):
@@ -369,6 +406,18 @@ class TestTrain:
                 train(model, (source, target_train), small_config(), steps=5, lr=1e308, seed=0)
         assert err.value.step == 1
 
+    def test_overflowing_tanh_encoder_reports_step(self):
+        # The target encoder's W x overflows; tanh would have hidden it behind finite +-1 features.
+        model, _ = overflowing_target_model()
+        source, target_train, _ = synth_domain_pair(
+            SynthSpec(class_count=20, input_dim=16, source_per_class=1)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="^features became non-finite at step 1$"):
+                train(model, (source, target_train), small_config(class_count=20),
+                      steps=2, lr=0.1, seed=0)
+
     def test_tau_from_config_is_respected(self):
         spec = small_spec()
         source, target_train, _ = synth_domain_pair(spec)
@@ -449,6 +498,16 @@ class TestEvaluate:
         test = FeatureBlock(rng.normal(size=(3, 4)), np.array([0, 1, 2, 3]))
         with pytest.raises(LabelError, match="test label 3 outside class count 3"):
             evaluate(model, test)
+
+    @pytest.mark.parametrize("nonlinear", [True, False], ids=["tanh", "linear"])
+    def test_overflowing_target_stream_is_typed(self, nonlinear):
+        model, test = overflowing_target_model(nonlinear)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=(
+                "^target logits are non-finite: the target stream overflows on the test columns$"
+            )):
+                evaluate(model, test)
 
 
 class TestSingleStream:
