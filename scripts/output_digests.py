@@ -12,6 +12,17 @@ differing line names the output that changed. The lines are:
   ``configs/synth_default.cfg`` with ``--steps`` steps, for every distance
   kind, ``tau`` of ``none`` and ``3.5`` and encoder ``tanh`` and ``linear``
   (12 runs);
+- ``eval/<output> <sha256>`` for the stdout of ``spdalign eval`` and the
+  ``eval_report.csv`` of ``spdalign eval --out``, on the ``model.bin`` of the
+  ``jbld/tau=none/tanh`` run and a feature container of that run's target-test
+  block that the script writes;
+- ``metrics/<output> <sha256>`` for the stdout of ``spdalign metrics
+  data/micro_cases.txt --kmax 3 --breakdown`` and the ``metrics.csv`` and
+  ``breakdown.csv`` of the same command with ``--out``;
+- ``bench/<kind>/<field> <text>`` for the first line of ``spdalign bench
+  --d 256 --n 20 --nstar 3 --kind <kind>`` and the ``value=`` field of its
+  ``naive`` and ``projected`` lines, for every distance kind; the timings are
+  left out;
 - ``gradcheck/<component> <repr of max_gap>`` from
   ``run_gradient_checks(all kinds, trials=4, seed=5)``;
 - ``invariance/<component> <repr of max_gap>`` from
@@ -19,7 +30,8 @@ differing line names the output that changed. The lines are:
 - ``shift/<method> <repr of mean>`` from
   ``run_adaptation_benchmark([3], steps=25).means()``.
 
-Training runs in-process through ``spdalign.cli.main`` in a temporary directory.
+Every command runs in-process through ``spdalign.cli.main`` in a temporary
+directory.
 """
 
 from __future__ import annotations
@@ -36,9 +48,12 @@ from pathlib import Path
 from spdalign.checks import run_gradient_checks, run_invariance_checks
 from spdalign.cli import main as spdalign_main
 from spdalign.distances import DistanceKind
-from spdalign.trainer import run_adaptation_benchmark
+from spdalign.io import write_feature_container
+from spdalign.runconfig import parse_run_config
+from spdalign.trainer import run_adaptation_benchmark, synth_domain_pair
 
-_DEFAULT_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "synth_default.cfg"
+_ROOT = Path(__file__).resolve().parents[1]
+_DEFAULT_CONFIG = _ROOT / "configs" / "synth_default.cfg"
 _ARTIFACTS = ("model.bin", "loss_history.csv", "eval_report.csv")
 
 
@@ -47,6 +62,20 @@ def run_config(overrides: dict[str, str]) -> str:
     kept = [line for line in _DEFAULT_CONFIG.read_text(encoding="utf-8").splitlines()
             if line.split("=")[0].strip() not in overrides]
     return "\n".join(kept + [f"{key} = {value}" for key, value in overrides.items()]) + "\n"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def cli_stdout(argv: list[str]) -> str:
+    """Stdout of ``spdalign argv``; exits the script unless the command exits 0."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = spdalign_main(argv)
+    if code != 0:
+        sys.exit(f"error: spdalign {' '.join(argv)} exited {code}")
+    return out.getvalue()
 
 
 def training_lines(steps: int, workdir: Path) -> list[str]:
@@ -58,13 +87,42 @@ def training_lines(steps: int, workdir: Path) -> list[str]:
         config.write_text(run_config(
             {"kind": kind.value, "tau": tau, "encoder": encoder, "steps": str(steps)}
         ), encoding="utf-8")
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = spdalign_main(["train", "--config", str(config), "--out", str(run_dir)])
-        if code != 0:
-            sys.exit(f"error: spdalign train exited {code} on {name}")
+        cli_stdout(["train", "--config", str(config), "--out", str(run_dir)])
         for artifact in _ARTIFACTS:
-            digest = hashlib.sha256((run_dir / artifact).read_bytes()).hexdigest()
-            lines.append(f"train/{name}/{artifact} {digest}")
+            lines.append(f"train/{name}/{artifact} {_sha256((run_dir / artifact).read_bytes())}")
+    return lines
+
+
+def eval_lines(workdir: Path) -> list[str]:
+    """``spdalign eval`` on the jbld/tau=none/tanh model and its run's target-test block."""
+    model = str(workdir / "jbld_tau=none_tanh" / "model.bin")
+    synth = parse_run_config(_DEFAULT_CONFIG.read_text(encoding="utf-8")).synth
+    features = workdir / "target_test.bin"
+    write_feature_container(features, synth_domain_pair(synth)[2], synth.class_count)
+    stdout = cli_stdout(["eval", model, str(features)])
+    cli_stdout(["eval", model, str(features), "--out", str(workdir / "eval")])
+    return [f"eval/stdout {_sha256(stdout.encode())}",
+            f"eval/eval_report.csv {_sha256((workdir / 'eval' / 'eval_report.csv').read_bytes())}"]
+
+
+def metrics_lines(workdir: Path) -> list[str]:
+    argv = ["metrics", str(_ROOT / "data" / "micro_cases.txt"), "--kmax", "3", "--breakdown"]
+    lines = [f"metrics/stdout {_sha256(cli_stdout(argv).encode())}"]
+    cli_stdout(argv + ["--out", str(workdir / "metrics")])
+    for table in ("metrics.csv", "breakdown.csv"):
+        lines.append(f"metrics/{table} {_sha256((workdir / 'metrics' / table).read_bytes())}")
+    return lines
+
+
+def bench_lines() -> list[str]:
+    lines = []
+    for kind in DistanceKind:
+        first, naive, projected, _ = cli_stdout(
+            ["bench", "--d", "256", "--n", "20", "--nstar", "3", "--kind", kind.value]
+        ).splitlines()
+        lines.append(f"bench/{kind.value}/args {first}")
+        for path, line in (("naive", naive), ("projected", projected)):
+            lines.append(f"bench/{kind.value}/{path} {line.split()[-1]}")
     return lines
 
 
@@ -73,7 +131,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--steps", type=int, default=400, help="training steps per run (default 400)")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        lines = training_lines(args.steps, Path(tmp))
+        workdir = Path(tmp)
+        lines = training_lines(args.steps, workdir) + eval_lines(workdir) + metrics_lines(workdir)
+    lines += bench_lines()
     for suite, report in (
         ("gradcheck", run_gradient_checks(list(DistanceKind), trials=4, seed=5)),
         ("invariance", run_invariance_checks(trials=20, seed=3, triples=200)),

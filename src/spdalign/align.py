@@ -113,9 +113,10 @@ def softmax_ce(classifier: Classifier, block: FeatureBlock) -> SoftmaxResult:
     logits = classifier.weights.T @ block.columns + classifier.bias[:, None]
     logits -= logits.max(axis=0, keepdims=True)
     exp = np.exp(logits)
-    probs = exp / exp.sum(axis=0, keepdims=True)
+    totals = exp.sum(axis=0)
+    probs = exp / totals
     n = block.count
-    picked = logits[block.labels, np.arange(n)] - np.log(exp.sum(axis=0))
+    picked = logits[block.labels, np.arange(n)] - np.log(totals)
     loss = float(-picked.mean())
     dlogits = probs.copy()
     dlogits[block.labels, np.arange(n)] -= 1.0

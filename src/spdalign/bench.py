@@ -24,8 +24,6 @@ from .nystrom import isometric_project  # noqa: F401
 from .spd import symmetrize  # noqa: F401
 
 WARMUP_REPS = 2
-# Scatter regularizer of both paths, the objective's default.
-EPS = 1e-6
 
 
 def ambient_distance_eval(phi_s: np.ndarray, phi_t: np.ndarray, kind: DistanceKind, eps: float) -> float:
@@ -48,11 +46,6 @@ def projected_distance_eval(phi_s: np.ndarray, phi_t: np.ndarray, kind: Distance
 
 @dataclass(frozen=True)
 class BenchResult:
-    kind: DistanceKind
-    d: int
-    n: int
-    nstar: int
-    reps: int
     naive_mean: float
     naive_std: float
     projected_mean: float
@@ -84,7 +77,10 @@ def run_bench(
     kind: DistanceKind,
     seed: int = 0,
 ) -> BenchResult:
-    """Time both evaluation paths on one random instance of the given sizes."""
+    """Time both evaluation paths on one random instance of the given sizes.
+
+    Both paths regularize with the objective's default ``AlignConfig.eps``.
+    """
     check_at_least(3, reps=reps)
     check_at_least(1, d=d, n=n, nstar=nstar)
     check_seed(seed)
@@ -92,13 +88,12 @@ def run_bench(
     phi_s = rng.normal(size=(d, n))
     phi_t = rng.normal(size=(d, nstar))
     naive_mean, naive_std, naive_value = _time_fn(
-        lambda: ambient_distance_eval(phi_s, phi_t, kind, EPS), reps
+        lambda: ambient_distance_eval(phi_s, phi_t, kind, AlignConfig.eps), reps
     )
     proj_mean, proj_std, proj_value = _time_fn(
-        lambda: projected_distance_eval(phi_s, phi_t, kind, EPS), reps
+        lambda: projected_distance_eval(phi_s, phi_t, kind, AlignConfig.eps), reps
     )
     return BenchResult(
-        kind=kind, d=d, n=n, nstar=nstar, reps=reps,
         naive_mean=naive_mean, naive_std=naive_std,
         projected_mean=proj_mean, projected_std=proj_std,
         naive_value=naive_value, projected_value=proj_value,

@@ -91,9 +91,9 @@ def cmd_invariance(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    result = run_bench(d=args.d, n=args.n, nstar=args.nstar, reps=args.reps,
-                       kind=args.kind or DistanceKind.JBLD, seed=args.seed)
-    print(f"kind={result.kind.value} d={result.d} n={result.n} nstar={result.nstar} reps={result.reps}")
+    kind = args.kind or DistanceKind.JBLD
+    result = run_bench(d=args.d, n=args.n, nstar=args.nstar, reps=args.reps, kind=kind, seed=args.seed)
+    print(f"kind={kind.value} d={args.d} n={args.n} nstar={args.nstar} reps={args.reps}")
     print(f"naive     mean={result.naive_mean:.6f}s std={result.naive_std:.6f}s value={result.naive_value:.6f}")
     print(f"projected mean={result.projected_mean:.6f}s std={result.projected_std:.6f}s value={result.projected_value:.6f}")
     print(f"speedup   {result.speedup:.2f}x")
@@ -146,6 +146,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _write_tables(out: str | None, label: str, tables: dict[str, str]) -> int:
+    """Write each named table into directory ``out`` and print ``<label> in <out>``.
+
+    Without ``out`` (``None`` or empty) the tables go to stdout, in order.
+    """
+    if out:
+        directory = Path(out)
+        directory.mkdir(parents=True, exist_ok=True)
+        for name, text in tables.items():
+            (directory / name).write_text(text, encoding="utf-8")
+        print(f"{label} in {directory}")
+    else:
+        sys.stdout.write("".join(tables.values()))
+    return EXIT_OK
+
+
 def cmd_eval(args) -> int:
     model = containers.read_model(args.model)
     block, class_count = containers.read_feature_container(args.features)
@@ -155,15 +171,7 @@ def cmd_eval(args) -> int:
             f"{model.classifier_target.class_count}"
         )
     report = evaluate(model, block)
-    text = _eval_report_csv(report)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "eval_report.csv").write_text(text, encoding="utf-8")
-        print(f"report in {out}")
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_tables(args.out, "report", {"eval_report.csv": _eval_report_csv(report)})
 
 
 def _metrics_csv(ranks, k_max: int) -> str:
@@ -192,15 +200,7 @@ def cmd_metrics(args) -> int:
     tables = {"metrics.csv": _metrics_csv(ranks, args.kmax)}
     if args.breakdown:
         tables["breakdown.csv"] = _breakdown_csv(cases, ranks, args.kmax)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        for name, text in tables.items():
-            (out / name).write_text(text, encoding="utf-8")
-        print(f"tables in {out}")
-    else:
-        sys.stdout.write("".join(tables.values()))
-    return EXIT_OK
+    return _write_tables(args.out, "tables", tables)
 
 
 def build_parser() -> _Parser:

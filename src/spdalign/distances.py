@@ -31,7 +31,7 @@ import enum
 import numpy as np
 from scipy.linalg import solve as _solve
 
-from .errors import DimensionError, ParameterError, SingularityError
+from .errors import DimensionError, NumericalError, ParameterError, SingularityError
 from .spd import SymMatrix, symmetric_part
 
 # perfbench/tracing.py counts calls through these bindings; nothing here calls them.
@@ -132,6 +132,10 @@ def batch_dist_sq(
     # AIRM
     chol = _cholesky(np.concatenate([a, b]), pairs)
     w = _lower_solve(chol[:pairs], chol[pairs:])
+    # An operand ratio beyond float64's range overflows w here, or underflows sigma to 0 below.
+    finite = np.isfinite(w).all(axis=(1, 2))
+    if not finite.all():
+        raise SingularityError("AIRM operand pair is numerically singular", index=int(np.argmin(finite)))
     if with_grad:
         u, sigma, vt = np.linalg.svd(w)
     else:
@@ -153,10 +157,23 @@ def batch_dist_sq(
     return values, symmetric_part(-4.0 * grads[:pairs]), symmetric_part(4.0 * grads[pairs:])
 
 
-def dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> float:
-    """Squared distance d^2(a, b) for the given kind. Nonnegative."""
+def _one_pair(kind: DistanceKind, a: SymMatrix, b: SymMatrix, with_grad: bool):
+    """:func:`batch_dist_sq` of one pair, without numpy warnings.
+
+    A value or gradient that overflows float64 raises ``NumericalError``
+    instead of coming back as Inf or NaN.
+    """
     _check_pair(a, b)
-    values, _, _ = batch_dist_sq(kind, a.entries[None], b.entries[None], with_grad=False)
+    with np.errstate(over="ignore", invalid="ignore"):
+        results = batch_dist_sq(kind, a.entries[None], b.entries[None], with_grad)
+    if not all(np.isfinite(part).all() for part in results if part is not None):
+        raise NumericalError(f"squared {kind.value} distance or its gradient overflows float64")
+    return results
+
+
+def dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> float:
+    """Squared distance d^2(a, b) for the given kind. Nonnegative and finite."""
+    values, _, _ = _one_pair(kind, a, b, with_grad=False)
     return float(values[0])
 
 
@@ -169,6 +186,5 @@ def grad_dist_sq(kind: DistanceKind, a: SymMatrix, b: SymMatrix) -> tuple[SymMat
                swap (the distance is symmetric in a and b); evaluated through
                the Cholesky-SVD factors described in the module docstring.
     """
-    _check_pair(a, b)
-    _, grad_a, grad_b = batch_dist_sq(kind, a.entries[None], b.entries[None])
+    _, grad_a, grad_b = _one_pair(kind, a, b, with_grad=True)
     return SymMatrix(grad_a[0]), SymMatrix(grad_b[0])

@@ -47,7 +47,6 @@ VERSION = 1
 FEATURE_HEADER = struct.Struct("<8s4I")
 # Magic, version, input_dim, feature_dim, class_count, nonlinear flag, cap flag, cap value.
 MODEL_HEADER = struct.Struct("<8s6Id")
-MODEL_HEADER_BYTES = MODEL_HEADER.size
 
 
 def write_feature_container(path, block: FeatureBlock, class_count: int):

@@ -66,10 +66,17 @@ def symmetrize(m) -> SymMatrix:
 
 
 def regularize(s: SymMatrix, eps: float) -> SymMatrix:
-    """Add ``eps`` to the diagonal, shifting the whole spectrum up by ``eps``."""
+    """Add ``eps`` to the diagonal, shifting the whole spectrum up by ``eps``.
+
+    A diagonal entry that overflows float64 raises ``NumericalError``.
+    """
     check_positive(eps=eps)
     out = s.entries.copy()
-    out[np.diag_indices_from(out)] += eps
+    diagonal = np.diag_indices_from(out)
+    with np.errstate(over="ignore"):
+        out[diagonal] += eps
+    if not np.isfinite(out[diagonal]).all():
+        raise NumericalError(f"regularizing by eps={eps:g} overflows the diagonal")
     return SymMatrix(out)
 
 
@@ -125,7 +132,6 @@ def logdet(s: SymMatrix) -> float:
         raise SingularityError(
             f"logdet needs a positive definite matrix; smallest eigenvalue is {smallest:.6e}"
         ) from exc
-    value = 2.0 * float(np.sum(np.log(np.diag(chol))))
-    if not np.isfinite(value):
-        raise SingularityError("logdet overflowed; matrix is numerically singular")
-    return value
+    # Cholesky of a finite matrix succeeds only with factor diagonals in
+    # (0, sqrt(largest a_jj)], so every log, and their sum, is finite.
+    return 2.0 * float(np.sum(np.log(np.diag(chol))))

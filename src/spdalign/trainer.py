@@ -28,8 +28,8 @@ import numpy as np
 from .align import AlignConfig, Classifier, ObjectiveParts, softmax_ce, total_objective
 from .distances import DistanceKind
 from .errors import (
-    DimensionError, DivergenceError, NumericalError, SingularityError, check_at_least, check_finite,
-    check_nonnegative, check_seed, real_array,
+    DimensionError, DivergenceError, NumericalError, ParameterError, SingularityError, check_at_least,
+    check_finite, check_nonnegative, check_seed, real_array,
 )
 from .scatter import FeatureBlock
 
@@ -245,7 +245,9 @@ def synth_domain_pair(spec: SynthSpec) -> tuple[FeatureBlock, FeatureBlock, Feat
     circle in the first two coordinates; target draws come from the same
     Gaussian pushed through the shift transform. A 30-degree rotation moves
     clusters past their angular neighbors once the class count exceeds twelve,
-    which is what makes the source-only baseline collapse.
+    which is what makes the source-only baseline collapse. A shift whose
+    target draws overflow float64 (for example ``scale = 1e308``) raises
+    ``ParameterError`` with ``name`` "shift", without numpy warnings.
     """
     rng = np.random.default_rng(spec.seed)
     d, c_count = spec.input_dim, spec.class_count
@@ -267,9 +269,12 @@ def synth_domain_pair(spec: SynthSpec) -> tuple[FeatureBlock, FeatureBlock, Feat
         return (means[c][:, None] + stds[c][:, None] * rng.normal(size=(d, n)))
 
     def shift(x: np.ndarray) -> np.ndarray:
-        y = spec.shift.scale * (rot @ x) + offset[:, None]
-        if spec.shift.noise > 0.0:
-            y = y + spec.shift.noise * rng.normal(size=y.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = spec.shift.scale * (rot @ x) + offset[:, None]
+            if spec.shift.noise > 0.0:
+                y = y + spec.shift.noise * rng.normal(size=y.shape)
+        if not np.isfinite(y).all():
+            raise ParameterError(f"{spec.shift} overflows float64 on the target draws", name="shift")
         return y
 
     # (count, shifted) of source, target-train and target-test; each class draws all three in turn.
@@ -531,6 +536,8 @@ def run_adaptation_benchmark(
     classifier proximity ``eta = 1``.
     """
     lr = 0.25
+    config = AlignConfig(sigma1=sigma1, sigma2=sigma2, eta=1.0, kind=DistanceKind.JBLD,
+                         class_count=class_count)
     aligned, s_only, t_only, st = [], [], [], []
     for seed in seeds:
         spec = SynthSpec(
@@ -544,10 +551,6 @@ def run_adaptation_benchmark(
             seed=seed,
         )
         source, target_train, target_test = synth_domain_pair(spec)
-        config = AlignConfig(
-            sigma1=sigma1, sigma2=sigma2, eta=1.0,
-            kind=DistanceKind.JBLD, class_count=class_count,
-        )
         model = init_two_stream(input_dim, feature_dim, class_count, seed)
         model, _ = train(model, (source, target_train), config, steps, lr, seed)
         aligned.append(evaluate(model, target_test).overall)

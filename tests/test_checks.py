@@ -11,11 +11,12 @@ from spdalign.checks import (
     check_rotation_invariance,
     check_scatter_chain,
     check_triangle_inequality,
+    relative_gap,
     run_gradient_checks,
     run_invariance_checks,
 )
 from spdalign.distances import DistanceKind
-from spdalign.errors import ParameterError
+from spdalign.errors import NumericalError, ParameterError
 
 
 @pytest.mark.parametrize("count", [0, -5])
@@ -84,3 +85,9 @@ def test_negative_deviations_report_zero(rng):
     report = check_triangle_inequality(5, rng)
     assert report.max_gap == 0.0 and not np.signbit(report.max_gap)
     assert report.passed
+
+
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_non_finite_analytic_gradient_is_typed(value):
+    with pytest.raises(NumericalError, match="^analytic gradient contains non-finite entries$"):
+        relative_gap(np.array([1.0, value]), np.array([1.0, 1.0]))

@@ -260,6 +260,16 @@ class TestTrainCommand:
         assert done.stderr == f"numerical error: {message}\n"
 
     @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["default", "warnings-as-errors"])
+    @pytest.mark.parametrize("field", ["scale", "noise"])
+    def test_overflowing_shift_exit_code_without_warnings(self, tmp_path, field, flags):
+        (tmp_path / "run.cfg").write_text(f"{field} = 1e308\nsteps = 2\n", encoding="utf-8")
+        done = run_module(tmp_path, "train", "--config", "run.cfg", "--out", "o", flags=flags)
+        assert (done.returncode, done.stdout) == (1, "")
+        shift = {"scale": "scale=1e+308, noise=0.05", "noise": "scale=1.0, noise=1e+308"}[field]
+        assert done.stderr == (f"error: DomainShift(rotation_deg=30.0, translation=1.0, {shift}) "
+                               "overflows float64 on the target draws\n")
+
+    @pytest.mark.parametrize("flags", [(), ("-W", "error")], ids=["default", "warnings-as-errors"])
     def test_eval_overflow_exit_code_without_warnings(self, tmp_path, flags):
         model, test = overflowing_target_model()
         write_model(tmp_path / "model.bin", model)
@@ -322,6 +332,8 @@ class TestTrainCommand:
         assert code == 0
         assert text == f"report in {out}\n"
         assert (out / "eval_report.csv").read_text(encoding="utf-8") == report
+        # An empty --out is no directory: the report goes to stdout.
+        assert run_cli(capsys, "eval", str(model), str(features), "--out", "") == (0, report, "")
 
     def test_eval_unsupported_model_version(self, tmp_path, capsys):
         model, features = self._eval_files(tmp_path, model_dim=6, feature_dim=6)
@@ -511,6 +523,10 @@ class TestMetricsCommand:
         assert code == 0
         assert (out_dir / "metrics.csv").read_text() == MICRO_METRICS_EXPECTED
         assert (out_dir / "breakdown.csv").read_text() == MICRO_BREAKDOWN_EXPECTED
+
+    def test_empty_out_writes_to_stdout(self, capsys):
+        code, out, _ = run_cli(capsys, "metrics", str(MICRO_CASES), "--kmax", "3", "--out", "")
+        assert (code, out) == (0, MICRO_METRICS_EXPECTED)
 
 
 class TestUnreadableFiles:

@@ -28,18 +28,18 @@ from spdalign.errors import (
     ConfigError, DimensionError, EmptyClassError, FormatError, LabelError, ParameterError,
 )
 from spdalign.io import (
-    MODEL_HEADER_BYTES, read_feature_container, read_model, write_feature_container, write_model,
+    MODEL_HEADER, read_feature_container, read_model, write_feature_container, write_model,
 )
 from spdalign.metrics import (
-    RankedCase, avg_top_kk, hit_ranks, load_cases, sweep_ranks, top_k, top_k_n,
+    RankedCase, avg_top_kk, factor_masks, hit_ranks, load_cases, sweep_ranks, top_k, top_k_n,
 )
 from spdalign.nystrom import Projection, backproject_grad, isometric_project, nystrom_map
 from spdalign.runconfig import RunConfig, load_run_config
 from spdalign.scatter import FeatureBlock, mean_and_scatter
 from spdalign.spd import SymMatrix, regularize, symmetrize
 from spdalign.trainer import (
-    Encoder, SynthSpec, TwoStreamModel, evaluate, init_two_stream, synth_domain_pair, train,
-    train_single_stream,
+    DomainShift, Encoder, SynthSpec, TwoStreamModel, concat_blocks, evaluate, init_two_stream,
+    synth_domain_pair, train, train_single_stream,
 )
 
 INPUT_DIM, FEATURE_DIM, CLASSES = 3, 4, 3
@@ -157,7 +157,7 @@ class TestHeaderBytes:
             + struct.pack("<I", 0 if cap is None else 1)
             + struct.pack("<d", 0.0 if cap is None else cap)
         )
-        assert len(header) == MODEL_HEADER_BYTES == 40
+        assert len(header) == MODEL_HEADER.size == 40
         assert path.read_bytes() == header + stream_bytes(1.0) + stream_bytes(-1.0)
         loaded = read_model(path)
         assert loaded.feature_cap == cap
@@ -285,7 +285,7 @@ class TestCountRules:
 
 
 # Inputs that used to escape as a raw TypeError, a RuntimeWarning, an empty model or an
-# Inf matrix: (parameter name in the error, call).
+# Inf matrix, and empty input: (parameter name in the error, call).
 PARAMETER_FAULTS = {
     "train-steps-2.5": ("steps", lambda: _train(steps=2.5)),
     "train-seed-1.5": ("seed", lambda: _train(seed=1.5)),
@@ -301,6 +301,9 @@ PARAMETER_FAULTS = {
     "regularize-inf": ("eps", lambda: regularize(SymMatrix(np.eye(2)), float("inf"))),
     "init_two_stream-input_dim-0": ("input_dim", lambda: init_two_stream(0, 4, 3, 0)),
     "init_two_stream-feature_dim-0": ("feature_dim", lambda: init_two_stream(3, 0, 3, 0)),
+    "factor_masks-no-cases": ("cases", lambda: list(factor_masks([]))),
+    **{f"synth_domain_pair-{field}-1e308": ("shift", lambda field=field: synth_domain_pair(
+        _spec(shift=DomainShift(**{field: 1e308})))) for field in ("scale", "noise")},
 }
 
 
@@ -310,6 +313,53 @@ def test_parameter_fault_is_typed(fault):
     with pytest.raises(ParameterError) as info:
         call()
     assert info.value.name == name
+
+
+def _classifier(feature_dim):
+    return Classifier(np.zeros((feature_dim, CLASSES)), np.zeros(CLASSES))
+
+
+# Arrays of real numbers whose shape or values break an entry point's rule:
+# (anchored message of the DimensionError, call).
+SHAPE_FAULTS = {
+    "Classifier-weights-1d": (r"weights must be 2-d, got shape \(3,\)",
+                              lambda: Classifier(np.zeros(3), np.zeros(3))),
+    "Classifier-bias-length": (r"bias length \(2,\) does not match class count 3",
+                               lambda: Classifier(np.zeros((2, 3)), np.zeros(2))),
+    "Classifier-non-finite": ("classifier parameters contain non-finite entries",
+                              lambda: Classifier(np.array([[np.inf]]), np.zeros(1))),
+    "alignment_loss-1d-block": ("class blocks must be 2-d column matrices", lambda: alignment_loss(
+        [(np.zeros(2), np.eye(2))], AlignConfig(sigma1=1.0, sigma2=1.0, eta=1.0,
+                                                kind=DistanceKind.JBLD, class_count=1))),
+    "nystrom_map-1d": ("pivots and data must be 2-d column matrices",
+                       lambda: nystrom_map(np.eye(2), np.zeros(2))),
+    "isometric_project-1d": ("feature blocks must be 2-d column matrices",
+                             lambda: isometric_project(np.zeros(2), np.eye(2))),
+    "isometric_project-dimension": ("stream dimensions differ: 2 vs 3",
+                                    lambda: isometric_project(np.eye(2), np.eye(3))),
+    "isometric_project-no-columns": ("need at least one column across the two streams",
+                                     lambda: isometric_project(np.empty((2, 0)), np.empty((2, 0)))),
+    "FeatureBlock-1d": (r"columns must be a 2-d matrix, got shape \(2,\)",
+                        lambda: FeatureBlock(np.zeros(2), np.array([0, 1]))),
+    "FeatureBlock-no-dimension": ("feature dimension must be at least 1",
+                                  lambda: FeatureBlock(np.empty((0, 2)), np.array([0, 1]))),
+    "SymMatrix-non-square": (r"expected a square matrix, got shape \(2, 3\)",
+                             lambda: SymMatrix(np.zeros((2, 3)))),
+    "SymMatrix-empty": ("matrix side must be at least 1", lambda: SymMatrix(np.empty((0, 0)))),
+    "TwoStreamModel-feature-dim": (
+        f"encoder output dim {FEATURE_DIM} does not match classifier input dim {FEATURE_DIM + 1}",
+        lambda: TwoStreamModel(_model().encoder_source, _model().encoder_target,
+                               _classifier(FEATURE_DIM + 1), _classifier(FEATURE_DIM + 1))),
+    "concat_blocks-dimension": ("cannot concatenate blocks of dim 2 and 3",
+                                lambda: concat_blocks(_block(2), _block(3))),
+}
+
+
+@pytest.mark.parametrize("fault", list(SHAPE_FAULTS))
+def test_shape_fault_is_typed(fault):
+    message, call = SHAPE_FAULTS[fault]
+    with pytest.raises(DimensionError, match=f"^{message}$"):
+        call()
 
 
 # Phrases that state a numeric range rule; only errors.py may put them in a ParameterError.

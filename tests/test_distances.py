@@ -1,5 +1,7 @@
 """Distance values, gradients, and the invariances the three kinds promise."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,9 @@ from spdalign.checks import (
     random_spd,
     relative_gap,
 )
-from spdalign.distances import DistanceKind, dist_sq, grad_dist_sq
-from spdalign.errors import DimensionError, ParameterError, SingularityError
-from spdalign.spd import spd_fn, symmetrize
+from spdalign.distances import DistanceKind, batch_dist_sq, dist_sq, grad_dist_sq
+from spdalign.errors import DimensionError, NumericalError, ParameterError, SingularityError
+from spdalign.spd import SymMatrix, regularize, spd_fn, symmetrize
 
 ALL_KINDS = list(DistanceKind)
 CURVED_KINDS = [DistanceKind.JBLD, DistanceKind.AIRM]
@@ -177,3 +179,52 @@ class TestInvariances:
             dac = np.sqrt(dist_sq(DistanceKind.AIRM, a, c))
             worst = max(worst, dac - (dab + dbc))
         assert worst <= 1e-9
+
+
+HUGE = SymMatrix(1.7e308 * np.eye(2))
+SUBNORMAL = SymMatrix(5e-324 * np.eye(2))
+
+# Finite operands whose distance, gradient or regularized diagonal leaves float64:
+# (error, message start, call).
+OVERFLOWS = {
+    "frobenius-value": (NumericalError, "squared frobenius distance or its gradient overflows",
+                        lambda: dist_sq(DistanceKind.FROBENIUS, HUGE, SymMatrix(-HUGE.entries))),
+    "frobenius-grad": (NumericalError, "squared frobenius distance or its gradient overflows",
+                       lambda: grad_dist_sq(DistanceKind.FROBENIUS, HUGE, SymMatrix(-HUGE.entries))),
+    "jbld-value": (SingularityError, "logdet overflowed", lambda: dist_sq(DistanceKind.JBLD, HUGE, HUGE)),
+    "jbld-grad": (SingularityError, "logdet overflowed",
+                  lambda: grad_dist_sq(DistanceKind.JBLD, HUGE, HUGE)),
+    "airm-grad": (NumericalError, "squared airm distance or its gradient overflows",
+                  lambda: grad_dist_sq(DistanceKind.AIRM, HUGE, SUBNORMAL)),
+    "airm-value-reversed": (SingularityError, "AIRM operand pair is numerically singular",
+                            lambda: dist_sq(DistanceKind.AIRM, SUBNORMAL, HUGE)),
+    "airm-grad-reversed": (SingularityError, "AIRM operand pair is numerically singular",
+                           lambda: grad_dist_sq(DistanceKind.AIRM, SUBNORMAL, HUGE)),
+    "regularize": (NumericalError, r"regularizing by eps=1\.7e\+308 overflows the diagonal$",
+                   lambda: regularize(HUGE, 1.7e308)),
+}
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("mode", ["error", "always"], ids=["warnings-as-errors", "recorded"])
+    @pytest.mark.parametrize("case", list(OVERFLOWS))
+    def test_overflow_is_typed_without_warnings(self, case, mode):
+        error, message, call = OVERFLOWS[case]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(mode)
+            with pytest.raises(error, match=f"^{message}"):
+                call()
+        assert caught == []
+
+    def test_airm_batch_names_the_overflowing_pair(self):
+        # L_A^{-1} L_B overflows for the second pair only; SVD of it used to raise numpy's LinAlgError.
+        a = np.stack([np.eye(2), SUBNORMAL.entries])
+        b = np.stack([2.0 * np.eye(2), HUGE.entries])
+        with pytest.raises(SingularityError, match="^AIRM operand pair is numerically singular$") as info:
+            batch_dist_sq(DistanceKind.AIRM, a, b)
+        assert info.value.index == 1
+
+    def test_airm_value_of_extreme_pair_is_finite(self):
+        # Both eigenvalues of HUGE^-1 SUBNORMAL are 5e-324 / 1.7e308, below float64's range.
+        value = dist_sq(DistanceKind.AIRM, HUGE, SUBNORMAL)
+        assert value == pytest.approx(2.0 * (np.log(5e-324) - np.log(1.7e308)) ** 2, rel=1e-9)

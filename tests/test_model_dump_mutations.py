@@ -21,18 +21,18 @@ from spdalign.align import Classifier
 from spdalign.cli import main
 from spdalign.errors import SpdAlignError
 from spdalign.io import (
-    MODEL_HEADER_BYTES, read_feature_container, read_model, write_feature_container, write_model,
+    MODEL_HEADER, read_feature_container, read_model, write_feature_container, write_model,
 )
 from spdalign.trainer import SynthSpec, evaluate, init_two_stream, synth_domain_pair
 
 # Sizes (input, feature, class) = (16, 32, 20): 2 streams of 32*16 + 32 + 32*20 + 20 slots.
 _SLOTS = 2 * (32 * 16 + 32 + 32 * 20 + 20)
-_DUMP_BYTES = MODEL_HEADER_BYTES + 8 * _SLOTS
+_DUMP_BYTES = MODEL_HEADER.size + 8 * _SLOTS
 # Payload slot of the first target encoder weight.
 _TARGET_ENCODER = _SLOTS // 2
 
 _positions = st.one_of(
-    st.integers(0, MODEL_HEADER_BYTES - 1), st.integers(MODEL_HEADER_BYTES, _DUMP_BYTES - 1)
+    st.integers(0, MODEL_HEADER.size - 1), st.integers(MODEL_HEADER.size, _DUMP_BYTES - 1)
 )
 _mutations = st.lists(st.one_of(
     st.tuples(st.just("flip"), _positions, st.integers(0, 7)),
@@ -53,7 +53,7 @@ def mutate(raw: bytes, mutations) -> bytes:
         else:
             start, length, sign = args
             for slot in range(start, min(start + length, _SLOTS)):
-                struct.pack_into("<d", out, MODEL_HEADER_BYTES + 8 * slot, sign * 1e308)
+                struct.pack_into("<d", out, MODEL_HEADER.size + 8 * slot, sign * 1e308)
     return bytes(out)
 
 
