@@ -12,10 +12,10 @@ distance gradient -> feature chain rule -> projector transpose; the projector
 is a constant in this differentiation.
 
 One kernel, :func:`class_terms`, evaluates the alignment terms of a stack of
-classes that share a ``(N_c, N*_c)`` shape, with one batched LAPACK call per
-stage. The objective sorts each batch by label once, gathers every shape group
-into a stack, and writes the stack's feature gradients back with one indexed
-assignment per group.
+classes that share a ``(N_c, N*_c)`` shape, with batched numpy calls over the
+whole stack at every stage. The objective sorts each batch by label once,
+gathers every shape group into a stack, and writes the stack's feature
+gradients back with one indexed assignment per group.
 
 :func:`total_objective` returns the five terms as one :class:`ObjectiveParts`;
 its ``total`` is the one place they are summed, and it is the objective's
@@ -352,10 +352,16 @@ def total_objective(
             f"objective class count {config.class_count} does not match the classifiers' "
             f"class counts: source {clf_s.class_count}, target {clf_t.class_count}"
         )
+    # The block checks of softmax_ce ensure _alignment's precondition: every label is below C.
     ce_s = softmax_ce(clf_s, batch_s)
     ce_t = softmax_ce(clf_t, batch_t)
     prox_value, prox_gw, prox_gw_star = proximity(clf_s, clf_t, config.eta)
     scatter_term, mean_term, align_s, align_t = _alignment(batch_s, batch_t, config)
+    # Each gradient sum is written into one of its fresh operands; no feature-sized temporary.
+    np.add(align_s, ce_s.grad_columns, out=align_s)
+    np.add(align_t, ce_t.grad_columns, out=align_t)
+    np.add(ce_s.grad_weights, prox_gw, out=ce_s.grad_weights)
+    np.add(ce_t.grad_weights, prox_gw_star, out=ce_t.grad_weights)
 
     parts = ObjectiveParts(
         ce_source=ce_s.loss,
@@ -365,11 +371,11 @@ def total_objective(
         mean=mean_term,
     )
     grads = ObjectiveGrads(
-        weights_source=ce_s.grad_weights + prox_gw,
+        weights_source=ce_s.grad_weights,
         bias_source=ce_s.grad_bias,
-        weights_target=ce_t.grad_weights + prox_gw_star,
+        weights_target=ce_t.grad_weights,
         bias_target=ce_t.grad_bias,
-        features_source=ce_s.grad_columns + align_s,
-        features_target=ce_t.grad_columns + align_t,
+        features_source=align_s,
+        features_target=align_t,
     )
     return ObjectiveResult(value=parts.total, parts=parts, grads=grads)

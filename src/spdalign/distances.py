@@ -11,16 +11,19 @@ exact reduction of :mod:`spdalign.nystrom` have the same distances as the
 ambient ones, including when the ambient dimension d is below N + N* and the
 reduced side is the larger one.
 
-:func:`batch_dist_sq` evaluates a whole stack of pairs with one batched
-LAPACK call per stage; :func:`dist_sq` and :func:`grad_dist_sq` are its
-one-pair case. JBLD takes its value and both gradients from three Cholesky
-factors. AIRM goes through the Cholesky factors and one singular value
-decomposition ``L_A^{-1} L_B = U diag(sigma) V^T`` rather than the congruence
-sandwich ``A^{-1/2} B A^{-1/2}``: the sandwich loses all relative accuracy on
-its small eigenvalues once the operand spectra span many orders of magnitude
-(as they do for epsilon-padded scatter matrices), while the triangular-solve
-route perturbs singular values only multiplicatively. The same factors give
-the gradients ``-4 L_A^{-T} U diag(log sigma) U^T L_A^{-1}`` and
+:func:`batch_dist_sq` evaluates a whole stack of pairs at once: one batched
+numpy Cholesky factorization or SVD per stage, and triangular solves by
+:func:`solve_triangular`, a numpy substitution over the whole stack;
+:func:`dist_sq` and :func:`grad_dist_sq` are its one-pair case. JBLD takes its
+value and both gradients from three Cholesky factors. AIRM goes through the
+Cholesky factors and one singular value decomposition
+``L_A^{-1} L_B = U diag(sigma) V^T`` rather than the congruence sandwich
+``A^{-1/2} B A^{-1/2}``: the sandwich loses all relative accuracy on its small
+eigenvalues once the operand spectra span many orders of magnitude (as they do
+for epsilon-padded scatter matrices), while the triangular-solve route
+perturbs singular values only multiplicatively, because substitution, in any
+summation order, is componentwise backward stable. The same factors give the
+gradients ``-4 L_A^{-T} U diag(log sigma) U^T L_A^{-1}`` and
 ``+4 L_B^{-T} V diag(log sigma) V^T L_B^{-1}``.
 """
 
@@ -29,13 +32,11 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.linalg import solve as _solve
 
 from .errors import DimensionError, NumericalError, ParameterError, SingularityError
 from .spd import SymMatrix, symmetric_part
 
 # perfbench/tracing.py counts calls through these bindings; nothing here calls them.
-from scipy.linalg import solve_triangular  # noqa: F401
 from .spd import logdet, spd_fn, symmetrize  # noqa: F401
 
 
@@ -88,10 +89,55 @@ def _cholesky(stack: np.ndarray, pairs: int) -> np.ndarray:
         raise SingularityError("matrix must be strictly positive definite") from exc
 
 
-def _lower_solve(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
-    """``L^{-1} rhs`` (or ``L^{-T} rhs``) for a stack of lower-triangular factors."""
-    return _solve(lower, rhs, assume_a="lower triangular", transposed=transposed,
-                  check_finite=False)
+# Factors up to this many rows are solved by substitution; larger ones are split in two.
+_SUBSTITUTION_ROWS = 32
+
+
+def solve_triangular(lower: np.ndarray, rhs: np.ndarray, transposed: bool = False) -> np.ndarray:
+    """``L^{-1} rhs`` (or ``L^{-T} rhs``) for a stack of lower-triangular factors.
+
+    ``lower`` is (..., n, n) with a nonzero diagonal, and only its lower
+    triangle is read; ``rhs`` is (..., n, m), and the two stacks broadcast.
+    Neither input is modified: the result is a new float64 array. A solution
+    beyond float64's range comes back as Inf or NaN entries, without a numpy
+    warning, for the caller to check.
+    """
+    shape = np.broadcast_shapes(lower.shape[:-2], rhs.shape[:-2]) + rhs.shape[-2:]
+    solution = np.array(np.broadcast_to(rhs, shape), dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _solve_in_place(lower, solution, transposed)
+    return solution
+
+
+def _solve_in_place(lower: np.ndarray, x: np.ndarray, transposed: bool) -> None:
+    """Overwrite ``x`` with ``L^{-1} x`` (or ``L^{-T} x``).
+
+    Up to ``_SUBSTITUTION_ROWS`` rows, substitution solves one row per step
+    across the whole stack. A larger factor splits into two diagonal blocks,
+    solved in turn and joined by one matrix-product update, so the bulk of the
+    work stays in matrix products.
+    """
+    rows = x.shape[-2]
+    if rows > _SUBSTITUTION_ROWS:
+        half = rows // 2
+        head, tail = x[..., :half, :], x[..., half:, :]
+        coupling = lower[..., half:, :half]
+        if transposed:
+            _solve_in_place(lower[..., half:, half:], tail, True)
+            head -= np.swapaxes(coupling, -1, -2) @ tail
+            _solve_in_place(lower[..., :half, :half], head, True)
+        else:
+            _solve_in_place(lower[..., :half, :half], head, False)
+            tail -= coupling @ head
+            _solve_in_place(lower[..., half:, half:], tail, False)
+        return
+    factor = np.swapaxes(lower, -1, -2) if transposed else lower
+    diagonal = np.diagonal(lower, axis1=-2, axis2=-1)
+    for i in range(rows - 1, -1, -1) if transposed else range(rows):
+        known = slice(i + 1, rows) if transposed else slice(0, i)
+        row = x[..., i, :]
+        row -= (factor[..., i:i + 1, known] @ x[..., known, :])[..., 0, :]
+        row /= diagonal[..., i, None]
 
 
 def batch_dist_sq(
@@ -113,7 +159,7 @@ def batch_dist_sq(
             return values, None, None
         return values, 2.0 * diff, -2.0 * diff
     if kind is DistanceKind.JBLD:
-        chol = _cholesky(np.concatenate([a, b, (a + b) / 2.0]), pairs)
+        chol = _cholesky(np.concatenate([a, b, a / 2.0 + b / 2.0]), pairs)
         logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
         values = logdets[2 * pairs:] - 0.5 * (logdets[:pairs] + logdets[pairs:2 * pairs])
         if not np.isfinite(values).all():
@@ -125,13 +171,13 @@ def batch_dist_sq(
         values = np.maximum(values, 0.0)
         if not with_grad:
             return values, None, None
-        inv_factor = _lower_solve(chol, np.eye(a.shape[1]))
+        inv_factor = solve_triangular(chol, np.eye(a.shape[1]))
         inverse = inv_factor.transpose(0, 2, 1) @ inv_factor
         inv_a, inv_b, inv_mid = inverse[:pairs], inverse[pairs:2 * pairs], inverse[2 * pairs:]
         return values, symmetric_part(inv_mid - inv_a) / 2.0, symmetric_part(inv_mid - inv_b) / 2.0
     # AIRM
     chol = _cholesky(np.concatenate([a, b]), pairs)
-    w = _lower_solve(chol[:pairs], chol[pairs:])
+    w = solve_triangular(chol[:pairs], chol[pairs:])
     # An operand ratio beyond float64's range overflows w here, or underflows sigma to 0 below.
     finite = np.isfinite(w).all(axis=(1, 2))
     if not finite.all():
@@ -151,7 +197,7 @@ def batch_dist_sq(
     values = 4.0 * np.einsum("gi,gi->g", logs, logs)
     if not with_grad:
         return values, None, None
-    m = _lower_solve(chol, np.concatenate([u, vt.transpose(0, 2, 1)]), transposed=True)
+    m = solve_triangular(chol, np.concatenate([u, vt.transpose(0, 2, 1)]), transposed=True)
     scaled = m * np.concatenate([logs, logs])[:, None, :]
     grads = scaled @ m.transpose(0, 2, 1)
     return values, symmetric_part(-4.0 * grads[:pairs]), symmetric_part(4.0 * grads[pairs:])

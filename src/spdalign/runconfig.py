@@ -36,16 +36,31 @@ class RunConfig:
         check_positive(tau=self.tau)
 
 
+def _plain(text: str) -> str:
+    """``text`` unless it holds ``_`` or a non-ASCII character, which ``int`` and ``float`` accept."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(text)
+    return text
+
+
+def _int(text: str) -> int:
+    return int(_plain(text))
+
+
+def _number(text: str) -> float:
+    return float(_plain(text))
+
+
 def _tau(text: str) -> float | None:
-    return None if text.lower() == "none" else float(text)
+    return None if text.lower() == "none" else _number(text)
 
 
 def _nonlinear(text: str) -> bool:
     return {"tanh": True, "linear": False}[text]
 
 
-_INT = (int, "an integer")
-_NUMBER = (float, "a number")
+_INT = (_int, "an integer")
+_NUMBER = (_number, "a number")
 
 # key: (default text, parser, what the parser accepts)
 _KEYS = {

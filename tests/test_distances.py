@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -11,7 +12,9 @@ from spdalign.checks import (
     random_spd,
     relative_gap,
 )
-from spdalign.distances import DistanceKind, batch_dist_sq, dist_sq, grad_dist_sq
+from spdalign.distances import (
+    DistanceKind, batch_dist_sq, dist_sq, grad_dist_sq, solve_triangular,
+)
 from spdalign.errors import DimensionError, NumericalError, ParameterError, SingularityError
 from spdalign.spd import SymMatrix, regularize, spd_fn, symmetrize
 
@@ -191,9 +194,9 @@ OVERFLOWS = {
                         lambda: dist_sq(DistanceKind.FROBENIUS, HUGE, SymMatrix(-HUGE.entries))),
     "frobenius-grad": (NumericalError, "squared frobenius distance or its gradient overflows",
                        lambda: grad_dist_sq(DistanceKind.FROBENIUS, HUGE, SymMatrix(-HUGE.entries))),
-    "jbld-value": (SingularityError, "logdet overflowed", lambda: dist_sq(DistanceKind.JBLD, HUGE, HUGE)),
-    "jbld-grad": (SingularityError, "logdet overflowed",
-                  lambda: grad_dist_sq(DistanceKind.JBLD, HUGE, HUGE)),
+    # SUBNORMAL^{-1} is beyond float64, so its gradient overflows; the value is finite.
+    "jbld-grad": (NumericalError, "squared jbld distance or its gradient overflows",
+                  lambda: grad_dist_sq(DistanceKind.JBLD, HUGE, SUBNORMAL)),
     "airm-grad": (NumericalError, "squared airm distance or its gradient overflows",
                   lambda: grad_dist_sq(DistanceKind.AIRM, HUGE, SUBNORMAL)),
     "airm-value-reversed": (SingularityError, "AIRM operand pair is numerically singular",
@@ -216,6 +219,17 @@ class TestOverflow:
                 call()
         assert caught == []
 
+    @pytest.mark.parametrize("mode", ["error", "always"], ids=["warnings-as-errors", "recorded"])
+    def test_jbld_of_equal_huge_operands_is_zero(self, mode):
+        # HUGE + HUGE overflows, but the midpoint is formed as HUGE / 2 + HUGE / 2.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(mode)
+            value = dist_sq(DistanceKind.JBLD, HUGE, HUGE)
+            grad_a, grad_b = grad_dist_sq(DistanceKind.JBLD, HUGE, HUGE)
+        assert caught == []
+        assert value == 0.0
+        assert not grad_a.entries.any() and not grad_b.entries.any()
+
     def test_airm_batch_names_the_overflowing_pair(self):
         # L_A^{-1} L_B overflows for the second pair only; SVD of it used to raise numpy's LinAlgError.
         a = np.stack([np.eye(2), SUBNORMAL.entries])
@@ -228,3 +242,96 @@ class TestOverflow:
         # Both eigenvalues of HUGE^-1 SUBNORMAL are 5e-324 / 1.7e308, below float64's range.
         value = dist_sq(DistanceKind.AIRM, HUGE, SUBNORMAL)
         assert value == pytest.approx(2.0 * (np.log(5e-324) - np.log(1.7e308)) ** 2, rel=1e-9)
+
+
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def graded_factor(rng, n, by_rows):
+    """Lower-triangular factor whose diagonal spans 1e-8 to 1e8, shuffled.
+
+    It is ``D M`` (``by_rows``) or ``M D``, with ``M`` unit lower triangular
+    with N(0, 1/n^2) entries below the diagonal and ``D`` the graded diagonal.
+    """
+    diagonal = np.geomspace(1e-8, 1e8, n)[rng.permutation(n)]
+    unit = np.eye(n) + np.tril(rng.normal(size=(n, n)) / n, -1)
+    return diagonal[:, None] * unit if by_rows else unit * diagonal[None, :]
+
+
+def solve_errors(lower, rhs, solution, transposed):
+    """(componentwise backward error, componentwise forward error) of ``solution``, at 40 digits.
+
+    The backward error is the largest ``|rhs - op(L) x|_i / (|op(L)| |x|)_i``
+    over the entries (a zero denominator needs a zero residual); the forward
+    error is the largest ``|x_i - x*_i| / |x*_i|`` against the solution x* that
+    substitution at 40 digits computes (a zero x*_i needs a zero x_i).
+    """
+    op = lower.T if transposed else lower
+    n = op.shape[0]
+    order = range(n - 1, -1, -1) if transposed else range(n)
+    backward = forward = 0.0
+    with mpmath.mp.workdps(40):
+        mp_op = mpmath.matrix(op.tolist())
+        for column in range(rhs.shape[1]):
+            b = [mpmath.mpf(v) for v in rhs[:, column]]
+            x = [mpmath.mpf(v) for v in solution[:, column]]
+            for i in range(n):
+                residual = abs(b[i] - mpmath.fsum(mp_op[i, j] * x[j] for j in range(n)))
+                scale = mpmath.fsum(abs(mp_op[i, j] * x[j]) for j in range(n))
+                assert scale != 0 or residual == 0
+                if scale != 0:
+                    backward = max(backward, float(residual / scale))
+            exact = [mpmath.mpf(0)] * n
+            for i in order:
+                known = range(i + 1, n) if transposed else range(i)
+                exact[i] = (b[i] - mpmath.fsum(mp_op[i, j] * exact[j] for j in known)) / mp_op[i, i]
+            for i in range(n):
+                assert exact[i] != 0 or x[i] == 0
+                if exact[i] != 0:
+                    forward = max(forward, float(abs(x[i] - exact[i]) / abs(exact[i])))
+    return backward, forward
+
+
+class TestSolveTriangular:
+    """Substitution, in any summation order, is componentwise backward stable
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 8): the
+    computed x solves ``(L + dL) x = b`` with ``|dL| <= n u |L|`` to first order.
+    AIRM's triangular route relies on that bound. Row scaling leaves the
+    componentwise forward error unchanged, so the row-graded ``D M``, whose
+    ``M`` is well conditioned, also gets forward errors of order ``n u``."""
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["plain", "transposed"])
+    @pytest.mark.parametrize("n", [1, 2, 13, 32, 33, 80])
+    @pytest.mark.parametrize("by_rows", [True, False], ids=["row-graded", "column-graded"])
+    def test_matches_high_precision_reference(self, n, transposed, by_rows):
+        rng = np.random.default_rng([n, transposed, by_rows])
+        lower = graded_factor(rng, n, by_rows)
+        rhs = rng.normal(size=(n, 3))
+        backward, forward = solve_errors(lower, rhs, solve_triangular(lower, rhs, transposed),
+                                         transposed)
+        assert backward <= 2 * n * UNIT_ROUNDOFF
+        if by_rows:
+            assert forward <= 4 * n * UNIT_ROUNDOFF
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["plain", "transposed"])
+    def test_stack_with_broadcast_identity_is_left_unchanged(self, transposed):
+        rng = np.random.default_rng(7)
+        lower = np.stack([graded_factor(rng, 13, by_rows) for by_rows in (True, False, True)])
+        lower_before = lower.copy()
+        rhs = np.broadcast_to(np.eye(13), lower.shape)
+        assert not rhs.flags.writeable
+        inverses = solve_triangular(lower, rhs, transposed)
+        assert np.array_equal(lower, lower_before)
+        assert np.array_equal(rhs, np.broadcast_to(np.eye(13), lower.shape))
+        assert inverses.shape == lower.shape and inverses.flags.writeable
+        for factor, inverse in zip(lower, inverses):
+            backward, _ = solve_errors(factor, np.eye(13), inverse, transposed)
+            assert backward <= 2 * 13 * UNIT_ROUNDOFF
+
+    @pytest.mark.parametrize("transposed", [False, True], ids=["plain", "transposed"])
+    def test_overflowing_solution_is_non_finite_without_warnings(self, transposed):
+        lower = np.array([[1e-300, 0.0], [1.0, 1e-300]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_triangular(lower, np.full((2, 1), 1e300), transposed)
+        assert not np.isfinite(solution).all()

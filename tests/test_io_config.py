@@ -227,6 +227,16 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="line 1.*steps"):
             parse_run_config("steps = abc\n")
 
+    @pytest.mark.parametrize("key, value, accepts", [
+        ("steps", "1_0", "an integer"),
+        ("steps", "٣", "an integer"),
+        ("sigma1", "٠.٥", "a number"),
+        ("tau", "1_0", "a number or 'none'"),
+    ])
+    def test_underscores_and_non_ascii_digits_rejected(self, key, value, accepts):
+        # int() and float() accept both; the case-file reader rejects them too.
+        rejects_at_line_2(key, value, f"key {key!r} needs {accepts}, got {value!r}")
+
     def test_bad_kind(self):
         with pytest.raises(ConfigError, match="kind"):
             parse_run_config("kind = euclid\n")

@@ -2,11 +2,12 @@
 
 Each property starts from one valid input and applies a few byte or text
 edits: a feature container read by ``spdalign eval``, a case file read by
-``spdalign metrics``, and run-config text read by ``parse_run_config``. The
-CLI must exit 0 with its tables, 1 with ``error: `` or 2 with ``numerical
-error: ``, with no traceback and no numpy warning; the config parser must
-return a ``RunConfig`` or raise a ``ConfigError``. The model-dump reader has
-its own property in ``test_model_dump_mutations``.
+``spdalign metrics``, and run-config text read by ``parse_run_config`` and
+trained on by ``spdalign train``. The CLI must exit 0 with its tables, 1 with
+``error: `` or 2 with ``numerical error: ``, with no traceback and no numpy
+warning; the config parser must return a ``RunConfig`` or raise a
+``ConfigError``. The model-dump reader has its own property in
+``test_model_dump_mutations``.
 """
 
 import contextlib
@@ -16,7 +17,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdalign.align import Classifier
@@ -184,3 +185,49 @@ def test_mutated_run_config_parses_or_fails_typed(mutations):
             assert isinstance(parse_run_config(text), RunConfig)
         except ConfigError:
             pass
+
+
+def _with_steps(text: str, steps: int) -> str:
+    """``text`` with its ``steps`` lines dropped and ``steps = <steps>`` appended."""
+    kept = [line for line in text.splitlines() if line.partition("=")[0].strip() != "steps"]
+    return "\n".join([*kept, f"steps = {steps}", ""])
+
+
+def _counts(run: RunConfig) -> list[int]:
+    """The count keys of a run: they size every array that training allocates."""
+    synth = run.synth
+    return [synth.class_count, synth.input_dim, synth.source_per_class,
+            synth.target_train_per_class, synth.target_test_per_class, run.feature_dim]
+
+
+_DEFAULT_COUNTS = _counts(parse_run_config(""))
+
+
+@pytest.fixture(scope="module")
+def train_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("train")
+
+
+# Values that parse for some keys and sit on or past a rule, so that most mutants reach training.
+_TRAIN_VALUES = ["0", "1", "2", "200", "-1", "1.5", "1e308", "-1e308", "1e-320", "1e-300", "1e6",
+                 "none", "linear", "airm", "frobenius"]
+_train_mutations = st.lists(
+    st.tuples(st.just("value"), st.integers(0, 19), st.sampled_from(_TRAIN_VALUES)),
+    min_size=1, max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(mutations=_train_mutations, steps=st.integers(1, 2))
+def test_mutated_run_config_trains_or_fails_typed(train_dir, mutations, steps):
+    text = _with_steps(_mutate_config(default_config_text(), mutations), steps)
+    try:
+        counts = _counts(parse_run_config(text))
+    except ConfigError:
+        counts = _DEFAULT_COUNTS
+    # A mutant that would allocate arrays far beyond the defaults' is not trained.
+    assume(all(count <= 10 * default for count, default in zip(counts, _DEFAULT_COUNTS)))
+    config = train_dir / "run.cfg"
+    config.write_text(text, encoding="utf-8")
+    result = _cli(["train", "--config", str(config), "--out", str(train_dir / "out")])
+    _assert_clean_exit(*result, header="final loss ")
