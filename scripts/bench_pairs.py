@@ -14,11 +14,22 @@ the change checkout.
 
 Each run's last output line is its JSON result. One line per run shows its
 end-to-end metrics as it finishes. The summary then gives, for every
-end-to-end metric, each side's median and quartiles and the number of pairs
+end-to-end metric, each side's median and quartiles, the number of pairs
 in which the change is better (the direction is the metric's ``better``;
-ties count for neither side), and each side's failed and attempted
-operations. The script only runs the benchmark; it writes nothing but the
-benchmark's own output directory in each checkout.
+ties count for neither side) and a verdict, and each side's failed and
+attempted operations. The verdict is the first of these that holds, with
+the metric's ``bound`` taken as a fraction of the parent median:
+
+- ``gain``: the change wins at least 9 of every 10 pairs, and its median is
+  better than the parent's by more than the parent's interquartile range;
+- ``regression``: the change median is worse than the parent median by more
+  than the bound;
+- ``unresolved``: the parent's interquartile range is wider than the bound,
+  and not every change run beats every parent run;
+- ``within bound``: any other case.
+
+The script only runs the benchmark; it writes nothing but the benchmark's
+own output directory in each checkout.
 """
 
 from __future__ import annotations
@@ -58,10 +69,27 @@ def change_wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
 
+def verdict(parent: list[float], change: list[float], metric: dict) -> str:
+    """The verdict of one end-to-end metric's paired values; see the module docstring."""
+    sign = 1 if metric["better"] == "higher" else -1
+    q1, parent_median, q3 = quartiles(parent)
+    _, change_median, _ = quartiles(change)
+    spread = q3 - q1
+    bound = metric["bound"] * abs(parent_median)
+    improvement = sign * (change_median - parent_median)
+    if 10 * change_wins(parent, change, metric["better"]) >= 9 * len(parent) and improvement > spread:
+        return "gain"
+    if -improvement > bound:
+        return "regression"
+    if spread > bound and not all(sign * (c - p) > 0 for c in change for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
 def summary_lines(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
-    """The summary of paired results: one line per end-to-end metric, then the failures."""
+    """The summary of paired results: one line per end-to-end metric with its verdict, then the failures."""
     lines = [f"{'metric':18s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  "
-             f"change wins"]
+             f"change wins, verdict"]
     for metric in end_to_end:
         name = metric["name"]
         sides = []
@@ -71,7 +99,8 @@ def summary_lines(parent: list[dict], change: list[dict], end_to_end: list[dict]
             sides.append((values, f"{median:.6g} [{q1:.6g}, {q3:.6g}]"))
         wins = change_wins(sides[0][0], sides[1][0], metric["better"])
         lines.append(f"{name:18s} {sides[0][1]:>30s} {sides[1][1]:>30s}  "
-                     f"{wins}/{len(parent)} ({metric['better']} is better)")
+                     f"{wins}/{len(parent)} ({metric['better']} is better)  "
+                     f"{verdict(sides[0][0], sides[1][0], metric)}")
     for side, results in (("parent", parent), ("change", change)):
         failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)

@@ -13,9 +13,13 @@ is a constant in this differentiation.
 
 One kernel, :func:`class_terms`, evaluates the alignment terms of a stack of
 classes that share a ``(N_c, N*_c)`` shape, with batched numpy calls over the
-whole stack at every stage. The objective sorts each batch by label once,
-gathers every shape group into a stack, and writes the stack's feature
-gradients back with one indexed assignment per group.
+whole stack at every stage. Its feature gradient is one product ``x @ M`` with
+a small per-class operator, so the d-dimensional columns are read three
+times: by the Gram matrices, the mean gaps and that product. The objective
+sorts each batch by label once, gathers every shape group into a stack, and
+writes the stack's feature gradients back with one indexed assignment per
+group; feature blocks are column-major, so both move whole contiguous
+columns.
 
 :func:`total_objective` returns the five terms as one :class:`ObjectiveParts`;
 its ``total`` is the one place they are summed, and it is the objective's
@@ -31,8 +35,8 @@ import numpy as np
 
 from .distances import DistanceKind, batch_dist_sq
 from .errors import (
-    DimensionError, LabelError, SingularityError, check_at_least, check_nonnegative, check_positive,
-    real_array,
+    DimensionError, LabelError, NumericalError, SingularityError, check_at_least, check_nonnegative,
+    check_positive, real_array,
 )
 from .nystrom import gram_roots
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
@@ -71,7 +75,11 @@ class AlignConfig:
 
 @dataclass(frozen=True)
 class Classifier:
-    """Linear classifier: logits = weights^T phi + bias."""
+    """Linear classifier: logits = weights^T phi + bias.
+
+    ``weights`` is stored column-major, one contiguous column per class, like
+    the feature blocks it is applied to; any other input layout is copied once.
+    """
 
     weights: np.ndarray  # (feature_dim, class_count)
     bias: np.ndarray  # (class_count,)
@@ -87,7 +95,7 @@ class Classifier:
             )
         if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
             raise DimensionError("classifier parameters contain non-finite entries")
-        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "weights", np.asfortranarray(weights))
         object.__setattr__(self, "bias", bias)
 
     @property
@@ -123,9 +131,11 @@ def softmax_ce(classifier: Classifier, block: FeatureBlock) -> SoftmaxResult:
     dlogits /= n
     return SoftmaxResult(
         loss=loss,
-        grad_weights=block.columns @ dlogits.T,
+        # Both matrix gradients are computed transposed, so that each comes out
+        # column-major like the array it is the gradient of.
+        grad_weights=(dlogits @ block.columns.T).T,
         grad_bias=dlogits.sum(axis=1),
-        grad_columns=classifier.weights @ dlogits,
+        grad_columns=(dlogits.T @ classifier.weights.T).T,
     )
 
 
@@ -166,36 +176,62 @@ def class_terms(
     and the (G, d, N + N*) feature gradients of
     ``sigma1 / C * scatter + sigma2 / C * mean`` (``None`` without
     ``with_grad``). A term whose weight is zero is neither computed nor
-    differentiated. A ``SingularityError`` carries the position in the stack
-    of the first failing class.
+    differentiated.
+
+    Both gradients are linear maps of the columns, so they are summed as one
+    (G, k, k) operator ``M`` (k = N + N*) and the gradient is ``x @ M``: the
+    scatter part is ``inverse_root @ chained`` from the reduction, the mean
+    part ``2 c c^T`` with ``c`` = 1/N on source slots and -1/N* on target
+    slots. The d-dimensional data is read only by the Gram matrices, the mean
+    gaps ``x @ c`` and that product. The gradient's memory is laid out as
+    (G, k, d), so each class's gradient columns are contiguous.
+
+    A ``SingularityError`` carries the position in the stack of the first
+    failing class, and so does the ``NumericalError`` raised when a Gram
+    matrix, a regularized scatter, a term or the gradient operator overflows
+    float64.
     """
     count, _, width = x.shape
     scatter = np.zeros(count)
     mean = np.zeros(count)
-    grad = np.zeros_like(x) if with_grad else None
-    if config.sigma1 != 0.0:
-        root, inverse_root = gram_roots(x)
-        part_s, part_t = root[:, :, :n_source], root[:, :, n_source:]
-        center_s, sigma_s = mean_and_scatter(part_s)
-        center_t, sigma_t = mean_and_scatter(part_t)
-        shift = config.eps * np.eye(width)
-        scatter, grad_a, grad_b = batch_dist_sq(
-            config.kind, sigma_s + shift, sigma_t + shift, with_grad=with_grad
-        )
-        if with_grad:
-            chained = np.concatenate([
-                _feature_grad(grad_a, part_s, center_s),
-                _feature_grad(grad_b, part_t, center_t),
-            ], axis=2)
-            grad += config.sigma1 / config.class_count * (x @ (inverse_root @ chained))
-    if config.sigma2 != 0.0:
-        diff = x[:, :, :n_source].mean(axis=2) - x[:, :, n_source:].mean(axis=2)
-        mean = np.einsum("gi,gi->g", diff, diff)
-        if with_grad:
-            weight = 2.0 * config.sigma2 / config.class_count
-            grad[:, :, :n_source] += (weight / n_source) * diff[:, :, None]
-            grad[:, :, n_source:] -= (weight / (width - n_source)) * diff[:, :, None]
-    return scatter, mean, grad
+    operator = np.zeros((count, width, width))
+    c_norm = float(config.class_count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if config.sigma1 != 0.0:
+            root, inverse_root = gram_roots(x)
+            part_s, part_t = root[:, :, :n_source], root[:, :, n_source:]
+            center_s, sigma_s = mean_and_scatter(part_s)
+            center_t, sigma_t = mean_and_scatter(part_t)
+            shift = config.eps * np.eye(width)
+            sigma_s += shift
+            sigma_t += shift
+            _check_overflow("regularized scatter", np.stack([sigma_s, sigma_t], axis=1))
+            scatter, grad_a, grad_b = batch_dist_sq(config.kind, sigma_s, sigma_t, with_grad=with_grad)
+            _check_overflow(f"squared {config.kind.value} distance", scatter)
+            if with_grad:
+                chained = np.concatenate([
+                    _feature_grad(grad_a, part_s, center_s),
+                    _feature_grad(grad_b, part_t, center_t),
+                ], axis=2)
+                operator += config.sigma1 / c_norm * (inverse_root @ chained)
+        if config.sigma2 != 0.0:
+            gap = np.repeat([1.0 / n_source, -1.0 / (width - n_source)], [n_source, width - n_source])
+            diff = x @ gap
+            mean = np.einsum("gi,gi->g", diff, diff)
+            _check_overflow("squared mean gap", mean)
+            if with_grad:
+                operator += 2.0 * config.sigma2 / c_norm * np.outer(gap, gap)
+    if not with_grad:
+        return scatter, mean, None
+    _check_overflow("gradient operator", operator)
+    return scatter, mean, (operator.transpose(0, 2, 1) @ x.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _check_overflow(what: str, stack: np.ndarray) -> None:
+    """Raise ``NumericalError`` at the first item of ``stack`` that holds a non-finite entry."""
+    finite = np.isfinite(stack.reshape(stack.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"{what} overflows float64", index=int(np.argmin(finite)))
 
 
 def _alignment(
@@ -204,10 +240,13 @@ def _alignment(
     """Weighted scatter and mean terms of two labelled batches, with feature gradients.
 
     Each batch is sorted by label once. Classes present in both streams are
-    grouped by their (N_c, N*_c) shape and each group is gathered into one
-    stack for :func:`class_terms`; classes missing from either stream
-    contribute zero. Gradients come back shaped like the two batches. Every
-    label is below ``config.class_count``: both callers ensure it.
+    grouped by their (N_c, N*_c) shape. Each group's columns are gathered
+    into one (G, k, d) stack, contiguous because the blocks are column-major,
+    and handed to :func:`class_terms` as its (G, d, k) transpose; the
+    gradient columns it returns are written back the same way. Classes
+    missing from either stream contribute zero. Gradients come back shaped
+    and laid out like the two batches. Every label is below
+    ``config.class_count``: both callers ensure it.
     """
     grad_s = np.zeros_like(block_s.columns)
     grad_t = np.zeros_like(block_t.columns)
@@ -227,19 +266,18 @@ def _alignment(
         n_s, n_t = int(counts_s[classes[0]]), int(counts_t[classes[0]])
         idx_s = order_s[starts_s[classes, None] + np.arange(n_s)]
         idx_t = order_t[starts_t[classes, None] + np.arange(n_t)]
-        x = np.concatenate(
-            [block_s.columns[:, idx_s], block_t.columns[:, idx_t]], axis=2
-        ).transpose(1, 0, 2)
+        rows = np.concatenate([block_s.columns.T[idx_s], block_t.columns.T[idx_t]], axis=1)
         try:
-            scatter, mean, grad = class_terms(x, n_s, config)
-        except SingularityError as exc:
+            scatter, mean, grad = class_terms(rows.transpose(0, 2, 1), n_s, config)
+        except (SingularityError, NumericalError) as exc:
             if exc.index is None:
                 raise
-            raise SingularityError(f"class {int(classes[exc.index])}: {exc}") from exc
+            raise type(exc)(f"class {int(classes[exc.index])}: {exc}") from exc
         scatter_sum += float(scatter.sum())
         mean_sum += float(mean.sum())
-        grad_s[:, idx_s] = grad[:, :, :n_s].transpose(1, 0, 2)
-        grad_t[:, idx_t] = grad[:, :, n_s:].transpose(1, 0, 2)
+        grad_rows = grad.transpose(0, 2, 1)
+        grad_s.T[idx_s] = grad_rows[:, :n_s]
+        grad_t.T[idx_t] = grad_rows[:, n_s:]
     c_norm = float(config.class_count)
     return config.sigma1 / c_norm * scatter_sum, config.sigma2 / c_norm * mean_sum, grad_s, grad_t
 

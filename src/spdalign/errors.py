@@ -117,7 +117,15 @@ class SingularityError(SpdAlignError):
 
 
 class NumericalError(SpdAlignError):
-    """An iterative numerical routine failed or produced non-finite output."""
+    """An iterative numerical routine failed or produced non-finite output.
+
+    As for ``SingularityError``, batched kernels set ``index`` to the position
+    of the first failing item in their stack.
+    """
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 class DivergenceError(NumericalError):

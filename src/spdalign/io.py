@@ -65,7 +65,7 @@ def write_feature_container(path, block: FeatureBlock, class_count: int):
     with open(path, "wb") as handle:
         handle.write(FEATURE_HEADER.pack(FEATURE_MAGIC, VERSION, block.dim, block.count, class_count))
         handle.write(block.labels.astype("<u4").tobytes())
-        handle.write(block.columns.astype("<f8").tobytes(order="F"))
+        handle.write(block.columns.astype("<f8", copy=False).tobytes(order="F"))
 
 
 def read_feature_container(path) -> tuple[FeatureBlock, int]:
@@ -84,7 +84,7 @@ def read_feature_container(path) -> tuple[FeatureBlock, int]:
     if n and labels.max() >= c:
         raise FormatError(f"{path}: label {int(labels.max())} outside class count {c}")
     data = np.frombuffer(raw, dtype="<f8", count=d * n, offset=FEATURE_HEADER.size + 4 * n)
-    columns = data.reshape((d, n), order="F").copy()
+    columns = data.reshape((d, n), order="F").copy(order="F")
     return FeatureBlock(columns, labels), c
 
 

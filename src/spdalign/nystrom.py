@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, real_array
+from .errors import DimensionError, NumericalError, real_array
 from .spd import symmetric_part
 
 # perfbench/tracing.py counts calls through this binding; nothing here calls it.
@@ -81,8 +81,15 @@ def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exactly zero (the inverse root is then a pseudo-inverse). Kept, their
     square roots would add components of relative size 1e-8 to the reduced
     columns and their inverse square roots would blow up rounding noise.
+
+    A Gram matrix that overflows float64 raises ``NumericalError`` whose
+    ``index`` is its position in the stack.
     """
-    gram = x.transpose(0, 2, 1) @ x
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x.transpose(0, 2, 1) @ x
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError("Gram matrix of the columns overflows float64", index=int(np.argmin(finite)))
     values, vectors = np.linalg.eigh(symmetric_part(gram))
     cutoff = max(x.shape[1], x.shape[2]) * np.finfo(np.float64).eps * values[:, -1:]
     kept = values > cutoff

@@ -22,15 +22,19 @@ from .spd import symmetrize  # noqa: F401
 class FeatureBlock:
     """Column-major feature block: a (dim, count) matrix with one label per column.
 
-    Labels are nonnegative class ids. A block may be empty (count 0); each
-    consumer states what it needs of a block through :meth:`check`.
+    ``columns`` is stored in Fortran order, so each column is contiguous and a
+    gather or scatter of whole columns moves contiguous memory. Column-major
+    float64 input is kept as it is; any other layout or dtype is copied once
+    into a new array, never aliased. Labels are nonnegative class ids. A block
+    may be empty (count 0); each consumer states what it needs of a block
+    through :meth:`check`.
     """
 
     columns: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        cols = real_array("columns", self.columns)
+        cols = np.asarray(real_array("columns", self.columns, as_float=False), np.float64, order="F")
         labels = real_array("labels", self.labels, as_float=False)
         if labels.dtype.kind == "f" and not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
             raise DimensionError("labels must be finite whole numbers")

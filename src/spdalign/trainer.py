@@ -133,7 +133,8 @@ class EncoderTape:
 
 
 def encoder_forward(enc: Encoder, inputs: np.ndarray, cap: float | None) -> tuple[np.ndarray, EncoderTape]:
-    z = enc.weights @ inputs + enc.bias[:, None]
+    # Computed transposed so that z comes out column-major, the layout of FeatureBlock.
+    z = (inputs.T @ enc.weights.T).T + enc.bias[:, None]
     u = np.tanh(z) if enc.nonlinear else z
     if enc.nonlinear and not np.isfinite(z).all():
         # tanh would turn an overflowed pre-activation into a finite +-1; it stays non-finite.
@@ -378,7 +379,9 @@ def train(
 
     A step whose values overflow raises :class:`DivergenceError` from the
     feature, loss and parameter finiteness checks rather than emitting numpy
-    warnings; :func:`train_single_stream` does the same.
+    warnings; :func:`train_single_stream` does the same. A singular or
+    overflowing alignment term raises the objective's ``SingularityError`` or
+    ``NumericalError``, its message led by the step and the class.
     """
     _check_schedule(steps, lr)
     check_seed(seed)
@@ -398,8 +401,8 @@ def train(
             batch_t, tape_t = _encoded_batch(model.encoder_target, target, TARGET_BATCH_CAP, cap, rng, step)
             try:
                 result = total_objective(model, batch_s, batch_t, config)
-            except SingularityError as exc:
-                raise SingularityError(f"step {step}: {exc}") from exc
+            except (SingularityError, NumericalError) as exc:
+                raise type(exc)(f"step {step}: {exc}") from exc
             if not np.isfinite(result.value):
                 raise DivergenceError(step, f"loss became non-finite at step {step}")
             history.append(result.parts)

@@ -1,6 +1,7 @@
 """Objective components: cross-entropy, proximity, alignment."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from spdalign.checks import (
     relative_gap,
 )
 from spdalign.distances import DistanceKind, dist_sq
-from spdalign.errors import DimensionError, LabelError, ParameterError
+from spdalign.errors import DimensionError, LabelError, ParameterError, SpdAlignError
 from spdalign.scatter import FeatureBlock, mean_and_scatter
 from spdalign.spd import SymMatrix, regularize
 
@@ -324,6 +325,44 @@ class TestTotalObjective:
         block = FeatureBlock(rng.normal(size=(2, 3)), np.array([0, 1, 5]))
         with pytest.raises(LabelError):
             group_columns_by_class(block, block, 3)
+
+
+class TestOverflowingFeatures:
+    """Features whose Gram matrices, scatters or terms leave float64's range."""
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("scale", [1e100, 1e155, 1e300])
+    def test_typed_error_names_the_class(self, kind, scale, rng):
+        from spdalign.checks import _ClassifierPair
+
+        # 8-dim features, 2 classes, 3 source and 2 target columns per class.
+        block_s = FeatureBlock(scale * rng.normal(size=(8, 6)), np.repeat([0, 1], 3))
+        block_t = FeatureBlock(scale * rng.normal(size=(8, 4)), np.repeat([0, 1], 2))
+        zero = Classifier(np.zeros((8, 2)), np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpdAlignError, match=r"^class [01]: "):
+                total_objective(_ClassifierPair(zero, zero), block_s, block_t,
+                                config_for(kind, c=2))
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    @pytest.mark.parametrize("config, message", [
+        # Gram entries of 1e308 are finite; the source scatter of 1e308 plus eps is not.
+        ({"eps": 1.7e308}, "regularized scatter"),
+        # 2 sigma2 / C overflows, so the mean part of the gradient operator does.
+        ({"sigma1": 0.0, "sigma2": 1.7e308}, "gradient operator"),
+    ], ids=["scatter", "operator"])
+    def test_overflow_past_the_gram_names_the_class(self, kind, config, message):
+        from spdalign.checks import _ClassifierPair
+
+        block_s = FeatureBlock(1e154 * np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2, int))
+        block_t = FeatureBlock(np.array([[0.0], [1.0]]), np.zeros(1, int))
+        zero = Classifier(np.zeros((2, 1)), np.zeros(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpdAlignError, match=f"^class 0: {message} overflows float64$"):
+                total_objective(_ClassifierPair(zero, zero), block_s, block_t,
+                                config_for(kind, **config))
 
 
 def _class_count(labels_s, labels_t):

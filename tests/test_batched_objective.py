@@ -96,7 +96,8 @@ def loop_total_objective(model, batch_s, batch_t, config):
 @st.composite
 def objective_inputs(draw):
     """Ragged per-class counts (zero in either stream allowed), shuffled batches,
-    optional duplicate columns, and features spanning 1e-3 to 1e3 in scale."""
+    optional duplicate columns, features spanning 1e-3 to 1e3 in scale, and
+    alignment weights that may be zero."""
     kind = draw(st.sampled_from(list(DistanceKind)))
     dim = draw(st.integers(1, 10))
     classes = draw(st.integers(1, 5))
@@ -121,8 +122,11 @@ def objective_inputs(draw):
                     columns[:, where[1]] = columns[:, where[0]]
         return FeatureBlock(columns, labels)
 
+    # Either alignment weight may be zero, so each term also runs on its own.
+    weighted = draw(st.tuples(st.booleans(), st.booleans()))
     config = AlignConfig(
-        sigma1=float(rng.uniform(0.1, 1.0)), sigma2=float(rng.uniform(0.1, 1.0)),
+        sigma1=float(rng.uniform(0.1, 1.0)) * weighted[0],
+        sigma2=float(rng.uniform(0.1, 1.0)) * weighted[1],
         eta=float(rng.uniform(0.1, 1.0)), kind=kind, class_count=classes,
         eps=float(10.0 ** rng.uniform(-6, -2)),
     )

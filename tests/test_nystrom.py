@@ -1,13 +1,15 @@
 """Feature maps, the exact isometric reduction, and gradient back-projection."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from spdalign.bench import projected_distance_eval
 from spdalign.checks import central_difference, projected_distance_grads, relative_gap
 from spdalign.distances import DistanceKind, dist_sq
-from spdalign.errors import DimensionError
-from spdalign.nystrom import Projection, backproject_grad, isometric_project, nystrom_map
+from spdalign.errors import DimensionError, NumericalError
+from spdalign.nystrom import Projection, backproject_grad, gram_roots, isometric_project, nystrom_map
 from spdalign.scatter import mean_and_scatter
 from spdalign.spd import SymMatrix, regularize
 
@@ -74,6 +76,17 @@ class TestNystromMap:
     def test_non_finite_input_rejected(self, pivots, data):
         with pytest.raises(DimensionError, match="^pivots or data contain non-finite entries$"):
             nystrom_map(pivots, data)
+
+
+class TestGramRoots:
+    def test_overflowing_gram_names_its_position(self, rng):
+        stack = rng.normal(size=(3, 4, 2))
+        stack[1] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="overflows float64") as info:
+                gram_roots(stack)
+        assert info.value.index == 1
 
 
 class TestIsometricProject:

@@ -384,6 +384,18 @@ class TestTrain:
             train(capped(model, 1e14), (source, target_train), small_config(kind=kind),
                   steps=2, lr=0.1, seed=1)
 
+    def test_overflowing_distance_names_step_and_class(self):
+        # Linear encoders on target inputs scaled by 1e100: the Frobenius distance between
+        # scatters of order 1e200 overflows float64.
+        spec = small_spec(shift=DomainShift(scale=1e100))
+        source, target_train, _ = synth_domain_pair(spec)
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1, nonlinear=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=r"^step 1: class \d: squared frobenius "):
+                train(capped(model, 1e300), (source, target_train),
+                      small_config(kind=DistanceKind.FROBENIUS), steps=2, lr=0.1, seed=1)
+
     def test_eps_near_float64_max_trains(self):
         # (S + eps I) + (S* + eps I) overflows at eps = 1.7e308, but JBLD's midpoint is formed
         # from halves, and eps swamps both scatters, so the scatter term is exactly 0.
