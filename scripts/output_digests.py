@@ -19,6 +19,11 @@ differing line names the output that changed. The lines are:
 - ``metrics/<output> <sha256>`` for the stdout of ``spdalign metrics
   data/micro_cases.txt --kmax 3 --breakdown`` and the ``metrics.csv`` and
   ``breakdown.csv`` of the same command with ``--out``;
+- ``metrics/<file>/stdout <sha256>`` for the stdout of ``spdalign metrics
+  --kmax 5 --breakdown`` on two case files that the script generates from a
+  fixed seed: ``written``, whose every line is in the form ``format_case``
+  writes, and ``reordered``, the same cases with the segments of a few lines
+  in reverse order (both files hold the same cases, so both lines agree);
 - ``bench/<kind>/<field> <text>`` for the first line of ``spdalign bench
   --d 256 --n 20 --nstar 3 --kind <kind>`` and the ``value=`` field of its
   ``naive`` and ``projected`` lines, for every distance kind; the timings are
@@ -41,6 +46,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -114,6 +120,35 @@ def metrics_lines(workdir: Path) -> list[str]:
     return lines
 
 
+def generated_case_lines(seed: int = 20, count: int = 2000) -> list[str]:
+    """Case lines in the written form: 5-8 predictions, 1-4 truth labels, 0-3 sorted tags."""
+    rng = random.Random(seed)
+    lines = []
+    for _ in range(count):
+        predicted = rng.sample(range(-20, 80), rng.randint(5, 8))
+        truth = rng.sample(range(-20, 80), rng.randint(1, 4))
+        tags = sorted(rng.sample(["blr", "clt", "lgt", "ocl", "scl"], rng.randint(0, 3)))
+        line = f"pred:{','.join(map(str, predicted))}|truth:{','.join(map(str, truth))}"
+        lines.append(line + (f"|factors:{','.join(tags)}" if tags else ""))
+    return lines
+
+
+def generated_metrics_lines(workdir: Path) -> list[str]:
+    """``spdalign metrics --kmax 5 --breakdown`` on the generated file, then with a few lines reordered."""
+    written = generated_case_lines()
+    reordered = [
+        "|".join(reversed(line.split("|"))) if i % 400 == 7 else line
+        for i, line in enumerate(written)
+    ]
+    lines = []
+    for name, case_lines in (("written", written), ("reordered", reordered)):
+        path = workdir / f"{name}_cases.txt"
+        path.write_text("\n".join(case_lines) + "\n", encoding="utf-8")
+        stdout = cli_stdout(["metrics", str(path), "--kmax", "5", "--breakdown"])
+        lines.append(f"metrics/{name}/stdout {_sha256(stdout.encode())}")
+    return lines
+
+
 def bench_lines() -> list[str]:
     lines = []
     for kind in DistanceKind:
@@ -132,7 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        lines = training_lines(args.steps, workdir) + eval_lines(workdir) + metrics_lines(workdir)
+        lines = (training_lines(args.steps, workdir) + eval_lines(workdir)
+                 + metrics_lines(workdir) + generated_metrics_lines(workdir))
     lines += bench_lines()
     for suite, report in (
         ("gradcheck", run_gradient_checks(list(DistanceKind), trials=4, seed=5)),

@@ -7,8 +7,8 @@ checks and bench share, and its chain rule back to the features
 (:mod:`spdalign.scatter`), the exact isometric reduction
 (:mod:`spdalign.nystrom`), the full two-stream objective
 (:mod:`spdalign.align`), a desk-scale trainer on synthetic shifted data
-(:mod:`spdalign.trainer`), and ranked-retrieval metrics
-(:mod:`spdalign.metrics`). The CLI lives in :mod:`spdalign.cli`.
+(:mod:`spdalign.trainer`), and ranked-retrieval metrics over a column table
+of cases (:mod:`spdalign.metrics`). The CLI lives in :mod:`spdalign.cli`.
 """
 
 from .align import (
@@ -35,6 +35,7 @@ from .errors import (
     SpdAlignError,
 )
 from .metrics import (
+    CaseTable,
     RankedCase,
     avg_top_kk,
     factor_breakdown,

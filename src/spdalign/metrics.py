@@ -6,10 +6,14 @@ truth measure; ``top_k_n`` counts a case as correct when any of the first k
 predictions appears among the first n truth labels; ``avg_top_kk`` averages
 top-k-k over k = 1..k_max as a single area-under-curve style score.
 
-Every measure is a count over one integer table, ``hit_ranks(cases, depth)``:
-entry [i, n-1] is the 1-based position of case i's first prediction that is
-among its first n truth labels, or depth + 1 if none is in its first depth
-predictions. Then, over N cases,
+The measures work on a :class:`CaseTable`: every case's ids in two flat int64
+arrays with per-case offsets, and one boolean column per factor tag.
+:func:`load_cases` returns one; a sequence of ``RankedCase`` is converted
+once, where it enters a measure (``CaseTable.from_cases``). Every measure is a
+count over one integer table, ``hit_ranks(cases, depth)``: entry [i, n-1] is
+the 1-based position of case i's first prediction that is among its first n
+truth labels, or depth + 1 if none is in its first depth predictions. Then,
+over N cases,
 
     top_k_n(k, n) = count(ranks[:, n-1] <= k) / N
     top_k(k)      = top_k_n(k, 1)
@@ -34,23 +38,33 @@ Case file format, one case per line::
 * blank lines are skipped.
 
 A line that breaks a rule raises ``FormatError`` naming its 1-based line
-number (``spdalign metrics`` exits 1). The rules are checked once, at the
-reader: :func:`parse_case_line` builds each ``RankedCase`` from values it has
-checked itself, without the conversion and checks that the public
-constructor applies to API input. It reads a line in two branches. A line in
-the form that :func:`format_case` writes (``pred``, ``truth``, then optional
-``factors``) takes one pattern match, which accepts only what the rules
-accept, and a duplicate check per id list. Every other line, including one
-with a repeated id or an id past ``int()``'s digit limit, goes through the
-segment-by-segment rules, which accept segments in any order and are the one
-source of the reader's messages. Both branches give equal cases.
+number (``spdalign metrics`` exits 1). The reader first takes the whole text:
+one pattern pass splits it into lines in the form that :func:`format_case`
+writes (``pred``, ``truth``, then optional ``factors``, nothing around them,
+ids of at most 18 digits) and other lines. The first kind are converted
+together, with one integer conversion per id list and one sorted check for
+repeated ids; each other nonblank line goes through :func:`parse_case_line`.
+A file that is not UTF-8, or in which a line breaks a rule, an id lies
+outside int64 or a list repeats an id, is read again by the line reader, and
+its cases are then converted; so every accepted file gives the same table
+either way, and every error comes from the line reader.
+
+The line reader checks the rules once: :func:`parse_case_line` builds each
+``RankedCase`` from values it has checked itself, without the conversion and
+checks that the public constructor applies to API input. A line in the
+written form takes one pattern match and a duplicate check per id list.
+Every other line, including one with a repeated id or an id of more than 18
+digits, goes through the segment-by-segment rules, which accept segments in
+any order and are the one source of the reader's messages. Both branches
+give equal cases.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
+from operator import attrgetter, itemgetter
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -101,35 +115,150 @@ class RankedCase:
         _check_case(self.predicted, self.truth, self.factors)
 
 
-def _check_window(cases: Sequence[RankedCase], first: int, last: int) -> None:
+def _entries(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(list index, position in its list) of every entry of lists of these lengths, in order."""
+    case = np.repeat(np.arange(len(lengths)), lengths)
+    return case, np.arange(len(case)) - (np.cumsum(lengths) - lengths)[case]
+
+
+def _offsets(lengths) -> np.ndarray:
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def _pair_keys(case: np.ndarray, ids: np.ndarray, cases: int) -> np.ndarray:
+    """One int64 key per entry, equal exactly where two entries hold one case's same id.
+
+    The key is case * span + (id - smallest id) when that fits int64, and
+    otherwise codes each id by its rank among the distinct ids first.
+    """
+    if len(ids):
+        low = int(ids.min())
+        span = int(ids.max()) - low + 1
+        if cases * span < 2**63:
+            return case * span + (ids - low)
+    values, codes = np.unique(ids, return_inverse=True)
+    return case * len(values) + codes
+
+
+def _repeats(ids: np.ndarray, offsets: np.ndarray) -> bool:
+    """Whether some list of the flat ``ids`` (split at ``offsets``) holds an id twice."""
+    case, _ = _entries(np.diff(offsets))
+    keys = np.sort(_pair_keys(case, ids, len(offsets) - 1))
+    return bool(np.any(keys[1:] == keys[:-1]))
+
+
+def _factor_columns(factor_sets: Sequence[frozenset[str]]) -> tuple[tuple[str, ...], np.ndarray]:
+    """(sorted tags, (cases, tags) boolean table) of each case's tag set."""
+    distinct = list(dict.fromkeys(factor_sets))
+    tags = tuple(sorted(set().union(*distinct)))
+    rows = np.array([[tag in tag_set for tag in tags] for tag_set in distinct], dtype=bool)
+    code = {tag_set: row for row, tag_set in enumerate(distinct)}
+    which = np.fromiter(map(code.__getitem__, factor_sets), np.intp, len(factor_sets))
+    return tags, rows.reshape(len(distinct), len(tags))[which]
+
+
+@dataclass(frozen=True, eq=False)
+class CaseTable:
+    """Ranked cases as columns, the form every measure computes on.
+
+    Case i predicts ``predicted[predicted_offsets[i]:predicted_offsets[i + 1]]``
+    in score order and holds ``truth[truth_offsets[i]:truth_offsets[i + 1]]``
+    in saliency order; ``factors[i, j]`` says whether it carries ``tags[j]``,
+    and ``tags`` are the sorted tags that some case carries. Ids are int64; if
+    some id of the cases lies outside int64, every id is replaced by its rank
+    among the distinct ids, which keeps the equalities that the measures
+    count. Build a table with :func:`load_cases` or :meth:`from_cases`, which
+    check the cases' rules.
+    """
+
+    predicted: np.ndarray
+    predicted_offsets: np.ndarray
+    truth: np.ndarray
+    truth_offsets: np.ndarray
+    tags: tuple[str, ...]
+    factors: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.predicted_offsets) - 1
+
+    @classmethod
+    def from_cases(cls, cases: Sequence[RankedCase]) -> CaseTable:
+        """The table of ``cases``, in order."""
+        lists = [list(map(attrgetter(field), cases)) for field in ("predicted", "truth")]
+        flat = [list(chain.from_iterable(per_case)) for per_case in lists]
+        try:
+            columns = [np.array(ids, dtype=np.int64) for ids in flat]
+        except OverflowError:  # an id outside int64
+            rank = {v: r for r, v in enumerate(sorted(set(chain.from_iterable(flat))))}
+            columns = [np.array([rank[v] for v in ids], dtype=np.int64) for ids in flat]
+        offsets = [_offsets(np.fromiter(map(len, per_case), np.int64, len(cases)))
+                   for per_case in lists]
+        tags, factors = _factor_columns(list(map(attrgetter("factors"), cases)))
+        return cls(columns[0], offsets[0], columns[1], offsets[1], tags, factors)
+
+    def take(self, rows) -> CaseTable:
+        """The cases at ``rows`` (indices or a boolean mask), in that order."""
+        rows = np.arange(len(self))[rows]
+        lists = []
+        for ids, offsets in ((self.predicted, self.predicted_offsets),
+                             (self.truth, self.truth_offsets)):
+            lengths = np.diff(offsets)[rows]
+            case, position = _entries(lengths)
+            lists += [ids[offsets[rows][case] + position], _offsets(lengths)]
+        factors = self.factors[rows]
+        carried = factors.any(axis=0)
+        tags = tuple(tag for tag, kept in zip(self.tags, carried) if kept)
+        return CaseTable(*lists, tags, factors[:, carried])
+
+
+def _table(cases: CaseTable | Sequence[RankedCase]) -> CaseTable:
+    return cases if isinstance(cases, CaseTable) else CaseTable.from_cases(cases)
+
+
+def _check_window(table: CaseTable, first: int, last: int) -> None:
     """Raise unless every k in first..last fits the shortest prediction list.
 
     The message names the first k that does not fit.
     """
     check_at_least(1, k=first)
-    if not cases:
+    if not len(table):
         raise ParameterError("no cases to evaluate", name="cases")
-    short = min(len(c.predicted) for c in cases)
+    short = int(np.diff(table.predicted_offsets).min())
     if last > short:
         raise ParameterError(
             f"k={max(first, short + 1)} exceeds the shortest prediction list ({short})", name="k"
         )
 
 
-def hit_ranks(cases: Sequence[RankedCase], depth: int) -> np.ndarray:
+def hit_ranks(cases: CaseTable | Sequence[RankedCase], depth: int) -> np.ndarray:
     """The (len(cases), depth) table of first-hit positions.
 
     Entry [i, n-1] is the 1-based position of case i's first prediction that is
     among its first n truth labels, or depth + 1 if none is in its first depth
-    predictions. Rows never increase along n.
+    predictions. Rows never increase along n. Memory grows with cases x depth:
+    one sort by (case, id) over both lists' first depth entries pairs each
+    truth label with the prediction that equals it.
     """
     check_at_least(1, depth=depth)
-    ranks = np.full((len(cases), depth), depth + 1, dtype=np.int64)
-    for i, case in enumerate(cases):
-        window = case.predicted[:depth]
-        for j, label in enumerate(case.truth[:depth]):
-            if label in window:
-                ranks[i, j] = window.index(label) + 1
+    table = _table(cases)
+    ranks = np.full((len(table), depth), depth + 1, dtype=np.int64)
+    windows = []
+    for ids, offsets in ((table.predicted, table.predicted_offsets),
+                         (table.truth, table.truth_offsets)):
+        case, position = _entries(np.minimum(np.diff(offsets), depth))
+        windows.append((case, position, ids[offsets[case] + position]))
+    (pred_case, pred_position, pred_ids), (truth_case, truth_position, truth_ids) = windows
+    case = np.concatenate([pred_case, truth_case])
+    keys = _pair_keys(case, np.concatenate([pred_ids, truth_ids]), len(table))
+    # Neither list repeats an id, so equal keys are one prediction and then,
+    # as the sort is stable, one truth label.
+    order = np.argsort(keys, kind="stable")
+    first, second = order[:-1], order[1:]
+    hit = keys[first] == keys[second]
+    label = second[hit] - len(pred_case)
+    ranks[truth_case[label], truth_position[label]] = pred_position[first[hit]] + 1
     return np.minimum.accumulate(ranks, axis=1, out=ranks)
 
 
@@ -143,34 +272,36 @@ def mean_hit_rate_kk(ranks: np.ndarray, k_max: int) -> float:
     return sum(hit_rate(ranks, k, k) for k in range(1, k_max + 1)) / k_max
 
 
-def sweep_ranks(cases: Sequence[RankedCase], k_max: int) -> np.ndarray:
+def sweep_ranks(cases: CaseTable | Sequence[RankedCase], k_max: int) -> np.ndarray:
     """The :func:`hit_ranks` table for every measure with k, n in 1..k_max.
 
     Raises ``ParameterError`` for k_max < 1, no cases, or a prediction list
     shorter than k_max.
     """
     check_at_least(1, k_max=k_max)
-    _check_window(cases, 1, k_max)
-    return hit_ranks(cases, k_max)
+    table = _table(cases)
+    _check_window(table, 1, k_max)
+    return hit_ranks(table, k_max)
 
 
-def top_k(cases: Sequence[RankedCase], k: int) -> float:
+def top_k(cases: CaseTable | Sequence[RankedCase], k: int) -> float:
     """Fraction of cases whose most salient truth label is in the first k predictions."""
     return top_k_n(cases, k, 1)
 
 
-def top_k_n(cases: Sequence[RankedCase], k: int, n: int) -> float:
+def top_k_n(cases: CaseTable | Sequence[RankedCase], k: int, n: int) -> float:
     """Fraction of cases where the first k predictions meet the first n truth labels.
 
     Truth lists shorter than n are used whole.
     """
     check_at_least(1, n=n)
-    _check_window(cases, k, k)
-    n = min(n, max(len(c.truth) for c in cases))  # later columns repeat this one
-    return hit_rate(hit_ranks(cases, max(k, n)), k, n)
+    table = _table(cases)
+    _check_window(table, k, k)
+    n = min(n, int(np.diff(table.truth_offsets).max()))  # later columns repeat this one
+    return hit_rate(hit_ranks(table, max(k, n)), k, n)
 
 
-def avg_top_kk(cases: Sequence[RankedCase], k_max: int = 5) -> float:
+def avg_top_kk(cases: CaseTable | Sequence[RankedCase], k_max: int = 5) -> float:
     """Mean of top-k-k over k = 1..k_max."""
     return mean_hit_rate_kk(sweep_ranks(cases, k_max), k_max)
 
@@ -183,24 +314,18 @@ class BreakdownRow:
 
 
 def factor_masks(
-    cases: Sequence[RankedCase], include_pairs: bool = False
+    cases: CaseTable | Sequence[RankedCase], include_pairs: bool = False
 ) -> Iterator[tuple[str, np.ndarray]]:
     """(tag, boolean case mask) rows: "all", each tag sorted, then each pair.
 
     With ``include_pairs`` every co-occurring unordered tag pair follows as
     "a+b", in sorted order. Only tags and pairs that actually occur get a row.
     """
-    if not cases:
+    table = _table(cases)
+    if not len(table):
         raise ParameterError("no cases to evaluate", name="cases")
-    yield "all", np.ones(len(cases), dtype=bool)
-    rows: dict[str, list[int]] = {}
-    for i, case in enumerate(cases):
-        for tag in case.factors:
-            rows.setdefault(tag, []).append(i)
-    masks = {}
-    for tag in sorted(rows):
-        masks[tag] = mask = np.zeros(len(cases), dtype=bool)
-        mask[rows[tag]] = True
+    yield "all", np.ones(len(table), dtype=bool)
+    masks = dict(zip(table.tags, table.factors.T.copy()))
     yield from masks.items()
     if include_pairs:
         for a, b in combinations(masks, 2):
@@ -210,14 +335,15 @@ def factor_masks(
 
 
 def factor_breakdown(
-    cases: Sequence[RankedCase],
-    metric: Callable[[Sequence[RankedCase]], float],
+    cases: CaseTable | Sequence[RankedCase],
+    metric: Callable[[CaseTable], float],
     include_pairs: bool = False,
 ) -> list[BreakdownRow]:
-    """Evaluate a metric over each row of :func:`factor_masks`."""
+    """Evaluate a metric over each row of :func:`factor_masks`; it gets each row's cases as a table."""
+    table = _table(cases)
     rows = []
-    for tag, mask in factor_masks(cases, include_pairs):
-        subset = [cases[i] for i in np.flatnonzero(mask)]
+    for tag, mask in factor_masks(table, include_pairs):
+        subset = table.take(mask)
         rows.append(BreakdownRow(tag=tag, value=metric(subset), count=len(subset)))
     return rows
 
@@ -229,12 +355,16 @@ def factor_breakdown(
 # ASCII decimal ids with an optional leading "-", comma-separated.
 _IDS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
-# The line format_case writes. It matches only lines that the rules accept,
-# except for a repeated id or an id past int()'s digit limit, which
-# parse_case_line checks before it takes the match.
+# The line format_case writes, with ids of at most 18 digits, which int64 holds
+# and int() reads. It matches only lines that the rules accept, except for a
+# repeated id, which both readers check before they take the match.
+_ID = r"-?[0-9]{1,18}"
 _CANONICAL = re.compile(
-    rf"pred:({_IDS.pattern})\|truth:({_IDS.pattern})(?:\|factors:([^\s|+]*))?"
+    rf"pred:({_ID}(?:,{_ID})*)\|truth:({_ID}(?:,{_ID})*)(?:\|factors:([^\s|+]*))?"
 )
+# A line of a case file: exactly the written form (groups 1-3), or any other
+# text (group 4), which may be empty.
+_FILE_LINE = re.compile(rf"^(?:{_CANONICAL.pattern}|(.*))$", re.MULTILINE)
 
 
 def _parse_ids(payload: str, what: str) -> tuple[int, ...]:
@@ -246,6 +376,10 @@ def _parse_ids(payload: str, what: str) -> tuple[int, ...]:
         return tuple(map(int, payload.split(",")))
     except ValueError:  # beyond int()'s digit limit
         raise FormatError(f"id too long in {what} list") from None
+
+
+def _parse_tags(text: str | None) -> frozenset[str]:
+    return frozenset(filter(None, text.split(","))) if text else frozenset()
 
 
 def _new_case(
@@ -279,7 +413,7 @@ def _parse_segments(line: str) -> RankedCase:
         raise FormatError("line must contain both pred and truth segments")
     predicted = _parse_ids(segments["pred"], "pred")
     truth = _parse_ids(segments["truth"], "truth")
-    factors = frozenset(filter(None, segments.get("factors", "").split(",")))
+    factors = _parse_tags(segments.get("factors"))
     try:
         _check_case(predicted, truth, factors)
     except ParameterError as exc:
@@ -299,15 +433,10 @@ def parse_case_line(line: str) -> RankedCase:
     match = _CANONICAL.fullmatch(line.strip())
     if match:
         pred_text, truth_text, tags = match.groups()
-        try:
-            predicted = tuple(map(int, pred_text.split(",")))
-            truth = tuple(map(int, truth_text.split(",")))
-        except ValueError:  # beyond int()'s digit limit: the rules name the list
-            pass
-        else:
-            if len(set(predicted)) == len(predicted) and len(set(truth)) == len(truth):
-                factors = frozenset(filter(None, tags.split(","))) if tags else frozenset()
-                return _new_case(predicted, truth, factors)
+        predicted = tuple(map(int, pred_text.split(",")))
+        truth = tuple(map(int, truth_text.split(",")))
+        if len(set(predicted)) == len(predicted) and len(set(truth)) == len(truth):
+            return _new_case(predicted, truth, _parse_tags(tags))
     return _parse_segments(line)
 
 
@@ -322,8 +451,55 @@ def format_case(case: RankedCase) -> str:
     return "|".join(parts)
 
 
-def load_cases(path) -> list[RankedCase]:
-    """Read a UTF-8 case file; malformed lines fail with their 1-based line number."""
+def _id_column(lists: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(flat ids, offsets) of comma-separated lists of decimal ids within int64."""
+    ids = np.fromstring(",".join(lists), dtype=np.int64, sep=",")
+    commas = np.fromiter(map(str.count, lists, repeat(",")), np.int64, len(lists))
+    return ids, _offsets(commas + 1)
+
+
+def _written_form(case: RankedCase) -> tuple[str, str, str, str] | None:
+    """The ``_FILE_LINE`` groups of ``case`` written out, or None if an id lies outside int64."""
+    ids = case.predicted + case.truth
+    if max(ids) >= 2**63 or min(ids) < -(2**63):
+        return None
+    pred_text, truth_text = (",".join(map(str, ids)) for ids in (case.predicted, case.truth))
+    return pred_text, truth_text, ",".join(case.factors), ""
+
+
+def _read_whole(text: str) -> CaseTable | None:
+    """The table of a case file's text, or None if the line reader must read it.
+
+    Lines in the written form are converted together; each other nonblank line
+    goes through :func:`parse_case_line`. None if some line breaks a rule, an
+    id lies outside int64, or no line holds a case.
+    """
+    rows = _FILE_LINE.findall(text)
+    others = list(map(itemgetter(3), rows))
+    if any(others):
+        for at, line in enumerate(others):
+            if line.strip():
+                try:
+                    rows[at] = _written_form(parse_case_line(line))
+                except FormatError:
+                    return None
+                if rows[at] is None:
+                    return None
+    rows = list(filter(itemgetter(0), rows))  # drop the blank lines
+    if not rows:
+        return None
+    pred_lists, truth_lists, tag_lists, _ = zip(*rows)
+    predicted, predicted_offsets = _id_column(pred_lists)
+    truth, truth_offsets = _id_column(truth_lists)
+    if _repeats(predicted, predicted_offsets) or _repeats(truth, truth_offsets):
+        return None
+    parsed = {tags: _parse_tags(tags) for tags in dict.fromkeys(tag_lists)}
+    tags, factors = _factor_columns(list(map(parsed.__getitem__, tag_lists)))
+    return CaseTable(predicted, predicted_offsets, truth, truth_offsets, tags, factors)
+
+
+def _read_lines(path) -> list[RankedCase]:
+    """Read a UTF-8 case file line by line; malformed lines fail with their 1-based number."""
     cases = []
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -337,3 +513,18 @@ def load_cases(path) -> list[RankedCase]:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return cases
+
+
+def load_cases(path) -> CaseTable:
+    """Read a UTF-8 case file into a :class:`CaseTable`.
+
+    The text is read whole (see the module docstring). A file that is not
+    UTF-8, or that the whole read cannot take, goes through the line reader,
+    which raises each error with the 1-based number of its line.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            table = _read_whole(handle.read())
+    except UnicodeDecodeError:
+        table = None
+    return table if table is not None else CaseTable.from_cases(_read_lines(path))

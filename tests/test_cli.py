@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spdalign import checks
+from spdalign import checks, cli
 from spdalign.cli import main
 from spdalign.io import (
     MODEL_HEADER, _stream_shapes, read_model, write_feature_container, write_model,
@@ -565,3 +565,33 @@ class TestUsageErrors:
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "train", "--out", "/tmp/x")
         assert code == 1
+
+
+class TestParserReuse:
+    def test_commands_in_one_process_match_each_run_alone(self, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "run.cfg"
+        config.write_text(FAST_CONFIG)
+        run = tmp_path / "run"
+        features = tmp_path / "test.bin"
+        rng = np.random.default_rng(0)
+        write_feature_container(features, FeatureBlock(rng.normal(size=(6, 12)),
+                                                       rng.integers(0, 4, size=12)), class_count=4)
+        commands = [
+            ["train", "--config", str(config), "--out", str(run)],
+            ["bench", "--kind", "jbld", "--kind", "airm"],
+            ["eval", str(run / "model.bin"), str(features)],
+            ["metrics", str(MICRO_CASES), "--kmax", "3", "--breakdown"],
+        ]
+        alone = []
+        for argv in commands:
+            done = run_module(tmp_path, *argv)
+            alone.append((done.returncode, done.stdout, done.stderr))
+        assert [code for code, _, _ in alone] == [0, 1, 0, 0]
+
+        builds = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+        cli._shared_parser.cache_clear()
+        together = [(main(argv), *capsys.readouterr()) for argv in commands]
+        assert together == alone
+        assert len(builds) == 1

@@ -1,6 +1,8 @@
 """Ranked-retrieval measures against an exhaustive set-intersection oracle."""
 
+import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from spdalign import metrics
 from spdalign.errors import FormatError, ParameterError
 from spdalign.metrics import (
+    CaseTable,
     RankedCase,
     _parse_segments,
     avg_top_kk,
@@ -57,6 +60,28 @@ def oracle_top_k_n(cases, k, n):
 
 def oracle_avg_top_kk(cases, k_max):
     return sum(oracle_top_k_n(cases, k, k) for k in range(1, k_max + 1)) / k_max
+
+
+def loop_hit_ranks(cases, depth):
+    """The hit-rank table by a loop over cases and truth labels, one ``tuple.index`` each."""
+    ranks = np.full((len(cases), depth), depth + 1, dtype=np.int64)
+    for i, case in enumerate(cases):
+        window = case.predicted[:depth]
+        for j, label in enumerate(case.truth[:depth]):
+            if label in window:
+                ranks[i, j] = window.index(label) + 1
+    return np.minimum.accumulate(ranks, axis=1, out=ranks)
+
+
+def assert_tables_equal(got, want):
+    """Field by field, with array dtypes and shapes."""
+    for field in dataclasses.fields(CaseTable):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), field.name
+            assert np.array_equal(a, b), field.name
+        else:
+            assert a == b, field.name
 
 
 def random_cases(rng, count, k_max=5, id_pool=40, with_factors=True):
@@ -215,6 +240,48 @@ class TestHitRanks:
         with pytest.raises(ParameterError):
             hit_ranks([RankedCase((1,), (1,))], 0)
 
+    @pytest.mark.parametrize("depth", [1, 3, 5, 8, 12])
+    def test_equals_the_loop(self, rng, depth):
+        # 5-10 predictions and 1-6 truth labels per case: depths 8 and 12 pass some lists' ends
+        cases = random_cases(rng, 500, id_pool=15)
+        assert np.array_equal(hit_ranks(cases, depth), loop_hit_ranks(cases, depth))
+
+    def test_lists_shorter_than_depth(self):
+        cases = [RankedCase((4,), (9, 4)), RankedCase((1, 2), (3,)), RankedCase((), (5,))]
+        ranks = hit_ranks(cases, 4)
+        assert ranks.tolist() == [[5, 1, 1, 1], [5, 5, 5, 5], [5, 5, 5, 5]]
+        assert np.array_equal(ranks, loop_hit_ranks(cases, 4))
+
+    def test_ids_beyond_int64_keep_exact_equality(self):
+        big = 2**64 + 1  # equal to 1 modulo 2**64
+        cases = [RankedCase((big, 1), (1,)), RankedCase((1, big), (big,)),
+                 RankedCase((big,), (1,)), RankedCase((-big, 7), (-big, big))]
+        ranks = hit_ranks(cases, 2)
+        assert ranks.tolist() == [[2, 2], [2, 2], [3, 3], [1, 1]]
+        assert np.array_equal(ranks, loop_hit_ranks(cases, 2))
+
+    def test_ids_spread_over_int64_do_not_collide(self):
+        # 5 cases x an id span of 2**62 + 1 pass int64: a (case, id) key taken
+        # modulo 2**64 would put case 4's label 5 on case 0's prediction 9.
+        cases = [RankedCase((9, 2**62), (0,)), *[RankedCase((1, 2), (1,))] * 3,
+                 RankedCase((7, 8), (5,))]
+        assert hit_ranks(cases, 2).tolist() == [[3, 3], [1, 1], [1, 1], [1, 1], [3, 3]]
+
+    def test_memory_grows_with_cases_times_depth(self):
+        depth, count = 1000, 40
+        rng = np.random.default_rng(0)
+        table = CaseTable.from_cases([
+            RankedCase(rng.permutation(2 * depth)[:depth], rng.permutation(2 * depth)[:depth])
+            for _ in range(count)])
+        tracemalloc.start()
+        try:
+            hit_ranks(table, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 140 bytes per table cell; a (cases, depth, depth) comparison needs 1000.
+        assert peak < 300 * count * depth
+
     @given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=8))
     @settings(max_examples=60, deadline=None)
     def test_hypothesis_every_window_matches_oracle(self, seed, depth):
@@ -262,6 +329,41 @@ class TestFactorBreakdown:
         rows = factor_breakdown(cases, self.metric, include_pairs=True)
         tags = [r.tag for r in rows]
         assert "blr+ocl" in tags
+
+
+class TestCaseTable:
+    def test_from_cases_columns(self):
+        cases = [RankedCase((5, 2, 9), (2, 7), frozenset({"ocl", "blr"})), RankedCase((-1,), (3,))]
+        table = CaseTable.from_cases(cases)
+        assert len(table) == 2
+        assert table.predicted.tolist() == [5, 2, 9, -1]
+        assert table.predicted_offsets.tolist() == [0, 3, 4]
+        assert table.truth.tolist() == [2, 7, 3] and table.truth_offsets.tolist() == [0, 2, 3]
+        assert table.tags == ("blr", "ocl")
+        assert table.factors.tolist() == [[True, True], [False, False]]
+
+    def test_ids_beyond_int64_become_ranks(self):
+        table = CaseTable.from_cases([RankedCase((2**64 + 1, 1), (-(2**70),))])
+        assert table.predicted.tolist() == [2, 1] and table.truth.tolist() == [0]
+
+    def test_empty(self):
+        table = CaseTable.from_cases([])
+        assert len(table) == 0 and table.tags == () and table.factors.shape == (0, 0)
+        assert hit_ranks(table, 3).shape == (0, 3)
+
+    def test_take_equals_the_table_of_the_subset(self, rng):
+        cases = random_cases(rng, 60)
+        rows = rng.random(60) < 0.3
+        assert_tables_equal(CaseTable.from_cases(cases).take(rows),
+                            CaseTable.from_cases([c for c, kept in zip(cases, rows) if kept]))
+        order = [5, 0, 59]
+        assert_tables_equal(CaseTable.from_cases(cases).take(order),
+                            CaseTable.from_cases([cases[i] for i in order]))
+
+    def test_breakdown_metric_gets_each_row_as_a_table(self, rng):
+        cases = random_cases(rng, 40)
+        for row in factor_breakdown(cases, lambda subset: subset, include_pairs=True):
+            assert isinstance(row.value, CaseTable) and len(row.value) == row.count
 
 
 class TestCaseFileFormat:
@@ -339,6 +441,87 @@ class TestCaseFileFormat:
         path.write_text("pred:1,2|truth:1\n\npred:1,2|truth:1|pred:7,8,9\n")
         with pytest.raises(FormatError, match="line 3: repeated segment 'pred'"):
             load_cases(path)
+
+
+# -- the whole-file reader ----------------------------------------------------
+
+# Id texts: signs, leading zeros, "-0" beside "0", and 18- and 19-digit ids
+# (the 19-digit ones partly beyond int64). Half the files hold short ids alone.
+_SHORT_IDS = st.integers(-99, 99).map(str)
+_ID_TEXTS = st.one_of(
+    _SHORT_IDS,
+    st.sampled_from(["0", "-0", "00", "-00", "007", "-007"]),
+    st.integers(10**17, 10**19 - 1).map(str),
+    st.integers(10**17, 10**19 - 1).map(lambda v: f"-{v}"),
+    st.sampled_from([str(2**63 - 1), str(-(2**63)), str(2**63), "0" + "1" * 18]),
+)
+# None: no factors segment; "" gives "factors:"; the lists repeat and hold empty tags.
+_FACTOR_TEXTS = st.one_of(
+    st.none(), st.lists(st.sampled_from(["blr", "ocl", "a:b", ""]), max_size=4).map(",".join))
+_BLANKS = ["", " ", "\t", "\u3000"]
+
+
+@st.composite
+def _case_files(draw):
+    """Case-file text; each line may be blank, reordered or wrapped in whitespace."""
+    ids = draw(st.sampled_from([_SHORT_IDS, _ID_TEXTS]))
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(draw(st.sampled_from(_BLANKS)))
+            continue
+        predicted = draw(st.lists(ids, min_size=1, max_size=6, unique=True))
+        truth = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+        segments = [f"pred:{','.join(predicted)}", f"truth:{','.join(truth)}"]
+        factors = draw(_FACTOR_TEXTS)
+        if factors is not None:
+            segments.append(f"factors:{factors}")
+        if draw(st.integers(0, 9)) == 0:
+            segments.reverse()
+        line = "|".join(segments)
+        if draw(st.integers(0, 9)) == 0:
+            line = draw(st.sampled_from(_BLANKS)) + line + draw(st.sampled_from(_BLANKS))
+        lines.append(line)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _read_line_by_line(path):
+    """``parse_case_line`` on each nonblank line: the table, or the first error's text."""
+    cases = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
+        if line.strip():
+            try:
+                cases.append(parse_case_line(line))
+            except FormatError as exc:
+                return f"{path}, line {lineno}: {exc}"
+    return CaseTable.from_cases(cases)
+
+
+class TestWholeFileReader:
+    @given(text=_case_files())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_line_by_line_table(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("cases") / "cases.txt"
+        path.write_text(text, encoding="utf-8")
+        expected = _read_line_by_line(path)
+        if isinstance(expected, str):
+            with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+                load_cases(path)
+        else:
+            assert_tables_equal(load_cases(path), expected)
+
+    def test_written_lines_skip_the_line_reader(self, rng, tmp_path, monkeypatch):
+        def line_reader(path):
+            raise AssertionError(f"line reader on {path}")
+
+        monkeypatch.setattr(metrics, "_read_lines", line_reader)
+        cases = random_cases(rng, 100)
+        lines = [format_case(c) for c in cases]
+        lines[3] = "|".join(reversed(lines[3].split("|")))  # not in the written form
+        lines[7] = f"  {lines[7]}\t"
+        path = tmp_path / "cases.txt"
+        path.write_text("\n" + "\n\n".join(lines) + "\n", encoding="utf-8")
+        assert_tables_equal(load_cases(path), CaseTable.from_cases(cases))
 
 
 # -- the two parser branches --------------------------------------------------
