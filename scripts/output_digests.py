@@ -20,10 +20,12 @@ differing line names the output that changed. The lines are:
   data/micro_cases.txt --kmax 3 --breakdown`` and the ``metrics.csv`` and
   ``breakdown.csv`` of the same command with ``--out``;
 - ``metrics/<file>/stdout <sha256>`` for the stdout of ``spdalign metrics
-  --kmax 5 --breakdown`` on two case files that the script generates from a
-  fixed seed: ``written``, whose every line is in the form ``format_case``
-  writes, and ``reordered``, the same cases with the segments of a few lines
-  in reverse order (both files hold the same cases, so both lines agree);
+  --kmax 5 --breakdown`` on three case files that the script generates from
+  a fixed seed: ``written``, whose every line is in the form ``format_case``
+  writes; ``reordered``, the same cases with the segments of a few lines in
+  reverse order; and ``wide``, the same cases with every id of a few lines
+  moved up by 2**64, outside int64 (each file keeps the equalities between
+  ids that the measures count, so all three lines agree);
 - ``bench/<kind>/<field> <text>`` for the first line of ``spdalign bench
   --d 256 --n 20 --nstar 3 --kind <kind>`` and the ``value=`` field of its
   ``naive`` and ``projected`` lines, for every distance kind; the timings are
@@ -133,15 +135,26 @@ def generated_case_lines(seed: int = 20, count: int = 2000) -> list[str]:
     return lines
 
 
+def _beyond_int64(line: str) -> str:
+    """``line`` with every id moved up by 2**64, outside int64; equal ids stay equal."""
+    segments = line.split("|")
+    for i in (0, 1):
+        name, _, ids = segments[i].partition(":")
+        segments[i] = f"{name}:" + ",".join(str(int(v) + 2**64) for v in ids.split(","))
+    return "|".join(segments)
+
+
 def generated_metrics_lines(workdir: Path) -> list[str]:
-    """``spdalign metrics --kmax 5 --breakdown`` on the generated file, then with a few lines reordered."""
+    """``spdalign metrics --kmax 5 --breakdown`` on the generated file, then with a few lines
+    reordered, then with the ids of a few lines outside int64."""
     written = generated_case_lines()
     reordered = [
         "|".join(reversed(line.split("|"))) if i % 400 == 7 else line
         for i, line in enumerate(written)
     ]
+    wide = [_beyond_int64(line) if i % 400 == 11 else line for i, line in enumerate(written)]
     lines = []
-    for name, case_lines in (("written", written), ("reordered", reordered)):
+    for name, case_lines in (("written", written), ("reordered", reordered), ("wide", wide)):
         path = workdir / f"{name}_cases.txt"
         path.write_text("\n".join(case_lines) + "\n", encoding="utf-8")
         stdout = cli_stdout(["metrics", str(path), "--kmax", "5", "--breakdown"])

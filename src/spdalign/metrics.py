@@ -38,25 +38,22 @@ Case file format, one case per line::
 * blank lines are skipped.
 
 A line that breaks a rule raises ``FormatError`` naming its 1-based line
-number (``spdalign metrics`` exits 1). The reader first takes the whole text:
-one pattern pass splits it into lines in the form that :func:`format_case`
-writes (``pred``, ``truth``, then optional ``factors``, nothing around them,
-ids of at most 18 digits) and other lines. The first kind are converted
-together, with one integer conversion per id list and one sorted check for
-repeated ids; each other nonblank line goes through :func:`parse_case_line`.
-A file that is not UTF-8, or in which a line breaks a rule, an id lies
-outside int64 or a list repeats an id, is read again by the line reader, and
-its cases are then converted; so every accepted file gives the same table
-either way, and every error comes from the line reader.
+number (``spdalign metrics`` exits 1); text that is not UTF-8 raises
+``FormatError`` too.
 
-The line reader checks the rules once: :func:`parse_case_line` builds each
-``RankedCase`` from values it has checked itself, without the conversion and
-checks that the public constructor applies to API input. A line in the
-written form takes one pattern match and a duplicate check per id list.
-Every other line, including one with a repeated id or an id of more than 18
-digits, goes through the segment-by-segment rules, which accept segments in
-any order and are the one source of the reader's messages. Both branches
-give equal cases.
+The reader opens the file once and takes the whole text. One pattern pass
+splits it into lines, in order, and tells the lines in the form that
+:func:`format_case` writes (``pred``, ``truth``, then optional ``factors``,
+nothing around them, ids of at most 18 digits) from the others. Each other
+nonblank line goes through :func:`parse_case_line`, the rule-by-rule parser,
+and is written back in that form. Then all lines are converted together:
+one integer conversion per id list and one sorted check for repeated ids.
+If some id lies outside int64, every id is read as a Python int and
+replaced by its rank among the file's distinct ids, the coding that
+``CaseTable.from_cases`` uses. The error names the first line that breaks a
+rule, whatever the rule: a line that fails to parse, or an earlier line in
+the written form that repeats an id. Its message comes from
+:func:`parse_case_line`, the one source of the reader's messages.
 """
 
 from __future__ import annotations
@@ -77,31 +74,15 @@ from .errors import FormatError, ParameterError, check_at_least, whole_numbers
 _TAG = re.compile(r"[^\s,|+]+")
 
 
-def _check_case(
-    predicted: tuple[int, ...], truth: tuple[int, ...], factors: frozenset[str]
-) -> None:
-    """Raise ``ParameterError`` unless the fields make a case; both entries call this."""
-    if not truth:
-        raise ParameterError("a case needs at least one ground-truth label", name="truth")
-    if len(set(predicted)) != len(predicted):
-        raise ParameterError(f"duplicate predicted ids in {predicted}", name="predicted")
-    if len(set(truth)) != len(truth):
-        raise ParameterError(f"duplicate truth ids in {truth}", name="truth")
-    for tag in factors:
-        if not _TAG.fullmatch(tag):
-            raise ParameterError(
-                f"factor tag {tag!r} is empty or holds ',', '|', '+' or whitespace",
-                name="factors",
-            )
-
-
 @dataclass(frozen=True, slots=True)
 class RankedCase:
     """One evaluated item: predictions by score, truth labels by saliency.
 
-    The constructor converts and checks API input: ids must be whole numbers
-    (they may be negative). :func:`parse_case_line` checks file input itself
-    and builds the case without a second pass.
+    The constructor converts and checks its fields: ids must be whole numbers
+    (they may be negative), neither list repeats an id, the truth list is not
+    empty, and each factor tag is one that :func:`format_case` can write back.
+    :func:`parse_case_line` builds its cases through it, so a file line meets
+    the same rules as an API call.
     """
 
     predicted: tuple[int, ...]
@@ -112,7 +93,17 @@ class RankedCase:
         object.__setattr__(self, "predicted", whole_numbers("predicted", self.predicted))
         object.__setattr__(self, "truth", whole_numbers("truth", self.truth))
         object.__setattr__(self, "factors", frozenset(str(f) for f in self.factors))
-        _check_case(self.predicted, self.truth, self.factors)
+        if not self.truth:
+            raise ParameterError("a case needs at least one ground-truth label", name="truth")
+        for name, ids in (("predicted", self.predicted), ("truth", self.truth)):
+            if len(set(ids)) != len(ids):
+                raise ParameterError(f"duplicate {name} ids in {ids}", name=name)
+        for tag in self.factors:
+            if not _TAG.fullmatch(tag):
+                raise ParameterError(
+                    f"factor tag {tag!r} is empty or holds ',', '|', '+' or whitespace",
+                    name="factors",
+                )
 
 
 def _entries(lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,11 +133,29 @@ def _pair_keys(case: np.ndarray, ids: np.ndarray, cases: int) -> np.ndarray:
     return case * len(values) + codes
 
 
-def _repeats(ids: np.ndarray, offsets: np.ndarray) -> bool:
-    """Whether some list of the flat ``ids`` (split at ``offsets``) holds an id twice."""
+def _first_repeat(ids: np.ndarray, offsets: np.ndarray) -> int:
+    """The first list of the flat ``ids`` (split at ``offsets``) that holds an id twice.
+
+    Returns the number of lists if none does. The keys grow with the list, so
+    the sort moves entries only within their list.
+    """
     case, _ = _entries(np.diff(offsets))
     keys = np.sort(_pair_keys(case, ids, len(offsets) - 1))
-    return bool(np.any(keys[1:] == keys[:-1]))
+    repeated = case[1:][keys[1:] == keys[:-1]]
+    return int(repeated[0]) if len(repeated) else len(offsets) - 1
+
+
+def _rank_coded(flat: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """An int64 column per id list; if an id lies outside int64, each id's rank instead.
+
+    The rank is taken among the distinct ids of all the lists, which keeps
+    every equality that the measures count.
+    """
+    try:
+        return [np.array(ids, dtype=np.int64) for ids in flat]
+    except OverflowError:
+        rank = {v: r for r, v in enumerate(sorted(set(chain.from_iterable(flat))))}
+        return [np.array([rank[v] for v in ids], dtype=np.int64) for ids in flat]
 
 
 def _factor_columns(factor_sets: Sequence[frozenset[str]]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -187,12 +196,7 @@ class CaseTable:
     def from_cases(cls, cases: Sequence[RankedCase]) -> CaseTable:
         """The table of ``cases``, in order."""
         lists = [list(map(attrgetter(field), cases)) for field in ("predicted", "truth")]
-        flat = [list(chain.from_iterable(per_case)) for per_case in lists]
-        try:
-            columns = [np.array(ids, dtype=np.int64) for ids in flat]
-        except OverflowError:  # an id outside int64
-            rank = {v: r for r, v in enumerate(sorted(set(chain.from_iterable(flat))))}
-            columns = [np.array([rank[v] for v in ids], dtype=np.int64) for ids in flat]
+        columns = _rank_coded([list(chain.from_iterable(per_case)) for per_case in lists])
         offsets = [_offsets(np.fromiter(map(len, per_case), np.int64, len(cases)))
                    for per_case in lists]
         tags, factors = _factor_columns(list(map(attrgetter("factors"), cases)))
@@ -355,16 +359,15 @@ def factor_breakdown(
 # ASCII decimal ids with an optional leading "-", comma-separated.
 _IDS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
-# The line format_case writes, with ids of at most 18 digits, which int64 holds
-# and int() reads. It matches only lines that the rules accept, except for a
-# repeated id, which both readers check before they take the match.
+# A line of a case file: the form format_case writes, with ids of at most 18
+# digits, which int64 holds and int() reads (groups 1-3), or any other text
+# (group 4), which may be empty. A line of the first kind breaks no rule,
+# unless a list repeats an id.
 _ID = r"-?[0-9]{1,18}"
-_CANONICAL = re.compile(
-    rf"pred:({_ID}(?:,{_ID})*)\|truth:({_ID}(?:,{_ID})*)(?:\|factors:([^\s|+]*))?"
+_FILE_LINE = re.compile(
+    rf"^(?:pred:({_ID}(?:,{_ID})*)\|truth:({_ID}(?:,{_ID})*)(?:\|factors:([^\s|+]*))?|(.*))$",
+    re.MULTILINE,
 )
-# A line of a case file: exactly the written form (groups 1-3), or any other
-# text (group 4), which may be empty.
-_FILE_LINE = re.compile(rf"^(?:{_CANONICAL.pattern}|(.*))$", re.MULTILINE)
 
 
 def _parse_ids(payload: str, what: str) -> tuple[int, ...]:
@@ -382,22 +385,12 @@ def _parse_tags(text: str | None) -> frozenset[str]:
     return frozenset(filter(None, text.split(","))) if text else frozenset()
 
 
-def _new_case(
-    predicted: tuple[int, ...], truth: tuple[int, ...], factors: frozenset[str]
-) -> RankedCase:
-    """A RankedCase from checked values, without the constructor's conversion and checks."""
-    case = object.__new__(RankedCase)
-    object.__setattr__(case, "predicted", predicted)
-    object.__setattr__(case, "truth", truth)
-    object.__setattr__(case, "factors", factors)
-    return case
+def parse_case_line(line: str) -> RankedCase:
+    """Parse one ``pred:...|truth:...[|factors:...]`` line into a RankedCase, rule by rule.
 
-
-def _parse_segments(line: str) -> RankedCase:
-    """Parse a case line segment by segment, checking every rule in turn.
-
-    This is the only source of the reader's ``FormatError`` messages, and it
-    accepts the segments in any order.
+    The segments may come in any order, and whitespace around the line is
+    ignored. A broken rule raises ``FormatError``; this is the one source of
+    the case reader's messages.
     """
     segments: dict[str, str] = {}
     for segment in line.strip().split("|"):
@@ -413,35 +406,15 @@ def _parse_segments(line: str) -> RankedCase:
         raise FormatError("line must contain both pred and truth segments")
     predicted = _parse_ids(segments["pred"], "pred")
     truth = _parse_ids(segments["truth"], "truth")
-    factors = _parse_tags(segments.get("factors"))
     try:
-        _check_case(predicted, truth, factors)
+        return RankedCase(predicted, truth, _parse_tags(segments.get("factors")))
     except ParameterError as exc:
         raise FormatError(str(exc)) from None
-    return _new_case(predicted, truth, factors)
-
-
-def parse_case_line(line: str) -> RankedCase:
-    """Parse one ``pred:...|truth:...[|factors:...]`` line into a RankedCase.
-
-    A line in the form that :func:`format_case` writes takes one pattern
-    match and a duplicate check per id list; every other line, and every
-    error, goes through :func:`_parse_segments`. Both branches give equal
-    cases. The line's values are checked here, once; the case is built from
-    them without the constructor's conversion and checks.
-    """
-    match = _CANONICAL.fullmatch(line.strip())
-    if match:
-        pred_text, truth_text, tags = match.groups()
-        predicted = tuple(map(int, pred_text.split(",")))
-        truth = tuple(map(int, truth_text.split(",")))
-        if len(set(predicted)) == len(predicted) and len(set(truth)) == len(truth):
-            return _new_case(predicted, truth, _parse_tags(tags))
-    return _parse_segments(line)
 
 
 def format_case(case: RankedCase) -> str:
-    """Inverse of :func:`parse_case_line` (factors emitted sorted)."""
+    """The line of ``case`` in the written form (factors sorted), which :func:`load_cases`
+    converts in bulk and :func:`parse_case_line` reads back to an equal case."""
     parts = [
         "pred:" + ",".join(str(p) for p in case.predicted),
         "truth:" + ",".join(str(t) for t in case.truth),
@@ -451,80 +424,59 @@ def format_case(case: RankedCase) -> str:
     return "|".join(parts)
 
 
-def _id_column(lists: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(flat ids, offsets) of comma-separated lists of decimal ids within int64."""
-    ids = np.fromstring(",".join(lists), dtype=np.int64, sep=",")
-    commas = np.fromiter(map(str.count, lists, repeat(",")), np.int64, len(lists))
-    return ids, _offsets(commas + 1)
+def _id_columns(lists: Sequence[Sequence[str]], wide: bool) -> tuple[list, list]:
+    """(id column, offsets) of each kind of comma-separated id lists.
 
-
-def _written_form(case: RankedCase) -> tuple[str, str, str, str] | None:
-    """The ``_FILE_LINE`` groups of ``case`` written out, or None if an id lies outside int64."""
-    ids = case.predicted + case.truth
-    if max(ids) >= 2**63 or min(ids) < -(2**63):
-        return None
-    pred_text, truth_text = (",".join(map(str, ids)) for ids in (case.predicted, case.truth))
-    return pred_text, truth_text, ",".join(case.factors), ""
-
-
-def _read_whole(text: str) -> CaseTable | None:
-    """The table of a case file's text, or None if the line reader must read it.
-
-    Lines in the written form are converted together; each other nonblank line
-    goes through :func:`parse_case_line`. None if some line breaks a rule, an
-    id lies outside int64, or no line holds a case.
+    Lists within int64 are converted by one ``np.fromstring`` per kind; if
+    ``wide``, every id is read as a Python int and rank-coded.
     """
-    rows = _FILE_LINE.findall(text)
+    joined = [",".join(texts) for texts in lists]
+    if wide:
+        columns = _rank_coded([list(map(int, text.split(","))) for text in joined])
+    else:
+        columns = [np.fromstring(text, dtype=np.int64, sep=",") for text in joined]
+    commas = [np.fromiter(map(str.count, texts, repeat(",")), np.int64, len(texts))
+              for texts in lists]
+    return columns, [_offsets(count + 1) for count in commas]
+
+
+def load_cases(path) -> CaseTable:
+    """Read a UTF-8 case file into a :class:`CaseTable`, opening it once (see the module docstring).
+
+    Raises ``FormatError`` if the text is not UTF-8, or else for the first
+    line that breaks a rule, with its 1-based number.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    rows = _FILE_LINE.findall(text)  # row i is line i + 1
+    end, wide = len(rows), False  # rows[:end] are blank or in the written form
     others = list(map(itemgetter(3), rows))
     if any(others):
         for at, line in enumerate(others):
             if line.strip():
                 try:
-                    rows[at] = _written_form(parse_case_line(line))
+                    case = parse_case_line(line)
                 except FormatError:
-                    return None
-                if rows[at] is None:
-                    return None
-    rows = list(filter(itemgetter(0), rows))  # drop the blank lines
-    if not rows:
-        return None
-    pred_lists, truth_lists, tag_lists, _ = zip(*rows)
-    predicted, predicted_offsets = _id_column(pred_lists)
-    truth, truth_offsets = _id_column(truth_lists)
-    if _repeats(predicted, predicted_offsets) or _repeats(truth, truth_offsets):
-        return None
+                    end = at
+                    break
+                ids = case.predicted + case.truth
+                wide = wide or max(ids) >= 2**63 or min(ids) < -(2**63)
+                rows[at] = (",".join(map(str, case.predicted)), ",".join(map(str, case.truth)),
+                            ",".join(case.factors), "")
+    cases = [row for row in rows[:end] if row[0]]
+    pred_lists, truth_lists, tag_lists, _ = list(zip(*cases)) or [()] * 4
+    columns, offsets = _id_columns((pred_lists, truth_lists), wide)
+    first = min(map(_first_repeat, columns, offsets))
+    if first < len(cases):
+        end = [at for at, row in enumerate(rows) if row[0]][first]
+    if end < len(rows):
+        try:
+            parse_case_line(text.split("\n")[end])
+        except FormatError as exc:
+            raise FormatError(f"{path}, line {end + 1}: {exc}") from None
     parsed = {tags: _parse_tags(tags) for tags in dict.fromkeys(tag_lists)}
     tags, factors = _factor_columns(list(map(parsed.__getitem__, tag_lists)))
-    return CaseTable(predicted, predicted_offsets, truth, truth_offsets, tags, factors)
-
-
-def _read_lines(path) -> list[RankedCase]:
-    """Read a UTF-8 case file line by line; malformed lines fail with their 1-based number."""
-    cases = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    cases.append(parse_case_line(line))
-                except FormatError as exc:
-                    raise FormatError(f"{path}, line {lineno}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    return cases
-
-
-def load_cases(path) -> CaseTable:
-    """Read a UTF-8 case file into a :class:`CaseTable`.
-
-    The text is read whole (see the module docstring). A file that is not
-    UTF-8, or that the whole read cannot take, goes through the line reader,
-    which raises each error with the 1-based number of its line.
-    """
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            table = _read_whole(handle.read())
-    except UnicodeDecodeError:
-        table = None
-    return table if table is not None else CaseTable.from_cases(_read_lines(path))
+    return CaseTable(columns[0], offsets[0], columns[1], offsets[1], tags, factors)

@@ -3,6 +3,7 @@
 import dataclasses
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdalign import metrics
+from spdalign.cli import main
 from spdalign.errors import FormatError, ParameterError
 from spdalign.metrics import (
     CaseTable,
     RankedCase,
-    _parse_segments,
     avg_top_kk,
     factor_breakdown,
     format_case,
@@ -378,8 +379,7 @@ class TestCaseFileFormat:
         assert case.factors == frozenset()
 
     def test_roundtrip(self, rng):
-        # The parser builds cases without the constructor, so compare field
-        # types and hashes as well as equality.
+        # Compare field types and hashes as well as equality.
         for case in random_cases(rng, 200):
             parsed = parse_case_line(format_case(case))
             for got in (parsed, case):
@@ -463,7 +463,11 @@ _BLANKS = ["", " ", "\t", "\u3000"]
 
 @st.composite
 def _case_files(draw):
-    """Case-file text; each line may be blank, reordered or wrapped in whitespace."""
+    """Case-file text; each line may be blank, reordered, wrapped in whitespace or mutated.
+
+    One line in four goes through one or two of ``_MUTATIONS``, so a file
+    can hold several faults of different kinds, in lines of either form.
+    """
     ids = draw(st.sampled_from([_SHORT_IDS, _ID_TEXTS]))
     lines = []
     for _ in range(draw(st.integers(0, 8))):
@@ -481,6 +485,9 @@ def _case_files(draw):
         line = "|".join(segments)
         if draw(st.integers(0, 9)) == 0:
             line = draw(st.sampled_from(_BLANKS)) + line + draw(st.sampled_from(_BLANKS))
+        if draw(st.integers(0, 3)) == 0:
+            for mutate in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2)):
+                line = mutate(line, SimpleNamespace(draw=draw))
         lines.append(line)
     return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
 
@@ -497,46 +504,72 @@ def _read_line_by_line(path):
     return CaseTable.from_cases(cases)
 
 
+def assert_reads_line_by_line(path, text):
+    """``load_cases`` on ``text`` gives the per-line table, or the per-line error text."""
+    path.write_text(text, encoding="utf-8")
+    expected = _read_line_by_line(path)
+    if isinstance(expected, str):
+        with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
+            load_cases(path)
+    else:
+        assert_tables_equal(load_cases(path), expected)
+
+
 class TestWholeFileReader:
     @given(text=_case_files())
     @settings(max_examples=300, deadline=None)
     def test_equals_the_line_by_line_table(self, tmp_path_factory, text):
-        path = tmp_path_factory.mktemp("cases") / "cases.txt"
-        path.write_text(text, encoding="utf-8")
-        expected = _read_line_by_line(path)
-        if isinstance(expected, str):
-            with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
-                load_cases(path)
-        else:
-            assert_tables_equal(load_cases(path), expected)
+        assert_reads_line_by_line(tmp_path_factory.mktemp("cases") / "cases.txt", text)
 
-    def test_written_lines_skip_the_line_reader(self, rng, tmp_path, monkeypatch):
-        def line_reader(path):
-            raise AssertionError(f"line reader on {path}")
+    @pytest.mark.parametrize("fault", ["clean", "wide-id", "malformed-last-line"])
+    def test_opens_the_file_once(self, rng, tmp_path, monkeypatch, fault):
+        opened = []
 
-        monkeypatch.setattr(metrics, "_read_lines", line_reader)
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(metrics, "open", counting_open, raising=False)
         cases = random_cases(rng, 100)
+        if fault == "wide-id":
+            cases[50] = RankedCase((2**64 + 1,) + cases[50].predicted, cases[50].truth)
         lines = [format_case(c) for c in cases]
         lines[3] = "|".join(reversed(lines[3].split("|")))  # not in the written form
         lines[7] = f"  {lines[7]}\t"
+        if fault == "malformed-last-line":
+            lines[-1] = lines[-1].replace("pred:", "pred:x", 1)
         path = tmp_path / "cases.txt"
         path.write_text("\n" + "\n\n".join(lines) + "\n", encoding="utf-8")
-        assert_tables_equal(load_cases(path), CaseTable.from_cases(cases))
+        if fault == "malformed-last-line":
+            with pytest.raises(FormatError, match=re.escape(f"line {2 * len(lines)}: non-decimal")):
+                load_cases(path)
+        else:
+            assert_tables_equal(load_cases(path), CaseTable.from_cases(cases))
+        assert opened == [path]
+
+    @pytest.mark.parametrize("lines, message", [
+        (["pred:1,2|truth:1", "pred:3,4,3|truth:4", "pred:1|truth:1", "",
+          "pred:1|truth:1|size:2"], "line 2: duplicate predicted ids in (3, 4, 3)"),
+        (["pred:1,2|truth:1", "pred:1|truth:1|size:2", "pred:1|truth:1", "",
+          "pred:3,4,3|truth:4"], "line 2: unknown segment 'size'"),
+        ([f"pred:{2**64 + 1},5|truth:5", "pred:1|truth:1", "pred:1,2|truth:2,2"],
+         "line 3: duplicate truth ids in (2, 2)"),
+    ], ids=["repeat-then-segment", "segment-then-repeat", "wide-id-then-repeat"])
+    def test_the_first_fault_wins(self, tmp_path, lines, message):
+        path = tmp_path / "cases.txt"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}, {message}')}$"):
+            load_cases(path)
+
+    def test_blank_lines_give_the_empty_table(self, tmp_path, capsys):
+        path = tmp_path / "cases.txt"
+        path.write_text("\n".join(_BLANKS + ["\u2028", ""]), encoding="utf-8")
+        assert_tables_equal(load_cases(path), CaseTable.from_cases([]))
+        assert main(["metrics", str(path)]) == 1
+        assert capsys.readouterr().err == "error: no cases to evaluate\n"
 
 
 # -- the two parser branches --------------------------------------------------
-
-def _parsed(parse, line):
-    """("case", fields) or ("error", message); fields carry types and the hash."""
-    try:
-        case = parse(line)
-    except FormatError as exc:
-        return "error", str(exc)
-    fields = (case.predicted, case.truth, case.factors)
-    types = (type(case.predicted), type(case.truth), type(case.factors),
-             {type(i) for i in case.predicted + case.truth}, {type(t) for t in case.factors})
-    return "case", (fields, types, hash(case))
-
 
 # Tag characters: ASCII and non-ASCII letters, the ":" and "_" a tag may hold.
 _TAG_TEXT = st.text(alphabet="abcxyz:_\u00e9\u03bb0", min_size=1, max_size=4)
@@ -655,21 +688,25 @@ _MUTATIONS = [
 
 
 class TestParserBranches:
-    """``parse_case_line`` takes canonical lines by one pattern match; on every
-    line it must agree with the segment-by-segment rules."""
+    """A file line goes either to the bulk conversion of the written form or to
+    ``parse_case_line``; a file holding a mutated line between two written
+    ones must read as the per-line parse reads it."""
 
     @pytest.mark.parametrize("mutate", _MUTATIONS, ids=lambda m: m.__name__.strip("_"))
     @given(predicted=_IDS_LIST, truth=_IDS_LIST,
            factors=st.frozensets(_TAG_TEXT, max_size=4),
            more=st.lists(st.sampled_from(_MUTATIONS), max_size=2), data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_branches_agree(self, mutate, predicted, truth, factors, more, data):
+    def test_branches_agree(self, tmp_path_factory, mutate, predicted, truth, factors, more,
+                            data):
         # Each mutation (each inserted text apart) leads its own run, so that
         # every one of them is tried often; up to two more follow at random.
-        line = format_case(RankedCase(tuple(predicted), tuple(truth), factors))
+        written = format_case(RankedCase(tuple(predicted), tuple(truth), factors))
+        line = written
         for step in [mutate, *more]:
             line = step(line, data)
-        assert _parsed(parse_case_line, line) == _parsed(_parse_segments, line)
+        assert_reads_line_by_line(tmp_path_factory.mktemp("cases") / "cases.txt",
+                                  f"{written}\n{line}\n{written}\n")
 
     @pytest.mark.parametrize("line", [
         "pred:1,2|truth:1|factors:",
@@ -690,13 +727,6 @@ class TestParserBranches:
         "  pred:1,2|truth:1\u3000\n",
         "pred:1,2|truth:-3,3|factors:b,a",
     ])
-    def test_edge_lines_agree(self, line):
-        assert _parsed(parse_case_line, line) == _parsed(_parse_segments, line)
-
-    def test_canonical_lines_take_the_pattern(self, rng, monkeypatch):
-        def rules(line):
-            raise AssertionError(f"rule-by-rule parse of a canonical line: {line!r}")
-
-        monkeypatch.setattr(metrics, "_parse_segments", rules)
-        for case in random_cases(rng, 200):
-            assert parse_case_line(format_case(case)) == case
+    def test_edge_lines_agree(self, tmp_path, line):
+        assert_reads_line_by_line(tmp_path / "cases.txt",
+                                  f"pred:7|truth:7\n{line}\npred:8|truth:8\n")

@@ -12,7 +12,7 @@ _SCRIPT = REPO_ROOT / "scripts" / "output_digests.py"
 _TRAIN = re.compile(r"^train/(frobenius|jbld|airm)/tau=(none|3\.5)/(tanh|linear)/"
                     r"(model\.bin|loss_history\.csv|eval_report\.csv) [0-9a-f]{64}$")
 _DIGEST = re.compile(r"^(eval/(stdout|eval_report\.csv)|metrics/(stdout|metrics\.csv|breakdown\.csv)"
-                     r"|metrics/(written|reordered)/stdout) [0-9a-f]{64}$")
+                     r"|metrics/(written|reordered|wide)/stdout) [0-9a-f]{64}$")
 _BENCH_ARGS = re.compile(r"^bench/(frobenius|jbld|airm)/args kind=\1 d=256 n=20 nstar=3 reps=3$")
 _BENCH_VALUE = re.compile(r"^bench/(frobenius|jbld|airm)/(naive|projected) value=(\S+)$")
 _VALUE = re.compile(r"^(gradcheck|invariance|shift)/\S+ (\S+)$")
@@ -25,17 +25,18 @@ def test_one_line_per_kept_output():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    # 12 trainings x 3 files, 2 eval and 5 metrics outputs, 3 bench kinds x 3 fields,
+    # 12 trainings x 3 files, 2 eval and 6 metrics outputs, 3 bench kinds x 3 fields,
     # 13 gradient and 11 invariance components, 4 benchmark means.
-    assert len(lines) == 36 + 7 + 9 + 13 + 11 + 4
-    train, outputs, bench, rest = lines[:36], lines[36:43], lines[43:52], lines[52:]
+    assert len(lines) == 36 + 8 + 9 + 13 + 11 + 4
+    train, outputs, bench, rest = lines[:36], lines[36:44], lines[44:53], lines[53:]
     assert all(_TRAIN.match(line) for line in train)
     assert len({line.split()[0] for line in train}) == 36
     assert [_DIGEST.match(line).group(1) for line in outputs] == [
         "eval/stdout", "eval/eval_report.csv", "metrics/stdout", "metrics/metrics.csv",
-        "metrics/breakdown.csv", "metrics/written/stdout", "metrics/reordered/stdout"]
-    # The reordered file holds the same cases as the written one.
-    assert outputs[5].split()[1] == outputs[6].split()[1]
+        "metrics/breakdown.csv", "metrics/written/stdout", "metrics/reordered/stdout",
+        "metrics/wide/stdout"]
+    # The reordered and wide files keep the id equalities of the written one.
+    assert outputs[5].split()[1] == outputs[6].split()[1] == outputs[7].split()[1]
     for i, kind in enumerate(("frobenius", "jbld", "airm")):
         args, naive, projected = bench[3 * i:3 * i + 3]
         assert _BENCH_ARGS.match(args).group(1) == kind
