@@ -5,11 +5,15 @@ The total objective is
     ce(W, source) + ce(W*, target) + eta ||W - W*||_F^2
       + (sigma1 / C) sum_c d^2(S_c, S*_c) + (sigma2 / C) sum_c ||mu_c - mu*_c||^2
 
-where the per-class scatters S_c, S*_c are built in the jointly reduced space
-(exact isometric projection of that class's source and target columns) and
-regularized by eps on both sides. Feature gradients of the scatter term travel
-distance gradient -> feature chain rule -> projector transpose; the projector
-is a constant in this differentiation.
+where S_c, S*_c are the per-class population scatters of the source and
+target columns, each regularized by eps. The three distances are invariant
+under isometries of the columns, so every one is a function of the class's
+Gram matrix ``K = X^T X``. Frobenius and JBLD are evaluated from ``K``
+directly, by trace identities and by Sylvester's determinant identity. AIRM
+takes the exact reduction ``K^{1/2}`` (the isometric projection onto the span
+of the class's columns), builds both scatters there, and sends its feature
+gradients through distance gradient -> feature chain rule -> projector
+transpose, the projector being a constant in this differentiation.
 
 One kernel, :func:`class_terms`, evaluates the alignment terms of a stack of
 classes that share a ``(N_c, N*_c)`` shape, with batched numpy calls over the
@@ -28,17 +32,18 @@ value. The trainer keeps those parts, step by step, as its loss history.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .distances import DistanceKind, batch_dist_sq
+from .distances import DistanceKind, _cholesky, batch_dist_sq, solve_triangular
 from .errors import (
     DimensionError, LabelError, NumericalError, SingularityError, check_at_least, check_nonnegative,
     check_positive, real_array,
 )
-from .nystrom import gram_roots
+from .nystrom import column_gram, roots_of_gram
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
 
 # perfbench/tracing.py wraps these bindings by name; the batched kernel does not call them.
@@ -171,49 +176,48 @@ def class_terms(
     """Scatter and mean terms of a stack of classes that share one (N, N*) shape.
 
     ``x`` is (G, d, N + N*): each class's N source columns, then its N*
-    target columns. Returns the (G,) squared distances between the reduced,
+    target columns. Returns the (G,) squared distances between the
     eps-regularized scatters, the (G,) squared gaps between the ambient means,
     and the (G, d, N + N*) feature gradients of
     ``sigma1 / C * scatter + sigma2 / C * mean`` (``None`` without
     ``with_grad``). A term whose weight is zero is neither computed nor
     differentiated.
 
+    The scatter term starts from the (G, k, k) Gram matrices ``K = X^T X``
+    (k = N + N*). Frobenius and JBLD are evaluated from ``K`` alone
+    (:func:`_gram_form_terms`); only AIRM takes its roots, the exact
+    reduction of :func:`~spdalign.nystrom.roots_of_gram`, and builds reduced
+    scatters (:func:`_reduced_terms`).
+
     Both gradients are linear maps of the columns, so they are summed as one
-    (G, k, k) operator ``M`` (k = N + N*) and the gradient is ``x @ M``: the
-    scatter part is ``inverse_root @ chained`` from the reduction, the mean
-    part ``2 c c^T`` with ``c`` = 1/N on source slots and -1/N* on target
-    slots. The d-dimensional data is read only by the Gram matrices, the mean
-    gaps ``x @ c`` and that product. The gradient's memory is laid out as
-    (G, k, d), so each class's gradient columns are contiguous.
+    (G, k, k) operator ``M`` and the gradient is ``x @ M``: the scatter part
+    comes from the chosen route, the mean part is ``2 c c^T`` with ``c`` =
+    1/N on source slots and -1/N* on target slots. The d-dimensional data is
+    read only by the Gram matrices, the mean gaps ``x @ c`` and that product.
+    (Where d < k - 2, JBLD may return its scatter gradient itself, which is
+    added to ``x @ M``.) The gradient's memory is laid out as (G, k, d), so
+    each class's gradient columns are contiguous.
 
     A ``SingularityError`` carries the position in the stack of the first
     failing class, and so does the ``NumericalError`` raised when a Gram
-    matrix, a regularized scatter, a term or the gradient operator overflows
-    float64.
+    matrix, a regularized scatter or Sylvester matrix, a term, the gradient
+    operator or the feature gradient overflows float64.
     """
     count, _, width = x.shape
+    direct = None
     scatter = np.zeros(count)
     mean = np.zeros(count)
     operator = np.zeros((count, width, width))
     c_norm = float(config.class_count)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.sigma1 != 0.0:
-            root, inverse_root = gram_roots(x)
-            part_s, part_t = root[:, :, :n_source], root[:, :, n_source:]
-            center_s, sigma_s = mean_and_scatter(part_s)
-            center_t, sigma_t = mean_and_scatter(part_t)
-            shift = config.eps * np.eye(width)
-            sigma_s += shift
-            sigma_t += shift
-            _check_overflow("regularized scatter", np.stack([sigma_s, sigma_t], axis=1))
-            scatter, grad_a, grad_b = batch_dist_sq(config.kind, sigma_s, sigma_t, with_grad=with_grad)
-            _check_overflow(f"squared {config.kind.value} distance", scatter)
-            if with_grad:
-                chained = np.concatenate([
-                    _feature_grad(grad_a, part_s, center_s),
-                    _feature_grad(grad_b, part_t, center_t),
-                ], axis=2)
-                operator += config.sigma1 / c_norm * (inverse_root @ chained)
+            gram = column_gram(x)
+            if config.kind is DistanceKind.AIRM:
+                scatter, scatter_operator = _reduced_terms(x, gram, n_source, config, with_grad)
+            else:
+                scatter, scatter_operator, direct = _gram_form_terms(x, gram, n_source, config, with_grad)
+            if scatter_operator is not None:
+                operator += config.sigma1 / c_norm * scatter_operator
         if config.sigma2 != 0.0:
             gap = np.repeat([1.0 / n_source, -1.0 / (width - n_source)], [n_source, width - n_source])
             diff = x @ gap
@@ -224,7 +228,184 @@ def class_terms(
     if not with_grad:
         return scatter, mean, None
     _check_overflow("gradient operator", operator)
-    return scatter, mean, (operator.transpose(0, 2, 1) @ x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    grad = (operator.transpose(0, 2, 1) @ x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    if direct is not None:
+        grad += config.sigma1 / c_norm * direct
+        _check_overflow("feature gradient", grad)
+    return scatter, mean, grad
+
+
+def _gram_form_terms(
+    x: np.ndarray, gram: np.ndarray, n_source: int, config: AlignConfig, with_grad: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Frobenius or JBLD terms from the Gram matrices, without a reduction.
+
+    ``B`` (:func:`_centring_basis`) maps the k slots to k - 2 centred
+    directions, so that ``Z = X B`` holds columns whose outer products sum to
+    the two scatters: ``S = Z_s Z_s^T`` and ``S* = Z_t Z_t^T``. Their Gram
+    matrix is ``Kc = B^T K B``. Let ``s`` be +1 on source directions and -1 on
+    target directions, and ``D = diag(s)``.
+
+    * Frobenius: ``||S - S*||_F^2 = sum_ij s_i s_j Kc_ij^2`` by trace
+      identities, and its gradient with respect to ``Z`` is ``Z W`` with
+      ``W = 4 D Kc D``.
+    * JBLD: the ``log eps`` parts of the three log-determinants cancel, so the
+      term is ``L(Z, 2 eps) - (L(Z_s, eps) + L(Z_t, eps)) / 2`` with
+      ``L(F, c) = logdet(I + F F^T / c)``, in any embedding of the columns.
+      By Sylvester's determinant identity, ``L(F, c)`` is also
+      ``logdet(I + F^T F / c)``, a function of a block of ``Kc``.
+      :func:`_jbld_terms` takes each of the three on its smaller side.
+
+    Returns the (G,) values and the scatter part of the feature gradient:
+    either the (G, k, k) operator ``B W B^T``, whose gradient is ``X B W B^T``,
+    or the (G, d, k) gradient itself, and ``None`` for the other (both
+    ``None`` without ``with_grad``).
+    """
+    helmert, scale = _centring_basis(n_source, gram.shape[-1])
+    centred = (helmert.T @ gram @ helmert) * np.outer(scale, scale)
+    basis = helmert * scale
+    if config.kind is DistanceKind.JBLD:
+        values, weight, direct = _jbld_terms(x, centred, helmert, scale, n_source - 1, config.eps,
+                                             with_grad)
+    else:
+        side = np.arange(basis.shape[1]) >= n_source - 1
+        signed = np.where(side[:, None] == side[None, :], centred, -centred)
+        values = np.einsum("gij,gij->g", signed, centred)
+        _check_overflow("squared frobenius distance", values)
+        weight, direct = 4.0 * signed, None
+    if not with_grad:
+        return values, None, None
+    if weight is None:
+        return values, None, direct
+    return values, basis @ weight @ basis.T, None
+
+
+def _jbld_terms(
+    x: np.ndarray, centred: np.ndarray, helmert: np.ndarray, scale: np.ndarray, split: int,
+    eps: float, with_grad: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """JBLD values, and either the gradient weight ``W`` on the centred directions or the gradient.
+
+    ``centred`` is ``Kc``, the centring basis is ``helmert * scale``, and
+    ``split`` is the number of source directions. Each of the three parts,
+    pooled (``Z``, ``c = 2 eps``), source and target (``Z_s``, ``Z_t``,
+    ``c = eps``), takes the smaller side of Sylvester's identity: ``I + F^T F
+    / c`` from its block of ``Kc`` where ``F`` has at most d columns that are
+    not exactly zero, else ``I + F F^T / c`` from ``F``. That side is full
+    rank for generic columns, so no null direction of the other side, whose
+    rounding the ``1 / eps`` would amplify, enters a log-determinant. The
+    pooled matrix and the block-diagonal source-target matrix, padded with
+    the identity to one size, share one Cholesky call.
+
+    The gradient of ``L(F, c)`` with respect to ``F`` is ``(2 / c) F (I +
+    F^T F / c)^{-1}`` on the Gram side and ``(2 / c) (I + F F^T / c)^{-1} F``
+    on the other. Where every part is on the Gram side (always when d is at
+    least k - 2), they add up to ``Z W``. Otherwise the gradient with respect
+    to ``X``, ``sum (dL / dF) B_F^T``, is returned, formed from ``Z``, so
+    that a centred column that is exactly zero contributes exactly zero.
+    """
+    count, dim, _ = x.shape
+    width = centred.shape[-1]
+    # (centred directions, c, sign): pooled, source, target.
+    parts = ((slice(0, width), 2.0 * eps, 1.0), (slice(0, split), eps, -1.0),
+             (slice(split, width), eps, -1.0))
+    # An exactly zero direction adds an exact identity row on the Gram side; only
+    # the others count against d.
+    live = np.diagonal(centred, axis1=1, axis2=2) != 0.0
+    gram_side = [int(live[:, cols].sum(axis=1).max()) <= dim for cols, _, _ in parts]
+    z = None if all(gram_side) else (x @ helmert) * scale
+    blocks = [centred[:, cols, cols] / c if on_gram else
+              z[:, :, cols] @ z[:, :, cols].transpose(0, 2, 1) / c
+              for (cols, c, _), on_gram in zip(parts, gram_side)]
+    # The pooled matrix is layer 0; source and target share layer 1, block-diagonally.
+    places = [(0, 0), (1, 0), (1, blocks[1].shape[-1])]
+    size = max(blocks[0].shape[-1], blocks[1].shape[-1] + blocks[2].shape[-1])
+    stack = np.zeros((2, count, size, size))
+    stack[:, :] = np.eye(size)
+    for (layer, offset), block in zip(places, blocks):
+        stack[layer, :, offset:offset + block.shape[-1], offset:offset + block.shape[-1]] += block
+    _check_overflow("regularized Sylvester matrix", stack.transpose(1, 0, 2, 3))
+    chol = _cholesky(stack.reshape(2 * count, size, size), count)
+    logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    # Finite, since both factors are; mathematically >= 0, so rounding residue clamps at zero.
+    values = np.maximum(logdets[:count] - 0.5 * logdets[count:], 0.0)
+    if not with_grad:
+        return values, None, None
+    inv_factor = solve_triangular(chol, np.eye(size))
+    inverse = (inv_factor.transpose(0, 2, 1) @ inv_factor).reshape(2, count, size, size)
+    scaled = [sign / eps * inverse[layer, :, offset:offset + block.shape[-1],
+                                   offset:offset + block.shape[-1]]
+              for (_, _, sign), (layer, offset), block in zip(parts, places, blocks)]
+    if z is None:
+        weight = np.zeros((count, width, width))
+        for (cols, _, _), inv in zip(parts, scaled):
+            weight[:, cols, cols] += inv
+        return values, weight, None
+    basis = helmert * scale
+    grad = np.zeros(x.shape)
+    for (cols, _, _), on_gram, inv in zip(parts, gram_side, scaled):
+        factor = z[:, :, cols]
+        grad += (factor @ inv if on_gram else inv @ factor) @ basis[:, cols].T
+    return values, None, grad
+
+
+@functools.lru_cache(maxsize=64)
+def _centring_basis(n_source: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(H, s): the (k, k - 2) centring basis ``H * s`` from the k column slots to the scatter directions.
+
+    Block-diagonal, with ``H_n * s_n`` for each side's n slots: the Helmert
+    basis, n - 1 orthonormal columns orthogonal to the ones vector, so that
+    ``(H_n s_n)(H_n s_n)^T = (I - 11^T / n) / n`` is the scatter's centring
+    and scaling. ``H`` holds the Helmert columns' integer entries (1 and -j)
+    and ``s`` their scales, with the ``1 / sqrt(n)`` folded in, so that
+    products with ``H`` take exact differences: two equal first columns of a
+    side give an exactly zero centred direction. Using a basis in place of
+    the projector keeps the two constant directions, which no scatter sees,
+    out of every matrix that is factored. A training run meets few class
+    shapes, so the pairs are cached, read-only.
+    """
+    helmert = np.zeros((width, width - 2))
+    scale = np.zeros(width - 2)
+    for rows, cols, n in ((slice(0, n_source), slice(0, n_source - 1), n_source),
+                          (slice(n_source, width), slice(n_source - 1, width - 2), width - n_source)):
+        steps = np.arange(1, n)
+        block = (np.arange(n)[:, None] < steps).astype(float)
+        block[steps, steps - 1] = -steps
+        helmert[rows, cols] = block
+        scale[cols] = 1.0 / np.sqrt(steps * (steps + 1.0) * n)
+    helmert.setflags(write=False)
+    scale.setflags(write=False)
+    return helmert, scale
+
+
+def _reduced_terms(
+    x: np.ndarray, gram: np.ndarray, n_source: int, config: AlignConfig, with_grad: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Scatter terms and operators through the exact reduction, for AIRM.
+
+    The roots of ``gram`` reduce the columns to dimension k; both reduced
+    scatters are regularized by eps and handed to :func:`batch_dist_sq`, and
+    its scatter gradients travel the feature chain rule and the inverse root
+    back to an operator on the columns.
+    """
+    width = gram.shape[-1]
+    root, inverse_root = roots_of_gram(gram, x.shape[1])
+    part_s, part_t = root[:, :, :n_source], root[:, :, n_source:]
+    center_s, sigma_s = mean_and_scatter(part_s)
+    center_t, sigma_t = mean_and_scatter(part_t)
+    shift = config.eps * np.eye(width)
+    sigma_s += shift
+    sigma_t += shift
+    _check_overflow("regularized scatter", np.stack([sigma_s, sigma_t], axis=1))
+    values, grad_a, grad_b = batch_dist_sq(config.kind, sigma_s, sigma_t, with_grad=with_grad)
+    _check_overflow(f"squared {config.kind.value} distance", values)
+    if not with_grad:
+        return values, None
+    chained = np.concatenate([
+        _feature_grad(grad_a, part_s, center_s),
+        _feature_grad(grad_b, part_t, center_t),
+    ], axis=2)
+    return values, inverse_root @ chained
 
 
 def _check_overflow(what: str, stack: np.ndarray) -> None:

@@ -48,9 +48,10 @@ nothing around them, ids of at most 18 digits) from the others. Each other
 nonblank line goes through :func:`parse_case_line`, the rule-by-rule parser,
 and is written back in that form. Then all lines are converted together:
 one integer conversion per id list and one sorted check for repeated ids.
-If some id lies outside int64, every id is read as a Python int and
-replaced by its rank among the file's distinct ids, the coding that
-``CaseTable.from_cases`` uses. The error names the first line that breaks a
+If some id lies outside int64, every id is replaced by its rank among the
+file's distinct ids, the coding that ``CaseTable.from_cases`` uses; the
+conversion stays in bulk, and only the ids of the lines that hold such an id
+are read as Python ints. The error names the first line that breaks a
 rule, whatever the rule: a line that fails to parse, or an earlier line in
 the written form that repeats an id. Its message comes from
 :func:`parse_case_line`, the one source of the reader's messages.
@@ -146,16 +147,14 @@ def _first_repeat(ids: np.ndarray, offsets: np.ndarray) -> int:
 
 
 def _rank_coded(flat: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """An int64 column per id list; if an id lies outside int64, each id's rank instead.
-
-    The rank is taken among the distinct ids of all the lists, which keeps
-    every equality that the measures count.
-    """
+    """An int64 column per id list; if an id lies outside int64, each id's rank instead (:func:`_rank_around`)."""
     try:
         return [np.array(ids, dtype=np.int64) for ids in flat]
     except OverflowError:
-        rank = {v: r for r, v in enumerate(sorted(set(chain.from_iterable(flat))))}
-        return [np.array([rank[v] for v in ids], dtype=np.int64) for ids in flat]
+        outside = [{at: v for at, v in enumerate(ids) if not -(2**63) <= v < 2**63} for ids in flat]
+        columns = [np.array([0 if at in found else v for at, v in enumerate(ids)], dtype=np.int64)
+                   for ids, found in zip(flat, outside)]
+        return _rank_around(columns, outside)
 
 
 def _factor_columns(factor_sets: Sequence[frozenset[str]]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -424,20 +423,57 @@ def format_case(case: RankedCase) -> str:
     return "|".join(parts)
 
 
-def _id_columns(lists: Sequence[Sequence[str]], wide: bool) -> tuple[list, list]:
+def _id_columns(lists: Sequence[Sequence[str]], wide_cases: Sequence[int]) -> tuple[list, list]:
     """(id column, offsets) of each kind of comma-separated id lists.
 
-    Lists within int64 are converted by one ``np.fromstring`` per kind; if
-    ``wide``, every id is read as a Python int and rank-coded.
+    Each kind's lists are converted by one ``np.fromstring``. Only the lists
+    of ``wide_cases`` may hold ids outside int64: their ids are read as
+    Python ints, a zero stands in for each id outside int64 in the bulk
+    conversion, and if there is any, the columns are rank-coded around them
+    (:func:`_rank_around`).
     """
-    joined = [",".join(texts) for texts in lists]
-    if wide:
-        columns = _rank_coded([list(map(int, text.split(","))) for text in joined])
-    else:
-        columns = [np.fromstring(text, dtype=np.int64, sep=",") for text in joined]
     commas = [np.fromiter(map(str.count, texts, repeat(",")), np.int64, len(texts))
               for texts in lists]
-    return columns, [_offsets(count + 1) for count in commas]
+    offsets = [_offsets(count + 1) for count in commas]
+    columns, outside = [], []
+    for texts, starts in zip(lists, offsets):
+        texts, found = list(texts), {}
+        for case in wide_cases:
+            ids = texts[case].split(",")
+            for at, token in enumerate(ids):
+                value = int(token)
+                if not -(2**63) <= value < 2**63:
+                    found[int(starts[case]) + at] = value
+                    ids[at] = "0"
+            texts[case] = ",".join(ids)
+        columns.append(np.fromstring(",".join(texts), dtype=np.int64, sep=","))
+        outside.append(found)
+    if any(outside):
+        columns = _rank_around(columns, outside)
+    return columns, offsets
+
+
+def _rank_around(columns: Sequence[np.ndarray], outside: Sequence[dict]) -> list[np.ndarray]:
+    """The int64 columns with each id replaced by its rank among the distinct ids of all of them.
+
+    ``outside[i]`` maps positions of column i to the ids outside int64 that
+    they hold in truth (what the column holds there is ignored). The ranks
+    keep every equality that the measures count. An id outside int64 lies
+    below or above every int64 id, so an int64 id's rank is its rank among
+    the distinct int64 ids plus the number of distinct ids below int64, and
+    an id above int64 ranks after all the int64 ids.
+    """
+    inside = np.unique(np.concatenate([np.delete(column, list(found))
+                                       for column, found in zip(columns, outside)]))
+    extremes = sorted(set(chain.from_iterable(found.values() for found in outside)))
+    below = sum(value < 0 for value in extremes)
+    rank = {value: r + (len(inside) if value > 0 else 0) for r, value in enumerate(extremes)}
+    coded = []
+    for column, found in zip(columns, outside):
+        ranks = below + np.searchsorted(inside, column)
+        ranks[list(found)] = [rank[value] for value in found.values()]
+        coded.append(ranks)
+    return coded
 
 
 def load_cases(path) -> CaseTable:
@@ -452,7 +488,7 @@ def load_cases(path) -> CaseTable:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = _FILE_LINE.findall(text)  # row i is line i + 1
-    end, wide = len(rows), False  # rows[:end] are blank or in the written form
+    end, wide_rows = len(rows), []  # rows[:end] are blank or in the written form
     others = list(map(itemgetter(3), rows))
     if any(others):
         for at, line in enumerate(others):
@@ -463,12 +499,15 @@ def load_cases(path) -> CaseTable:
                     end = at
                     break
                 ids = case.predicted + case.truth
-                wide = wide or max(ids) >= 2**63 or min(ids) < -(2**63)
+                if max(ids) >= 2**63 or min(ids) < -(2**63):
+                    wide_rows.append(at)
                 rows[at] = (",".join(map(str, case.predicted)), ",".join(map(str, case.truth)),
                             ",".join(case.factors), "")
     cases = [row for row in rows[:end] if row[0]]
+    case_rows = [at for at, row in enumerate(rows[:end]) if row[0]] if wide_rows else []
     pred_lists, truth_lists, tag_lists, _ = list(zip(*cases)) or [()] * 4
-    columns, offsets = _id_columns((pred_lists, truth_lists), wide)
+    columns, offsets = _id_columns((pred_lists, truth_lists),
+                                   np.searchsorted(case_rows, wide_rows).tolist())
     first = min(map(_first_repeat, columns, offsets))
     if first < len(cases):
         end = [at for at, row in enumerate(rows) if row[0]][first]

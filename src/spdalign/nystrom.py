@@ -10,8 +10,11 @@ The matching row-orthonormal projector Zbar = (X^T X)^{-1/2} X^T is what
 gradients are pushed back through; it may be treated as a constant when
 differentiating the reduced pipeline.
 
-Every inverse Gram root here comes from :func:`gram_roots`, with its one rank
-policy: no jitter, and eigenvalues at rounding level count as zero.
+Every inverse Gram root here comes from :func:`roots_of_gram`, with its one
+rank policy: no jitter, and eigenvalues at rounding level count as zero. The
+alignment kernel forms each class's Gram matrix once, with
+:func:`column_gram`, and takes roots of it only under AIRM; the Frobenius and
+JBLD terms are functions of the Gram matrix itself.
 """
 
 from __future__ import annotations
@@ -65,8 +68,31 @@ def nystrom_map(pivots: np.ndarray, data: np.ndarray) -> np.ndarray:
     return gram_roots(pivots[None])[1][0] @ (pivots.T @ data)
 
 
+def column_gram(x: np.ndarray) -> np.ndarray:
+    """Batched Gram matrices ``X^T X`` of a (G, d, k) column stack.
+
+    A Gram matrix that overflows float64 raises ``NumericalError`` whose
+    ``index`` is its position in the stack.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = x.transpose(0, 2, 1) @ x
+    finite = np.isfinite(gram).all(axis=(1, 2))
+    if not finite.all():
+        raise NumericalError("Gram matrix of the columns overflows float64", index=int(np.argmin(finite)))
+    return gram
+
+
 def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Batched ``(X^T X)^{1/2}`` and ``(X^T X)^{-1/2}`` of a (G, d, k) column stack.
+
+    The roots of :func:`column_gram`, by :func:`roots_of_gram`; a Gram
+    matrix that overflows raises as it does there.
+    """
+    return roots_of_gram(column_gram(x), x.shape[1])
+
+
+def roots_of_gram(gram: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """``K^{1/2}`` and ``K^{-1/2}`` of a (G, k, k) stack of Gram matrices of ``dim``-row columns.
 
     One symmetric eigendecomposition of each small k x k Gram matrix gives
     both. The square root is the exact reduction: its columns have the same
@@ -81,17 +107,9 @@ def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     exactly zero (the inverse root is then a pseudo-inverse). Kept, their
     square roots would add components of relative size 1e-8 to the reduced
     columns and their inverse square roots would blow up rounding noise.
-
-    A Gram matrix that overflows float64 raises ``NumericalError`` whose
-    ``index`` is its position in the stack.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        gram = x.transpose(0, 2, 1) @ x
-    finite = np.isfinite(gram).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError("Gram matrix of the columns overflows float64", index=int(np.argmin(finite)))
     values, vectors = np.linalg.eigh(symmetric_part(gram))
-    cutoff = max(x.shape[1], x.shape[2]) * np.finfo(np.float64).eps * values[:, -1:]
+    cutoff = max(dim, gram.shape[-1]) * np.finfo(np.float64).eps * values[:, -1:]
     kept = values > cutoff
     roots = np.sqrt(np.where(kept, values, 0.0))
     inverse_roots = np.where(kept, 1.0 / np.where(kept, roots, 1.0), 0.0)

@@ -156,6 +156,17 @@ class TestAlignmentLoss:
         assert np.abs(result.grads_source[0]).max() < 1e-7
         assert np.abs(result.grads_target[0]).max() < 1e-7
 
+    # Equal target columns have no spread, so the exact scatter gradient on them is
+    # zero; at dim 2 the JBLD pooled part is taken on its d x d side.
+    @pytest.mark.parametrize("kind", [DistanceKind.FROBENIUS, DistanceKind.JBLD])
+    @pytest.mark.parametrize("dim", [2, 8])
+    def test_side_without_spread_gets_exactly_zero_gradient(self, kind, dim, rng):
+        cols_s = 100.0 * rng.normal(size=(dim, 5))
+        cols_t = np.repeat(100.0 * rng.normal(size=(dim, 1)), 2, axis=1)
+        result = alignment_loss([(cols_s, cols_t)], config_for(kind=kind, sigma2=0.0))
+        assert result.scatter_term > 0.0
+        assert not result.grads_target[0].any()
+
     def test_switched_off(self, rng):
         cols_s = rng.normal(size=(3, 4))
         cols_t = rng.normal(size=(3, 4))
@@ -330,8 +341,12 @@ class TestTotalObjective:
 class TestOverflowingFeatures:
     """Features whose Gram matrices, scatters or terms leave float64's range."""
 
-    @pytest.mark.parametrize("kind", list(DistanceKind))
-    @pytest.mark.parametrize("scale", [1e100, 1e155, 1e300])
+    # At 1e100 the JBLD Gram form computes only finite quantities, and the exact
+    # value (test_oracle.py); the reduction of AIRM is lost to rounding there.
+    @pytest.mark.parametrize("scale, kind", [
+        (scale, kind) for scale in (1e100, 1e155, 1e300) for kind in DistanceKind
+        if (scale, kind) != (1e100, DistanceKind.JBLD)
+    ])
     def test_typed_error_names_the_class(self, kind, scale, rng):
         from spdalign.checks import _ClassifierPair
 
@@ -345,15 +360,22 @@ class TestOverflowingFeatures:
                 total_objective(_ClassifierPair(zero, zero), block_s, block_t,
                                 config_for(kind, c=2))
 
+    # Gram entries of 1e308 are finite. Past the Gram matrix, each kind overflows at a
+    # stage of its own route: the Frobenius term sums squared entries of 1e308; the
+    # JBLD Sylvester matrix divides them by eps = 1e-300; the reduced AIRM source
+    # scatter of 1e308 plus eps = 1.7e308 is not finite. With sigma2 = 1.7e308,
+    # 2 sigma2 / C overflows, so the mean part of the gradient operator does.
     @pytest.mark.parametrize("kind", list(DistanceKind))
-    @pytest.mark.parametrize("config, message", [
-        # Gram entries of 1e308 are finite; the source scatter of 1e308 plus eps is not.
-        ({"eps": 1.7e308}, "regularized scatter"),
-        # 2 sigma2 / C overflows, so the mean part of the gradient operator does.
-        ({"sigma1": 0.0, "sigma2": 1.7e308}, "gradient operator"),
+    @pytest.mark.parametrize("stages", [
+        {DistanceKind.FROBENIUS: ({"eps": 1.7e308}, "squared frobenius distance"),
+         DistanceKind.JBLD: ({"eps": 1e-300}, "regularized Sylvester matrix"),
+         DistanceKind.AIRM: ({"eps": 1.7e308}, "regularized scatter")},
+        dict.fromkeys(DistanceKind, ({"sigma1": 0.0, "sigma2": 1.7e308}, "gradient operator")),
     ], ids=["scatter", "operator"])
-    def test_overflow_past_the_gram_names_the_class(self, kind, config, message):
+    def test_overflow_past_the_gram_names_the_class(self, kind, stages):
         from spdalign.checks import _ClassifierPair
+
+        config, message = stages[kind]
 
         block_s = FeatureBlock(1e154 * np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2, int))
         block_t = FeatureBlock(np.array([[0.0], [1.0]]), np.zeros(1, int))

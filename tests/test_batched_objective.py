@@ -8,7 +8,17 @@ before the comparison was run: values within 1e-10 relative, Frobenius and
 JBLD feature gradients within 1e-8 relative in the Frobenius norm. AIRM
 gradients are judged by the high-precision oracle in ``test_oracle.py``
 instead, because this reference shares their formula.
+
+The batched kernel evaluates Frobenius and JBLD from the Gram matrix, not
+through the reduction, so the two round differently. On some draws the
+reference itself misses the truth by more than the tolerance: rounding noise
+where the true gradient is zero (equal columns, or a single class whose
+softmax gradient vanishes), and eps-padded directions of rank-deficient or
+large-scale classes. Where the two disagree, the 40-digit reference of
+``test_oracle.py`` decides, at the same tolerances.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,6 +39,7 @@ from spdalign.errors import SingularityError
 from spdalign.nystrom import backproject_grad, isometric_project
 from spdalign.scatter import FeatureBlock, _feature_grad
 from spdalign.spd import regularize, symmetrize
+from test_oracle import _reference
 
 VALUE_TOL = 1e-10
 GRAD_TOL = 1e-8
@@ -93,6 +104,19 @@ def loop_total_objective(model, batch_s, batch_t, config):
     return value, grads
 
 
+def oracle_total_objective(model, batch_s, batch_t, config):
+    """``loop_total_objective`` with the scatter term and its feature gradients of 40-digit precision."""
+    value, grads = loop_total_objective(model, batch_s, batch_t, dataclasses.replace(config, sigma1=0.0))
+    weight = config.sigma1 / config.class_count
+    for c, (cols_s, cols_t) in enumerate(group_columns_by_class(batch_s, batch_t, config.class_count)):
+        if weight and cols_s.shape[1] and cols_t.shape[1]:
+            term, grad_s, grad_t = _reference(config.kind, cols_s, cols_t, eps=config.eps)
+            value += weight * term
+            grads[4][:, batch_s.labels == c] += weight * grad_s
+            grads[5][:, batch_t.labels == c] += weight * grad_t
+    return value, grads
+
+
 @st.composite
 def objective_inputs(draw):
     """Ragged per-class counts (zero in either stream allowed), shuffled batches,
@@ -152,27 +176,36 @@ def test_batched_objective_equals_loop_reference(inputs):
             total_objective(model, batch_s, batch_t, config)
         return
     result = total_objective(model, batch_s, batch_t, config)
-    assert abs(result.value - value) <= VALUE_TOL * abs(value)
     batched = result.grads
     names = ["weights_source", "bias_source", "weights_target", "bias_target"]
     for name, expected in zip(names, grads[:4]):
         assert np.array_equal(getattr(batched, name), expected), name
-    if config.kind is not DistanceKind.AIRM:
-        assert _gap(batched.features_source, grads[4]) <= GRAD_TOL
-        assert _gap(batched.features_target, grads[5]) <= GRAD_TOL
+    features = [] if config.kind is DistanceKind.AIRM else [batched.features_source,
+                                                            batched.features_target]
+    if abs(result.value - value) <= VALUE_TOL * abs(value) and all(
+            _gap(actual, expected) <= GRAD_TOL for actual, expected in zip(features, grads[4:])):
+        return
+    truth, truth_grads = oracle_total_objective(model, batch_s, batch_t, config)
+    assert abs(result.value - truth) <= VALUE_TOL * abs(truth)
+    for actual, exact in zip(features, truth_grads[4:]):
+        assert _gap(actual, exact) <= GRAD_TOL
 
 
 def test_singular_class_is_named():
-    # Scale 1e6 with eps 1e-6: rounding in the reduced scatters swamps eps.
+    # Scale 1e6 with eps 1e-6: rounding in the reduced AIRM scatters swamps eps. The
+    # JBLD Gram form takes these columns exactly; it fails once class 1 holds two
+    # pairs of equal columns, whose centred Gram matrix is singular with rounding
+    # of about 1e-16 * 1e12, far beyond -eps.
     rng = np.random.default_rng(5)
     labels = np.repeat(np.arange(3), 4)
     cols = rng.normal(size=(8, 12))
     cols[:, labels == 1] *= 1e6
-    block_s = FeatureBlock(cols, labels)
+    repeated = cols.copy()
+    repeated[:, [5, 7]] = repeated[:, [4, 6]]
     block_t = FeatureBlock(rng.normal(size=(8, 6)), np.repeat(np.arange(3), 2))
     model = _ClassifierPair(Classifier(np.zeros((8, 3)), np.zeros(3)),
                             Classifier(np.zeros((8, 3)), np.zeros(3)))
-    for kind in (DistanceKind.JBLD, DistanceKind.AIRM):
+    for kind, source in ((DistanceKind.JBLD, repeated), (DistanceKind.AIRM, cols)):
         config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=kind, class_count=3)
         with pytest.raises(SingularityError, match="^class 1: "):
-            total_objective(model, block_s, block_t, config)
+            total_objective(model, FeatureBlock(source, labels), block_t, config)

@@ -235,8 +235,11 @@ class TestTrainCommand:
         cfg.write_text(FAST_CONFIG + "encoder = linear\nscale = 1e6\ntau = 1e14\n",
                        encoding="utf-8")
         code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        # Under the default kind (JBLD) step 1 is exact. At step 2 a class's centred
+        # columns span fewer directions than its Sylvester matrix has rows, and the
+        # rounding at this scale leaves that matrix indefinite.
         assert code == 2
-        assert "step 1: class " in err
+        assert "step 2: class " in err
 
     def test_config_tau_is_the_dumped_cap(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
