@@ -80,13 +80,10 @@ def _cholesky(stack: np.ndarray, pairs: int) -> np.ndarray:
             try:
                 np.linalg.cholesky(stack[position])
             except np.linalg.LinAlgError:
-                smallest = float(np.linalg.eigvalsh(stack[position])[0])
                 raise SingularityError(
-                    "matrix must be strictly positive definite; "
-                    f"smallest eigenvalue is {smallest:.6e}",
-                    index=position % pairs,
+                    "matrix is not positive definite to working precision", index=position % pairs
                 ) from exc
-        raise SingularityError("matrix must be strictly positive definite") from exc
+        raise SingularityError("matrix is not positive definite to working precision") from exc
 
 
 # Factors up to this many rows are solved by substitution; larger ones are split in two.

@@ -27,6 +27,8 @@ Model dump, header ``MODEL_HEADER`` (40 bytes)::
 
 then, for the source stream and then the target stream, the four matrices of
 ``_stream_shapes``: encoder weights and bias, classifier weights and bias.
+The reader rejects a flag other than 0 or 1, and a nonzero cap value under
+cap flag 0.
 """
 
 from __future__ import annotations
@@ -140,6 +142,11 @@ def read_model(path) -> TwoStreamModel:
     _, version, *sizes, nonlinear, has_cap, cap_value = MODEL_HEADER.unpack_from(raw)
     if version != VERSION:
         raise FormatError(f"{path}: unsupported model version {version}")
+    for field, flag in (("nonlinear flag", nonlinear), ("cap flag", has_cap)):
+        if flag not in (0, 1):
+            raise FormatError(f"{path}: {field} must be 0 or 1, found {flag}")
+    if not has_cap and cap_value != 0.0:
+        raise FormatError(f"{path}: cap value must be 0 under cap flag 0, found {cap_value!r}")
     shapes = _stream_shapes(*sizes) * 2
     counts = [rows * cols for rows, cols in shapes]
     expected = MODEL_HEADER.size + 8 * sum(counts)

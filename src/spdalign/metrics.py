@@ -46,14 +46,13 @@ splits it into lines, in order, and tells the lines in the form that
 :func:`format_case` writes (``pred``, ``truth``, then optional ``factors``,
 nothing around them, ids of at most 18 digits) from the others. Each other
 nonblank line goes through :func:`parse_case_line`, the rule-by-rule parser,
-and is written back in that form. Then all lines are converted together:
-one integer conversion per id list and one sorted check for repeated ids.
-If some id lies outside int64, every id is replaced by its rank among the
-file's distinct ids, the coding that ``CaseTable.from_cases`` uses; the
-conversion stays in bulk, and only the ids of the lines that hold such an id
-are read as Python ints. The error names the first line that breaks a
-rule, whatever the rule: a line that fails to parse, or an earlier line in
-the written form that repeats an id. Its message comes from
+and is written back in that form; if one of its ids lies outside int64
+(the written form's ids never do), each of its ids is written as its rank
+among the line's distinct ids, the coding that ``CaseTable.from_cases``
+uses. Then all lines are converted together: one integer conversion per id
+list and one sorted check for repeated ids. The error names the first line
+that breaks a rule, whatever the rule: a line that fails to parse, or an
+earlier line in the written form that repeats an id. Its message comes from
 :func:`parse_case_line`, the one source of the reader's messages.
 """
 
@@ -146,15 +145,18 @@ def _first_repeat(ids: np.ndarray, offsets: np.ndarray) -> int:
     return int(repeated[0]) if len(repeated) else len(offsets) - 1
 
 
-def _rank_coded(flat: Sequence[Sequence[int]]) -> list[np.ndarray]:
-    """An int64 column per id list; if an id lies outside int64, each id's rank instead (:func:`_rank_around`)."""
-    try:
-        return [np.array(ids, dtype=np.int64) for ids in flat]
-    except OverflowError:
-        outside = [{at: v for at, v in enumerate(ids) if not -(2**63) <= v < 2**63} for ids in flat]
-        columns = [np.array([0 if at in found else v for at, v in enumerate(ids)], dtype=np.int64)
-                   for ids, found in zip(flat, outside)]
-        return _rank_around(columns, outside)
+def _case_ids(predicted: tuple[int, ...], truth: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """A case's two id lists, unchanged if every id fits int64.
+
+    Otherwise each id is replaced by its rank among the case's own distinct
+    ids. That keeps every equality the measures count, as they compare ids
+    only within a case.
+    """
+    ids = predicted + truth
+    if -(2**63) <= min(ids) and max(ids) < 2**63:
+        return predicted, truth
+    rank = {value: r for r, value in enumerate(sorted(set(ids)))}
+    return tuple(map(rank.__getitem__, predicted)), tuple(map(rank.__getitem__, truth))
 
 
 def _factor_columns(factor_sets: Sequence[frozenset[str]]) -> tuple[tuple[str, ...], np.ndarray]:
@@ -174,11 +176,11 @@ class CaseTable:
     Case i predicts ``predicted[predicted_offsets[i]:predicted_offsets[i + 1]]``
     in score order and holds ``truth[truth_offsets[i]:truth_offsets[i + 1]]``
     in saliency order; ``factors[i, j]`` says whether it carries ``tags[j]``,
-    and ``tags`` are the sorted tags that some case carries. Ids are int64; if
-    some id of the cases lies outside int64, every id is replaced by its rank
-    among the distinct ids, which keeps the equalities that the measures
-    count. Build a table with :func:`load_cases` or :meth:`from_cases`, which
-    check the cases' rules.
+    and ``tags`` are the sorted tags that some case carries. Ids are int64; in
+    a case that holds an id outside int64, each of its ids is replaced by its
+    rank among that case's distinct ids, which keeps the equalities that the
+    measures count, and every other case keeps its ids. Build a table with
+    :func:`load_cases` or :meth:`from_cases`, which check the cases' rules.
     """
 
     predicted: np.ndarray
@@ -195,7 +197,12 @@ class CaseTable:
     def from_cases(cls, cases: Sequence[RankedCase]) -> CaseTable:
         """The table of ``cases``, in order."""
         lists = [list(map(attrgetter(field), cases)) for field in ("predicted", "truth")]
-        columns = _rank_coded([list(chain.from_iterable(per_case)) for per_case in lists])
+        try:
+            columns = [np.array(list(chain.from_iterable(per_case)), dtype=np.int64)
+                       for per_case in lists]
+        except OverflowError:
+            return cls.from_cases([RankedCase(*_case_ids(c.predicted, c.truth), c.factors)
+                                   for c in cases])
         offsets = [_offsets(np.fromiter(map(len, per_case), np.int64, len(cases)))
                    for per_case in lists]
         tags, factors = _factor_columns(list(map(attrgetter("factors"), cases)))
@@ -423,59 +430,6 @@ def format_case(case: RankedCase) -> str:
     return "|".join(parts)
 
 
-def _id_columns(lists: Sequence[Sequence[str]], wide_cases: Sequence[int]) -> tuple[list, list]:
-    """(id column, offsets) of each kind of comma-separated id lists.
-
-    Each kind's lists are converted by one ``np.fromstring``. Only the lists
-    of ``wide_cases`` may hold ids outside int64: their ids are read as
-    Python ints, a zero stands in for each id outside int64 in the bulk
-    conversion, and if there is any, the columns are rank-coded around them
-    (:func:`_rank_around`).
-    """
-    commas = [np.fromiter(map(str.count, texts, repeat(",")), np.int64, len(texts))
-              for texts in lists]
-    offsets = [_offsets(count + 1) for count in commas]
-    columns, outside = [], []
-    for texts, starts in zip(lists, offsets):
-        texts, found = list(texts), {}
-        for case in wide_cases:
-            ids = texts[case].split(",")
-            for at, token in enumerate(ids):
-                value = int(token)
-                if not -(2**63) <= value < 2**63:
-                    found[int(starts[case]) + at] = value
-                    ids[at] = "0"
-            texts[case] = ",".join(ids)
-        columns.append(np.fromstring(",".join(texts), dtype=np.int64, sep=","))
-        outside.append(found)
-    if any(outside):
-        columns = _rank_around(columns, outside)
-    return columns, offsets
-
-
-def _rank_around(columns: Sequence[np.ndarray], outside: Sequence[dict]) -> list[np.ndarray]:
-    """The int64 columns with each id replaced by its rank among the distinct ids of all of them.
-
-    ``outside[i]`` maps positions of column i to the ids outside int64 that
-    they hold in truth (what the column holds there is ignored). The ranks
-    keep every equality that the measures count. An id outside int64 lies
-    below or above every int64 id, so an int64 id's rank is its rank among
-    the distinct int64 ids plus the number of distinct ids below int64, and
-    an id above int64 ranks after all the int64 ids.
-    """
-    inside = np.unique(np.concatenate([np.delete(column, list(found))
-                                       for column, found in zip(columns, outside)]))
-    extremes = sorted(set(chain.from_iterable(found.values() for found in outside)))
-    below = sum(value < 0 for value in extremes)
-    rank = {value: r + (len(inside) if value > 0 else 0) for r, value in enumerate(extremes)}
-    coded = []
-    for column, found in zip(columns, outside):
-        ranks = below + np.searchsorted(inside, column)
-        ranks[list(found)] = [rank[value] for value in found.values()]
-        coded.append(ranks)
-    return coded
-
-
 def load_cases(path) -> CaseTable:
     """Read a UTF-8 case file into a :class:`CaseTable`, opening it once (see the module docstring).
 
@@ -488,7 +442,7 @@ def load_cases(path) -> CaseTable:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     rows = _FILE_LINE.findall(text)  # row i is line i + 1
-    end, wide_rows = len(rows), []  # rows[:end] are blank or in the written form
+    end = len(rows)  # rows[:end] are blank or in the written form
     others = list(map(itemgetter(3), rows))
     if any(others):
         for at, line in enumerate(others):
@@ -498,16 +452,16 @@ def load_cases(path) -> CaseTable:
                 except FormatError:
                     end = at
                     break
-                ids = case.predicted + case.truth
-                if max(ids) >= 2**63 or min(ids) < -(2**63):
-                    wide_rows.append(at)
-                rows[at] = (",".join(map(str, case.predicted)), ",".join(map(str, case.truth)),
+                predicted, truth = _case_ids(case.predicted, case.truth)
+                rows[at] = (",".join(map(str, predicted)), ",".join(map(str, truth)),
                             ",".join(case.factors), "")
     cases = [row for row in rows[:end] if row[0]]
-    case_rows = [at for at, row in enumerate(rows[:end]) if row[0]] if wide_rows else []
     pred_lists, truth_lists, tag_lists, _ = list(zip(*cases)) or [()] * 4
-    columns, offsets = _id_columns((pred_lists, truth_lists),
-                                   np.searchsorted(case_rows, wide_rows).tolist())
+    columns, offsets = [], []
+    for texts in (pred_lists, truth_lists):
+        commas = np.fromiter(map(str.count, texts, repeat(",")), np.int64, len(texts))
+        offsets.append(_offsets(commas + 1))
+        columns.append(np.fromstring(",".join(texts), dtype=np.int64, sep=","))
     first = min(map(_first_repeat, columns, offsets))
     if first < len(cases):
         end = [at for at, row in enumerate(rows) if row[0]][first]

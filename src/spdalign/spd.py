@@ -128,9 +128,8 @@ def logdet(s: SymMatrix) -> float:
     try:
         chol = np.linalg.cholesky(s.entries)
     except np.linalg.LinAlgError as exc:
-        smallest = float(np.linalg.eigvalsh(s.entries)[0])
         raise SingularityError(
-            f"logdet needs a positive definite matrix; smallest eigenvalue is {smallest:.6e}"
+            "logdet needs a matrix that is positive definite to working precision"
         ) from exc
     # Cholesky of a finite matrix succeeds only with factor diagonals in
     # (0, sqrt(largest a_jj)], so every log, and their sum, is finite.

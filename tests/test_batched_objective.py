@@ -209,3 +209,21 @@ def test_singular_class_is_named():
         config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=kind, class_count=3)
         with pytest.raises(SingularityError, match="^class 1: "):
             total_objective(model, FeatureBlock(source, labels), block_t, config)
+
+
+def test_singular_class_message_does_not_name_an_eigenvalue():
+    # The JBLD input of the test above at seed 0: the Sylvester matrix that fails
+    # its Cholesky has eigvalsh's smallest eigenvalue at 1.0, within the rounding
+    # of its norm, so a message naming it would contradict the failure.
+    rng = np.random.default_rng(0)
+    labels = np.repeat(np.arange(3), 4)
+    cols = rng.normal(size=(8, 12))
+    cols[:, labels == 1] *= 1e6
+    cols[:, [5, 7]] = cols[:, [4, 6]]
+    block_t = FeatureBlock(rng.normal(size=(8, 6)), np.repeat(np.arange(3), 2))
+    model = _ClassifierPair(Classifier(np.zeros((8, 3)), np.zeros(3)),
+                            Classifier(np.zeros((8, 3)), np.zeros(3)))
+    config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=DistanceKind.JBLD, class_count=3)
+    with pytest.raises(SingularityError,
+                       match="^class 1: matrix is not positive definite to working precision$"):
+        total_objective(model, FeatureBlock(cols, labels), block_t, config)

@@ -180,6 +180,22 @@ class TestModelDump:
         with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_model(path)
 
+    # Header offsets: nonlinear flag at byte 24, cap flag at 28, cap value at 32.
+    @pytest.mark.parametrize("fmt, offset, value, message", [
+        ("<I", 24, 7, "nonlinear flag must be 0 or 1, found 7"),
+        ("<I", 28, 2, "cap flag must be 0 or 1, found 2"),
+        ("<d", 32, 3.5, "cap value must be 0 under cap flag 0, found 3.5"),
+        ("<d", 32, float("nan"), "cap value must be 0 under cap flag 0, found nan"),
+    ], ids=["nonlinear-flag", "cap-flag", "cap-value", "nan-cap-value"])
+    def test_bad_header_flag_on_read(self, tmp_path, fmt, offset, value, message):
+        path = tmp_path / "model.bin"
+        write_model(path, init_two_stream(3, 4, 5, seed=0))  # no cap: cap flag 0, cap value 0
+        raw = bytearray(path.read_bytes())
+        struct.pack_into(fmt, raw, offset, value)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_model(path)
+
     @pytest.mark.parametrize("length", [12, 30, 38])
     def test_truncated_header(self, tmp_path, length):
         path = tmp_path / "model.bin"

@@ -344,8 +344,11 @@ class TestCaseTable:
         assert table.factors.tolist() == [[True, True], [False, False]]
 
     def test_ids_beyond_int64_become_ranks(self):
-        table = CaseTable.from_cases([RankedCase((2**64 + 1, 1), (-(2**70),))])
-        assert table.predicted.tolist() == [2, 1] and table.truth.tolist() == [0]
+        # The wide case's ids become its own ranks; the other case keeps its ids.
+        table = CaseTable.from_cases([RankedCase((2**64 + 1, 1), (-(2**70),)),
+                                      RankedCase((40, -7), (-7, 12))])
+        assert table.predicted.tolist() == [2, 1, 40, -7]
+        assert table.truth.tolist() == [0, -7, 12]
 
     def test_empty(self):
         table = CaseTable.from_cases([])
@@ -493,7 +496,7 @@ def _case_files(draw):
 
 
 def _read_line_by_line(path):
-    """``parse_case_line`` on each nonblank line: the table, or the first error's text."""
+    """``parse_case_line`` on each nonblank line: the cases, or the first error's text."""
     cases = []
     for lineno, line in enumerate(path.read_text(encoding="utf-8").split("\n"), start=1):
         if line.strip():
@@ -501,18 +504,24 @@ def _read_line_by_line(path):
                 cases.append(parse_case_line(line))
             except FormatError as exc:
                 return f"{path}, line {lineno}: {exc}"
-    return CaseTable.from_cases(cases)
+    return cases
 
 
 def assert_reads_line_by_line(path, text):
-    """``load_cases`` on ``text`` gives the per-line table, or the per-line error text."""
+    """``load_cases`` on ``text`` gives the per-line table, or the per-line error text.
+
+    The hit ranks of an accepted file also equal :func:`loop_hit_ranks` of the
+    per-line cases, whose ids are Python ints that no coding has touched.
+    """
     path.write_text(text, encoding="utf-8")
     expected = _read_line_by_line(path)
     if isinstance(expected, str):
         with pytest.raises(FormatError, match=f"^{re.escape(expected)}$"):
             load_cases(path)
     else:
-        assert_tables_equal(load_cases(path), expected)
+        table = load_cases(path)
+        assert_tables_equal(table, CaseTable.from_cases(expected))
+        assert np.array_equal(hit_ranks(table, 5), loop_hit_ranks(expected, 5))
 
 
 class TestWholeFileReader:

@@ -195,3 +195,8 @@ class TestLogdet:
     def test_rejects_singular(self):
         with pytest.raises(SingularityError):
             logdet(symmetrize(np.diag([1.0, 0.0])))
+
+    def test_failure_names_no_eigenvalue(self):
+        with pytest.raises(SingularityError, match="^logdet needs a matrix that is positive "
+                                                   "definite to working precision$"):
+            logdet(symmetrize(np.diag([1.0, -1.0])))
