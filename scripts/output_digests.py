@@ -30,6 +30,9 @@ differing line names the output that changed. The lines are:
   --d 256 --n 20 --nstar 3 --kind <kind>`` and the ``value=`` field of its
   ``naive`` and ``projected`` lines, for every distance kind; the timings are
   left out;
+- ``adapter/<output> <sha256>`` for the float64 bytes of ``nystrom_map(x, x)``
+  and of the source, target and projector outputs of ``isometric_project``,
+  on one fixed draw of columns;
 - ``gradcheck/<component> <repr of max_gap>`` from
   ``run_gradient_checks(all kinds, trials=4, seed=5)``;
 - ``invariance/<component> <repr of max_gap>`` from
@@ -53,10 +56,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 from spdalign.checks import run_gradient_checks, run_invariance_checks
 from spdalign.cli import main as spdalign_main
 from spdalign.distances import DistanceKind
 from spdalign.io import write_feature_container
+from spdalign.nystrom import isometric_project, nystrom_map
 from spdalign.runconfig import parse_run_config
 from spdalign.trainer import run_adaptation_benchmark, synth_domain_pair
 
@@ -174,6 +180,18 @@ def bench_lines() -> list[str]:
     return lines
 
 
+def adapter_lines(seed: int = 7) -> list[str]:
+    """The one-class reduction adapters on 64-dim columns: 9 source and 4 target."""
+    rng = np.random.default_rng(seed)
+    phi_s, phi_t = rng.normal(size=(64, 9)), rng.normal(size=(64, 4))
+    reduced_s, reduced_t, projection = isometric_project(phi_s, phi_t)
+    outputs = {"nystrom_map": nystrom_map(phi_s, phi_s), "isometric_project/source": reduced_s,
+               "isometric_project/target": reduced_t,
+               "isometric_project/projector": projection.projector}
+    return [f"adapter/{name} {_sha256(np.ascontiguousarray(value).tobytes())}"
+            for name, value in outputs.items()]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=400, help="training steps per run (default 400)")
@@ -182,7 +200,7 @@ def main(argv: list[str] | None = None) -> int:
         workdir = Path(tmp)
         lines = (training_lines(args.steps, workdir) + eval_lines(workdir)
                  + metrics_lines(workdir) + generated_metrics_lines(workdir))
-    lines += bench_lines()
+    lines += bench_lines() + adapter_lines()
     for suite, report in (
         ("gradcheck", run_gradient_checks(list(DistanceKind), trials=4, seed=5)),
         ("invariance", run_invariance_checks(trials=20, seed=3, triples=200)),

@@ -2,8 +2,8 @@
 
 Library surface: symmetric-matrix primitives (:mod:`spdalign.spd`), squared
 distances between SPD matrices and their gradients (:mod:`spdalign.distances`),
-feature blocks, the one per-class mean and scatter builder that training,
-checks and bench share, and its chain rule back to the features
+feature blocks, the population scatter builder and its chain rule back to
+the features, which bench, checks and training's AIRM route use
 (:mod:`spdalign.scatter`), the exact isometric reduction
 (:mod:`spdalign.nystrom`), the full two-stream objective
 (:mod:`spdalign.align`), a desk-scale trainer on synthetic shifted data

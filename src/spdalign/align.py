@@ -40,8 +40,8 @@ import numpy as np
 
 from .distances import DistanceKind, _cholesky, batch_dist_sq, solve_triangular
 from .errors import (
-    DimensionError, LabelError, NumericalError, SingularityError, check_at_least, check_nonnegative,
-    check_positive, real_array,
+    DimensionError, LabelError, NumericalError, SingularityError, check_at_least, check_finite_stack,
+    check_nonnegative, check_positive, column_blocks, real_array,
 )
 from .nystrom import column_gram, roots_of_gram
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
@@ -222,16 +222,16 @@ def class_terms(
             gap = np.repeat([1.0 / n_source, -1.0 / (width - n_source)], [n_source, width - n_source])
             diff = x @ gap
             mean = np.einsum("gi,gi->g", diff, diff)
-            _check_overflow("squared mean gap", mean)
+            check_finite_stack("squared mean gap", mean)
             if with_grad:
                 operator += 2.0 * config.sigma2 / c_norm * np.outer(gap, gap)
     if not with_grad:
         return scatter, mean, None
-    _check_overflow("gradient operator", operator)
+    check_finite_stack("gradient operator", operator)
     grad = (operator.transpose(0, 2, 1) @ x.transpose(0, 2, 1)).transpose(0, 2, 1)
     if direct is not None:
         grad += config.sigma1 / c_norm * direct
-        _check_overflow("feature gradient", grad)
+        check_finite_stack("feature gradient", grad)
     return scatter, mean, grad
 
 
@@ -271,7 +271,7 @@ def _gram_form_terms(
         side = np.arange(basis.shape[1]) >= n_source - 1
         signed = np.where(side[:, None] == side[None, :], centred, -centred)
         values = np.einsum("gij,gij->g", signed, centred)
-        _check_overflow("squared frobenius distance", values)
+        check_finite_stack("squared frobenius distance", values)
         weight, direct = 4.0 * signed, None
     if not with_grad:
         return values, None, None
@@ -324,7 +324,7 @@ def _jbld_terms(
     stack[:, :] = np.eye(size)
     for (layer, offset), block in zip(places, blocks):
         stack[layer, :, offset:offset + block.shape[-1], offset:offset + block.shape[-1]] += block
-    _check_overflow("regularized Sylvester matrix", stack.transpose(1, 0, 2, 3))
+    check_finite_stack("regularized Sylvester matrix", stack.transpose(1, 0, 2, 3))
     chol = _cholesky(stack.reshape(2 * count, size, size), count)
     logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
     # Finite, since both factors are; mathematically >= 0, so rounding residue clamps at zero.
@@ -396,9 +396,9 @@ def _reduced_terms(
     shift = config.eps * np.eye(width)
     sigma_s += shift
     sigma_t += shift
-    _check_overflow("regularized scatter", np.stack([sigma_s, sigma_t], axis=1))
+    check_finite_stack("regularized scatter", np.stack([sigma_s, sigma_t], axis=1))
     values, grad_a, grad_b = batch_dist_sq(config.kind, sigma_s, sigma_t, with_grad=with_grad)
-    _check_overflow(f"squared {config.kind.value} distance", values)
+    check_finite_stack(f"squared {config.kind.value} distance", values)
     if not with_grad:
         return values, None
     chained = np.concatenate([
@@ -406,13 +406,6 @@ def _reduced_terms(
         _feature_grad(grad_b, part_t, center_t),
     ], axis=2)
     return values, inverse_root @ chained
-
-
-def _check_overflow(what: str, stack: np.ndarray) -> None:
-    """Raise ``NumericalError`` at the first item of ``stack`` that holds a non-finite entry."""
-    finite = np.isfinite(stack.reshape(stack.shape[0], -1)).all(axis=1)
-    if not finite.all():
-        raise NumericalError(f"{what} overflows float64", index=int(np.argmin(finite)))
 
 
 def _alignment(
@@ -472,19 +465,16 @@ def alignment_loss(
     the 1/C normalizer keeps the declared class count. For each contributing
     class the source and target columns are jointly projected to dimension
     N_c + N*_c, both reduced scatters are regularized by eps, and the distance
-    plus ambient mean term are accumulated. All blocks share one feature
-    dimension.
+    plus ambient mean term are accumulated. All blocks follow
+    :func:`~spdalign.errors.column_blocks`: 2-d, one feature dimension,
+    finite entries.
     """
     if len(per_class) != config.class_count:
         raise DimensionError(
             f"got {len(per_class)} class entries for class_count {config.class_count}"
         )
-    streams = [[real_array("class block", pair[side]) for pair in per_class] for side in (0, 1)]
-    if any(block.ndim != 2 for stream in streams for block in stream):
-        raise DimensionError("class blocks must be 2-d column matrices")
-    dims = {block.shape[0] for stream in streams for block in stream}
-    if len(dims) != 1:
-        raise DimensionError(f"stream dimensions differ: {sorted(dims)}")
+    blocks = column_blocks("class blocks", *(pair[side] for side in (0, 1) for pair in per_class))
+    streams = (blocks[:config.class_count], blocks[config.class_count:])
     counts = [[block.shape[1] for block in stream] for stream in streams]
     labels = np.arange(config.class_count)
     block_s, block_t = (

@@ -183,8 +183,10 @@ def _feature_pair(rng: np.random.Generator, dims: tuple[int, int], counts: tuple
 def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
     """Feature-space chain rule (2/N) G (Phi - mu 1^T) in ambient dimension.
 
-    The analytic side runs the alignment kernel's scatter builder and chain
-    rule on the ambient columns. The regularizer is drawn per instance from
+    The analytic side runs the scatter builder and chain rule of the
+    alignment kernel's AIRM route on the ambient columns; Frobenius and JBLD
+    training works from the Gram matrix instead (see ``projected/<kind>``
+    and ``objective/<kind>``). The regularizer is drawn per instance from
     [1e-3, 1e-1]: the chain rule does not depend on it, and at 1e-6 the
     roundoff noise of the ill-conditioned value computation swamps a 1e-5
     central difference.

@@ -7,7 +7,10 @@ and seeds (whole numbers with a minimum), :func:`check_finite`,
 :func:`whole_numbers` for a sequence of ids. Each raises ``ParameterError``
 with the parameter's name as its ``name``. Array input at the public entry
 points goes through :func:`real_array`, which raises ``DimensionError``
-unless it is an array of real numbers.
+unless it is an array of real numbers; blocks of feature columns go through
+:func:`column_blocks`, which adds the shape and finiteness rule they share.
+Batched kernels check each stage's output with :func:`check_finite_stack`,
+which raises ``NumericalError`` at the first stack item that overflowed.
 """
 
 import math
@@ -102,6 +105,35 @@ def real_array(name: str, value, as_float: bool = True) -> np.ndarray:
     if arr.dtype.kind not in "biuf":
         raise DimensionError(f"{name} must hold real numbers, got dtype {arr.dtype}")
     return arr.astype(np.float64, copy=False) if as_float else arr
+
+
+def column_blocks(what: str, *values) -> list[np.ndarray]:
+    """``values`` as float64 column matrices that share one row count and hold finite entries.
+
+    Each value goes through :func:`real_array`; a value that is not 2-d, a
+    row count that differs from the others' and a NaN or infinite entry raise
+    ``DimensionError``, in that order, with ``what`` naming the blocks.
+    """
+    blocks = [real_array(what, value) for value in values]
+    if any(block.ndim != 2 for block in blocks):
+        raise DimensionError(f"{what} must be 2-d column matrices")
+    rows = sorted({block.shape[0] for block in blocks})
+    if len(rows) > 1:
+        raise DimensionError(f"{what} differ in row count: {rows}")
+    if not all(np.isfinite(block).all() for block in blocks):
+        raise DimensionError(f"{what} contain non-finite entries")
+    return blocks
+
+
+def check_finite_stack(what: str, stack: np.ndarray) -> None:
+    """Raise ``NumericalError`` at the first item of ``stack`` that holds a non-finite entry.
+
+    Items run along axis 0. The error's ``index`` is that item's position,
+    and its message says that ``what`` overflows float64.
+    """
+    finite = np.isfinite(stack.reshape(stack.shape[0], -1)).all(axis=1)
+    if not finite.all():
+        raise NumericalError(f"{what} overflows float64", index=int(np.argmin(finite)))
 
 
 class SingularityError(SpdAlignError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalError, real_array
+from .errors import DimensionError, check_finite_stack, column_blocks, real_array
 from .spd import symmetric_part
 
 # perfbench/tracing.py counts calls through this binding; nothing here calls it.
@@ -49,23 +49,15 @@ def nystrom_map(pivots: np.ndarray, data: np.ndarray) -> np.ndarray:
     """Linear-kernel feature map K_ZZ^{-1/2} K_ZX of ``data`` against ``pivots``.
 
     The kernel blocks are plain inner products, K_ZX = Z^T X, and K_ZZ^{-1/2}
-    is the inverse root of :func:`gram_roots`, so rank-deficient pivots get its
-    pseudo-inverse. With pivots == data the Gram matrix of the result
-    reproduces the kernel matrix to rounding, at any column scale.
+    is the inverse root of :func:`roots_of_gram`, so rank-deficient pivots get
+    its pseudo-inverse. With pivots == data the Gram matrix of the result
+    reproduces the kernel matrix to rounding, at any column scale. Both
+    blocks follow :func:`~spdalign.errors.column_blocks`.
     """
-    pivots = real_array("pivots", pivots)
-    data = real_array("data", data)
-    if pivots.ndim != 2 or data.ndim != 2:
-        raise DimensionError("pivots and data must be 2-d column matrices")
-    if pivots.shape[0] != data.shape[0]:
-        raise DimensionError(
-            f"pivot dimension {pivots.shape[0]} does not match data dimension {data.shape[0]}"
-        )
+    pivots, data = column_blocks("pivots and data", pivots, data)
     if pivots.shape[1] < 1:
         raise DimensionError("need at least one pivot column")
-    if not (np.isfinite(pivots).all() and np.isfinite(data).all()):
-        raise DimensionError("pivots or data contain non-finite entries")
-    return gram_roots(pivots[None])[1][0] @ (pivots.T @ data)
+    return roots_of_gram(column_gram(pivots[None]), pivots.shape[0])[1][0] @ (pivots.T @ data)
 
 
 def column_gram(x: np.ndarray) -> np.ndarray:
@@ -76,19 +68,8 @@ def column_gram(x: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         gram = x.transpose(0, 2, 1) @ x
-    finite = np.isfinite(gram).all(axis=(1, 2))
-    if not finite.all():
-        raise NumericalError("Gram matrix of the columns overflows float64", index=int(np.argmin(finite)))
+    check_finite_stack("Gram matrix of the columns", gram)
     return gram
-
-
-def gram_roots(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched ``(X^T X)^{1/2}`` and ``(X^T X)^{-1/2}`` of a (G, d, k) column stack.
-
-    The roots of :func:`column_gram`, by :func:`roots_of_gram`; a Gram
-    matrix that overflows raises as it does there.
-    """
-    return roots_of_gram(column_gram(x), x.shape[1])
 
 
 def roots_of_gram(gram: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -127,24 +108,16 @@ def isometric_project(
     Stacks X = [phi_s, phi_t], computes Y = (X^T X)^{1/2} and returns Y split
     back into the source part (first N columns), the target part, and the
     projector Zbar = (X^T X)^{-1/2} X^T. Pairwise inner products of the reduced
-    columns equal those of the originals. This is the one-class case of
-    :func:`gram_roots`, which the alignment objective runs batched.
+    columns equal those of the originals. This is the one-class case of the
+    roots of :func:`column_gram`, which the alignment objective runs batched
+    for AIRM. Both blocks follow :func:`~spdalign.errors.column_blocks`.
     """
-    phi_s = real_array("phi_s", phi_s)
-    phi_t = real_array("phi_t", phi_t)
-    if phi_s.ndim != 2 or phi_t.ndim != 2:
-        raise DimensionError("feature blocks must be 2-d column matrices")
-    if phi_s.shape[0] != phi_t.shape[0]:
-        raise DimensionError(
-            f"stream dimensions differ: {phi_s.shape[0]} vs {phi_t.shape[0]}"
-        )
+    phi_s, phi_t = column_blocks("feature blocks", phi_s, phi_t)
     n_source = phi_s.shape[1]
     x = np.concatenate([phi_s, phi_t], axis=1)
     if x.shape[1] < 1:
         raise DimensionError("need at least one column across the two streams")
-    if not np.isfinite(x).all():
-        raise DimensionError("feature blocks contain non-finite entries")
-    root, inverse_root = gram_roots(x[None])
+    root, inverse_root = roots_of_gram(column_gram(x[None]), x.shape[0])
     projector = inverse_root[0] @ x.T
     return root[0, :, :n_source], root[0, :, n_source:], Projection(projector=projector)
 

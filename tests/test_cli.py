@@ -230,16 +230,24 @@ class TestTrainCommand:
         assert code == 1
         assert "target block has no columns" in err
 
-    def test_singular_scatter_exit_code(self, tmp_path, capsys):
+    def test_singular_scatter_exit_code(self, tmp_path, capsys, monkeypatch):
+        import spdalign.cli as cli
+
+        def singular_class_2(spec):
+            # Class 2's source inputs alternate between two columns scaled by 1e6: its
+            # scatter is singular in every batch, with rounding far beyond eps = 1e-6.
+            source, target_train, target_test = synth_domain_pair(spec)
+            columns = source.columns.copy()
+            where = np.flatnonzero(source.labels == 2)
+            columns[:, where] = 1e6 * columns[:, where[np.arange(where.size) % 2]]
+            return FeatureBlock(columns, source.labels), target_train, target_test
+
+        monkeypatch.setattr(cli, "synth_domain_pair", singular_class_2)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text(FAST_CONFIG + "encoder = linear\nscale = 1e6\ntau = 1e14\n",
-                       encoding="utf-8")
+        cfg.write_text(FAST_CONFIG + "encoder = linear\ntau = 1e14\n", encoding="utf-8")
         code, _, err = run_cli(capsys, "train", "--config", str(cfg), "--out", str(tmp_path / "o"))
-        # Under the default kind (JBLD) step 1 is exact. At step 2 a class's centred
-        # columns span fewer directions than its Sylvester matrix has rows, and the
-        # rounding at this scale leaves that matrix indefinite.
         assert code == 2
-        assert "step 2: class " in err
+        assert err.startswith("numerical error: step 1: class 2: ")
 
     def test_config_tau_is_the_dumped_cap(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -2,8 +2,9 @@
 
 Each contract is stated once in the code: the block rules of every consumer on
 ``FeatureBlock.check``, each binary header as one ``struct.Struct``, the range
-rules of numeric parameters (counts, seeds, nonnegative and positive values)
-and the conversion of array input (``real_array``) in ``errors``, and the
+rules of numeric parameters (counts, seeds, nonnegative and positive values),
+the conversion of array input (``real_array``) and the column-block rule of
+the one-class adapters (``column_blocks``) in ``errors``, and the
 distance kind in ``DistanceKind.check``. These tests pin
 the errors and bytes that those single statements produce, at every entry
 point that takes a count or a seed, and AST guards keep the range rules'
@@ -319,6 +320,11 @@ def _classifier(feature_dim):
     return Classifier(np.zeros((feature_dim, CLASSES)), np.zeros(CLASSES))
 
 
+def _alignment_loss(source, target):
+    return alignment_loss([(source, target)], AlignConfig(
+        sigma1=1.0, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=1))
+
+
 # Arrays of real numbers whose shape or values break an entry point's rule:
 # (anchored message of the DimensionError, call).
 SHAPE_FAULTS = {
@@ -328,15 +334,24 @@ SHAPE_FAULTS = {
                                lambda: Classifier(np.zeros((2, 3)), np.zeros(2))),
     "Classifier-non-finite": ("classifier parameters contain non-finite entries",
                               lambda: Classifier(np.array([[np.inf]]), np.zeros(1))),
-    "alignment_loss-1d-block": ("class blocks must be 2-d column matrices", lambda: alignment_loss(
-        [(np.zeros(2), np.eye(2))], AlignConfig(sigma1=1.0, sigma2=1.0, eta=1.0,
-                                                kind=DistanceKind.JBLD, class_count=1))),
+    "alignment_loss-1d-block": ("class blocks must be 2-d column matrices",
+                                lambda: _alignment_loss(np.zeros(2), np.eye(2))),
+    "alignment_loss-dimension": (r"class blocks differ in row count: \[2, 3\]",
+                                 lambda: _alignment_loss(np.eye(2), np.eye(3))),
+    "alignment_loss-non-finite": ("class blocks contain non-finite entries",
+                                  lambda: _alignment_loss(np.eye(2), np.array([[1.0], [np.nan]]))),
     "nystrom_map-1d": ("pivots and data must be 2-d column matrices",
                        lambda: nystrom_map(np.eye(2), np.zeros(2))),
+    "nystrom_map-dimension": (r"pivots and data differ in row count: \[2, 3\]",
+                              lambda: nystrom_map(np.eye(2), np.eye(3))),
+    "nystrom_map-non-finite": ("pivots and data contain non-finite entries",
+                               lambda: nystrom_map(np.eye(2), np.array([[1.0], [np.inf]]))),
     "isometric_project-1d": ("feature blocks must be 2-d column matrices",
                              lambda: isometric_project(np.zeros(2), np.eye(2))),
-    "isometric_project-dimension": ("stream dimensions differ: 2 vs 3",
+    "isometric_project-dimension": (r"feature blocks differ in row count: \[2, 3\]",
                                     lambda: isometric_project(np.eye(2), np.eye(3))),
+    "isometric_project-non-finite": ("feature blocks contain non-finite entries",
+                                     lambda: isometric_project(np.array([[np.nan], [1.0]]), np.eye(2))),
     "isometric_project-no-columns": ("need at least one column across the two streams",
                                      lambda: isometric_project(np.empty((2, 0)), np.empty((2, 0)))),
     "FeatureBlock-1d": (r"columns must be a 2-d matrix, got shape \(2,\)",

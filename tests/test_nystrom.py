@@ -9,7 +9,7 @@ from spdalign.bench import projected_distance_eval
 from spdalign.checks import central_difference, projected_distance_grads, relative_gap
 from spdalign.distances import DistanceKind, dist_sq
 from spdalign.errors import DimensionError, NumericalError
-from spdalign.nystrom import Projection, backproject_grad, gram_roots, isometric_project, nystrom_map
+from spdalign.nystrom import Projection, backproject_grad, column_gram, isometric_project, nystrom_map
 from spdalign.scatter import mean_and_scatter
 from spdalign.spd import SymMatrix, regularize
 
@@ -74,18 +74,18 @@ class TestNystromMap:
         (np.array([[np.nan], [1.0]]), np.ones((2, 1))),
     ], ids=["inf-data", "nan-pivot"])
     def test_non_finite_input_rejected(self, pivots, data):
-        with pytest.raises(DimensionError, match="^pivots or data contain non-finite entries$"):
+        with pytest.raises(DimensionError, match="^pivots and data contain non-finite entries$"):
             nystrom_map(pivots, data)
 
 
-class TestGramRoots:
+class TestColumnGram:
     def test_overflowing_gram_names_its_position(self, rng):
         stack = rng.normal(size=(3, 4, 2))
         stack[1] *= 1e160
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="overflows float64") as info:
-                gram_roots(stack)
+                column_gram(stack)
         assert info.value.index == 1
 
 

@@ -15,6 +15,8 @@ _DIGEST = re.compile(r"^(eval/(stdout|eval_report\.csv)|metrics/(stdout|metrics\
                      r"|metrics/(written|reordered|wide)/stdout) [0-9a-f]{64}$")
 _BENCH_ARGS = re.compile(r"^bench/(frobenius|jbld|airm)/args kind=\1 d=256 n=20 nstar=3 reps=3$")
 _BENCH_VALUE = re.compile(r"^bench/(frobenius|jbld|airm)/(naive|projected) value=(\S+)$")
+_ADAPTER = re.compile(r"^adapter/(nystrom_map|isometric_project/(source|target|projector))"
+                      r" [0-9a-f]{64}$")
 _VALUE = re.compile(r"^(gradcheck|invariance|shift)/\S+ (\S+)$")
 
 
@@ -26,9 +28,10 @@ def test_one_line_per_kept_output():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     # 12 trainings x 3 files, 2 eval and 6 metrics outputs, 3 bench kinds x 3 fields,
-    # 13 gradient and 11 invariance components, 4 benchmark means.
-    assert len(lines) == 36 + 8 + 9 + 13 + 11 + 4
-    train, outputs, bench, rest = lines[:36], lines[36:44], lines[44:53], lines[53:]
+    # 4 adapter outputs, 13 gradient and 11 invariance components, 4 benchmark means.
+    assert len(lines) == 36 + 8 + 9 + 4 + 13 + 11 + 4
+    train, outputs, bench = lines[:36], lines[36:44], lines[44:53]
+    adapters, rest = lines[53:57], lines[57:]
     assert all(_TRAIN.match(line) for line in train)
     assert len({line.split()[0] for line in train}) == 36
     assert [_DIGEST.match(line).group(1) for line in outputs] == [
@@ -43,6 +46,9 @@ def test_one_line_per_kept_output():
         values = [_BENCH_VALUE.match(line).group(1, 2, 3) for line in (naive, projected)]
         assert [v[:2] for v in values] == [(kind, "naive"), (kind, "projected")]
         assert all(float(v[2]) > 0 for v in values)
+    assert [_ADAPTER.match(line).group(1) for line in adapters] == [
+        "nystrom_map", "isometric_project/source", "isometric_project/target",
+        "isometric_project/projector"]
     values = [_VALUE.match(line) for line in rest]
     assert all(values)
     assert [m.group(1) for m in values] == ["gradcheck"] * 13 + ["invariance"] * 11 + ["shift"] * 4

@@ -58,6 +58,14 @@ def capped(model, cap):
     return dataclasses.replace(model, feature_cap=cap)
 
 
+def singular_class(block, label, scale=1e6):
+    """``block`` with class ``label``'s columns alternating between its first two, times ``scale``."""
+    columns = block.columns.copy()
+    where = np.flatnonzero(block.labels == label)
+    columns[:, where] = scale * columns[:, where[np.arange(where.size) % 2]]
+    return FeatureBlock(columns, block.labels)
+
+
 def small_config(**overrides):
     params = dict(sigma1=0.3, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=4)
     params.update(overrides)
@@ -373,21 +381,19 @@ class TestTrain:
         with pytest.raises(LabelError, match="target label 7 outside class count 4"):
             train(model, (source, shifted), small_config(), steps=2, lr=0.1, seed=1)
 
-    @pytest.mark.parametrize("kind, step", [(DistanceKind.JBLD, 2), (DistanceKind.AIRM, 1)],
-                             ids=["DistanceKind.JBLD", "DistanceKind.AIRM"])
-    def test_singular_scatter_names_step_and_class(self, kind, step):
-        # Linear encoders on target inputs scaled by 1e6: with eps = 1e-6 the
-        # rounding in the reduced AIRM target scatters leaves them indefinite at
-        # step 1. The JBLD Gram form takes step 1 exactly. At step 2 a class's
-        # centred columns span fewer directions than its Sylvester matrix has
-        # rows (6-dim inputs, 8-dim linear features), and the rounding there,
-        # about 1e-16 * 1e12, exceeds eps.
-        spec = small_spec(shift=DomainShift(scale=1e6))
+    @pytest.mark.parametrize("kind", [DistanceKind.JBLD, DistanceKind.AIRM], ids=str)
+    def test_singular_scatter_names_step_and_class(self, kind):
+        # Class 2's source inputs alternate between two columns scaled by 1e6, so
+        # every batch holds pairs of equal columns whose centred span is one
+        # direction: the class's scatter is singular from step 1 on, and the
+        # rounding of its null directions, about 1e-16 * 1e12, exceeds eps = 1e-6.
+        # The other classes stay at scale 1.
+        spec = small_spec()
         source, target_train, _ = synth_domain_pair(spec)
         model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1, nonlinear=False)
-        with pytest.raises(SingularityError, match=rf"^step {step}: class \d: "):
-            train(capped(model, 1e14), (source, target_train), small_config(kind=kind),
-                  steps=2, lr=0.1, seed=1)
+        with pytest.raises(SingularityError, match=r"^step 1: class 2: "):
+            train(capped(model, 1e14), (singular_class(source, 2), target_train),
+                  small_config(kind=kind), steps=2, lr=0.1, seed=1)
 
     def test_overflowing_distance_names_step_and_class(self):
         # Linear encoders on target inputs scaled by 1e100: the Frobenius distance between
