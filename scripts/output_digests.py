@@ -33,6 +33,10 @@ differing line names the output that changed. The lines are:
 - ``adapter/<output> <sha256>`` for the float64 bytes of ``nystrom_map(x, x)``
   and of the source, target and projector outputs of ``isometric_project``,
   on one fixed draw of columns;
+- ``synth/d=<d>/<split> <sha256>`` for the float64 columns followed by the
+  int64 labels of each block that ``synth_domain_pair`` returns (``source``,
+  ``target_train``, ``target_test``) on edge specs of one and two input
+  dimensions without noise;
 - ``gradcheck/<component> <repr of max_gap>`` from
   ``run_gradient_checks(all kinds, trials=4, seed=5)``;
 - ``invariance/<component> <repr of max_gap>`` from
@@ -64,7 +68,7 @@ from spdalign.distances import DistanceKind
 from spdalign.io import write_feature_container
 from spdalign.nystrom import isometric_project, nystrom_map
 from spdalign.runconfig import parse_run_config
-from spdalign.trainer import run_adaptation_benchmark, synth_domain_pair
+from spdalign.trainer import DomainShift, SynthSpec, run_adaptation_benchmark, synth_domain_pair
 
 _ROOT = Path(__file__).resolve().parents[1]
 _DEFAULT_CONFIG = _ROOT / "configs" / "synth_default.cfg"
@@ -192,6 +196,19 @@ def adapter_lines(seed: int = 7) -> list[str]:
             for name, value in outputs.items()]
 
 
+def synth_lines() -> list[str]:
+    """``synth_domain_pair`` on specs of one and two input dimensions, without noise."""
+    lines = []
+    for dim in (1, 2):
+        spec = SynthSpec(class_count=5, input_dim=dim, source_per_class=4, target_train_per_class=1,
+                         target_test_per_class=3, seed=4,
+                         shift=DomainShift(rotation_deg=30.0, translation=1.0, scale=1.5))
+        for split, block in zip(("source", "target_train", "target_test"), synth_domain_pair(spec)):
+            data = np.ascontiguousarray(block.columns).tobytes() + block.labels.tobytes()
+            lines.append(f"synth/d={dim}/{split} {_sha256(data)}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=400, help="training steps per run (default 400)")
@@ -200,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         workdir = Path(tmp)
         lines = (training_lines(args.steps, workdir) + eval_lines(workdir)
                  + metrics_lines(workdir) + generated_metrics_lines(workdir))
-    lines += bench_lines() + adapter_lines()
+    lines += bench_lines() + adapter_lines() + synth_lines()
     for suite, report in (
         ("gradcheck", run_gradient_checks(list(DistanceKind), trials=4, seed=5)),
         ("invariance", run_invariance_checks(trials=20, seed=3, triples=200)),

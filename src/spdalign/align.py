@@ -20,10 +20,12 @@ classes that share a ``(N_c, N*_c)`` shape, with batched numpy calls over the
 whole stack at every stage. Its feature gradient is one product ``x @ M`` with
 a small per-class operator, so the d-dimensional columns are read three
 times: by the Gram matrices, the mean gaps and that product. The objective
-sorts each batch by label once, gathers every shape group into a stack, and
-writes the stack's feature gradients back with one indexed assignment per
-group; feature blocks are column-major, so both move whole contiguous
-columns.
+gathers every shape group of its two batches into a stack and writes the
+stack's feature gradients back with one indexed assignment per group;
+feature blocks are column-major, so both move whole contiguous columns. The
+positions of those gathers depend only on the two label vectors, which a
+training run repeats at every step, so they are derived once per distinct
+pair of label vectors and cached (:func:`_batch_layout`).
 
 :func:`total_objective` returns the five terms as one :class:`ObjectiveParts`;
 its ``total`` is the one place they are summed, and it is the objective's
@@ -127,12 +129,13 @@ def softmax_ce(classifier: Classifier, block: FeatureBlock) -> SoftmaxResult:
     logits -= logits.max(axis=0, keepdims=True)
     exp = np.exp(logits)
     totals = exp.sum(axis=0)
-    probs = exp / totals
     n = block.count
-    picked = logits[block.labels, np.arange(n)] - np.log(totals)
+    truth = (block.labels, np.arange(n))
+    picked = logits[truth] - np.log(totals)
     loss = float(-picked.mean())
-    dlogits = probs.copy()
-    dlogits[block.labels, np.arange(n)] -= 1.0
+    # The probabilities become the logit gradient in place: (probs - onehot) / n.
+    dlogits = np.divide(exp, totals, out=exp)
+    dlogits[truth] -= 1.0
     dlogits /= n
     return SoftmaxResult(
         loss=loss,
@@ -408,38 +411,62 @@ def _reduced_terms(
     return values, inverse_root @ chained
 
 
-def _alignment(
-    block_s: FeatureBlock, block_t: FeatureBlock, config: AlignConfig
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Weighted scatter and mean terms of two labelled batches, with feature gradients.
+@functools.lru_cache(maxsize=32)
+def _batch_layout(
+    labels_s: bytes, labels_t: bytes, class_count: int
+) -> tuple[tuple[np.ndarray, int, np.ndarray, np.ndarray], ...]:
+    """The shape groups of two batches, from the bytes of their int64 label vectors.
 
-    Each batch is sorted by label once. Classes present in both streams are
-    grouped by their (N_c, N*_c) shape. Each group's columns are gathered
-    into one (G, k, d) stack, contiguous because the blocks are column-major,
-    and handed to :func:`class_terms` as its (G, d, k) transpose; the
-    gradient columns it returns are written back the same way. Classes
-    missing from either stream contribute zero. Gradients come back shaped
-    and laid out like the two batches. Every label is below
-    ``config.class_count``: both callers ensure it.
+    One ``(classes, N, source positions, target positions)`` entry per
+    ``(N_c, N*_c)`` shape, in ascending order of shape: the group's classes in
+    ascending order, their common source count N, and the (G, N) and (G, N*)
+    column positions of each class in its batch, in batch order. Classes
+    missing from either batch belong to no group. A training run repeats its
+    label vectors at every step, so the layouts are cached; every array is
+    read-only.
     """
-    grad_s = np.zeros_like(block_s.columns)
-    grad_t = np.zeros_like(block_t.columns)
-    counts_s = np.bincount(block_s.labels, minlength=config.class_count)
-    counts_t = np.bincount(block_t.labels, minlength=config.class_count)
-    order_s = np.argsort(block_s.labels, kind="stable")
-    order_t = np.argsort(block_t.labels, kind="stable")
+    labels_s, labels_t = (np.frombuffer(labels, np.int64) for labels in (labels_s, labels_t))
+    counts_s = np.bincount(labels_s, minlength=class_count)
+    counts_t = np.bincount(labels_t, minlength=class_count)
+    order_s = np.argsort(labels_s, kind="stable")
+    order_t = np.argsort(labels_t, kind="stable")
     starts_s = np.cumsum(counts_s) - counts_s
     starts_t = np.cumsum(counts_t) - counts_t
     active = np.flatnonzero((counts_s > 0) & (counts_t > 0))
     shape_keys = counts_s[active] * (counts_t.max() + 1) + counts_t[active]
     keys, group_of = np.unique(shape_keys, return_inverse=True)
-    scatter_sum = 0.0
-    mean_sum = 0.0
+    layout = []
     for group in range(keys.size):
         classes = active[group_of == group]
         n_s, n_t = int(counts_s[classes[0]]), int(counts_t[classes[0]])
         idx_s = order_s[starts_s[classes, None] + np.arange(n_s)]
         idx_t = order_t[starts_t[classes, None] + np.arange(n_t)]
+        for array in (classes, idx_s, idx_t):
+            array.setflags(write=False)
+        layout.append((classes, n_s, idx_s, idx_t))
+    return tuple(layout)
+
+
+def _alignment(
+    block_s: FeatureBlock, block_t: FeatureBlock, config: AlignConfig
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Weighted scatter and mean terms of two labelled batches, with feature gradients.
+
+    Classes present in both streams are grouped by their (N_c, N*_c) shape
+    (:func:`_batch_layout`). Each group's columns are gathered into one (G,
+    k, d) stack, contiguous because the blocks are column-major, and handed
+    to :func:`class_terms` as its (G, d, k) transpose; the gradient columns
+    it returns are written back the same way. Classes missing from either
+    stream contribute zero. Gradients come back shaped and laid out like the
+    two batches. Every label is below ``config.class_count``: both callers
+    ensure it.
+    """
+    grad_s = np.zeros_like(block_s.columns)
+    grad_t = np.zeros_like(block_t.columns)
+    scatter_sum = 0.0
+    mean_sum = 0.0
+    layout = _batch_layout(block_s.labels.tobytes(), block_t.labels.tobytes(), config.class_count)
+    for classes, n_s, idx_s, idx_t in layout:
         rows = np.concatenate([block_s.columns.T[idx_s], block_t.columns.T[idx_t]], axis=1)
         try:
             scatter, mean, grad = class_terms(rows.transpose(0, 2, 1), n_s, config)

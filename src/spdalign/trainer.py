@@ -11,16 +11,27 @@ the objective's own :class:`~spdalign.align.ObjectiveParts`, one per step.
 
 Everything is deterministic given the seeds: each step draws one uniform key
 per column from ``default_rng([seed, step])``, all source keys before any
-target keys, and each class keeps its columns with the lowest keys.
+target keys, and each class keeps its columns with the lowest keys. A class
+contributes ``min(count, cap)`` columns at every step, grouped by ascending
+class, so each stream's batch labels, and with them the objective's batch
+layout, are fixed for the whole run; only the columns within a class change.
 
 The feature-norm cap has one home, :attr:`TwoStreamModel.feature_cap`. A model
 that arrives without one gets it fixed once, before the first step, from the
 source stream's step-1 batch (:func:`_first_batch_cap`).
+
+Values are checked once: the model, blocks and schedule where a trainer is
+entered, and each step's features, loss and updated parameters for
+finiteness, the one rule that training can break. The batch blocks,
+encoders and classifiers a step builds from those checked values are built
+without a second pass (:func:`_built`).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +119,20 @@ class TwoStreamModel:
                     f"encoder output dim {enc.feature_dim} does not match "
                     f"classifier input dim {clf.feature_dim}"
                 )
+
+
+def _built(cls, **fields):
+    """An instance of ``cls`` holding ``fields``, without running its checks.
+
+    For values that already meet every rule of ``cls``, in the form its
+    ``__post_init__`` stores: the batch blocks, encoders and classifiers
+    that the trainers build each step from checked values, and the blocks
+    of :func:`synth_domain_pair`. Every field must be given.
+    """
+    built = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(built, name, value)
+    return built
 
 
 def _cap_columns(raw: np.ndarray, cap: float | None) -> tuple[np.ndarray, np.ndarray]:
@@ -266,29 +291,35 @@ def synth_domain_pair(spec: SynthSpec) -> tuple[FeatureBlock, FeatureBlock, Feat
     rot = _rotation_matrix(d, spec.shift.rotation_deg)
     offset = spec.shift.translation * t_dir
 
-    def draw(c: int, n: int) -> np.ndarray:
-        return (means[c][:, None] + stds[c][:, None] * rng.normal(size=(d, n)))
+    noisy = spec.shift.noise > 0.0
+    counts = (spec.source_per_class, spec.target_train_per_class, spec.target_test_per_class)
+    # Each class draws in turn its source columns, then each target split's
+    # columns followed by that split's noise (when noise > 0). One draw holds
+    # them all in that order; each piece is a (class, d, count) slice of it.
+    sizes = [counts[0]] + [n for n in counts[1:] for _ in range(1 + noisy)]
+    normal = rng.normal(size=(c_count, d * sum(sizes)))
+    pieces = (piece.reshape(c_count, d, n) for piece, n in
+              zip(np.split(normal, d * np.cumsum(sizes)[:-1], axis=1), sizes))
+
+    def draw() -> np.ndarray:
+        return means[:, :, None] + stds[:, :, None] * next(pieces)
 
     def shift(x: np.ndarray) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
             y = spec.shift.scale * (rot @ x) + offset[:, None]
-            if spec.shift.noise > 0.0:
-                y = y + spec.shift.noise * rng.normal(size=y.shape)
+            if noisy:
+                y = y + spec.shift.noise * next(pieces)
         if not np.isfinite(y).all():
             raise ParameterError(f"{spec.shift} overflows float64 on the target draws", name="shift")
         return y
 
-    # (count, shifted) of source, target-train and target-test; each class draws all three in turn.
-    splits = ((spec.source_per_class, False), (spec.target_train_per_class, True),
-              (spec.target_test_per_class, True))
-    cols: list[list[np.ndarray]] = [[] for _ in splits]
-    for c in range(c_count):
-        for split, (count, shifted) in enumerate(splits):
-            x = draw(c, count)
-            cols[split].append(shift(x) if shifted else x)
+    draws = (draw(), shift(draw()), shift(draw()))
+    # (class, d, count) -> (d, class * count), class by class, column-major; the
+    # shift checked the target draws, and the source draws are finite by construction.
     return tuple(
-        FeatureBlock(np.concatenate(blocks, axis=1), np.repeat(np.arange(c_count), count))
-        for blocks, (count, _) in zip(cols, splits)
+        _built(FeatureBlock, columns=x.transpose(0, 2, 1).reshape(-1, d).T,
+               labels=np.repeat(np.arange(c_count), count))
+        for x, count in zip(draws, counts)
     )
 
 
@@ -296,16 +327,50 @@ def synth_domain_pair(spec: SynthSpec) -> tuple[FeatureBlock, FeatureBlock, Feat
 # Training
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=8)
+def _class_runs(labels: bytes, cap: int) -> tuple[tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...], int]:
+    """How :func:`_sample_batch` picks from a block, given the bytes of its int64 labels.
+
+    Classes with the same column count n form one run: the (G, n) positions
+    of each class's columns in block order, the (G, 1) offsets of its rows
+    in the flattened positions, and the (G, min(n, cap)) places of its picks
+    in the batch, which holds each class's picks in ascending class order.
+    Returns the runs and the batch size. A block's labels do not change, so
+    the runs are derived once per block and cap and cached, read-only.
+    """
+    labels = np.frombuffer(labels, np.int64)
+    counts = np.bincount(labels)
+    kept = np.minimum(counts, cap)
+    by_class = np.argsort(labels, kind="stable")
+    starts = np.cumsum(counts) - counts
+    places = np.cumsum(kept) - kept
+    runs = []
+    for n in np.unique(counts[counts > 0]):
+        classes = np.flatnonzero(counts == n)
+        run = (by_class[starts[classes, None] + np.arange(n)],
+               np.arange(0, classes.size * n, n)[:, None],
+               places[classes, None] + np.arange(min(int(n), cap)))
+        for array in run:
+            array.setflags(write=False)
+        runs.append(run)
+    return tuple(runs), int(kept.sum())
+
+
 def _sample_batch(block: FeatureBlock, cap: int, rng: np.random.Generator) -> np.ndarray:
     """Positions of each class's min(available, cap) columns without replacement, by ascending class.
 
-    Every column gets one uniform key; a class keeps its ``cap`` lowest keys.
-    The caller slices its already checked block at these positions.
+    Every column gets one uniform key; a class keeps its ``cap`` lowest keys,
+    in ascending order of key (ties in block order). The class of every
+    position is the same for every ``rng``, so a run's batch labels are
+    fixed. The caller slices its already checked block at these positions.
     """
-    order = np.lexsort((rng.random(block.count), block.labels))
-    labels = block.labels[order]
-    # A sorted column's rank in its class is its position minus the class's first position.
-    return order[np.arange(order.size) - np.searchsorted(labels, labels) < cap]
+    keys = rng.random(block.count)
+    runs, size = _class_runs(block.labels.tobytes(), cap)
+    chosen = np.empty(size, np.intp)
+    for positions, rows, places in runs:
+        ranked = np.argsort(keys[positions], axis=1, kind="stable")[:, :places.shape[1]]
+        chosen[places] = positions.ravel()[ranked + rows]
+    return chosen
 
 
 def _check_schedule(steps: int, lr: float):
@@ -319,10 +384,16 @@ def _first_batch_cap(enc: Encoder, block: FeatureBlock, seed: int) -> float:
 
     A stand-in for a reference-corpus norm statistic. Only the source stream
     feeds it, which keeps the streams decoupled when all couplings are zero.
+    A statistic that overflows float64 is a divergence of the run at step 1.
     """
     chosen = _sample_batch(block, SOURCE_BATCH_CAP, np.random.default_rng([seed, 1]))
-    raw, _ = encoder_forward(enc, block.columns[:, chosen], None)
-    return float(np.einsum("ij,ij->j", raw, raw).mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw, _ = encoder_forward(enc, block.columns[:, chosen], None)
+        cap = float(np.einsum("ij,ij->j", raw, raw).mean())
+    if not math.isfinite(cap):
+        raise DivergenceError(1, "feature cap became non-finite at step 1: the mean squared norm "
+                                 "of the step-1 source features overflows float64")
+    return cap
 
 
 def _encoded_batch(
@@ -332,12 +403,14 @@ def _encoded_batch(
     """One stream's step-``step`` batch drawn from ``rng``, encoded and capped, as a labelled block.
 
     Non-finite features are a divergence of the run, not malformed input.
+    The encoder emits column-major float64 features, and the labels come from
+    the checked block, so the batch block is built without a second check.
     """
     chosen = _sample_batch(block, batch_cap, rng)
     phi, tape = encoder_forward(enc, block.columns[:, chosen], feature_cap)
     if not np.isfinite(phi).all():
         raise DivergenceError(step, f"features became non-finite at step {step}")
-    return FeatureBlock(phi, block.labels[chosen]), tape
+    return _built(FeatureBlock, columns=phi, labels=block.labels[chosen]), tape
 
 
 def _sgd_step(
@@ -347,7 +420,10 @@ def _sgd_step(
 
     ``grads`` are the loss gradients with respect to the classifier weights,
     the classifier bias and the encoder outputs. A zero ``lr`` leaves the
-    stream as it is.
+    stream as it is. The finiteness check is the one rule an update can
+    break, so the new encoder and classifier are built without a second check;
+    the updates keep the arrays' float64 dtype, shapes and column-major
+    classifier weights.
     """
     if lr == 0.0:
         return enc, clf
@@ -357,7 +433,8 @@ def _sgd_step(
     enc_w, enc_b = enc.weights - lr * grad_enc_w, enc.bias - lr * grad_enc_b
     if not all(np.isfinite(arr).all() for arr in (clf_w, clf_b, enc_w, enc_b)):
         raise DivergenceError(step, f"parameters became non-finite after step {step}")
-    return Encoder(enc_w, enc_b, enc.nonlinear), Classifier(weights=clf_w, bias=clf_b)
+    return (_built(Encoder, weights=enc_w, bias=enc_b, nonlinear=enc.nonlinear),
+            _built(Classifier, weights=clf_w, bias=clf_b))
 
 
 def train(

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 from spdalign.align import (
     AlignConfig,
     Classifier,
+    _batch_layout,
     group_columns_by_class,
     proximity,
     softmax_ce,
@@ -165,30 +166,92 @@ def _gap(actual, expected):
     return float(np.linalg.norm(actual - expected)) / max(float(np.linalg.norm(expected)), 1e-300)
 
 
-@settings(max_examples=150, deadline=None)
-@given(objective_inputs())
-def test_batched_objective_equals_loop_reference(inputs):
-    model, batch_s, batch_t, config = inputs
-    try:
-        value, grads = loop_total_objective(model, batch_s, batch_t, config)
-    except SingularityError:
-        with pytest.raises(SingularityError):
-            total_objective(model, batch_s, batch_t, config)
-        return
-    result = total_objective(model, batch_s, batch_t, config)
+def assert_agrees_with_loop(result, reference, inputs):
+    """``total_objective``'s ``result`` against the loop reference's (value, grads) ``reference``.
+
+    ``inputs`` are the (model, source batch, target batch, config) of both;
+    where the two disagree, the 40-digit reference decides.
+    """
+    value, grads = reference
     batched = result.grads
     names = ["weights_source", "bias_source", "weights_target", "bias_target"]
     for name, expected in zip(names, grads[:4]):
         assert np.array_equal(getattr(batched, name), expected), name
+    config = inputs[3]
     features = [] if config.kind is DistanceKind.AIRM else [batched.features_source,
                                                             batched.features_target]
     if abs(result.value - value) <= VALUE_TOL * abs(value) and all(
             _gap(actual, expected) <= GRAD_TOL for actual, expected in zip(features, grads[4:])):
         return
-    truth, truth_grads = oracle_total_objective(model, batch_s, batch_t, config)
+    truth, truth_grads = oracle_total_objective(*inputs)
     assert abs(result.value - truth) <= VALUE_TOL * abs(truth)
     for actual, exact in zip(features, truth_grads[4:]):
         assert _gap(actual, exact) <= GRAD_TOL
+
+
+@settings(max_examples=150, deadline=None)
+@given(objective_inputs())
+def test_batched_objective_equals_loop_reference(inputs):
+    model, batch_s, batch_t, config = inputs
+    try:
+        reference = loop_total_objective(model, batch_s, batch_t, config)
+    except SingularityError:
+        with pytest.raises(SingularityError):
+            total_objective(model, batch_s, batch_t, config)
+        return
+    assert_agrees_with_loop(total_objective(model, batch_s, batch_t, config), reference, inputs)
+
+
+def _bits(result):
+    """Every output of an objective evaluation, as bytes."""
+    values = np.array([result.value, *dataclasses.astuple(result.parts)])
+    return [values.tobytes()] + [np.ascontiguousarray(g).tobytes()
+                                 for g in dataclasses.astuple(result.grads)]
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind), ids=str)
+def test_reused_layouts_do_not_go_stale(kind):
+    # One process evaluates a sequence of batch pairs, so the cached layout of an
+    # earlier pair is reused wherever the labels repeat. Each result must equal
+    # the one computed with no cached layout, bit for bit, and the loop reference.
+    rng = np.random.default_rng(23)
+    dim, classes = 6, 4
+    model = _ClassifierPair(
+        Classifier(rng.normal(size=(dim, classes)), rng.normal(size=classes)),
+        Classifier(rng.normal(size=(dim, classes)), rng.normal(size=classes)),
+    )
+    config = AlignConfig(sigma1=0.7, sigma2=0.4, eta=0.3, kind=kind, class_count=classes)
+    labels_s = np.repeat(np.arange(classes), 4)
+    labels_t = np.repeat(np.arange(classes), 2)
+    label_pairs = [
+        (labels_s, labels_t),
+        (labels_s, labels_t),  # the same labels with new columns
+        (labels_s, labels_t[labels_t != 2]),  # class 2 missing from the target
+        (np.repeat(np.arange(classes), [5, 2, 3, 1]), np.repeat(np.arange(classes), [1, 3, 2, 2])),
+        (rng.permutation(labels_s), rng.permutation(labels_t)),  # a permuted label order
+        (labels_s[labels_s != 0], labels_t),  # class 0 missing from the source
+        (labels_s, labels_t),  # the first labels again, with new columns
+    ]
+    batches = [tuple(FeatureBlock(rng.normal(size=(dim, labels.size)), labels) for labels in pair)
+               for pair in label_pairs]
+    _batch_layout.cache_clear()
+    reused = [total_objective(model, batch_s, batch_t, config) for batch_s, batch_t in batches]
+    assert _batch_layout.cache_info().hits >= 2
+    for (batch_s, batch_t), result in zip(batches, reused):
+        _batch_layout.cache_clear()
+        fresh = total_objective(model, batch_s, batch_t, config)
+        assert _bits(result) == _bits(fresh)
+        inputs = (model, batch_s, batch_t, config)
+        assert_agrees_with_loop(result, loop_total_objective(*inputs), inputs)
+        for classes_of, n_source, positions_s, positions_t in _batch_layout(
+                batch_s.labels.tobytes(), batch_t.labels.tobytes(), classes):
+            for array in (classes_of, positions_s, positions_t):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
+            assert (batch_s.labels[positions_s] == classes_of[:, None]).all()
+            assert (batch_t.labels[positions_t] == classes_of[:, None]).all()
+            assert positions_s.shape == (classes_of.size, n_source)
 
 
 def test_singular_class_is_named():

@@ -13,7 +13,10 @@ from spdalign.checks import _ClassifierPair
 from spdalign.distances import DistanceKind
 from spdalign.io import read_feature_container, write_feature_container
 from spdalign.scatter import FeatureBlock
-from spdalign.trainer import encoder_forward, init_encoder
+from spdalign.trainer import (
+    SynthSpec, encoder_forward, init_encoder, init_two_stream, synth_domain_pair, train,
+    train_single_stream,
+)
 
 LABELS = np.array([0, 1, 2, 0, 1, 2, 0])
 
@@ -81,6 +84,19 @@ def test_classifier_stores_column_major_weights(rng):
     assert np.array_equal(weights, row_major)
     column_major = np.asfortranarray(row_major)
     assert Classifier(column_major, np.zeros(3)).weights is column_major
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_trained_classifiers_stay_column_major(nonlinear):
+    # The trainers build each step's classifiers without Classifier's conversion,
+    # so the SGD update itself must keep the weights column-major.
+    source, target, _ = synth_domain_pair(SynthSpec(class_count=3, input_dim=4, source_per_class=5))
+    config = AlignConfig(sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=3)
+    model = init_two_stream(4, 6, 3, seed=0, nonlinear=nonlinear)
+    trained, _ = train(model, (source, target), config, steps=3, lr=0.1, seed=0)
+    single = train_single_stream(source, 3, 6, steps=3, lr=0.1, seed=0, nonlinear=nonlinear)
+    for clf in (trained.classifier_source, trained.classifier_target, single.classifier_source):
+        assert _is_column_major(clf.weights)
 
 
 def test_container_columns_are_column_major(tmp_path, rng):

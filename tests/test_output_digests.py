@@ -17,6 +17,7 @@ _BENCH_ARGS = re.compile(r"^bench/(frobenius|jbld|airm)/args kind=\1 d=256 n=20 
 _BENCH_VALUE = re.compile(r"^bench/(frobenius|jbld|airm)/(naive|projected) value=(\S+)$")
 _ADAPTER = re.compile(r"^adapter/(nystrom_map|isometric_project/(source|target|projector))"
                       r" [0-9a-f]{64}$")
+_SYNTH = re.compile(r"^synth/d=(1|2)/(source|target_train|target_test) [0-9a-f]{64}$")
 _VALUE = re.compile(r"^(gradcheck|invariance|shift)/\S+ (\S+)$")
 
 
@@ -28,10 +29,11 @@ def test_one_line_per_kept_output():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     # 12 trainings x 3 files, 2 eval and 6 metrics outputs, 3 bench kinds x 3 fields,
-    # 4 adapter outputs, 13 gradient and 11 invariance components, 4 benchmark means.
-    assert len(lines) == 36 + 8 + 9 + 4 + 13 + 11 + 4
+    # 4 adapter outputs, 2 synthetic specs x 3 blocks, 13 gradient and 11 invariance
+    # components, 4 benchmark means.
+    assert len(lines) == 36 + 8 + 9 + 4 + 6 + 13 + 11 + 4
     train, outputs, bench = lines[:36], lines[36:44], lines[44:53]
-    adapters, rest = lines[53:57], lines[57:]
+    adapters, synth, rest = lines[53:57], lines[57:63], lines[63:]
     assert all(_TRAIN.match(line) for line in train)
     assert len({line.split()[0] for line in train}) == 36
     assert [_DIGEST.match(line).group(1) for line in outputs] == [
@@ -49,6 +51,8 @@ def test_one_line_per_kept_output():
     assert [_ADAPTER.match(line).group(1) for line in adapters] == [
         "nystrom_map", "isometric_project/source", "isometric_project/target",
         "isometric_project/projector"]
+    assert [_SYNTH.match(line).group(1, 2) for line in synth] == [
+        (dim, split) for dim in ("1", "2") for split in ("source", "target_train", "target_test")]
     values = [_VALUE.match(line) for line in rest]
     assert all(values)
     assert [m.group(1) for m in values] == ["gradcheck"] * 13 + ["invariance"] * 11 + ["shift"] * 4

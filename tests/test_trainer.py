@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdalign.align import AlignConfig, Classifier, ObjectiveParts
 from spdalign.distances import DistanceKind
@@ -23,6 +25,7 @@ from spdalign.runconfig import parse_run_config
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import (
     _cap_columns,
+    _class_runs,
     _sample_batch,
     DomainShift,
     Encoder,
@@ -81,7 +84,67 @@ def overflowing_target_model(nonlinear=True):
     return model, test
 
 
+def loop_synth_domain_pair(spec):
+    """(columns, labels) of each split, drawn class by class: the generator's reference.
+
+    Per class, in turn: the source draws, then each target split's draws pushed
+    through the shift, followed by that split's noise draws when noise > 0.
+    """
+    rng = np.random.default_rng(spec.seed)
+    d, c_count = spec.input_dim, spec.class_count
+    angles = 2.0 * np.pi * np.arange(c_count) / c_count
+    means = np.zeros((c_count, d))
+    means[:, 0] = 6.0 * np.cos(angles)
+    if d >= 2:
+        means[:, 1] = 6.0 * np.sin(angles)
+    stds = rng.uniform(0.25, 0.45, size=(c_count, d))
+    t_dir = np.zeros(d)
+    t_dir[2 if d >= 3 else d - 1] = 1.0
+    rot = np.eye(d)
+    if d >= 2:
+        theta = np.deg2rad(spec.shift.rotation_deg)
+        rot[:2, :2] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+    splits = ((spec.source_per_class, False), (spec.target_train_per_class, True),
+              (spec.target_test_per_class, True))
+    cols = [[] for _ in splits]
+    for c in range(c_count):
+        for split, (count, shifted) in enumerate(splits):
+            x = means[c][:, None] + stds[c][:, None] * rng.normal(size=(d, count))
+            if shifted:
+                x = spec.shift.scale * (rot @ x) + (spec.shift.translation * t_dir)[:, None]
+                if spec.shift.noise > 0.0:
+                    x = x + spec.shift.noise * rng.normal(size=x.shape)
+            cols[split].append(x)
+    return [(np.concatenate(blocks, axis=1), np.repeat(np.arange(c_count), count))
+            for blocks, (count, _) in zip(cols, splits)]
+
+
 class TestSynthDomainPair:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 16])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    @pytest.mark.parametrize("counts", [(1, 1, 1), (7, 3, 5)], ids=["single", "ragged"])
+    def test_equals_per_class_loop(self, dim, noise, counts):
+        spec = SynthSpec(class_count=5, input_dim=dim, source_per_class=counts[0],
+                         target_train_per_class=counts[1], target_test_per_class=counts[2],
+                         shift=DomainShift(rotation_deg=30.0, translation=0.8, scale=1.3,
+                                           noise=noise), seed=9)
+        for block, (columns, labels) in zip(synth_domain_pair(spec), loop_synth_domain_pair(spec)):
+            assert block.columns.flags.f_contiguous and block.columns.dtype == np.float64
+            assert block.labels.dtype == np.int64
+            assert block.columns.shape == columns.shape
+            assert np.ascontiguousarray(block.columns).tobytes() == columns.tobytes()
+            assert np.array_equal(block.labels, labels)
+
+    @pytest.mark.parametrize("dim", [1, 2, 16])
+    @pytest.mark.parametrize("field", ["scale", "noise"])
+    def test_overflowing_shift_is_typed_without_warnings(self, dim, field):
+        spec = small_spec(input_dim=dim, shift=DomainShift(**{field: 1e308}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterError, match="overflows float64 on the target draws$") as info:
+                synth_domain_pair(spec)
+        assert info.value.name == "shift"
+
     def test_determinism_bit_identical(self):
         a = synth_domain_pair(small_spec())
         b = synth_domain_pair(small_spec())
@@ -357,6 +420,21 @@ class TestTrain:
 
         assert not np.array_equal(source_weights(target_a), source_weights(target_b))
 
+    @pytest.mark.parametrize("scale", [1e153, 1e160])
+    def test_overflowing_derived_cap_diverges_at_step_1(self, scale):
+        # Linear features of inputs at these scales are finite, but the mean of their
+        # squared norms overflows float64: at 1e153 only in the sum of the mean, at
+        # 1e160 in each squared norm already.
+        spec = small_spec()
+        source, target_train, _ = synth_domain_pair(spec)
+        huge = FeatureBlock(scale * source.columns, source.labels)
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=0, nonlinear=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="^feature cap became non-finite at step 1: ") as err:
+                train(model, (huge, target_train), small_config(), steps=3, lr=0.1, seed=0)
+        assert err.value.step == 1
+
     def test_divergence_reports_step(self):
         spec = small_spec()
         source, target_train, _ = synth_domain_pair(spec)
@@ -576,6 +654,18 @@ class TestSingleStream:
                 train_single_stream(block, 4, 8, steps=50, lr=3e307, seed=0, nonlinear=False)
         assert err.value.step == 2
 
+    @pytest.mark.parametrize("scale", [1e153, 1e160])
+    def test_overflowing_derived_cap_diverges_at_step_1(self, scale):
+        # The blocks and encoder of TestTrain's cases: the same error at the same step.
+        spec = small_spec()
+        source, _, _ = synth_domain_pair(spec)
+        huge = FeatureBlock(scale * source.columns, source.labels)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="^feature cap became non-finite at step 1: ") as err:
+                train_single_stream(huge, spec.class_count, 8, steps=3, lr=0.1, seed=0, nonlinear=False)
+        assert err.value.step == 1
+
     @pytest.mark.parametrize("overrides, error, message", [
         (dict(class_count=0), ParameterError, "class_count must be at least 1, got 0"),
         (dict(steps=0), ParameterError, "steps must be at least 1, got 0"),
@@ -597,6 +687,13 @@ class TestSingleStream:
         args["block"] = blocks[args["block"]]
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             train_single_stream(**args)
+
+
+def lexsort_sample_batch(block, cap, rng):
+    """The batch policy by one lexsort of (key, label): :func:`_sample_batch`'s reference."""
+    order = np.lexsort((rng.random(block.count), block.labels))
+    labels = block.labels[order]
+    return order[np.arange(order.size) - np.searchsorted(labels, labels) < cap]
 
 
 class TestSampleBatch:
@@ -641,6 +738,32 @@ class TestSampleBatch:
             for chosen in (_sample_batch(block, 10, np.random.default_rng([5, step])) for step in (1, 2))
         ]
         assert subsets[0] != subsets[1]
+
+    @settings(max_examples=80, deadline=None)
+    @given(counts=st.lists(st.integers(0, 15), min_size=1, max_size=8).filter(any),
+           cap=st.integers(1, 12), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=4),
+           shuffle=st.integers(0, 2**32 - 1))
+    def test_labels_are_the_same_for_every_generator(self, counts, cap, seeds, shuffle):
+        # Ragged counts, absent classes (count 0) and classes below the cap: the labels of
+        # the batch are each class's min(count, cap) copies, by ascending class, whatever
+        # the generator, and the positions are those of the lexsort reference.
+        labels = np.random.default_rng(shuffle).permutation(np.repeat(np.arange(len(counts)), counts))
+        block = FeatureBlock(np.zeros((1, labels.size)), labels)
+        expected = np.repeat(np.arange(len(counts)), np.minimum(counts, cap))
+        for seed in seeds:
+            chosen = _sample_batch(block, cap, np.random.default_rng(seed))
+            assert np.array_equal(block.labels[chosen], expected)
+            assert np.array_equal(chosen, lexsort_sample_batch(block, cap, np.random.default_rng(seed)))
+
+    def test_cached_runs_are_read_only(self):
+        block = self.ragged_block()
+        runs, size = _class_runs(block.labels.tobytes(), 3)
+        assert size == sum(min(n, 3) for n in self.SIZES)
+        for run in runs:
+            for array in run:
+                assert not array.flags.writeable
+                with pytest.raises(ValueError):
+                    array[...] = 0
 
     def test_selection_is_uniform(self):
         # Each of 30 columns is kept with probability 1/3 per draw of 10; over
