@@ -16,6 +16,9 @@ differing line names the output that changed. The lines are:
   ``eval_report.csv`` of ``spdalign eval --out``, on the ``model.bin`` of the
   ``jbld/tau=none/tanh`` run and a feature container of that run's target-test
   block that the script writes;
+- ``roundtrip/<encoder>/model.bin <sha256>`` for the bytes that
+  ``write_model`` writes of ``read_model`` of the ``model.bin`` of the
+  ``jbld/tau=none/<encoder>`` run, for encoder ``tanh`` and ``linear``;
 - ``metrics/<output> <sha256>`` for the stdout of ``spdalign metrics
   data/micro_cases.txt --kmax 3 --breakdown`` and the ``metrics.csv`` and
   ``breakdown.csv`` of the same command with ``--out``;
@@ -65,7 +68,7 @@ import numpy as np
 from spdalign.checks import run_gradient_checks, run_invariance_checks
 from spdalign.cli import main as spdalign_main
 from spdalign.distances import DistanceKind
-from spdalign.io import write_feature_container
+from spdalign.io import read_model, write_feature_container, write_model
 from spdalign.nystrom import isometric_project, nystrom_map
 from spdalign.runconfig import parse_run_config
 from spdalign.trainer import DomainShift, SynthSpec, run_adaptation_benchmark, synth_domain_pair
@@ -121,6 +124,16 @@ def eval_lines(workdir: Path) -> list[str]:
     cli_stdout(["eval", model, str(features), "--out", str(workdir / "eval")])
     return [f"eval/stdout {_sha256(stdout.encode())}",
             f"eval/eval_report.csv {_sha256((workdir / 'eval' / 'eval_report.csv').read_bytes())}"]
+
+
+def roundtrip_lines(workdir: Path) -> list[str]:
+    """``write_model(read_model(...))`` of the jbld/tau=none model of each encoder kind."""
+    lines = []
+    for encoder in ("tanh", "linear"):
+        path = workdir / f"roundtrip_{encoder}.bin"
+        write_model(path, read_model(workdir / f"jbld_tau=none_{encoder}" / "model.bin"))
+        lines.append(f"roundtrip/{encoder}/model.bin {_sha256(path.read_bytes())}")
+    return lines
 
 
 def metrics_lines(workdir: Path) -> list[str]:
@@ -215,7 +228,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        lines = (training_lines(args.steps, workdir) + eval_lines(workdir)
+        lines = (training_lines(args.steps, workdir) + eval_lines(workdir) + roundtrip_lines(workdir)
                  + metrics_lines(workdir) + generated_metrics_lines(workdir))
     lines += bench_lines() + adapter_lines() + synth_lines()
     for suite, report in (

@@ -43,7 +43,7 @@ import numpy as np
 from .distances import DistanceKind, _cholesky, batch_dist_sq, solve_triangular
 from .errors import (
     DimensionError, LabelError, NumericalError, SingularityError, check_at_least, check_finite_stack,
-    check_nonnegative, check_positive, column_blocks, real_array,
+    check_nonnegative, check_positive, column_blocks, layer_arrays,
 )
 from .nystrom import column_gram, roots_of_gram
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
@@ -92,16 +92,7 @@ class Classifier:
     bias: np.ndarray  # (class_count,)
 
     def __post_init__(self):
-        weights = real_array("weights", self.weights)
-        bias = real_array("bias", self.bias)
-        if weights.ndim != 2:
-            raise DimensionError(f"weights must be 2-d, got shape {weights.shape}")
-        if bias.ndim != 1 or bias.shape[0] != weights.shape[1]:
-            raise DimensionError(
-                f"bias length {bias.shape} does not match class count {weights.shape[1]}"
-            )
-        if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
-            raise DimensionError("classifier parameters contain non-finite entries")
+        weights, bias = layer_arrays("classifier", self.weights, self.bias, ("feature_dim", "class_count"), 1)
         object.__setattr__(self, "weights", np.asfortranarray(weights))
         object.__setattr__(self, "bias", bias)
 

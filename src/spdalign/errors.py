@@ -8,7 +8,9 @@ and seeds (whole numbers with a minimum), :func:`check_finite`,
 with the parameter's name as its ``name``. Array input at the public entry
 points goes through :func:`real_array`, which raises ``DimensionError``
 unless it is an array of real numbers; blocks of feature columns go through
-:func:`column_blocks`, which adds the shape and finiteness rule they share.
+:func:`column_blocks`, which adds the shape and finiteness rule they share,
+and the weights and bias of a layer go through :func:`layer_arrays`, the
+rule that the encoder and the classifier share.
 Batched kernels check each stage's output with :func:`check_finite_stack`,
 which raises ``NumericalError`` at the first stack item that overflowed.
 """
@@ -123,6 +125,28 @@ def column_blocks(what: str, *values) -> list[np.ndarray]:
     if not all(np.isfinite(block).all() for block in blocks):
         raise DimensionError(f"{what} contain non-finite entries")
     return blocks
+
+
+def layer_arrays(what: str, weights, bias, axes: tuple[str, str],
+                 output_axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's ``weights`` and ``bias`` as float64 arrays that meet the layer rule.
+
+    Both go through :func:`real_array`. ``axes`` names the two axes of the
+    weights, and ``output_axis`` is the one that counts the layer's outputs.
+    Weights that are not 2-d or a bias without one entry per output, no
+    output at all, and a NaN or infinite entry raise ``DimensionError``, in
+    that order, with ``what`` naming the layer.
+    """
+    weights, bias = real_array(f"{what} weights", weights), real_array(f"{what} bias", bias)
+    outputs = axes[output_axis]
+    if weights.ndim != 2 or bias.shape != (weights.shape[output_axis],):
+        raise DimensionError(f"{what} weights {weights.shape} and bias {bias.shape} are not a "
+                             f"({', '.join(axes)}) matrix and a ({outputs},) vector")
+    if bias.size == 0:
+        raise DimensionError(f"{what} {outputs} must be at least 1")
+    if not (np.isfinite(weights).all() and np.isfinite(bias).all()):
+        raise DimensionError(f"{what} parameters contain non-finite entries")
+    return weights, bias
 
 
 def check_finite_stack(what: str, stack: np.ndarray) -> None:

@@ -38,7 +38,7 @@ import struct
 import numpy as np
 
 from .align import Classifier
-from .errors import FormatError, check_at_least
+from .errors import DimensionError, FormatError, check_at_least
 from .scatter import FeatureBlock
 from .trainer import Encoder, TwoStreamModel
 
@@ -99,8 +99,10 @@ def write_model(path, model: TwoStreamModel):
     """Serialize a two-stream model (encoders, classifiers, feature cap).
 
     The header holds one encoder kind and one set of sizes for both streams.
-    A model that breaks :meth:`TwoStreamModel.check`, or whose streams differ
-    in encoder kind or sizes, is rejected before the file is opened.
+    A model that breaks :meth:`TwoStreamModel.check`, whose streams differ in
+    encoder kind or sizes, or whose arrays hold a NaN or infinite entry (an
+    array edited in place after construction) is rejected before the file is
+    opened, so that :func:`read_model` accepts every dump written.
     """
     model.check()
     streams = (
@@ -118,16 +120,18 @@ def write_model(path, model: TwoStreamModel):
     nonlinear, *sizes = source
     shapes = _stream_shapes(*sizes)
     payload = [
-        np.reshape(array, shape).astype("<f8").tobytes(order="F")
+        np.reshape(array, shape).astype("<f8")
         for enc, clf in streams
         for array, shape in zip((enc.weights, enc.bias, clf.weights, clf.bias), shapes)
     ]
+    if not all(np.isfinite(array).all() for array in payload):
+        raise DimensionError("model parameters contain non-finite entries")
     cap = model.feature_cap
     with open(path, "wb") as handle:
         handle.write(MODEL_HEADER.pack(
             MODEL_MAGIC, VERSION, *sizes, 1 if nonlinear else 0, cap is not None, cap or 0.0
         ))
-        handle.writelines(payload)
+        handle.writelines(array.tobytes(order="F") for array in payload)
 
 
 def read_model(path) -> TwoStreamModel:

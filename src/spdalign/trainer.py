@@ -40,7 +40,7 @@ from .align import AlignConfig, Classifier, ObjectiveParts, softmax_ce, total_ob
 from .distances import DistanceKind
 from .errors import (
     DimensionError, DivergenceError, NumericalError, ParameterError, SingularityError, check_at_least,
-    check_finite, check_nonnegative, check_seed, real_array,
+    check_finite, check_nonnegative, check_seed, layer_arrays,
 )
 from .scatter import FeatureBlock
 
@@ -49,12 +49,14 @@ SOURCE_BATCH_CAP = 10
 TARGET_BATCH_CAP = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class Encoder:
     """Linear map plus optional elementwise tanh: phi = tanh(W x + b).
 
-    Construction only converts both arrays with ``real_array``; the shape and
-    finiteness rules live in :meth:`TwoStreamModel.check`.
+    Construction converts both arrays with ``real_array`` and checks the
+    layer rule (:func:`~spdalign.errors.layer_arrays`): a (feature_dim,
+    input_dim) matrix, a (feature_dim,) bias, at least one output, and finite
+    entries. An array edited in place after construction is outside the rule.
     """
 
     weights: np.ndarray  # (feature_dim, input_dim)
@@ -62,8 +64,9 @@ class Encoder:
     nonlinear: bool = True
 
     def __post_init__(self):
-        self.weights = real_array("encoder weights", self.weights)
-        self.bias = real_array("encoder bias", self.bias)
+        weights, bias = layer_arrays("encoder", self.weights, self.bias, ("feature_dim", "input_dim"), 0)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "bias", bias)
 
     @property
     def input_dim(self) -> int:
@@ -83,11 +86,11 @@ class TwoStreamModel:
     fixed cap is finite and nonnegative; zero is legal, since a first batch
     whose encoder outputs are all zero yields it.
 
-    :meth:`check` states the shape rule of each stream, the rule that encoder
-    parameters are finite (:class:`Classifier` checks its own), and the cap
-    rule. Construction, :func:`train` and :func:`evaluate` run it, since a
-    field may be replaced after construction; :class:`Encoder` itself checks
-    no rule, since every SGD step builds a new one.
+    Each encoder and classifier checks its own layer rule where it is built.
+    :meth:`check` states only what couples the fields: each encoder's width
+    equals its classifier's, and the cap rule. Construction, :func:`train`,
+    :func:`evaluate` and :func:`~spdalign.io.write_model` run it, since a
+    field may be replaced after construction.
     """
 
     encoder_source: Encoder
@@ -100,20 +103,13 @@ class TwoStreamModel:
         self.check()
 
     def check(self) -> None:
-        """DimensionError unless each encoder is finite and feeds its classifier; ParameterError for a bad cap."""
+        """DimensionError unless each encoder feeds its classifier; ParameterError for a bad cap."""
         if self.feature_cap is not None:
             check_nonnegative(feature_cap=self.feature_cap)
         for enc, clf in (
             (self.encoder_source, self.classifier_source),
             (self.encoder_target, self.classifier_target),
         ):
-            if np.ndim(enc.weights) != 2 or np.shape(enc.bias) != (enc.feature_dim,):
-                raise DimensionError(
-                    f"encoder weights {np.shape(enc.weights)} and bias {np.shape(enc.bias)} "
-                    "are not a (feature_dim, input_dim) matrix and a (feature_dim,) vector"
-                )
-            if not (np.isfinite(enc.weights).all() and np.isfinite(enc.bias).all()):
-                raise DimensionError("encoder parameters contain non-finite entries")
             if enc.feature_dim != clf.feature_dim:
                 raise DimensionError(
                     f"encoder output dim {enc.feature_dim} does not match "
@@ -127,7 +123,9 @@ def _built(cls, **fields):
     For values that already meet every rule of ``cls``, in the form its
     ``__post_init__`` stores: the batch blocks, encoders and classifiers
     that the trainers build each step from checked values, and the blocks
-    of :func:`synth_domain_pair`. Every field must be given.
+    of :func:`synth_domain_pair`. Every field must be given. The tests run
+    the checked constructor beside each call, which must accept the same
+    fields and store the same arrays.
     """
     built = object.__new__(cls)
     for name, value in fields.items():

@@ -17,6 +17,7 @@ from spdalign.io import (
 from spdalign.metrics import format_case
 from spdalign.scatter import FeatureBlock
 from spdalign.trainer import init_two_stream, synth_domain_pair
+from test_io_config import write_zero_width_dump
 from test_metrics import oracle_avg_top_kk, oracle_top_k, oracle_top_k_n, random_cases
 from test_trainer import overflowing_target_model
 
@@ -388,6 +389,16 @@ class TestTrainCommand:
         assert code == 1
         assert out == ""
         assert err == "error: encoder parameters contain non-finite entries\n"
+
+    def test_eval_zero_width_model_dump(self, tmp_path, capsys):
+        # Such a model once scored "overall,0.500000,8" and exited 0.
+        model, features = tmp_path / "model.bin", tmp_path / "test.bin"
+        write_zero_width_dump(model)
+        write_feature_container(features, FeatureBlock(np.ones((3, 8)), np.arange(8) % 2), class_count=2)
+        code, out, err = run_cli(capsys, "eval", str(model), str(features))
+        assert code == 1
+        assert out == ""
+        assert err == "error: encoder feature_dim must be at least 1\n"
 
 
 MICRO_METRICS_EXPECTED = """\

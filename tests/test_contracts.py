@@ -3,8 +3,9 @@
 Each contract is stated once in the code: the block rules of every consumer on
 ``FeatureBlock.check``, each binary header as one ``struct.Struct``, the range
 rules of numeric parameters (counts, seeds, nonnegative and positive values),
-the conversion of array input (``real_array``) and the column-block rule of
-the one-class adapters (``column_blocks``) in ``errors``, and the
+the conversion of array input (``real_array``), the column-block rule of
+the one-class adapters (``column_blocks``) and the layer rule of ``Encoder``
+and ``Classifier`` (``layer_arrays``) in ``errors``, and the
 distance kind in ``DistanceKind.check``. These tests pin
 the errors and bytes that those single statements produce, at every entry
 point that takes a count or a seed, and AST guards keep the range rules'
@@ -328,12 +329,26 @@ def _alignment_loss(source, target):
 # Arrays of real numbers whose shape or values break an entry point's rule:
 # (anchored message of the DimensionError, call).
 SHAPE_FAULTS = {
-    "Classifier-weights-1d": (r"weights must be 2-d, got shape \(3,\)",
+    "Classifier-weights-1d": (r"classifier weights \(3,\) and bias \(3,\) are not a "
+                              r"\(feature_dim, class_count\) matrix and a \(class_count,\) vector",
                               lambda: Classifier(np.zeros(3), np.zeros(3))),
-    "Classifier-bias-length": (r"bias length \(2,\) does not match class count 3",
+    "Classifier-bias-length": (r"classifier weights \(2, 3\) and bias \(2,\) are not a "
+                               r"\(feature_dim, class_count\) matrix and a \(class_count,\) vector",
                                lambda: Classifier(np.zeros((2, 3)), np.zeros(2))),
+    "Classifier-no-outputs": ("classifier class_count must be at least 1",
+                              lambda: Classifier(np.zeros((2, 0)), np.zeros(0))),
     "Classifier-non-finite": ("classifier parameters contain non-finite entries",
                               lambda: Classifier(np.array([[np.inf]]), np.zeros(1))),
+    "Encoder-weights-1d": (r"encoder weights \(3,\) and bias \(3,\) are not a "
+                           r"\(feature_dim, input_dim\) matrix and a \(feature_dim,\) vector",
+                           lambda: Encoder(np.zeros(3), np.zeros(3))),
+    "Encoder-bias-length": (r"encoder weights \(2, 3\) and bias \(3,\) are not a "
+                            r"\(feature_dim, input_dim\) matrix and a \(feature_dim,\) vector",
+                            lambda: Encoder(np.zeros((2, 3)), np.zeros(3))),
+    "Encoder-no-outputs": ("encoder feature_dim must be at least 1",
+                           lambda: Encoder(np.zeros((0, 3)), np.zeros(0))),
+    "Encoder-non-finite": ("encoder parameters contain non-finite entries",
+                           lambda: Encoder(np.zeros((2, 3)), np.array([0.0, np.nan]))),
     "alignment_loss-1d-block": ("class blocks must be 2-d column matrices",
                                 lambda: _alignment_loss(np.zeros(2), np.eye(2))),
     "alignment_loss-dimension": (r"class blocks differ in row count: \[2, 3\]",

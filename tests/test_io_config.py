@@ -12,6 +12,8 @@ from spdalign.distances import DistanceKind
 from spdalign.errors import ConfigError, DimensionError, FormatError, ParameterError
 from spdalign.io import (
     FEATURE_HEADER,
+    MODEL_HEADER,
+    MODEL_MAGIC,
     read_feature_container,
     read_model,
     write_feature_container,
@@ -94,7 +96,19 @@ class TestFeatureContainer:
         assert read_feature_container(path)[1] == 2**32 - 1
 
 
+def write_zero_width_dump(path, input_dim=3, class_count=2):
+    """A tanh model dump of feature_dim 0 with cap 1: each stream stores only its zero classifier bias."""
+    header = MODEL_HEADER.pack(MODEL_MAGIC, 1, input_dim, 0, class_count, 1, 1, 1.0)
+    path.write_bytes(header + bytes(8 * 2 * class_count))
+
+
 class TestModelDump:
+    def test_zero_width_dump_is_refused(self, tmp_path):
+        path = tmp_path / "model.bin"
+        write_zero_width_dump(path)
+        with pytest.raises(DimensionError, match="^encoder feature_dim must be at least 1$"):
+            read_model(path)
+
     def test_roundtrip(self, rng, tmp_path):
         model = TwoStreamModel(
             encoder_source=Encoder(rng.normal(size=(4, 3)), rng.normal(size=4)),
@@ -151,20 +165,34 @@ class TestModelDump:
         enc = Encoder(rng.normal(size=(2, 3)), np.zeros(2))
         clf = Classifier(rng.normal(size=(2, 4)), np.zeros(4))
         model = TwoStreamModel(enc, enc, clf, clf)
-        model.encoder_target = Encoder(np.ones((2, 3)), np.zeros(5))
+        model.encoder_target = Encoder(np.ones((5, 3)), np.zeros(5))
         path = tmp_path / "model.bin"
-        with pytest.raises(DimensionError, match=r"bias \(5,\) are not .* a \(feature_dim,\) vector"):
+        with pytest.raises(DimensionError, match="^encoder output dim 5 does not match classifier input dim 2$"):
             write_model(path, model)
         assert not path.exists()
 
     @pytest.mark.parametrize("field", ["encoder_source", "encoder_target"])
     def test_non_finite_encoder_is_rejected_before_writing(self, tmp_path, field):
+        # An array edited in place after construction is outside the layer rule;
+        # the writer refuses it rather than write a dump that read_model rejects.
         model = init_two_stream(3, 2, 4, seed=0)
-        weights = getattr(model, field).weights.copy()
-        weights[1, 2] = np.nan
-        setattr(model, field, Encoder(weights, np.zeros(2)))
+        getattr(model, field).weights[1, 2] = np.nan
         path = tmp_path / "model.bin"
-        with pytest.raises(DimensionError, match="^encoder parameters contain non-finite entries$"):
+        with pytest.raises(DimensionError, match="^model parameters contain non-finite entries$"):
+            write_model(path, model)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    @pytest.mark.parametrize("field", ["classifier_source", "classifier_target"])
+    def test_non_finite_classifier_is_rejected_before_writing(self, rng, tmp_path, field, part, value):
+        streams = [(Encoder(rng.normal(size=(2, 3)), np.zeros(2)),
+                    Classifier(rng.normal(size=(2, 4)), np.zeros(4))) for _ in range(2)]
+        (enc_s, clf_s), (enc_t, clf_t) = streams
+        model = TwoStreamModel(enc_s, enc_t, clf_s, clf_t)
+        getattr(getattr(model, field), part).flat[0] = value
+        path = tmp_path / "model.bin"
+        with pytest.raises(DimensionError, match="^model parameters contain non-finite entries$"):
             write_model(path, model)
         assert not path.exists()
 

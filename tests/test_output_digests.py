@@ -11,7 +11,8 @@ _SCRIPT = REPO_ROOT / "scripts" / "output_digests.py"
 
 _TRAIN = re.compile(r"^train/(frobenius|jbld|airm)/tau=(none|3\.5)/(tanh|linear)/"
                     r"(model\.bin|loss_history\.csv|eval_report\.csv) [0-9a-f]{64}$")
-_DIGEST = re.compile(r"^(eval/(stdout|eval_report\.csv)|metrics/(stdout|metrics\.csv|breakdown\.csv)"
+_DIGEST = re.compile(r"^(eval/(stdout|eval_report\.csv)|roundtrip/(tanh|linear)/model\.bin"
+                     r"|metrics/(stdout|metrics\.csv|breakdown\.csv)"
                      r"|metrics/(written|reordered|wide)/stdout) [0-9a-f]{64}$")
 _BENCH_ARGS = re.compile(r"^bench/(frobenius|jbld|airm)/args kind=\1 d=256 n=20 nstar=3 reps=3$")
 _BENCH_VALUE = re.compile(r"^bench/(frobenius|jbld|airm)/(naive|projected) value=(\S+)$")
@@ -28,20 +29,25 @@ def test_one_line_per_kept_output():
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    # 12 trainings x 3 files, 2 eval and 6 metrics outputs, 3 bench kinds x 3 fields,
-    # 4 adapter outputs, 2 synthetic specs x 3 blocks, 13 gradient and 11 invariance
-    # components, 4 benchmark means.
-    assert len(lines) == 36 + 8 + 9 + 4 + 6 + 13 + 11 + 4
-    train, outputs, bench = lines[:36], lines[36:44], lines[44:53]
-    adapters, synth, rest = lines[53:57], lines[57:63], lines[63:]
+    # 12 trainings x 3 files, 2 eval, 2 round-trip and 6 metrics outputs, 3 bench kinds
+    # x 3 fields, 4 adapter outputs, 2 synthetic specs x 3 blocks, 13 gradient and 11
+    # invariance components, 4 benchmark means.
+    assert len(lines) == 36 + 10 + 9 + 4 + 6 + 13 + 11 + 4
+    train, outputs, bench = lines[:36], lines[36:46], lines[46:55]
+    adapters, synth, rest = lines[55:59], lines[59:65], lines[65:]
     assert all(_TRAIN.match(line) for line in train)
     assert len({line.split()[0] for line in train}) == 36
     assert [_DIGEST.match(line).group(1) for line in outputs] == [
-        "eval/stdout", "eval/eval_report.csv", "metrics/stdout", "metrics/metrics.csv",
+        "eval/stdout", "eval/eval_report.csv", "roundtrip/tanh/model.bin",
+        "roundtrip/linear/model.bin", "metrics/stdout", "metrics/metrics.csv",
         "metrics/breakdown.csv", "metrics/written/stdout", "metrics/reordered/stdout",
         "metrics/wide/stdout"]
+    # A dump read and written again keeps its bytes.
+    digests = dict(line.split() for line in train + outputs)
+    for encoder in ("tanh", "linear"):
+        assert digests[f"roundtrip/{encoder}/model.bin"] == digests[f"train/jbld/tau=none/{encoder}/model.bin"]
     # The reordered and wide files keep the id equalities of the written one.
-    assert outputs[5].split()[1] == outputs[6].split()[1] == outputs[7].split()[1]
+    assert outputs[7].split()[1] == outputs[8].split()[1] == outputs[9].split()[1]
     for i, kind in enumerate(("frobenius", "jbld", "airm")):
         args, naive, projected = bench[3 * i:3 * i + 3]
         assert _BENCH_ARGS.match(args).group(1) == kind

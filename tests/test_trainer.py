@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spdalign import trainer
 from spdalign.align import AlignConfig, Classifier, ObjectiveParts
 from spdalign.distances import DistanceKind
 from spdalign.errors import (
@@ -287,24 +288,24 @@ class TestEncoder:
             "train": lambda model: train(model, (source, target_train), small_config(),
                                          steps=1, lr=0.1, seed=0),
         }
-        bad = Encoder(np.ones((2, 3)), np.zeros(5))
         clf = Classifier(rng.normal(size=(2, 4)), np.zeros(4))
         with pytest.raises(DimensionError, match=r"bias \(5,\)"):
+            bad = Encoder(np.ones((2, 3)), np.zeros(5))
             runs[call](TwoStreamModel(bad, bad, clf, clf))
 
     @pytest.mark.parametrize("field", ["encoder_source", "encoder_target"])
     @pytest.mark.parametrize("call", ["evaluate", "train"])
     def test_field_replaced_after_construction_is_typed(self, call, field):
-        # The model is mutable, so each consumer runs the shape rule again.
+        # The model is mutable, so each consumer runs the coupling rule again.
         model = init_two_stream(3, 2, 4, seed=0)
-        setattr(model, field, Encoder(np.ones((2, 3)), np.zeros(5)))
+        setattr(model, field, Encoder(np.ones((5, 3)), np.zeros(5)))
         block = FeatureBlock(np.ones((3, 4)), np.arange(4))
         config = AlignConfig(sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=4)
         runs = {
             "evaluate": lambda: evaluate(model, block),
             "train": lambda: train(model, (block, block), config, steps=1, lr=0.1, seed=0),
         }
-        with pytest.raises(DimensionError, match=r"^encoder weights \(2, 3\) and bias \(5,\) "):
+        with pytest.raises(DimensionError, match=r"^encoder output dim 5 does not match classifier input dim 2$"):
             runs[call]()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -315,13 +316,80 @@ class TestEncoder:
         enc = getattr(model, field)
         params = {"weights": enc.weights.copy(), "bias": enc.bias.copy()}
         params[part].flat[0] = value
-        bad = Encoder(params["weights"], params["bias"], enc.nonlinear)
+        # The encoder is refused where it is built, before any model holds it.
         with pytest.raises(DimensionError, match=r"^encoder parameters contain non-finite entries$"):
-            dataclasses.replace(model, **{field: bad})
-        # A field replaced after construction is caught where the model is used.
-        setattr(model, field, bad)
-        with pytest.raises(DimensionError, match=r"^encoder parameters contain non-finite entries$"):
-            evaluate(model, FeatureBlock(np.ones((3, 4)), np.arange(4)))
+            dataclasses.replace(model, **{field: Encoder(params["weights"], params["bias"], enc.nonlinear)})
+
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_zero_width_model_is_refused(self, kind):
+        # A model without features once trained to a loss of 2 ln 2 and scored a top-1 of 0.5.
+        spec = small_spec(input_dim=3, class_count=2)
+        source, target_train, _ = synth_domain_pair(spec)
+        clf = Classifier(np.zeros((0, 2)), np.zeros(2))
+        with pytest.raises(DimensionError, match="^encoder feature_dim must be at least 1$"):
+            enc = Encoder(np.zeros((0, 3)), np.zeros(0))
+            train(TwoStreamModel(enc, enc, clf, clf), (source, target_train),
+                  small_config(kind=kind, class_count=2), steps=2, lr=0.1, seed=0)
+
+    def test_is_frozen(self):
+        enc = init_two_stream(3, 2, 4, seed=0).encoder_source
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            enc.weights = np.ones((2, 3))
+
+
+@pytest.fixture
+def checked_built(monkeypatch):
+    """Run the checked constructor beside every ``trainer._built`` call; returns the classes built.
+
+    The constructor must accept the fields and store the same arrays bit for
+    bit, with the same dtype, shape and strides, and the same other values.
+    """
+    built_classes = []
+    unchecked = trainer._built
+
+    def built(cls, **fields):
+        fast, checked = unchecked(cls, **fields), cls(**fields)
+        for name in fields:
+            got, want = getattr(fast, name), getattr(checked, name)
+            if isinstance(want, np.ndarray):
+                assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides), name
+                assert got.tobytes() == want.tobytes(), name
+            else:
+                assert got == want, name
+        built_classes.append(cls)
+        return fast
+
+    monkeypatch.setattr(trainer, "_built", built)
+    return built_classes
+
+
+class TestBuiltPremise:
+    """``_built`` skips the checks only of values that would pass them."""
+
+    @pytest.mark.parametrize("cap", [None, 2.0], ids=["derived-cap", "fixed-cap"])
+    @pytest.mark.parametrize("nonlinear", [True, False], ids=["tanh", "linear"])
+    @pytest.mark.parametrize("kind", list(DistanceKind))
+    def test_train(self, checked_built, kind, nonlinear, cap):
+        spec = small_spec()
+        source, target_train, _ = synth_domain_pair(spec)
+        model = capped(init_two_stream(spec.input_dim, 8, spec.class_count, seed=1, nonlinear=nonlinear), cap)
+        checked_built.clear()
+        train(model, (source, target_train), small_config(kind=kind), steps=3, lr=0.1, seed=1)
+        assert set(checked_built) == {FeatureBlock, Encoder, Classifier}
+
+    @pytest.mark.parametrize("nonlinear", [True, False], ids=["tanh", "linear"])
+    def test_train_single_stream(self, checked_built, nonlinear):
+        spec = small_spec()
+        block, _, _ = synth_domain_pair(spec)
+        checked_built.clear()
+        train_single_stream(block, spec.class_count, 8, steps=3, lr=0.1, seed=1, nonlinear=nonlinear)
+        assert set(checked_built) == {FeatureBlock, Encoder, Classifier}
+
+    @pytest.mark.parametrize("dim", [1, 2, 6])
+    @pytest.mark.parametrize("noise", [0.0, 0.05])
+    def test_synth_domain_pair(self, checked_built, dim, noise):
+        synth_domain_pair(small_spec(input_dim=dim, shift=DomainShift(rotation_deg=25.0, noise=noise)))
+        assert checked_built == [FeatureBlock] * 3
 
 
 class TestTrain:
@@ -565,6 +633,24 @@ class TestTrain:
                 assert np.array_equal(part.weights, getattr(snapshot, name).weights)
                 assert np.array_equal(part.bias, getattr(snapshot, name).bias)
 
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    @pytest.mark.parametrize("field", [
+        "encoder_source", "encoder_target", "classifier_source", "classifier_target"])
+    @pytest.mark.parametrize("cap", [None, 2.0], ids=["derived-cap", "fixed-cap"])
+    def test_layer_edited_in_place_diverges_at_step_1(self, cap, field, part):
+        # An array edited in place after construction is outside the layer rule;
+        # the run still ends typed, without numpy warnings.
+        spec = small_spec()
+        source, target_train, _ = synth_domain_pair(spec)
+        model = capped(init_two_stream(spec.input_dim, 8, spec.class_count, seed=1), cap)
+        model.classifier_target = Classifier(np.zeros((8, spec.class_count)), np.zeros(spec.class_count))
+        getattr(getattr(model, field), part).flat[0] = np.nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                train(model, (source, target_train), small_config(), steps=3, lr=0.1, seed=1)
+        assert err.value.step == 1
+
     def test_tau_derived_from_first_batch(self):
         spec = small_spec()
         source, target_train, _ = synth_domain_pair(spec)
@@ -620,6 +706,19 @@ class TestEvaluate:
             with pytest.raises(NumericalError, match=(
                 "^target logits are non-finite: the target stream overflows on the test columns$"
             )):
+                evaluate(model, test)
+
+    @pytest.mark.parametrize("part", ["weights", "bias"])
+    @pytest.mark.parametrize("field", ["encoder_target", "classifier_target"])
+    def test_target_layer_edited_in_place_is_typed(self, field, part):
+        # The evaluated stream's arrays, edited in place after construction.
+        spec = small_spec()
+        _, _, test = synth_domain_pair(spec)
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1)
+        getattr(getattr(model, field), part).flat[0] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^target logits are non-finite"):
                 evaluate(model, test)
 
 
