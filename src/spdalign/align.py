@@ -9,11 +9,15 @@ where S_c, S*_c are the per-class population scatters of the source and
 target columns, each regularized by eps. The three distances are invariant
 under isometries of the columns, so every one is a function of the class's
 Gram matrix ``K = X^T X``. Frobenius and JBLD are evaluated from ``K``
-directly, by trace identities and by Sylvester's determinant identity. AIRM
-takes the exact reduction ``K^{1/2}`` (the isometric projection onto the span
-of the class's columns), builds both scatters there, and sends its feature
-gradients through distance gradient -> feature chain rule -> projector
-transpose, the projector being a constant in this differentiation.
+directly, by trace identities and by Sylvester's determinant identity, JBLD
+taking its log-determinants from the one Cholesky stage of
+:mod:`spdalign.distances`. AIRM takes the exact reduction ``K^{1/2}`` (the
+isometric projection onto the span of the class's columns) and runs the
+scatter-pair stage, :func:`scatter_pair_terms`, there: both scatters, their
+distances, and feature gradients through distance gradient -> feature chain
+rule. The inverse root, the projector transpose, carries those back to the
+columns, the projector being a constant in this differentiation. The
+gradient suite checks that same stage on ambient columns.
 
 One kernel, :func:`class_terms`, evaluates the alignment terms of a stack of
 classes that share a ``(N_c, N*_c)`` shape, with batched numpy calls over the
@@ -40,7 +44,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .distances import DistanceKind, _cholesky, batch_dist_sq, solve_triangular
+from .distances import DistanceKind, _cholesky_logdets, batch_dist_sq
 from .errors import (
     DimensionError, LabelError, NumericalError, SingularityError, check_at_least, check_finite_stack,
     check_nonnegative, check_positive, column_blocks, layer_arrays,
@@ -205,11 +209,8 @@ def class_terms(
     c_norm = float(config.class_count)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.sigma1 != 0.0:
-            gram = column_gram(x)
-            if config.kind is DistanceKind.AIRM:
-                scatter, scatter_operator = _reduced_terms(x, gram, n_source, config, with_grad)
-            else:
-                scatter, scatter_operator, direct = _gram_form_terms(x, gram, n_source, config, with_grad)
+            route = _reduced_terms if config.kind is DistanceKind.AIRM else _gram_form_terms
+            scatter, scatter_operator, direct = route(x, column_gram(x), n_source, config, with_grad)
             if scatter_operator is not None:
                 operator += config.sigma1 / c_norm * scatter_operator
         if config.sigma2 != 0.0:
@@ -289,7 +290,9 @@ def _jbld_terms(
     rank for generic columns, so no null direction of the other side, whose
     rounding the ``1 / eps`` would amplify, enters a log-determinant. The
     pooled matrix and the block-diagonal source-target matrix, padded with
-    the identity to one size, share one Cholesky call.
+    the identity to one size, share one call of the Cholesky stage,
+    :func:`~spdalign.distances._cholesky_logdets`, which gives their
+    log-determinants and, for the gradient, their inverses.
 
     The gradient of ``L(F, c)`` with respect to ``F`` is ``(2 / c) F (I +
     F^T F / c)^{-1}`` on the Gram side and ``(2 / c) (I + F F^T / c)^{-1} F``
@@ -319,14 +322,12 @@ def _jbld_terms(
     for (layer, offset), block in zip(places, blocks):
         stack[layer, :, offset:offset + block.shape[-1], offset:offset + block.shape[-1]] += block
     check_finite_stack("regularized Sylvester matrix", stack.transpose(1, 0, 2, 3))
-    chol = _cholesky(stack.reshape(2 * count, size, size), count)
-    logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-    # Finite, since both factors are; mathematically >= 0, so rounding residue clamps at zero.
+    logdets, inverse = _cholesky_logdets(stack.reshape(2 * count, size, size), count, with_grad)
+    # Finite, since the stack is; mathematically >= 0, so rounding residue clamps at zero.
     values = np.maximum(logdets[:count] - 0.5 * logdets[count:], 0.0)
     if not with_grad:
         return values, None, None
-    inv_factor = solve_triangular(chol, np.eye(size))
-    inverse = (inv_factor.transpose(0, 2, 1) @ inv_factor).reshape(2, count, size, size)
+    inverse = inverse.reshape(2, count, size, size)
     scaled = [sign / eps * inverse[layer, :, offset:offset + block.shape[-1],
                                    offset:offset + block.shape[-1]]
               for (_, _, sign), (layer, offset), block in zip(parts, places, blocks)]
@@ -374,32 +375,52 @@ def _centring_basis(n_source: int, width: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _reduced_terms(
     x: np.ndarray, gram: np.ndarray, n_source: int, config: AlignConfig, with_grad: bool
-) -> tuple[np.ndarray, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray | None, None]:
     """Scatter terms and operators through the exact reduction, for AIRM.
 
-    The roots of ``gram`` reduce the columns to dimension k; both reduced
-    scatters are regularized by eps and handed to :func:`batch_dist_sq`, and
-    its scatter gradients travel the feature chain rule and the inverse root
-    back to an operator on the columns.
+    The roots of ``gram`` reduce the columns to dimension k, the scatter-pair
+    stage (:func:`scatter_pair_terms`) runs on the reduced columns, and the
+    inverse root carries its feature gradients back to a (G, k, k) operator
+    on the columns. Returns the values, that operator (``None`` without
+    ``with_grad``) and ``None``: the (values, operator, direct gradient)
+    triple of :func:`_gram_form_terms`.
     """
-    width = gram.shape[-1]
     root, inverse_root = roots_of_gram(gram, x.shape[1])
-    part_s, part_t = root[:, :, :n_source], root[:, :, n_source:]
+    values, grad_s, grad_t = scatter_pair_terms(
+        root[:, :, :n_source], root[:, :, n_source:], config.kind, config.eps, with_grad
+    )
+    if not with_grad:
+        return values, None, None
+    return values, inverse_root @ np.concatenate([grad_s, grad_t], axis=2), None
+
+
+def scatter_pair_terms(
+    part_s: np.ndarray, part_t: np.ndarray, kind: DistanceKind, eps: float, with_grad: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Squared distances between the eps-regularized scatters of two column stacks, with feature gradients.
+
+    ``part_s`` and ``part_t`` are (G, d, N) and (G, d, N*) stacks of
+    columns. Both population scatters (:func:`mean_and_scatter`) get ``eps``
+    on the diagonal, :func:`batch_dist_sq` takes the distances and their
+    scatter gradients, and the feature chain rule (:func:`_feature_grad`)
+    pulls those back to the columns. Returns the (G,) values and the (G, d,
+    N) and (G, d, N*) feature gradients (``None`` for both without
+    ``with_grad``). A regularized scatter or a value that overflows float64
+    raises ``NumericalError`` with its stack position. This is the AIRM
+    route's stage on reduced columns, and the analytic side of the gradient
+    suite's ``scatter/<kind>`` component on ambient ones.
+    """
     center_s, sigma_s = mean_and_scatter(part_s)
     center_t, sigma_t = mean_and_scatter(part_t)
-    shift = config.eps * np.eye(width)
+    shift = eps * np.eye(part_s.shape[1])
     sigma_s += shift
     sigma_t += shift
     check_finite_stack("regularized scatter", np.stack([sigma_s, sigma_t], axis=1))
-    values, grad_a, grad_b = batch_dist_sq(config.kind, sigma_s, sigma_t, with_grad=with_grad)
-    check_finite_stack(f"squared {config.kind.value} distance", values)
+    values, grad_a, grad_b = batch_dist_sq(kind, sigma_s, sigma_t, with_grad=with_grad)
+    check_finite_stack(f"squared {kind.value} distance", values)
     if not with_grad:
-        return values, None
-    chained = np.concatenate([
-        _feature_grad(grad_a, part_s, center_s),
-        _feature_grad(grad_b, part_t, center_t),
-    ], axis=2)
-    return values, inverse_root @ chained
+        return values, None, None
+    return values, _feature_grad(grad_a, part_s, center_s), _feature_grad(grad_b, part_t, center_t)
 
 
 @functools.lru_cache(maxsize=32)
@@ -536,9 +557,13 @@ class ObjectiveGrads:
 
 @dataclass(frozen=True)
 class ObjectiveResult:
-    value: float
     parts: ObjectiveParts
     grads: ObjectiveGrads
+
+    @property
+    def value(self) -> float:
+        """The objective's value, :attr:`ObjectiveParts.total`."""
+        return self.parts.total
 
 
 def group_columns_by_class(
@@ -605,4 +630,4 @@ def total_objective(
         features_source=align_s,
         features_target=align_t,
     )
-    return ObjectiveResult(value=parts.total, parts=parts, grads=grads)
+    return ObjectiveResult(parts=parts, grads=grads)

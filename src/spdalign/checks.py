@@ -27,12 +27,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .align import AlignConfig, Classifier, class_terms, total_objective
+from .align import AlignConfig, Classifier, alignment_loss, scatter_pair_terms, total_objective
 from .bench import ambient_distance_eval, projected_distance_eval
 from .distances import DistanceKind, dist_sq, grad_dist_sq
 from .errors import NumericalError, check_at_least, check_seed
-from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
-from .spd import SymMatrix, regularize, spd_fn, symmetrize
+from .scatter import FeatureBlock
+from .spd import SymMatrix, spd_fn, symmetrize
 
 FD_STEP = 1e-5
 GRAD_TOLERANCE = 1e-4
@@ -183,8 +183,10 @@ def _feature_pair(rng: np.random.Generator, dims: tuple[int, int], counts: tuple
 def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
     """Feature-space chain rule (2/N) G (Phi - mu 1^T) in ambient dimension.
 
-    The analytic side runs the scatter builder and chain rule of the
-    alignment kernel's AIRM route on the ambient columns; Frobenius and JBLD
+    The analytic side is the AIRM route's own scatter-pair stage,
+    :func:`~spdalign.align.scatter_pair_terms`, run on the ambient columns
+    as a stack of one; the value side is the independent one-pair path of
+    :func:`~spdalign.bench.ambient_distance_eval`. Frobenius and JBLD
     training works from the Gram matrix instead (see ``projected/<kind>``
     and ``objective/<kind>``). The regularizer is drawn per instance from
     [1e-3, 1e-1]: the chain rule does not depend on it, and at 1e-6 the
@@ -193,13 +195,9 @@ def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generato
     """
     def trial():
         eps, phi_s, phi_t = _feature_pair(rng, (2, 6), (2, 7))
-        mean_s, scatter_s = mean_and_scatter(phi_s)
-        mean_t, scatter_t = mean_and_scatter(phi_t)
-        ga, gb = grad_dist_sq(
-            kind, regularize(SymMatrix(scatter_s), eps), regularize(SymMatrix(scatter_t), eps)
-        )
+        _, grad_s, grad_t = scatter_pair_terms(phi_s[None], phi_t[None], kind, eps, with_grad=True)
         return (lambda s, t: ambient_distance_eval(s, t, kind, eps), [phi_s, phi_t],
-                [_feature_grad(ga.entries, phi_s, mean_s), _feature_grad(gb.entries, phi_t, mean_t)])
+                [grad_s[0], grad_t[0]])
 
     return _gradient_component(f"scatter/{kind.value}", trials, trial)
 
@@ -207,10 +205,13 @@ def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generato
 def _one_class_grads(
     config: AlignConfig, phi_s: np.ndarray, phi_t: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Feature gradients of the alignment kernel that training runs, on one class."""
-    n_s = phi_s.shape[1]
-    _, _, grad = class_terms(np.concatenate([phi_s, phi_t], axis=1)[None], n_s, config)
-    return grad[0, :, :n_s], grad[0, :, n_s:]
+    """Feature gradients of the alignment kernel that training runs, on one class.
+
+    ``config`` declares one class; the columns reach the kernel through its
+    one-class adapter, :func:`~spdalign.align.alignment_loss`.
+    """
+    result = alignment_loss([(phi_s, phi_t)], config)
+    return result.grads_source[0], result.grads_target[0]
 
 
 def projected_distance_grads(

@@ -15,7 +15,9 @@ reduced side is the larger one.
 numpy Cholesky factorization or SVD per stage, and triangular solves by
 :func:`solve_triangular`, a numpy substitution over the whole stack;
 :func:`dist_sq` and :func:`grad_dist_sq` are its one-pair case. JBLD takes its
-value and both gradients from three Cholesky factors. AIRM goes through the
+value and both gradients from three Cholesky factors, through
+:func:`_cholesky_logdets`, the one Cholesky stage of the package, which the
+alignment objective's Gram-form JBLD terms share. AIRM goes through the
 Cholesky factors and one singular value decomposition
 ``L_A^{-1} L_B = U diag(sigma) V^T`` rather than the congruence sandwich
 ``A^{-1/2} B A^{-1/2}``: the sandwich loses all relative accuracy on its small
@@ -84,6 +86,26 @@ def _cholesky(stack: np.ndarray, pairs: int) -> np.ndarray:
                     "matrix is not positive definite to working precision", index=position % pairs
                 ) from exc
         raise SingularityError("matrix is not positive definite to working precision") from exc
+
+
+def _cholesky_logdets(
+    stack: np.ndarray, pairs: int, with_inverse: bool
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Log-determinants of a stack of SPD matrices, and their inverses when ``with_inverse``.
+
+    ``stack`` is (M, n, n), in ``pairs``-long blocks as :func:`_cholesky`
+    takes it, whose ``SingularityError`` this raises. One batched factor gives
+    ``logdet = 2 sum log diag L`` and, through :func:`solve_triangular`, the
+    inverse ``L^{-T} L^{-1}``. A factor of a finite matrix has its diagonal
+    in (0, sqrt(max a_jj)], so every log-determinant of a finite stack is
+    finite.
+    """
+    chol = _cholesky(stack, pairs)
+    logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
+    if not with_inverse:
+        return logdets, None
+    inv_factor = solve_triangular(chol, np.eye(stack.shape[-1]))
+    return logdets, inv_factor.transpose(0, 2, 1) @ inv_factor
 
 
 # Factors up to this many rows are solved by substitution; larger ones are split in two.
@@ -156,20 +178,11 @@ def batch_dist_sq(
             return values, None, None
         return values, 2.0 * diff, -2.0 * diff
     if kind is DistanceKind.JBLD:
-        chol = _cholesky(np.concatenate([a, b, a / 2.0 + b / 2.0]), pairs)
-        logdets = 2.0 * np.log(np.diagonal(chol, axis1=1, axis2=2)).sum(axis=1)
-        values = logdets[2 * pairs:] - 0.5 * (logdets[:pairs] + logdets[pairs:2 * pairs])
-        if not np.isfinite(values).all():
-            raise SingularityError(
-                "logdet overflowed; matrix is numerically singular",
-                index=int(np.argmin(np.isfinite(values))),
-            )
+        logdets, inverse = _cholesky_logdets(np.concatenate([a, b, a / 2.0 + b / 2.0]), pairs, with_grad)
         # Mathematically >= 0 for SPD operands; clamp rounding residue at zero.
-        values = np.maximum(values, 0.0)
+        values = np.maximum(logdets[2 * pairs:] - 0.5 * (logdets[:pairs] + logdets[pairs:2 * pairs]), 0.0)
         if not with_grad:
             return values, None, None
-        inv_factor = solve_triangular(chol, np.eye(a.shape[1]))
-        inverse = inv_factor.transpose(0, 2, 1) @ inv_factor
         inv_a, inv_b, inv_mid = inverse[:pairs], inverse[pairs:2 * pairs], inverse[2 * pairs:]
         return values, symmetric_part(inv_mid - inv_a) / 2.0, symmetric_part(inv_mid - inv_b) / 2.0
     # AIRM

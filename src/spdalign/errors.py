@@ -69,9 +69,13 @@ def check_positive(**values: float | None) -> None:
 
 
 def check_at_least(minimum: int, **values: int) -> None:
-    """Raise ParameterError naming the first value that is not a whole number of at least ``minimum``."""
+    """Raise ParameterError naming the first value that is not a whole number of at least ``minimum``.
+
+    A ``bool`` is a ``numbers.Integral``, but numpy refuses it as a size, so
+    it is refused here too.
+    """
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ParameterError(f"{name} must be a whole number, got {value!r}", name=name)
         if value < minimum:
             rule = "nonnegative" if minimum == 0 else f"at least {minimum}"

@@ -611,8 +611,11 @@ def run_adaptation_benchmark(
 
     Every seed draws 3 target training and 20 target test columns per class,
     and every training runs at learning rate 0.25; the aligned model uses
-    classifier proximity ``eta = 1``.
+    classifier proximity ``eta = 1``. An empty ``seeds`` raises
+    ``ParameterError`` before any training.
     """
+    if len(seeds) == 0:
+        raise ParameterError("seeds must name at least one seed, got none", name="seeds")
     lr = 0.25
     config = AlignConfig(sigma1=sigma1, sigma2=sigma2, eta=1.0, kind=DistanceKind.JBLD,
                          class_count=class_count)

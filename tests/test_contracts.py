@@ -41,7 +41,7 @@ from spdalign.scatter import FeatureBlock, mean_and_scatter
 from spdalign.spd import SymMatrix, regularize, symmetrize
 from spdalign.trainer import (
     DomainShift, Encoder, SynthSpec, TwoStreamModel, concat_blocks, evaluate, init_two_stream,
-    synth_domain_pair, train, train_single_stream,
+    run_adaptation_benchmark, synth_domain_pair, train, train_single_stream,
 )
 
 INPUT_DIM, FEATURE_DIM, CLASSES = 3, 4, 3
@@ -202,6 +202,13 @@ def test_fractional_seed_is_typed(entry):
     assert info.value.name == "seed"
 
 
+@pytest.mark.parametrize("entry", list(SEED_ENTRY_POINTS))
+def test_boolean_seed_is_typed(entry):
+    with pytest.raises(ParameterError, match="^seed must be a whole number, got True$") as info:
+        SEED_ENTRY_POINTS[entry](True)
+    assert info.value.name == "seed"
+
+
 def _spec(**counts):
     return SynthSpec(**{"class_count": 2, "input_dim": 2, "source_per_class": 2, **counts})
 
@@ -285,6 +292,15 @@ class TestCountRules:
             call(minimum + 1.5)
         assert info.value.name == name
 
+    @pytest.mark.parametrize("entry", list(COUNT_ENTRY_POINTS))
+    def test_boolean_is_typed(self, entry):
+        # bool is a numbers.Integral, but numpy refuses it as a size.
+        name, _, call = COUNT_ENTRY_POINTS[entry]
+        message = f"{name} must be a whole number, got True"
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$") as info:
+            call(True)
+        assert info.value.name == name
+
 
 # Inputs that used to escape as a raw TypeError, a RuntimeWarning, an empty model or an
 # Inf matrix, and empty input: (parameter name in the error, call).
@@ -304,6 +320,9 @@ PARAMETER_FAULTS = {
     "init_two_stream-input_dim-0": ("input_dim", lambda: init_two_stream(0, 4, 3, 0)),
     "init_two_stream-feature_dim-0": ("feature_dim", lambda: init_two_stream(3, 0, 3, 0)),
     "factor_masks-no-cases": ("cases", lambda: list(factor_masks([]))),
+    "run_adaptation_benchmark-no-seeds": ("seeds", lambda: run_adaptation_benchmark([])),
+    "run_adaptation_benchmark-class_count-True": ("class_count", lambda: run_adaptation_benchmark(
+        [0], class_count=True)),
     **{f"synth_domain_pair-{field}-1e308": ("shift", lambda field=field: synth_domain_pair(
         _spec(shift=DomainShift(**{field: 1e308})))) for field in ("scale", "noise")},
 }

@@ -13,7 +13,7 @@ from spdalign.checks import (
     relative_gap,
 )
 from spdalign.distances import (
-    DistanceKind, batch_dist_sq, dist_sq, grad_dist_sq, solve_triangular,
+    DistanceKind, _cholesky_logdets, batch_dist_sq, dist_sq, grad_dist_sq, solve_triangular,
 )
 from spdalign.errors import DimensionError, NumericalError, ParameterError, SingularityError
 from spdalign.spd import SymMatrix, regularize, spd_fn, symmetrize
@@ -242,6 +242,30 @@ class TestOverflow:
         # Both eigenvalues of HUGE^-1 SUBNORMAL are 5e-324 / 1.7e308, below float64's range.
         value = dist_sq(DistanceKind.AIRM, HUGE, SUBNORMAL)
         assert value == pytest.approx(2.0 * (np.log(5e-324) - np.log(1.7e308)) ** 2, rel=1e-9)
+
+
+class TestCholeskyStage:
+    """The one Cholesky stage that JBLD's batched value and the objective's Gram-form JBLD share."""
+
+    def test_matches_slogdet_and_inverse(self, rng):
+        # Spectra in [0.01, 100]: condition number 1e4, so float64 inverses carry
+        # errors near 1e4 * 1.1e-16 of their largest entry; 1e-10 leaves a wide margin.
+        stack = np.stack([random_spd(rng, side=5, lo=0.01, hi=100.0).entries for _ in range(6)])
+        logdets, inverses = _cholesky_logdets(stack, 3, with_inverse=True)
+        signs, reference = np.linalg.slogdet(stack)
+        assert (signs == 1.0).all()
+        np.testing.assert_allclose(logdets, reference, rtol=1e-12, atol=1e-12)
+        expected = np.linalg.inv(stack)
+        np.testing.assert_allclose(inverses, expected, rtol=0, atol=1e-10 * np.abs(expected).max())
+        bare, no_inverse = _cholesky_logdets(stack, 3, with_inverse=False)
+        assert np.array_equal(bare, logdets) and no_inverse is None
+
+    def test_failing_matrix_reports_its_pair_position(self):
+        stack = np.stack([np.eye(3)] * 6)
+        stack[4] = -np.eye(3)  # the second block of three, pair position 1
+        with pytest.raises(SingularityError, match="^matrix is not positive definite") as info:
+            _cholesky_logdets(stack, 3, with_inverse=True)
+        assert info.value.index == 1
 
 
 UNIT_ROUNDOFF = 2.0 ** -53

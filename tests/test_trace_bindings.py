@@ -2,15 +2,20 @@
 
 ``perfbench/tracing.py`` wraps functions at every module that binds them; a
 binding whose import was dropped or renamed fails only when a traced run
-installs it. This check catches that in the regular test suite, and a second
-check keeps the ``metrics.load_cases`` span live: a binding that still
-resolves but that the command no longer calls would read 0.
+installs it. This check catches that in the regular test suite. Two more
+keep a span or count live: a binding that still resolves but that the code
+no longer calls would read 0. The last check runs the other way: an import
+kept only for the tracer (marked ``# noqa: F401``) must be one it binds.
 """
 
+import ast
 import importlib.util
 from pathlib import Path
 
-from spdalign import cli, metrics
+from spdalign import cli, distances, metrics
+from spdalign.align import AlignConfig
+from spdalign.distances import DistanceKind
+from spdalign.trainer import SynthSpec, init_two_stream, synth_domain_pair, train
 
 _REPO = Path(__file__).resolve().parents[1]
 _TRACING = _REPO / "perfbench" / "tracing.py"
@@ -40,3 +45,36 @@ def test_metrics_command_loads_cases_through_the_traced_binding(monkeypatch, tmp
     cases = str(_REPO / "data" / "micro_cases.txt")
     assert cli.main(["metrics", cases, "--kmax", "3", "--breakdown", "--out", str(tmp_path)]) == 0
     assert calls == [cases]
+
+
+def test_jbld_training_solves_through_the_traced_binding(monkeypatch):
+    assert ("spdalign.distances", "solve_triangular") in [(m, a) for m, a, _ in tracing.COUNT_BINDINGS]
+    calls = []
+    original = distances.solve_triangular
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(distances, "solve_triangular", counting)
+    source, target, _ = synth_domain_pair(SynthSpec(class_count=3, input_dim=3, source_per_class=4))
+    config = AlignConfig(sigma1=0.5, sigma2=1.0, eta=1.0, kind=DistanceKind.JBLD, class_count=3)
+    train(init_two_stream(3, 4, 3, seed=0), (source, target), config, steps=2, lr=0.1, seed=0)
+    assert calls
+
+
+def test_every_tracer_only_import_is_bound():
+    bound = {(m, a) for m, a, *_ in tracing.SPAN_BINDINGS + tracing.COUNT_BINDINGS}
+    marked, unbound = [], []
+    for path in sorted((_REPO / "src" / "spdalign").glob("*.py")):
+        module = f"spdalign.{path.stem}"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for node in ast.walk(ast.parse("\n".join(lines))):
+            if not (isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                    "# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])):
+                continue
+            marked.append(f"{path.name}:{node.lineno}")
+            names = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            unbound += [f"{module}.{name}" for name in names if (module, name) not in bound]
+    assert marked, "no tracer-only import found; has the marker changed?"
+    assert not unbound, f"imports kept for the tracer that it does not bind: {unbound}"
