@@ -3,10 +3,10 @@
 Library surface: symmetric-matrix primitives (:mod:`spdalign.spd`), squared
 distances between SPD matrices and their gradients (:mod:`spdalign.distances`),
 feature blocks, the population scatter builder and its chain rule back to
-the features, which bench, checks and training's AIRM route use
-(:mod:`spdalign.scatter`), the exact isometric reduction
-(:mod:`spdalign.nystrom`), the full two-stream objective
-(:mod:`spdalign.align`), a desk-scale trainer on synthetic shifted data
+the features, which bench and checks use (:mod:`spdalign.scatter`), the exact
+isometric reduction and the Gram roots (:mod:`spdalign.nystrom`), the full
+two-stream objective (:mod:`spdalign.align`), a desk-scale trainer on
+synthetic shifted data
 (:mod:`spdalign.trainer`), and ranked-retrieval metrics over a column table
 of cases (:mod:`spdalign.metrics`). The CLI lives in :mod:`spdalign.cli`.
 """

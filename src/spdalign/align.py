@@ -8,16 +8,15 @@ The total objective is
 where S_c, S*_c are the per-class population scatters of the source and
 target columns, each regularized by eps. The three distances are invariant
 under isometries of the columns, so every one is a function of the class's
-Gram matrix ``K = X^T X``. Frobenius and JBLD are evaluated from ``K``
-directly, by trace identities and by Sylvester's determinant identity, JBLD
+centred Gram matrix ``Kc = B^T K B``, with ``K = X^T X`` and ``B`` the
+centring basis. All three are evaluated from ``Kc`` (:func:`_gram_form_terms`):
+Frobenius by trace identities, JBLD by Sylvester's determinant identity,
 taking its log-determinants from the one Cholesky stage of
-:mod:`spdalign.distances`. AIRM takes the exact reduction ``K^{1/2}`` (the
-isometric projection onto the span of the class's columns) and runs the
-scatter-pair stage, :func:`scatter_pair_terms`, there: both scatters, their
-distances, and feature gradients through distance gradient -> feature chain
-rule. The inverse root, the projector transpose, carries those back to the
-columns, the projector being a constant in this differentiation. The
-gradient suite checks that same stage on ambient columns.
+:mod:`spdalign.distances`, and AIRM on a square root of ``Kc``, which holds
+the centred columns in an orthonormal basis of their span; that basis is a
+constant in the differentiation. The scatter-pair stage on ambient columns,
+:func:`scatter_pair_terms`, is the analytic side of the gradient suite's
+chain-rule check, not a part of the objective.
 
 One kernel, :func:`class_terms`, evaluates the alignment terms of a stack of
 classes that share a ``(N_c, N*_c)`` shape, with batched numpy calls over the
@@ -49,8 +48,9 @@ from .errors import (
     DimensionError, LabelError, NumericalError, SingularityError, check_at_least, check_finite_stack,
     check_nonnegative, check_positive, column_blocks, layer_arrays,
 )
-from .nystrom import column_gram, roots_of_gram
+from .nystrom import column_gram, spectral_roots
 from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
+from .spd import symmetric_part
 
 # perfbench/tracing.py wraps these bindings by name; the batched kernel does not call them.
 from .distances import dist_sq, grad_dist_sq  # noqa: F401
@@ -182,14 +182,12 @@ def class_terms(
     differentiated.
 
     The scatter term starts from the (G, k, k) Gram matrices ``K = X^T X``
-    (k = N + N*). Frobenius and JBLD are evaluated from ``K`` alone
-    (:func:`_gram_form_terms`); only AIRM takes its roots, the exact
-    reduction of :func:`~spdalign.nystrom.roots_of_gram`, and builds reduced
-    scatters (:func:`_reduced_terms`).
+    (k = N + N*), and every kind is evaluated from their centred part
+    (:func:`_gram_form_terms`).
 
     Both gradients are linear maps of the columns, so they are summed as one
     (G, k, k) operator ``M`` and the gradient is ``x @ M``: the scatter part
-    comes from the chosen route, the mean part is ``2 c c^T`` with ``c`` =
+    comes from :func:`_gram_form_terms`, the mean part is ``2 c c^T`` with ``c`` =
     1/N on source slots and -1/N* on target slots. The d-dimensional data is
     read only by the Gram matrices, the mean gaps ``x @ c`` and that product.
     (Where d < k - 2, JBLD may return its scatter gradient itself, which is
@@ -198,8 +196,8 @@ def class_terms(
 
     A ``SingularityError`` carries the position in the stack of the first
     failing class, and so does the ``NumericalError`` raised when a Gram
-    matrix, a regularized scatter or Sylvester matrix, a term, the gradient
-    operator or the feature gradient overflows float64.
+    matrix or centred Gram matrix, a regularized scatter or Sylvester matrix,
+    a term, the gradient operator or the feature gradient overflows float64.
     """
     count, _, width = x.shape
     direct = None
@@ -209,8 +207,7 @@ def class_terms(
     c_norm = float(config.class_count)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.sigma1 != 0.0:
-            route = _reduced_terms if config.kind is DistanceKind.AIRM else _gram_form_terms
-            scatter, scatter_operator, direct = route(x, column_gram(x), n_source, config, with_grad)
+            scatter, scatter_operator, direct = _gram_form_terms(x, n_source, config, with_grad)
             if scatter_operator is not None:
                 operator += config.sigma1 / c_norm * scatter_operator
         if config.sigma2 != 0.0:
@@ -231,9 +228,9 @@ def class_terms(
 
 
 def _gram_form_terms(
-    x: np.ndarray, gram: np.ndarray, n_source: int, config: AlignConfig, with_grad: bool
+    x: np.ndarray, n_source: int, config: AlignConfig, with_grad: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Frobenius or JBLD terms from the Gram matrices, without a reduction.
+    """Scatter terms of every kind from the class Gram matrices ``K = X^T X``, without reducing the columns.
 
     ``B`` (:func:`_centring_basis`) maps the k slots to k - 2 centred
     directions, so that ``Z = X B`` holds columns whose outer products sum to
@@ -250,27 +247,30 @@ def _gram_form_terms(
       By Sylvester's determinant identity, ``L(F, c)`` is also
       ``logdet(I + F^T F / c)``, a function of a block of ``Kc``.
       :func:`_jbld_terms` takes each of the three on its smaller side.
+    * AIRM: a square root ``R`` of ``Kc`` holds the centred columns in an
+      orthonormal basis of their span, and :func:`_airm_terms` takes the
+      distance between ``eps I + R_s R_s^T`` and ``eps I + R_t R_t^T``.
 
     Returns the (G,) values and the scatter part of the feature gradient:
     either the (G, k, k) operator ``B W B^T``, whose gradient is ``X B W B^T``,
     or the (G, d, k) gradient itself, and ``None`` for the other (both
     ``None`` without ``with_grad``).
     """
-    helmert, scale = _centring_basis(n_source, gram.shape[-1])
-    centred = (helmert.T @ gram @ helmert) * np.outer(scale, scale)
+    helmert, scale = _centring_basis(n_source, x.shape[-1])
+    centred = (helmert.T @ column_gram(x) @ helmert) * np.outer(scale, scale)
     basis = helmert * scale
     if config.kind is DistanceKind.JBLD:
         values, weight, direct = _jbld_terms(x, centred, helmert, scale, n_source - 1, config.eps,
                                              with_grad)
+    elif config.kind is DistanceKind.AIRM:
+        values, weight, direct = _airm_terms(centred, n_source - 1, x.shape[1], config.eps, with_grad)
     else:
         side = np.arange(basis.shape[1]) >= n_source - 1
         signed = np.where(side[:, None] == side[None, :], centred, -centred)
         values = np.einsum("gij,gij->g", signed, centred)
         check_finite_stack("squared frobenius distance", values)
         weight, direct = 4.0 * signed, None
-    if not with_grad:
-        return values, None, None
-    if weight is None:
+    if not with_grad or weight is None:
         return values, None, direct
     return values, basis @ weight @ basis.T, None
 
@@ -344,6 +344,40 @@ def _jbld_terms(
     return values, None, grad
 
 
+def _airm_terms(
+    centred: np.ndarray, split: int, dim: int, eps: float, with_grad: bool
+) -> tuple[np.ndarray, np.ndarray | None, None]:
+    """AIRM values, the gradient weight ``W`` on the centred directions, and ``None`` for the gradient.
+
+    ``centred`` is ``Kc`` of ``dim``-row columns and ``split`` is the number
+    of source directions. With the eigendecomposition ``Kc = V diag(r^2)
+    V^T`` and its rank policy (:func:`~spdalign.nystrom.spectral_roots`),
+    ``R = diag(r) V^T`` is a square root of ``Kc`` (``R^T R = Kc``), and
+    ``Q = Z V diag(r^+)`` is an orthonormal basis of the span of the centred
+    columns in which ``Z = Q R``. So the scatters are ``S = Q R_s R_s^T Q^T``
+    and ``S* = Q R_t R_t^T Q^T``, with ``R_s`` and ``R_t`` the source and
+    target columns of ``R``. Outside that span both regularized scatters are
+    ``eps I``, where the log-ratio of AIRM is 0, so the term is exactly
+    :func:`batch_dist_sq` of ``eps I + R_s R_s^T`` and ``eps I + R_t R_t^T``
+    on the k - 2 centred directions. The rows of ``R`` for eigenvalues at
+    rounding level are exactly zero, so both operands are exactly ``eps I``
+    there too. With ``Q`` held constant, the distance gradients ``G_A, G_B``
+    pull back to ``Z W`` with ``W = V diag(r^+) [2 G_A R_s, 2 G_B R_t]``.
+    """
+    check_finite_stack("centred Gram matrix", centred)
+    vectors, roots, inverse_roots = spectral_roots(centred, dim)
+    root = roots[:, :, None] * vectors.transpose(0, 2, 1)
+    parts = (root[:, :, :split], root[:, :, split:])
+    operands = [symmetric_part(part @ part.transpose(0, 2, 1)) + eps * np.eye(part.shape[1]) for part in parts]
+    check_finite_stack("regularized scatter", np.stack(operands, axis=1))
+    # Every value is finite: batch_dist_sq refuses a singular value that is not finite and positive.
+    values, grad_a, grad_b = batch_dist_sq(DistanceKind.AIRM, *operands, with_grad=with_grad)
+    if not with_grad:
+        return values, None, None
+    pulled = np.concatenate([2.0 * grad_a @ parts[0], 2.0 * grad_b @ parts[1]], axis=2)
+    return values, (vectors * inverse_roots[:, None, :]) @ pulled, None
+
+
 @functools.lru_cache(maxsize=64)
 def _centring_basis(n_source: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(H, s): the (k, k - 2) centring basis ``H * s`` from the k column slots to the scatter directions.
@@ -373,27 +407,6 @@ def _centring_basis(n_source: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     return helmert, scale
 
 
-def _reduced_terms(
-    x: np.ndarray, gram: np.ndarray, n_source: int, config: AlignConfig, with_grad: bool
-) -> tuple[np.ndarray, np.ndarray | None, None]:
-    """Scatter terms and operators through the exact reduction, for AIRM.
-
-    The roots of ``gram`` reduce the columns to dimension k, the scatter-pair
-    stage (:func:`scatter_pair_terms`) runs on the reduced columns, and the
-    inverse root carries its feature gradients back to a (G, k, k) operator
-    on the columns. Returns the values, that operator (``None`` without
-    ``with_grad``) and ``None``: the (values, operator, direct gradient)
-    triple of :func:`_gram_form_terms`.
-    """
-    root, inverse_root = roots_of_gram(gram, x.shape[1])
-    values, grad_s, grad_t = scatter_pair_terms(
-        root[:, :, :n_source], root[:, :, n_source:], config.kind, config.eps, with_grad
-    )
-    if not with_grad:
-        return values, None, None
-    return values, inverse_root @ np.concatenate([grad_s, grad_t], axis=2), None
-
-
 def scatter_pair_terms(
     part_s: np.ndarray, part_t: np.ndarray, kind: DistanceKind, eps: float, with_grad: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -406,15 +419,13 @@ def scatter_pair_terms(
     pulls those back to the columns. Returns the (G,) values and the (G, d,
     N) and (G, d, N*) feature gradients (``None`` for both without
     ``with_grad``). A regularized scatter or a value that overflows float64
-    raises ``NumericalError`` with its stack position. This is the AIRM
-    route's stage on reduced columns, and the analytic side of the gradient
-    suite's ``scatter/<kind>`` component on ambient ones.
+    raises ``NumericalError`` with its stack position. This is the analytic
+    side of the gradient suite's ``scatter/<kind>`` component, on ambient
+    columns; the objective works from the centred Gram matrix instead.
     """
     center_s, sigma_s = mean_and_scatter(part_s)
     center_t, sigma_t = mean_and_scatter(part_t)
-    shift = eps * np.eye(part_s.shape[1])
-    sigma_s += shift
-    sigma_t += shift
+    sigma_s, sigma_t = (sigma + eps * np.eye(part_s.shape[1]) for sigma in (sigma_s, sigma_t))
     check_finite_stack("regularized scatter", np.stack([sigma_s, sigma_t], axis=1))
     values, grad_a, grad_b = batch_dist_sq(kind, sigma_s, sigma_t, with_grad=with_grad)
     check_finite_stack(f"squared {kind.value} distance", values)
@@ -502,9 +513,8 @@ def alignment_loss(
 
     Classes where either stream is empty are skipped; they contribute zero while
     the 1/C normalizer keeps the declared class count. For each contributing
-    class the source and target columns are jointly projected to dimension
-    N_c + N*_c, both reduced scatters are regularized by eps, and the distance
-    plus ambient mean term are accumulated. All blocks follow
+    class the distance between its eps-regularized scatters and its mean term
+    are accumulated (:func:`class_terms`). All blocks follow
     :func:`~spdalign.errors.column_blocks`: 2-d, one feature dimension,
     finite entries.
     """

@@ -2,8 +2,8 @@
 
 Both paths start from the same raw feature columns and end at the same scalar.
 The naive path builds d x d scatters and runs the distance there; the projected
-path works from the (N + N*)-square Gram matrix of the columns (and, for AIRM,
-its root, the exact joint reduction to dimension N + N*). Timing uses the
+path works from the centred (N + N* - 2)-square Gram matrix of the columns
+(and, for AIRM, a square root of it). Timing uses the
 monotonic clock, discards warmup repetitions, and runs strictly serially.
 """
 
@@ -38,8 +38,8 @@ def projected_distance_eval(phi_s: np.ndarray, phi_t: np.ndarray, kind: Distance
     """Same quantity from the (N + N*)-square Gram matrix of the columns.
 
     This is the alignment kernel of training, run on one class for its value:
-    Frobenius and JBLD are evaluated from the Gram matrix itself, and AIRM
-    through the exact reduction to dimension N + N*, its root.
+    every kind is evaluated from the centred Gram matrix, AIRM through a
+    square root of it.
     """
     config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=kind, class_count=1, eps=eps)
     x = np.concatenate([phi_s, phi_t], axis=1)[None]

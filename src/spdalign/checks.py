@@ -183,11 +183,11 @@ def _feature_pair(rng: np.random.Generator, dims: tuple[int, int], counts: tuple
 def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
     """Feature-space chain rule (2/N) G (Phi - mu 1^T) in ambient dimension.
 
-    The analytic side is the AIRM route's own scatter-pair stage,
+    The analytic side is the scatter-pair stage,
     :func:`~spdalign.align.scatter_pair_terms`, run on the ambient columns
     as a stack of one; the value side is the independent one-pair path of
-    :func:`~spdalign.bench.ambient_distance_eval`. Frobenius and JBLD
-    training works from the Gram matrix instead (see ``projected/<kind>``
+    :func:`~spdalign.bench.ambient_distance_eval`. Training works from the
+    centred Gram matrix instead, for every kind (see ``projected/<kind>``
     and ``objective/<kind>``). The regularizer is drawn per instance from
     [1e-3, 1e-1]: the chain rule does not depend on it, and at 1e-6 the
     roundoff noise of the ill-conditioned value computation swamps a 1e-5

@@ -196,11 +196,9 @@ def batch_dist_sq(
         u, sigma, vt = np.linalg.svd(w)
     else:
         sigma = np.linalg.svd(w, compute_uv=False)
-    if not (sigma[:, -1] > 0.0).all():
-        raise SingularityError(
-            "AIRM operand pair is numerically singular",
-            index=int(np.argmin(sigma[:, -1] > 0.0)),
-        )
+    positive = (sigma > 0.0).all(axis=1)
+    if not positive.all():
+        raise SingularityError("AIRM operand pair is numerically singular", index=int(np.argmin(positive)))
     # Eigenvalues of A^{-1/2} B A^{-1/2} are sigma^2, so ||log(.)||_F^2
     # is the sum of (2 log sigma)^2.
     logs = np.log(sigma)

@@ -10,11 +10,12 @@ The matching row-orthonormal projector Zbar = (X^T X)^{-1/2} X^T is what
 gradients are pushed back through; it may be treated as a constant when
 differentiating the reduced pipeline.
 
-Every inverse Gram root here comes from :func:`roots_of_gram`, with its one
-rank policy: no jitter, and eigenvalues at rounding level count as zero. The
+Every Gram root here comes from :func:`spectral_roots`, with its one rank
+policy: no jitter, and eigenvalues at rounding level count as zero. The
 alignment kernel forms each class's Gram matrix once, with
-:func:`column_gram`, and takes roots of it only under AIRM; the Frobenius and
-JBLD terms are functions of the Gram matrix itself.
+:func:`column_gram`, and reduces no columns: the Frobenius and JBLD terms are
+functions of its centred part, and AIRM takes :func:`spectral_roots` of that
+centred part.
 """
 
 from __future__ import annotations
@@ -76,28 +77,36 @@ def roots_of_gram(gram: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """``K^{1/2}`` and ``K^{-1/2}`` of a (G, k, k) stack of Gram matrices of ``dim``-row columns.
 
     One symmetric eigendecomposition of each small k x k Gram matrix gives
-    both. The square root is the exact reduction: its columns have the same
-    pairwise inner products as those of X, whatever the order of d and k, so
-    with ``d < k`` the reduced problem is larger than the ambient one but
-    still exact. A reduced-space gradient G pushes back to the columns of X as
-    ``X @ (inverse_root @ G)``, so the k x d projector never needs forming.
+    both (:func:`spectral_roots`). The square root is the exact reduction:
+    its columns have the same pairwise inner products as those of X,
+    whatever the order of d and k, so with ``d < k`` the reduced problem is
+    larger than the ambient one but still exact. A reduced-space gradient G
+    pushes back to the columns of X as ``X @ (inverse_root @ G)``, so the k
+    x d projector never needs forming.
+    """
+    vectors, roots, inverse_roots = spectral_roots(gram, dim)
+    root, inverse_root = ((vectors * r[:, None, :]) @ vectors.transpose(0, 2, 1)
+                          for r in (roots, inverse_roots))
+    return symmetric_part(root), inverse_root
 
-    Rank-deficient X is tolerated, and with ``d < k`` it always is: Gram
-    eigenvalues below ``max(d, k) * machine epsilon * largest eigenvalue`` are
-    rounding residue of column dependencies, and both roots treat them as
-    exactly zero (the inverse root is then a pseudo-inverse). Kept, their
+
+def spectral_roots(gram: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(V, r, r^+)``: the (G, k, k) eigenvectors of a stack of Gram matrices of ``dim``-row columns,
+    and the (G, k) square roots of their eigenvalues and the pseudo-inverses of those.
+
+    This is the package's one rank policy for Gram matrices. Rank-deficient X
+    is tolerated, and with ``d < k`` it always is: eigenvalues below ``max(d,
+    k) * machine epsilon * largest eigenvalue`` are rounding residue of
+    column dependencies, and both roots are exactly zero there. Kept, their
     square roots would add components of relative size 1e-8 to the reduced
     columns and their inverse square roots would blow up rounding noise.
+    ``diag(r) V^T`` is a square root of ``K`` in the eigenbasis, whose rows
+    for those eigenvalues are exactly zero.
     """
     values, vectors = np.linalg.eigh(symmetric_part(gram))
-    cutoff = max(dim, gram.shape[-1]) * np.finfo(np.float64).eps * values[:, -1:]
-    kept = values > cutoff
+    kept = values > max(dim, gram.shape[-1]) * np.finfo(np.float64).eps * values[:, -1:]
     roots = np.sqrt(np.where(kept, values, 0.0))
-    inverse_roots = np.where(kept, 1.0 / np.where(kept, roots, 1.0), 0.0)
-    vectors_t = vectors.transpose(0, 2, 1)
-    root = (vectors * roots[:, None, :]) @ vectors_t
-    inverse_root = (vectors * inverse_roots[:, None, :]) @ vectors_t
-    return symmetric_part(root), inverse_root
+    return vectors, roots, np.where(kept, 1.0 / np.where(kept, roots, 1.0), 0.0)
 
 
 def isometric_project(
@@ -108,9 +117,9 @@ def isometric_project(
     Stacks X = [phi_s, phi_t], computes Y = (X^T X)^{1/2} and returns Y split
     back into the source part (first N columns), the target part, and the
     projector Zbar = (X^T X)^{-1/2} X^T. Pairwise inner products of the reduced
-    columns equal those of the originals. This is the one-class case of the
-    roots of :func:`column_gram`, which the alignment objective runs batched
-    for AIRM. Both blocks follow :func:`~spdalign.errors.column_blocks`.
+    columns equal those of the originals. This is the one-class case of
+    :func:`roots_of_gram` of :func:`column_gram`. Both blocks follow
+    :func:`~spdalign.errors.column_blocks`.
     """
     phi_s, phi_t = column_blocks("feature blocks", phi_s, phi_t)
     n_source = phi_s.shape[1]

@@ -246,7 +246,7 @@ class TestAlignmentLoss:
 
 
 class TestScatterPairStage:
-    """Each item of the AIRM route's scatter-pair stage is the one-pair path, bit for bit:
+    """Each item of the ambient scatter-pair stage is the one-pair path, bit for bit:
     ``dist_sq`` and ``grad_dist_sq`` on ``regularize(SymMatrix(scatter), eps)``, the
     gradients then through the feature chain rule."""
 
@@ -369,7 +369,8 @@ class TestOverflowingFeatures:
     """Features whose Gram matrices, scatters or terms leave float64's range."""
 
     # At 1e100 the JBLD Gram form computes only finite quantities, and the exact
-    # value (test_oracle.py); the reduction of AIRM is lost to rounding there.
+    # value (test_oracle.py); AIRM's scatters, formed from the root of the centred
+    # Gram matrix, are lost to rounding there.
     @pytest.mark.parametrize("scale, kind", [
         (scale, kind) for scale in (1e100, 1e155, 1e300) for kind in DistanceKind
         if (scale, kind) != (1e100, DistanceKind.JBLD)
@@ -387,11 +388,12 @@ class TestOverflowingFeatures:
                 total_objective(_ClassifierPair(zero, zero), block_s, block_t,
                                 config_for(kind, c=2))
 
-    # Gram entries of 1e308 are finite. Past the Gram matrix, each kind overflows at a
-    # stage of its own route: the Frobenius term sums squared entries of 1e308; the
-    # JBLD Sylvester matrix divides them by eps = 1e-300; the reduced AIRM source
-    # scatter of 1e308 plus eps = 1.7e308 is not finite. With sigma2 = 1.7e308,
-    # 2 sigma2 / C overflows, so the mean part of the gradient operator does.
+    # Gram entries of 2.5e307 are finite, and so is the centred Gram matrix, 2.5e307
+    # in its one source direction. Past it, each kind overflows at a stage of its own
+    # route: the Frobenius term squares 2.5e307; the JBLD Sylvester matrix divides it
+    # by eps = 1e-300; the AIRM source scatter of 2.5e307 plus eps = 1.7e308 is not
+    # finite. With sigma2 = 1.7e308, 2 sigma2 / C overflows, so the mean part of the
+    # gradient operator does.
     @pytest.mark.parametrize("kind", list(DistanceKind))
     @pytest.mark.parametrize("stages", [
         {DistanceKind.FROBENIUS: ({"eps": 1.7e308}, "squared frobenius distance"),
@@ -404,7 +406,7 @@ class TestOverflowingFeatures:
 
         config, message = stages[kind]
 
-        block_s = FeatureBlock(1e154 * np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2, int))
+        block_s = FeatureBlock(5e153 * np.array([[1.0, -1.0], [0.0, 0.0]]), np.zeros(2, int))
         block_t = FeatureBlock(np.array([[0.0], [1.0]]), np.zeros(1, int))
         zero = Classifier(np.zeros((2, 1)), np.zeros(1))
         with warnings.catch_warnings():

@@ -1,13 +1,18 @@
 """The batched objective against the per-class loop it replaced.
 
-``loop_total_objective`` is that loop, kept as the reference: one joint
-reduction, one pair of scatters and one distance per class, and one masked
-gradient update per class and stream. The property below requires the batched
-``total_objective`` to agree with it on awkward inputs. Tolerances were fixed
-before the comparison was run: values within 1e-10 relative, Frobenius and
-JBLD feature gradients within 1e-8 relative in the Frobenius norm. AIRM
-gradients are judged by the high-precision oracle in ``test_oracle.py``
-instead, because this reference shares their formula.
+``loop_total_objective`` is that loop, kept as the reference: one pair of
+scatters and one distance per class, and one masked gradient update per class
+and stream. For Frobenius and JBLD the scatters are built on the joint
+reduction of the class's columns. For AIRM the loop runs, one class at a time
+and with its own centring basis, the formula the kernel uses: the root of the
+centred Gram matrix holds the centred columns, and AIRM is taken between
+``eps I`` plus the outer products of its source and of its target columns.
+The property below requires the batched ``total_objective`` to agree with it
+on awkward inputs. Tolerances were fixed before the comparison was run: values
+within 1e-10 relative, Frobenius and JBLD feature gradients within 1e-8
+relative in the Frobenius norm. AIRM gradients are judged by the
+high-precision oracle in ``test_oracle.py`` instead, because this reference
+shares their formula.
 
 The batched kernel evaluates Frobenius and JBLD from the Gram matrix, not
 through the reduction, so the two round differently. On some draws the
@@ -19,6 +24,7 @@ large-scale classes. Where the two disagree, the 40-digit reference of
 """
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -36,14 +42,56 @@ from spdalign.align import (
 )
 from spdalign.checks import _ClassifierPair
 from spdalign.distances import DistanceKind, dist_sq, grad_dist_sq
-from spdalign.errors import SingularityError
+from spdalign.errors import SingularityError, SpdAlignError
 from spdalign.nystrom import backproject_grad, isometric_project
 from spdalign.scatter import FeatureBlock, _feature_grad
 from spdalign.spd import regularize, symmetrize
-from test_oracle import _reference
+from test_oracle import DIGITS, _reference
 
 VALUE_TOL = 1e-10
 GRAD_TOL = 1e-8
+
+
+def _helmert(n):
+    """The (n, n - 1) Helmert columns with integer entries, and their scales with 1 / sqrt(n) folded in."""
+    columns = np.zeros((n, n - 1))
+    for j in range(1, n):
+        columns[:j, j - 1] = 1.0
+        columns[j, j - 1] = -j
+    return columns, np.array([1.0 / np.sqrt(j * (j + 1.0) * n) for j in range(1, n)])
+
+
+def loop_airm(cols_s, cols_t, eps):
+    """(AIRM term, source feature grads, target feature grads) of one class, from its centred Gram matrix.
+
+    ``Kc = B^T (X^T X) B = V diag(lambda) V^T`` is the Gram matrix of the N -
+    1 + N* - 1 centred, scaled columns ``Z = X B``, eigenvalues at rounding
+    level counting as zero. ``R = diag(lambda)^{1/2} V^T`` is a root of
+    ``Kc`` (``R^T R = Kc``); the term is AIRM
+    between ``eps I + R_s R_s^T`` and ``eps I + R_t R_t^T``, and its feature
+    gradient is ``X B V diag(lambda)^{-1/2} [2 G_A R_s, 2 G_B R_t] B^T``.
+    """
+    n_s, n_t = cols_s.shape[1], cols_t.shape[1]
+    if n_s + n_t == 2:
+        return 0.0, np.zeros_like(cols_s), np.zeros_like(cols_t)
+    x = np.concatenate([cols_s, cols_t], axis=1)
+    (helmert_s, scale_s), (helmert_t, scale_t) = _helmert(n_s), _helmert(n_t)
+    helmert = np.zeros((n_s + n_t, n_s + n_t - 2))
+    helmert[:n_s, :n_s - 1] = helmert_s
+    helmert[n_s:, n_s - 1:] = helmert_t
+    scale = np.concatenate([scale_s, scale_t])
+    basis = helmert * scale
+    centred = (helmert.T @ (x.T @ x) @ helmert) * np.outer(scale, scale)
+    values, vectors = np.linalg.eigh((centred + centred.T) / 2.0)
+    kept = values > max(x.shape[0], centred.shape[0]) * np.finfo(float).eps * values[-1]
+    roots = np.sqrt(np.where(kept, values, 0.0))
+    root = roots[:, None] * vectors.T
+    root_s, root_t = root[:, :n_s - 1], root[:, n_s - 1:]
+    a, b = (regularize(symmetrize(part @ part.T), eps) for part in (root_s, root_t))
+    ga, gb = grad_dist_sq(DistanceKind.AIRM, a, b)
+    pulled = np.concatenate([2.0 * ga.entries @ root_s, 2.0 * gb.entries @ root_t], axis=1)
+    grad = x @ basis @ (vectors * np.where(kept, 1.0 / np.where(kept, roots, 1.0), 0.0)) @ pulled @ basis.T
+    return dist_sq(DistanceKind.AIRM, a, b), grad[:, :n_s], grad[:, n_s:]
 
 
 def loop_alignment(per_class, config):
@@ -56,7 +104,12 @@ def loop_alignment(per_class, config):
         gs = np.zeros_like(cols_s)
         gt = np.zeros_like(cols_t)
         if cols_s.shape[1] and cols_t.shape[1]:
-            if config.sigma1 != 0.0:
+            if config.sigma1 != 0.0 and config.kind is DistanceKind.AIRM:
+                value, airm_s, airm_t = loop_airm(cols_s, cols_t, config.eps)
+                scatter_sum += value
+                gs += config.sigma1 / c_norm * airm_s
+                gt += config.sigma1 / c_norm * airm_t
+            elif config.sigma1 != 0.0:
                 red_s, red_t, proj = isometric_project(cols_s, cols_t)
                 mu_s = red_s.mean(axis=1)
                 mu_t = red_t.mean(axis=1)
@@ -105,13 +158,13 @@ def loop_total_objective(model, batch_s, batch_t, config):
     return value, grads
 
 
-def oracle_total_objective(model, batch_s, batch_t, config):
-    """``loop_total_objective`` with the scatter term and its feature gradients of 40-digit precision."""
+def oracle_total_objective(model, batch_s, batch_t, config, digits=DIGITS):
+    """``loop_total_objective`` with the scatter term and its feature gradients to ``digits`` digits."""
     value, grads = loop_total_objective(model, batch_s, batch_t, dataclasses.replace(config, sigma1=0.0))
     weight = config.sigma1 / config.class_count
     for c, (cols_s, cols_t) in enumerate(group_columns_by_class(batch_s, batch_t, config.class_count)):
         if weight and cols_s.shape[1] and cols_t.shape[1]:
-            term, grad_s, grad_t = _reference(config.kind, cols_s, cols_t, eps=config.eps)
+            term, grad_s, grad_t = _reference(config.kind, cols_s, cols_t, eps=config.eps, digits=digits)
             value += weight * term
             grads[4][:, batch_s.labels == c] += weight * grad_s
             grads[5][:, batch_t.labels == c] += weight * grad_t
@@ -119,10 +172,10 @@ def oracle_total_objective(model, batch_s, batch_t, config):
 
 
 @st.composite
-def objective_inputs(draw):
+def objective_inputs(draw, exponents=(-3.0, 3.0)):
     """Ragged per-class counts (zero in either stream allowed), shuffled batches,
-    optional duplicate columns, features spanning 1e-3 to 1e3 in scale, and
-    alignment weights that may be zero."""
+    optional duplicate columns, features spanning ``10 ** exponents`` in scale
+    (1e-3 to 1e3 by default), and alignment weights that may be zero."""
     kind = draw(st.sampled_from(list(DistanceKind)))
     dim = draw(st.integers(1, 10))
     classes = draw(st.integers(1, 5))
@@ -132,7 +185,7 @@ def objective_inputs(draw):
         n_source[0] = 1
     if sum(n_target) == 0:
         n_target[-1] = 1
-    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    scale = 10.0 ** draw(st.floats(*exponents))
     duplicate = draw(st.booleans())
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
@@ -202,6 +255,21 @@ def test_batched_objective_equals_loop_reference(inputs):
     assert_agrees_with_loop(total_objective(model, batch_s, batch_t, config), reference, inputs)
 
 
+@settings(max_examples=150, deadline=None)
+@given(objective_inputs(exponents=(-8.0, 6.0)))
+def test_objective_is_finite_or_typed_at_every_column_scale(inputs):
+    # Scatters from far below eps to 1e12 above it: every draw gives a finite value
+    # and finite gradients, or a typed error, and never a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = total_objective(*inputs)
+        except SpdAlignError:
+            return
+    assert np.isfinite(result.value)
+    assert all(np.isfinite(grad).all() for grad in dataclasses.astuple(result.grads))
+
+
 def _bits(result):
     """Every output of an objective evaluation, as bytes."""
     values = np.array([result.value, *dataclasses.astuple(result.parts)])
@@ -255,10 +323,9 @@ def test_reused_layouts_do_not_go_stale(kind):
 
 
 def test_singular_class_is_named():
-    # Scale 1e6 with eps 1e-6: rounding in the reduced AIRM scatters swamps eps. The
-    # JBLD Gram form takes these columns exactly; it fails once class 1 holds two
-    # pairs of equal columns, whose centred Gram matrix is singular with rounding
-    # of about 1e-16 * 1e12, far beyond -eps.
+    # The JBLD Gram form takes class 1's columns at scale 1e6 exactly; it fails once
+    # the class holds two pairs of equal columns, whose centred Gram matrix is singular
+    # with rounding of about 1e-16 * 1e12, far beyond -eps.
     rng = np.random.default_rng(5)
     labels = np.repeat(np.arange(3), 4)
     cols = rng.normal(size=(8, 12))
@@ -268,10 +335,32 @@ def test_singular_class_is_named():
     block_t = FeatureBlock(rng.normal(size=(8, 6)), np.repeat(np.arange(3), 2))
     model = _ClassifierPair(Classifier(np.zeros((8, 3)), np.zeros(3)),
                             Classifier(np.zeros((8, 3)), np.zeros(3)))
-    for kind, source in ((DistanceKind.JBLD, repeated), (DistanceKind.AIRM, cols)):
-        config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=kind, class_count=3)
-        with pytest.raises(SingularityError, match="^class 1: "):
-            total_objective(model, FeatureBlock(source, labels), block_t, config)
+    config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=DistanceKind.JBLD, class_count=3)
+    with pytest.raises(SingularityError, match="^class 1: "):
+        total_objective(model, FeatureBlock(repeated, labels), block_t, config)
+
+
+def test_airm_takes_a_class_at_scale_1e6_exactly():
+    # The input of the test above without the equal columns, which the old AIRM
+    # route refused as singular. AIRM works on a square root of the centred Gram
+    # matrix, whose columns hold the class's centred columns in a basis of their
+    # span. Class 1's scatter reaches 18 orders above eps, which an 80-digit
+    # reference resolves.
+    rng = np.random.default_rng(5)
+    labels = np.repeat(np.arange(3), 4)
+    cols = rng.normal(size=(8, 12))
+    cols[:, labels == 1] *= 1e6
+    block_t = FeatureBlock(rng.normal(size=(8, 6)), np.repeat(np.arange(3), 2))
+    model = _ClassifierPair(Classifier(np.zeros((8, 3)), np.zeros(3)),
+                            Classifier(np.zeros((8, 3)), np.zeros(3)))
+    config = AlignConfig(sigma1=1.0, sigma2=0.0, eta=0.0, kind=DistanceKind.AIRM, class_count=3)
+    inputs = (model, FeatureBlock(cols, labels), block_t, config)
+    result = total_objective(*inputs)
+    truth, truth_grads = oracle_total_objective(*inputs, digits=80)
+    assert abs(result.value - truth) <= VALUE_TOL * abs(truth)
+    for actual, exact in zip([result.grads.features_source, result.grads.features_target],
+                             truth_grads[4:]):
+        assert _gap(actual, exact) <= GRAD_TOL
 
 
 def test_singular_class_message_does_not_name_an_eigenvalue():

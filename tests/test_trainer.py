@@ -527,7 +527,7 @@ class TestTrain:
         with pytest.raises(LabelError, match="target label 7 outside class count 4"):
             train(model, (source, shifted), small_config(), steps=2, lr=0.1, seed=1)
 
-    @pytest.mark.parametrize("kind", [DistanceKind.JBLD, DistanceKind.AIRM], ids=str)
+    @pytest.mark.parametrize("kind", [DistanceKind.JBLD], ids=str)
     def test_singular_scatter_names_step_and_class(self, kind):
         # Class 2's source inputs alternate between two columns scaled by 1e6, so
         # every batch holds pairs of equal columns whose centred span is one
@@ -540,6 +540,20 @@ class TestTrain:
         with pytest.raises(SingularityError, match=r"^step 1: class 2: "):
             train(capped(model, 1e14), (singular_class(source, 2), target_train),
                   small_config(kind=kind), steps=2, lr=0.1, seed=1)
+
+    def test_airm_trains_through_a_singular_scatter(self):
+        # The run of the test above under AIRM. Its root of the centred Gram matrix
+        # counts eigenvalues at rounding level as zero, and its scatters are exactly
+        # eps I in those directions, so no operand is indefinite and both steps get
+        # a value. Class 2's scatter reaches 19 orders above eps, so its step-1 term
+        # is only within 3 % of the exact value there.
+        spec = small_spec()
+        source, target_train, _ = synth_domain_pair(spec)
+        model = init_two_stream(spec.input_dim, 8, spec.class_count, seed=1, nonlinear=False)
+        _, history = train(capped(model, 1e14), (singular_class(source, 2), target_train),
+                           small_config(kind=DistanceKind.AIRM), steps=2, lr=0.1, seed=1)
+        assert len(history) == 2
+        assert all(np.isfinite(dataclasses.astuple(parts)).all() for parts in history)
 
     def test_overflowing_distance_names_step_and_class(self):
         # Linear encoders on target inputs scaled by 1e100: the Frobenius distance between
