@@ -40,6 +40,11 @@ differing line names the output that changed. The lines are:
   int64 labels of each block that ``synth_domain_pair`` returns (``source``,
   ``target_train``, ``target_test``) on edge specs of one and two input
   dimensions without noise;
+- ``objective/<kind>/value <sha256>`` and ``objective/<kind>/grads
+  <sha256>`` for the float64 bytes of the value and of the six gradient
+  arrays of ``total_objective`` on one fixed ragged draw, for every distance
+  kind; one class of the draw has no target column and one no source
+  column, so the lines cover the gradients of classes the alignment skips;
 - ``gradcheck/<component> <repr of max_gap>`` from
   ``run_gradient_checks(all kinds, trials=4, seed=5)``;
 - ``invariance/<component> <repr of max_gap>`` from
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -65,13 +71,17 @@ from pathlib import Path
 
 import numpy as np
 
+from spdalign.align import AlignConfig, Classifier, total_objective
 from spdalign.checks import run_gradient_checks, run_invariance_checks
 from spdalign.cli import main as spdalign_main
 from spdalign.distances import DistanceKind
 from spdalign.io import read_model, write_feature_container, write_model
 from spdalign.nystrom import isometric_project, nystrom_map
 from spdalign.runconfig import parse_run_config
-from spdalign.trainer import DomainShift, SynthSpec, run_adaptation_benchmark, synth_domain_pair
+from spdalign.scatter import FeatureBlock
+from spdalign.trainer import (
+    DomainShift, SynthSpec, init_two_stream, run_adaptation_benchmark, synth_domain_pair,
+)
 
 _ROOT = Path(__file__).resolve().parents[1]
 _DEFAULT_CONFIG = _ROOT / "configs" / "synth_default.cfg"
@@ -222,6 +232,34 @@ def synth_lines() -> list[str]:
     return lines
 
 
+def objective_lines(seed: int = 9) -> list[str]:
+    """``total_objective`` at d = 12 on 6 classes of 1..5 source and 0..3 target columns."""
+    rng = np.random.default_rng(seed)
+    dim, classes = 12, 6
+    n_source, n_target = [3, 1, 4, 2, 5, 0], [2, 3, 0, 1, 3, 2]
+    batch_s, batch_t = (
+        FeatureBlock(np.tanh(rng.normal(size=(dim, labels.size))), labels)
+        for labels in (rng.permutation(np.repeat(np.arange(classes), counts))
+                       for counts in (n_source, n_target))
+    )
+    model = dataclasses.replace(
+        init_two_stream(1, dim, classes, seed),
+        **{side: Classifier(rng.normal(scale=0.1, size=(dim, classes)), rng.normal(size=classes))
+           for side in ("classifier_source", "classifier_target")},
+    )
+    lines = []
+    for kind in DistanceKind:
+        config = AlignConfig(sigma1=0.5, sigma2=1.0, eta=1.0, kind=kind, class_count=classes)
+        result = total_objective(model, batch_s, batch_t, config)
+        grads = result.grads
+        arrays = (grads.weights_source, grads.bias_source, grads.weights_target, grads.bias_target,
+                  grads.features_source, grads.features_target)
+        lines.append(f"objective/{kind.value}/value {_sha256(np.float64(result.value).tobytes())}")
+        data = b"".join(np.ascontiguousarray(array).tobytes() for array in arrays)
+        lines.append(f"objective/{kind.value}/grads {_sha256(data)}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--steps", type=int, default=400, help="training steps per run (default 400)")
@@ -230,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
         workdir = Path(tmp)
         lines = (training_lines(args.steps, workdir) + eval_lines(workdir) + roundtrip_lines(workdir)
                  + metrics_lines(workdir) + generated_metrics_lines(workdir))
-    lines += bench_lines() + adapter_lines() + synth_lines()
+    lines += bench_lines() + adapter_lines() + synth_lines() + objective_lines()
     for suite, report in (
         ("gradcheck", run_gradient_checks(list(DistanceKind), trials=4, seed=5)),
         ("invariance", run_invariance_checks(trials=20, seed=3, triples=200)),

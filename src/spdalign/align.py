@@ -23,9 +23,9 @@ classes that share a ``(N_c, N*_c)`` shape, with batched numpy calls over the
 whole stack at every stage. Its feature gradient is one product ``x @ M`` with
 a small per-class operator, so the d-dimensional columns are read three
 times: by the Gram matrices, the mean gaps and that product. The objective
-gathers every shape group of its two batches into a stack and writes the
-stack's feature gradients back with one indexed assignment per group;
-feature blocks are column-major, so both move whole contiguous columns. The
+gathers every shape group of its two batches into a stack and adds the
+stack's feature gradients back with one indexed add per group; feature
+blocks are column-major, so both move whole contiguous columns. The
 positions of those gathers depend only on the two label vectors, which a
 training run repeats at every step, so they are derived once per distinct
 pair of label vectors and cached (:func:`_batch_layout`).
@@ -33,6 +33,10 @@ pair of label vectors and cached (:func:`_batch_layout`).
 :func:`total_objective` returns the five terms as one :class:`ObjectiveParts`;
 its ``total`` is the one place they are summed, and it is the objective's
 value. The trainer keeps those parts, step by step, as its loss history.
+Each of its gradients accumulates in the one array that holds it: the
+softmax gradients of each stream (:func:`softmax_ce`) take the proximity
+gradient and the alignment gradients in place, so a call allocates one
+feature-sized gradient per stream and no second one.
 """
 
 from __future__ import annotations
@@ -142,15 +146,20 @@ def softmax_ce(classifier: Classifier, block: FeatureBlock) -> SoftmaxResult:
     )
 
 
-def proximity(w: Classifier, w_star: Classifier, eta: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """eta ||W - W*||_F^2 with gradients to both weight matrices. Biases excluded."""
+def proximity(w: Classifier, w_star: Classifier, eta: float) -> tuple[float, np.ndarray]:
+    """eta ||W - W*||_F^2 and its gradient ``2 eta (W - W*)`` with respect to ``W``. Biases excluded.
+
+    The gradient with respect to ``W*`` is the exact negation of the one
+    returned, so a caller subtracts it rather than adding a second array.
+    """
     if w.weights.shape != w_star.weights.shape:
         raise DimensionError(
             f"classifier shapes differ: {w.weights.shape} vs {w_star.weights.shape}"
         )
     diff = w.weights - w_star.weights
     value = float(eta * np.sum(diff * diff))
-    return value, 2.0 * eta * diff, -2.0 * eta * diff
+    diff *= 2.0 * eta
+    return value, diff
 
 
 @dataclass(frozen=True)
@@ -471,21 +480,21 @@ def _batch_layout(
 
 
 def _alignment(
-    block_s: FeatureBlock, block_t: FeatureBlock, config: AlignConfig
-) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Weighted scatter and mean terms of two labelled batches, with feature gradients.
+    block_s: FeatureBlock, block_t: FeatureBlock, config: AlignConfig, grad_s: np.ndarray,
+    grad_t: np.ndarray,
+) -> tuple[float, float]:
+    """Weighted scatter and mean terms of two labelled batches; their feature gradients are added in place.
 
     Classes present in both streams are grouped by their (N_c, N*_c) shape
     (:func:`_batch_layout`). Each group's columns are gathered into one (G,
     k, d) stack, contiguous because the blocks are column-major, and handed
     to :func:`class_terms` as its (G, d, k) transpose; the gradient columns
-    it returns are written back the same way. Classes missing from either
-    stream contribute zero. Gradients come back shaped and laid out like the
-    two batches. Every label is below ``config.class_count``: both callers
-    ensure it.
+    it returns are added into ``grad_s`` and ``grad_t``, column-major arrays
+    shaped like the two batches, the same way. A column position belongs to
+    at most one group, so each indexed add is exact. Classes missing from
+    either stream add nothing. Every label is below ``config.class_count``:
+    both callers ensure it.
     """
-    grad_s = np.zeros_like(block_s.columns)
-    grad_t = np.zeros_like(block_t.columns)
     scatter_sum = 0.0
     mean_sum = 0.0
     layout = _batch_layout(block_s.labels.tobytes(), block_t.labels.tobytes(), config.class_count)
@@ -500,10 +509,10 @@ def _alignment(
         scatter_sum += float(scatter.sum())
         mean_sum += float(mean.sum())
         grad_rows = grad.transpose(0, 2, 1)
-        grad_s.T[idx_s] = grad_rows[:, :n_s]
-        grad_t.T[idx_t] = grad_rows[:, n_s:]
+        grad_s.T[idx_s] += grad_rows[:, :n_s]
+        grad_t.T[idx_t] += grad_rows[:, n_s:]
     c_norm = float(config.class_count)
-    return config.sigma1 / c_norm * scatter_sum, config.sigma2 / c_norm * mean_sum, grad_s, grad_t
+    return config.sigma1 / c_norm * scatter_sum, config.sigma2 / c_norm * mean_sum
 
 
 def alignment_loss(
@@ -530,7 +539,8 @@ def alignment_loss(
         FeatureBlock(np.concatenate(stream, axis=1), np.repeat(labels, count))
         for stream, count in zip(streams, counts)
     )
-    scatter_term, mean_term, grad_s, grad_t = _alignment(block_s, block_t, config)
+    grad_s, grad_t = (np.zeros_like(block.columns) for block in (block_s, block_t))
+    scatter_term, mean_term = _alignment(block_s, block_t, config, grad_s, grad_t)
     return AlignmentResult(
         loss=scatter_term + mean_term,
         scatter_term=scatter_term,
@@ -606,6 +616,11 @@ def total_objective(
     terms normalize by ``config.class_count``, so both classifiers must have
     that many classes; otherwise a :class:`DimensionError` names all three
     counts.
+
+    The gradients of :func:`softmax_ce` become the result's: the proximity
+    gradient is added into the source weight gradient and subtracted from the
+    target's, and :func:`_alignment` adds its feature gradients into the two
+    feature gradients, all in place.
     """
     clf_s = model.classifier_source
     clf_t = model.classifier_target
@@ -617,13 +632,10 @@ def total_objective(
     # The block checks of softmax_ce ensure _alignment's precondition: every label is below C.
     ce_s = softmax_ce(clf_s, batch_s)
     ce_t = softmax_ce(clf_t, batch_t)
-    prox_value, prox_gw, prox_gw_star = proximity(clf_s, clf_t, config.eta)
-    scatter_term, mean_term, align_s, align_t = _alignment(batch_s, batch_t, config)
-    # Each gradient sum is written into one of its fresh operands; no feature-sized temporary.
-    np.add(align_s, ce_s.grad_columns, out=align_s)
-    np.add(align_t, ce_t.grad_columns, out=align_t)
-    np.add(ce_s.grad_weights, prox_gw, out=ce_s.grad_weights)
-    np.add(ce_t.grad_weights, prox_gw_star, out=ce_t.grad_weights)
+    prox_value, prox_grad = proximity(clf_s, clf_t, config.eta)
+    np.add(ce_s.grad_weights, prox_grad, out=ce_s.grad_weights)
+    np.subtract(ce_t.grad_weights, prox_grad, out=ce_t.grad_weights)
+    scatter_term, mean_term = _alignment(batch_s, batch_t, config, ce_s.grad_columns, ce_t.grad_columns)
 
     parts = ObjectiveParts(
         ce_source=ce_s.loss,
@@ -637,7 +649,7 @@ def total_objective(
         bias_source=ce_s.grad_bias,
         weights_target=ce_t.grad_weights,
         bias_target=ce_t.grad_bias,
-        features_source=align_s,
-        features_target=align_t,
+        features_source=ce_s.grad_columns,
+        features_target=ce_t.grad_columns,
     )
     return ObjectiveResult(parts=parts, grads=grads)

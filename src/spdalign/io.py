@@ -33,6 +33,7 @@ cap flag 0.
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -67,27 +68,33 @@ def write_feature_container(path, block: FeatureBlock, class_count: int):
     with open(path, "wb") as handle:
         handle.write(FEATURE_HEADER.pack(FEATURE_MAGIC, VERSION, block.dim, block.count, class_count))
         handle.write(block.labels.astype("<u4").tobytes())
-        handle.write(block.columns.astype("<f8", copy=False).tobytes(order="F"))
+        # The block is column-major, so its transpose is C-contiguous: the column memory, written as it is.
+        handle.write(block.columns.astype("<f8", copy=False).T)
 
 
 def read_feature_container(path) -> tuple[FeatureBlock, int]:
-    """Read a feature container back; returns (block, class_count)."""
+    """Read a feature container back; returns (block, class_count).
+
+    The header is read and checked first, the file's length is taken from
+    the open file, and the labels and the column data are then read straight
+    into their arrays, so the data is held once.
+    """
     with open(path, "rb") as handle:
-        raw = handle.read()
-    if len(raw) < FEATURE_HEADER.size or raw[:8] != FEATURE_MAGIC:
-        raise FormatError(f"{path}: not a feature container (bad magic)")
-    _, version, d, n, c = FEATURE_HEADER.unpack_from(raw)
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported container version {version}")
-    expected = FEATURE_HEADER.size + 4 * n + 8 * d * n
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    labels = np.frombuffer(raw, dtype="<u4", count=n, offset=FEATURE_HEADER.size).astype(np.int64)
-    if n and labels.max() >= c:
-        raise FormatError(f"{path}: label {int(labels.max())} outside class count {c}")
-    data = np.frombuffer(raw, dtype="<f8", count=d * n, offset=FEATURE_HEADER.size + 4 * n)
-    columns = data.reshape((d, n), order="F").copy(order="F")
-    return FeatureBlock(columns, labels), c
+        header = handle.read(FEATURE_HEADER.size)
+        if len(header) < FEATURE_HEADER.size or header[:8] != FEATURE_MAGIC:
+            raise FormatError(f"{path}: not a feature container (bad magic)")
+        _, version, d, n, c = FEATURE_HEADER.unpack(header)
+        if version != VERSION:
+            raise FormatError(f"{path}: unsupported container version {version}")
+        expected = FEATURE_HEADER.size + 4 * n + 8 * d * n
+        size = os.fstat(handle.fileno()).st_size
+        if size != expected:
+            raise FormatError(f"{path}: expected {expected} bytes, found {size}")
+        labels = np.fromfile(handle, dtype="<u4", count=n).astype(np.int64)
+        if n and labels.max() >= c:
+            raise FormatError(f"{path}: label {int(labels.max())} outside class count {c}")
+        data = np.fromfile(handle, dtype="<f8", count=d * n)
+    return FeatureBlock(data.reshape((d, n), order="F"), labels), c
 
 
 def _stream_shapes(input_dim: int, feature_dim: int, class_count: int) -> tuple[tuple[int, int], ...]:

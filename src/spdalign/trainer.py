@@ -519,10 +519,12 @@ def evaluate(model: TwoStreamModel, test: FeatureBlock) -> EvalReport:
         )
     predicted = logits.argmax(axis=0)
     hits = predicted == test.labels
-    rows = []
-    for c in np.unique(test.labels):
-        mask = test.labels == c
-        rows.append((int(c), float(hits[mask].mean()), int(mask.sum())))
+    # One pass over the labels: each present class's column count, and its hits as weights.
+    counts = np.bincount(test.labels)
+    correct = np.bincount(test.labels, weights=hits)
+    present = np.flatnonzero(counts)
+    rows = list(zip(present.tolist(), (correct[present] / counts[present]).tolist(),
+                    counts[present].tolist()))
     return EvalReport(overall=float(hits.mean()), per_class=rows)
 
 

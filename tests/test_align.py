@@ -117,28 +117,29 @@ class TestSoftmaxCE:
 class TestProximity:
     def test_equal_weights(self, rng):
         w = Classifier(rng.normal(size=(3, 2)), np.zeros(2))
-        value, gw, gw_star = proximity(w, w, 1.0)
+        value, gw = proximity(w, w, 1.0)
         assert value == 0.0
-        assert np.abs(gw).max() == 0.0 and np.abs(gw_star).max() == 0.0
+        assert np.abs(gw).max() == 0.0
 
     def test_eta_zero_switches_off(self, rng):
         a = Classifier(rng.normal(size=(3, 2)), np.zeros(2))
         b = Classifier(rng.normal(size=(3, 2)), np.zeros(2))
-        value, gw, gw_star = proximity(a, b, 0.0)
+        value, gw = proximity(a, b, 0.0)
         assert value == 0.0 and np.abs(gw).max() == 0.0
 
     def test_scalar_hand_value(self):
         a = Classifier(np.array([[2.0]]), np.zeros(1))
         b = Classifier(np.array([[0.0]]), np.zeros(1))
-        value, gw, gw_star = proximity(a, b, 1.0)
+        value, gw = proximity(a, b, 1.0)
         assert value == pytest.approx(4.0)
         assert gw == pytest.approx(np.array([[4.0]]))
-        assert gw_star == pytest.approx(np.array([[-4.0]]))
+        # The gradient with respect to W* is its negation: swapping the sides negates it.
+        assert proximity(b, a, 1.0)[1] == pytest.approx(np.array([[-4.0]]))
 
     def test_bias_excluded(self):
         a = Classifier(np.zeros((1, 1)), np.array([7.0]))
         b = Classifier(np.zeros((1, 1)), np.array([-7.0]))
-        value, _, _ = proximity(a, b, 1.0)
+        value, _ = proximity(a, b, 1.0)
         assert value == 0.0
 
     def test_shape_mismatch(self):

@@ -139,7 +139,8 @@ def loop_total_objective(model, batch_s, batch_t, config):
     clf_s, clf_t = model.classifier_source, model.classifier_target
     ce_s = softmax_ce(clf_s, batch_s)
     ce_t = softmax_ce(clf_t, batch_t)
-    prox_value, prox_gw, prox_gw_star = proximity(clf_s, clf_t, config.eta)
+    prox_value, prox_gw = proximity(clf_s, clf_t, config.eta)
+    prox_gw_star = -prox_gw
     scatter, mean, grads_s, grads_t = loop_alignment(
         group_columns_by_class(batch_s, batch_t, config.class_count), config
     )

@@ -19,6 +19,7 @@ _BENCH_VALUE = re.compile(r"^bench/(frobenius|jbld|airm)/(naive|projected) value
 _ADAPTER = re.compile(r"^adapter/(nystrom_map|isometric_project/(source|target|projector))"
                       r" [0-9a-f]{64}$")
 _SYNTH = re.compile(r"^synth/d=(1|2)/(source|target_train|target_test) [0-9a-f]{64}$")
+_OBJECTIVE = re.compile(r"^objective/(frobenius|jbld|airm)/(value|grads) [0-9a-f]{64}$")
 _VALUE = re.compile(r"^(gradcheck|invariance|shift)/\S+ (\S+)$")
 
 
@@ -30,11 +31,11 @@ def test_one_line_per_kept_output():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     # 12 trainings x 3 files, 2 eval, 2 round-trip and 6 metrics outputs, 3 bench kinds
-    # x 3 fields, 4 adapter outputs, 2 synthetic specs x 3 blocks, 13 gradient and 11
-    # invariance components, 4 benchmark means.
-    assert len(lines) == 36 + 10 + 9 + 4 + 6 + 13 + 11 + 4
+    # x 3 fields, 4 adapter outputs, 2 synthetic specs x 3 blocks, 3 objective kinds x 2
+    # outputs, 13 gradient and 11 invariance components, 4 benchmark means.
+    assert len(lines) == 36 + 10 + 9 + 4 + 6 + 6 + 13 + 11 + 4
     train, outputs, bench = lines[:36], lines[36:46], lines[46:55]
-    adapters, synth, rest = lines[55:59], lines[59:65], lines[65:]
+    adapters, synth, objective, rest = lines[55:59], lines[59:65], lines[65:71], lines[71:]
     assert all(_TRAIN.match(line) for line in train)
     assert len({line.split()[0] for line in train}) == 36
     assert [_DIGEST.match(line).group(1) for line in outputs] == [
@@ -59,6 +60,8 @@ def test_one_line_per_kept_output():
         "isometric_project/projector"]
     assert [_SYNTH.match(line).group(1, 2) for line in synth] == [
         (dim, split) for dim in ("1", "2") for split in ("source", "target_train", "target_test")]
+    assert [_OBJECTIVE.match(line).group(1, 2) for line in objective] == [
+        (kind, output) for kind in ("frobenius", "jbld", "airm") for output in ("value", "grads")]
     values = [_VALUE.match(line) for line in rest]
     assert all(values)
     assert [m.group(1) for m in values] == ["gradcheck"] * 13 + ["invariance"] * 11 + ["shift"] * 4

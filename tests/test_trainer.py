@@ -700,6 +700,22 @@ class TestEvaluate:
         assert [row[0] for row in report.per_class] == [0, 2, 3]
         assert sum(row[2] for row in report.per_class) == 6
 
+    def test_per_class_rows_equal_each_class_mean(self, rng):
+        d, c = 4, 12
+        enc = Encoder(np.eye(d), np.zeros(d), nonlinear=False)
+        clf = Classifier(rng.normal(size=(d, c)), np.zeros(c))
+        model = TwoStreamModel(enc, enc, clf, clf)
+        labels = rng.permutation(np.repeat(np.arange(c), rng.integers(0, 9, c)))
+        test = FeatureBlock(rng.normal(size=(d, labels.size)), labels)
+        report = evaluate(model, test)
+        phi, _ = encoder_forward(enc, test.columns, None)
+        hits = (clf.weights.T @ phi + clf.bias[:, None]).argmax(axis=0) == labels
+        # The same float64 count over the same integer, class by class, bit for bit.
+        assert report.per_class == [
+            (int(k), float(hits[labels == k].mean()), int((labels == k).sum())) for k in np.unique(labels)
+        ]
+        assert all(type(v) in (int, float) for row in report.per_class for v in row)
+
     def test_feature_dimension_mismatch_names_both_sizes(self, rng):
         model = init_two_stream(16, 8, 3, seed=0)
         test = FeatureBlock(rng.normal(size=(8, 4)), np.zeros(4, dtype=int))
