@@ -28,6 +28,13 @@ the metric's ``bound`` taken as a fraction of the parent median:
   and not every change run beats every parent run;
 - ``within bound``: any other case.
 
+With ``--trace`` every run gets ``--trace 1`` instead, and the summary lists
+every ``per_layer`` metric of BENCHMARK.json that is nonzero in some run of
+either side, with each side's median and quartiles and the change's wins,
+then the failed and attempted operations. Per-layer metrics have no bound,
+so they get no verdict; a traced run reports no end-to-end metrics, so its
+line shows only its failed and attempted operations.
+
 The script only runs the benchmark; it writes nothing but the benchmark's
 own output directory in each checkout.
 """
@@ -42,10 +49,11 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, command: list[str], workload: str, seed: int, seconds: float,
+             trace: bool) -> dict:
     """Run the benchmark once in ``checkout`` and return its last output line as JSON."""
     argv = [*command, "--workload", workload, "--seed", str(seed), "--seconds", str(seconds),
-            "--trace", "0"]
+            "--trace", str(int(trace))]
     done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
     try:
@@ -86,11 +94,12 @@ def verdict(parent: list[float], change: list[float], metric: dict) -> str:
     return "within bound"
 
 
-def summary_lines(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
-    """The summary of paired results: one line per end-to-end metric with its verdict, then the failures."""
-    lines = [f"{'metric':18s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  "
-             f"change wins, verdict"]
-    for metric in end_to_end:
+def _paired_lines(parent: list[dict], change: list[dict], metrics: list[dict], width: int,
+                  with_verdict: bool) -> list[str]:
+    """One line per metric: each side's median [q1, q3], the change's wins and, if asked, the verdict."""
+    lines = [f"{'metric':{width}s} {'parent median [q1, q3]':>30s} {'change median [q1, q3]':>30s}  "
+             f"change wins" + (", verdict" if with_verdict else "")]
+    for metric in metrics:
         name = metric["name"]
         sides = []
         for results in (parent, change):
@@ -98,14 +107,30 @@ def summary_lines(parent: list[dict], change: list[dict], end_to_end: list[dict]
             q1, median, q3 = quartiles(values)
             sides.append((values, f"{median:.6g} [{q1:.6g}, {q3:.6g}]"))
         wins = change_wins(sides[0][0], sides[1][0], metric["better"])
-        lines.append(f"{name:18s} {sides[0][1]:>30s} {sides[1][1]:>30s}  "
-                     f"{wins}/{len(parent)} ({metric['better']} is better)  "
-                     f"{verdict(sides[0][0], sides[1][0], metric)}")
+        line = (f"{name:{width}s} {sides[0][1]:>30s} {sides[1][1]:>30s}  "
+                f"{wins}/{len(parent)} ({metric['better']} is better)")
+        if with_verdict:
+            line += f"  {verdict(sides[0][0], sides[1][0], metric)}"
+        lines.append(line)
     for side, results in (("parent", parent), ("change", change)):
         failed = sum(r["failed"] for r in results)
         attempted = sum(r["attempted"] for r in results)
         lines.append(f"{side} failed/attempted: {failed}/{attempted}")
     return lines
+
+
+def summary_lines(parent: list[dict], change: list[dict], end_to_end: list[dict]) -> list[str]:
+    """The summary of paired results: one line per end-to-end metric with its verdict, then the failures."""
+    return _paired_lines(parent, change, end_to_end, 18, with_verdict=True)
+
+
+def layer_lines(parent: list[dict], change: list[dict], per_layer: list[dict]) -> list[str]:
+    """The summary of paired traced results: one line per per-layer metric that is nonzero
+    in some run, without a verdict, then the failures."""
+    shown = [metric for metric in per_layer
+             if any(r["metrics"][metric["name"]]["value"] for r in parent + change)]
+    width = max([len("metric")] + [len(metric["name"]) for metric in shown])
+    return _paired_lines(parent, change, shown, width, with_verdict=False)
 
 
 def main(argv=None) -> int:
@@ -115,6 +140,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--trace", action="store_true",
+                        help="traced runs; summarise the per-layer metrics")
     args = parser.parse_args(argv)
     if args.seed < 0 or args.pairs < 1:
         parser.error("--seed must be nonnegative and --pairs at least 1")
@@ -128,14 +155,19 @@ def main(argv=None) -> int:
         for side in order:
             checkout = args.parent if side == "parent" else args.change
             result = run_once(checkout, benchmark["command"], args.workload, args.seed,
-                              benchmark["run_seconds"])
+                              benchmark["run_seconds"], args.trace)
             results[side].append(result)
-            values = " ".join(f"{n}={result['metrics'][n]['value']:.6g}" for n in names)
-            print(f"pair {pair + 1} {side}: {values} failed {result['failed']}/"
-                  f"{result['attempted']}", flush=True)
+            values = [f"{n}={result['metrics'][n]['value']:.6g}"
+                      for n in names if n in result["metrics"]]
+            print(f"pair {pair + 1} {side}:", *values,
+                  f"failed {result['failed']}/{result['attempted']}", flush=True)
     print(f"== {args.workload} seed {args.seed}, {args.pairs} pairs of "
-          f"{benchmark['run_seconds']} s runs")
-    for line in summary_lines(results["parent"], results["change"], benchmark["end_to_end"]):
+          f"{benchmark['run_seconds']} s {'traced ' if args.trace else ''}runs")
+    if args.trace:
+        lines = layer_lines(results["parent"], results["change"], benchmark["per_layer"])
+    else:
+        lines = summary_lines(results["parent"], results["change"], benchmark["end_to_end"])
+    for line in lines:
         print(line)
     return 0
 

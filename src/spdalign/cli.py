@@ -18,12 +18,14 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import io as containers
 from .bench import run_bench
 from .checks import run_gradient_checks, run_invariance_checks
 from .distances import DistanceKind
 from .errors import FormatError, NumericalError, SingularityError, SpdAlignError
-from .metrics import factor_masks, hit_rate, load_cases, mean_hit_rate_kk, sweep_ranks
+from .metrics import factor_masks, hit_counts, load_cases, sweep_ranks
 
 # perfbench/tracing.py wraps these bindings by name; the metrics command no longer calls them.
 from .metrics import avg_top_kk, factor_breakdown, top_k, top_k_n  # noqa: F401
@@ -176,22 +178,25 @@ def cmd_eval(args) -> int:
 
 
 def _metrics_csv(ranks, k_max: int) -> str:
+    rates = (hit_counts(ranks, k_max) / len(ranks)).tolist()  # rates[k - 1][n - 1]
     lines = ["measure,k,n,value"]
     for k in range(1, k_max + 1):
-        lines.append(f"top_k,{k},,{_fmt(hit_rate(ranks, k))}")
+        lines.append(f"top_k,{k},,{_fmt(rates[k - 1][0])}")
     for k in range(1, k_max + 1):
         for n in range(1, k_max + 1):
-            lines.append(f"top_k_n,{k},{n},{_fmt(hit_rate(ranks, k, n))}")
-    lines.append(f"avg_top_kk,,,{_fmt(mean_hit_rate_kk(ranks, k_max))}")
+            lines.append(f"top_k_n,{k},{n},{_fmt(rates[k - 1][n - 1])}")
+    lines.append(f"avg_top_kk,,,{_fmt(sum(rates[k][k] for k in range(k_max)) / k_max)}")
     return "\n".join(lines) + "\n"
 
 
 def _breakdown_csv(cases, ranks, k_max: int) -> str:
+    # Column 0 counts a row's cases; column k its top-k-k hits, ranks[:, k - 1] <= k.
+    hits = np.hstack([np.ones((len(ranks), 1)), ranks[:, :k_max] <= np.arange(1, k_max + 1)])
     lines = ["factor,count,top_1,avg_top_kk"]
     for tag, mask in factor_masks(cases, include_pairs=True):
-        subset = ranks[mask]
-        lines.append(f"{tag},{len(subset)},{_fmt(hit_rate(subset, 1))},"
-                     f"{_fmt(mean_hit_rate_kk(subset, k_max))}")
+        count, *diagonal = (mask @ hits).tolist()
+        rates = [hit / count for hit in diagonal]
+        lines.append(f"{tag},{int(count)},{_fmt(rates[0])},{_fmt(sum(rates) / k_max)}")
     return "\n".join(lines) + "\n"
 
 

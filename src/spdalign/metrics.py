@@ -22,6 +22,13 @@ over N cases,
 summed in that k order. A factor breakdown indexes the same table with one
 boolean row mask per tag and tag pair (``factor_masks``).
 
+Every rate is thus an integer count over the case count. ``spdalign
+metrics`` reads all of ``metrics.csv`` from one count table,
+:func:`hit_counts` (entry [k-1, n-1] is ``count(ranks[:, n-1] <= k)``), and
+each ``breakdown.csv`` row's counts from one product of its mask with a
+table of top-k-k hits; each value is the same count over the same case count,
+summed in the same k order, as in the formulas above.
+
 Case file format, one case per line::
 
     pred:5,2,9|truth:2,7|factors:blr,ocl
@@ -248,8 +255,12 @@ def hit_ranks(cases: CaseTable | Sequence[RankedCase], depth: int) -> np.ndarray
     Entry [i, n-1] is the 1-based position of case i's first prediction that is
     among its first n truth labels, or depth + 1 if none is in its first depth
     predictions. Rows never increase along n. Memory grows with cases x depth:
-    one sort by (case, id) over both lists' first depth entries pairs each
-    truth label with the prediction that equals it.
+    one stable sort by (case, id) over both lists' first depth entries, and
+    one gather of the sorted keys, pair each truth label with the prediction
+    that equals it (the two are neighbours in the sorted order). Column n-1
+    then holds the position of the hit of truth label n alone, and a running
+    minimum, one column at a time, turns it into the first hit among labels
+    1..n.
     """
     check_at_least(1, depth=depth)
     table = _table(cases)
@@ -265,11 +276,12 @@ def hit_ranks(cases: CaseTable | Sequence[RankedCase], depth: int) -> np.ndarray
     # Neither list repeats an id, so equal keys are one prediction and then,
     # as the sort is stable, one truth label.
     order = np.argsort(keys, kind="stable")
-    first, second = order[:-1], order[1:]
-    hit = keys[first] == keys[second]
-    label = second[hit] - len(pred_case)
-    ranks[truth_case[label], truth_position[label]] = pred_position[first[hit]] + 1
-    return np.minimum.accumulate(ranks, axis=1, out=ranks)
+    hit = np.flatnonzero(np.diff(keys[order]) == 0)  # keys grow along the order: no overflow
+    label = order[hit + 1] - len(pred_case)
+    ranks[truth_case[label], truth_position[label]] = pred_position[order[hit]] + 1
+    for n in range(1, depth):
+        np.minimum(ranks[:, n], ranks[:, n - 1], out=ranks[:, n])
+    return ranks
 
 
 def hit_rate(ranks: np.ndarray, k: int, n: int = 1) -> float:
@@ -280,6 +292,16 @@ def hit_rate(ranks: np.ndarray, k: int, n: int = 1) -> float:
 def mean_hit_rate_kk(ranks: np.ndarray, k_max: int) -> float:
     """avg-top-k-k read from a :func:`hit_ranks` table with at least k_max columns."""
     return sum(hit_rate(ranks, k, k) for k in range(1, k_max + 1)) / k_max
+
+
+def hit_counts(ranks: np.ndarray, k_max: int) -> np.ndarray:
+    """The (k_max, k_max) table whose entry [k-1, n-1] counts the cases with ``ranks[:, n-1] <= k``.
+
+    ``ranks`` is a :func:`hit_ranks` table with at least k_max columns; each
+    column is counted once, by rank, and the counts are summed up the ranks.
+    """
+    by_rank = [np.bincount(column, minlength=k_max + 1)[:k_max + 1] for column in ranks.T[:k_max]]
+    return np.cumsum(by_rank, axis=1)[:, 1:].T
 
 
 def sweep_ranks(cases: CaseTable | Sequence[RankedCase], k_max: int) -> np.ndarray:
@@ -368,10 +390,13 @@ _IDS = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 # A line of a case file: the form format_case writes, with ids of at most 18
 # digits, which int64 holds and int() reads (groups 1-3), or any other text
 # (group 4), which may be empty. A line of the first kind breaks no rule,
-# unless a list repeats an id.
-_ID = r"-?[0-9]{1,18}"
+# unless a list repeats an id. The id and tag repeats are possessive (Python
+# 3.11 and later), which saves the matcher its backtracking state and changes
+# no match: what follows each repeat (",", "|" or the line end) is never a
+# character the repeat could give back, so giving one back cannot help.
+_ID = r"-?[0-9]{1,18}+"
 _FILE_LINE = re.compile(
-    rf"^(?:pred:({_ID}(?:,{_ID})*)\|truth:({_ID}(?:,{_ID})*)(?:\|factors:([^\s|+]*))?|(.*))$",
+    rf"^(?:pred:({_ID}(?:,{_ID})*+)\|truth:({_ID}(?:,{_ID})*+)(?:\|factors:([^\s|+]*+))?|(.*))$",
     re.MULTILINE,
 )
 

@@ -156,12 +156,15 @@ class EncoderTape:
 
 
 def encoder_forward(enc: Encoder, inputs: np.ndarray, cap: float | None) -> tuple[np.ndarray, EncoderTape]:
-    # Computed transposed so that z comes out column-major, the layout of FeatureBlock.
-    z = (inputs.T @ enc.weights.T).T + enc.bias[:, None]
-    u = np.tanh(z) if enc.nonlinear else z
-    if enc.nonlinear and not np.isfinite(z).all():
-        # tanh would turn an overflowed pre-activation into a finite +-1; it stays non-finite.
-        u = np.where(np.isfinite(z), u, np.nan)
+    # Computed transposed so that the pre-activation comes out column-major, the layout of
+    # FeatureBlock; the bias and tanh then go into it in place.
+    u = (inputs.T @ enc.weights.T).T
+    u += enc.bias[:, None]
+    if enc.nonlinear:
+        # tanh would turn an overflowed pre-activation into a finite +-1; as NaN it stays NaN.
+        if not np.isfinite(u).all():
+            u[~np.isfinite(u)] = np.nan
+        np.tanh(u, out=u)
     phi, scale = _cap_columns(u, cap)
     return phi, EncoderTape(inputs=inputs, pre_cap=u, scale=scale)
 
@@ -512,7 +515,8 @@ def evaluate(model: TwoStreamModel, test: FeatureBlock) -> EvalReport:
     test.check("test", model.classifier_target.class_count, model.encoder_target.input_dim)
     with np.errstate(over="ignore", invalid="ignore"):
         phi, _ = encoder_forward(model.encoder_target, test.columns, model.feature_cap)
-        logits = model.classifier_target.weights.T @ phi + model.classifier_target.bias[:, None]
+        logits = model.classifier_target.weights.T @ phi
+        logits += model.classifier_target.bias[:, None]
     if not np.isfinite(logits).all():
         raise NumericalError(
             "target logits are non-finite: the target stream overflows on the test columns"

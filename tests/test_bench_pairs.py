@@ -47,6 +47,37 @@ def test_summary_lines():
     assert lines[3:] == ["parent failed/attempted: 1/30", "change failed/attempted: 0/32"]
 
 
+PER_LAYER = [
+    {"name": "metrics.load_cases_s", "unit": "s", "better": "lower"},
+    {"name": "trainer.encoder_forward_s", "unit": "s", "better": "lower"},
+    {"name": "io.bytes_read", "unit": "B", "better": "lower"},
+]
+
+
+def _traced(load, forward, read, failed=0):
+    return {"correct": True, "attempted": 10, "failed": failed, "metrics": {
+        "metrics.load_cases_s": {"value": load, "unit": "s"},
+        "trainer.encoder_forward_s": {"value": forward, "unit": "s"},
+        "io.bytes_read": {"value": read, "unit": "B"},
+    }}
+
+
+def test_layer_lines_list_the_nonzero_metrics_without_a_verdict():
+    # encoder_forward is 0 in every run and is left out; bytes_read is nonzero in one run only.
+    parent = [_traced(0.009, 0.0, 0.0), _traced(0.010, 0.0, 0.0), _traced(0.008, 0.0, 0.0, failed=2)]
+    change = [_traced(0.007, 0.0, 0.0), _traced(0.011, 0.0, 64.0), _traced(0.006, 0.0, 0.0)]
+    lines = pairs.layer_lines(parent, change, PER_LAYER)
+    assert lines[0].split() == ["metric", "parent", "median", "[q1,", "q3]", "change", "median",
+                                "[q1,", "q3]", "change", "wins"]
+    assert lines[1].split() == ["metrics.load_cases_s", "0.009", "[0.0085,", "0.0095]", "0.007",
+                                "[0.0065,", "0.009]", "2/3", "(lower", "is", "better)"]
+    assert lines[2].split() == ["io.bytes_read", "0", "[0,", "0]", "0", "[0,", "32]", "0/3",
+                                "(lower", "is", "better)"]
+    assert lines[3:] == ["parent failed/attempted: 2/30", "change failed/attempted: 0/30"]
+    # The name column is as wide as the longest name shown.
+    assert lines[2].startswith("io.bytes_read".ljust(len("metrics.load_cases_s")) + " ")
+
+
 RATE, SETUP = END_TO_END[1], END_TO_END[0]
 TEN = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.0]  # quartiles 9.9 and 10.075
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdalign import metrics
+from spdalign import cli, metrics
 from spdalign.cli import main
 from spdalign.errors import FormatError, ParameterError
 from spdalign.metrics import (
@@ -18,10 +18,15 @@ from spdalign.metrics import (
     RankedCase,
     avg_top_kk,
     factor_breakdown,
+    factor_masks,
     format_case,
+    hit_counts,
+    hit_rate,
     hit_ranks,
     load_cases,
+    mean_hit_rate_kk,
     parse_case_line,
+    sweep_ranks,
     top_k,
     top_k_n,
 )
@@ -85,12 +90,12 @@ def assert_tables_equal(got, want):
             assert a == b, field.name
 
 
-def random_cases(rng, count, k_max=5, id_pool=40, with_factors=True):
+def random_cases(rng, count, k_max=5, id_pool=40, with_factors=True, truth_max=6):
     cases = []
     for _ in range(count):
         n_pred = int(rng.integers(k_max, k_max + 6))
         predicted = rng.choice(id_pool, size=n_pred, replace=False)
-        n_truth = int(rng.integers(1, 7))
+        n_truth = int(rng.integers(1, truth_max + 1))
         truth = rng.choice(id_pool, size=n_truth, replace=False)
         factors = []
         if with_factors:
@@ -241,10 +246,11 @@ class TestHitRanks:
         with pytest.raises(ParameterError):
             hit_ranks([RankedCase((1,), (1,))], 0)
 
-    @pytest.mark.parametrize("depth", [1, 3, 5, 8, 12])
+    @pytest.mark.parametrize("depth", [*range(1, 9), 12])
     def test_equals_the_loop(self, rng, depth):
-        # 5-10 predictions and 1-6 truth labels per case: depths 8 and 12 pass some lists' ends
-        cases = random_cases(rng, 500, id_pool=15)
+        # 5-10 predictions and 1 to depth + 3 truth labels per case: every depth meets
+        # truth lists longer than itself, and depths above 5 pass some prediction lists' ends
+        cases = random_cases(rng, 500, id_pool=16, truth_max=depth + 3)
         assert np.array_equal(hit_ranks(cases, depth), loop_hit_ranks(cases, depth))
 
     def test_lists_shorter_than_depth(self):
@@ -330,6 +336,57 @@ class TestFactorBreakdown:
         rows = factor_breakdown(cases, self.metric, include_pairs=True)
         tags = [r.tag for r in rows]
         assert "blr+ocl" in tags
+
+
+def reference_metrics_csv(ranks, k_max):
+    """``metrics.csv`` with one ``hit_rate`` or ``mean_hit_rate_kk`` call per value."""
+    lines = ["measure,k,n,value"]
+    lines += [f"top_k,{k},,{hit_rate(ranks, k):.6f}" for k in range(1, k_max + 1)]
+    lines += [f"top_k_n,{k},{n},{hit_rate(ranks, k, n):.6f}"
+              for k in range(1, k_max + 1) for n in range(1, k_max + 1)]
+    lines.append(f"avg_top_kk,,,{mean_hit_rate_kk(ranks, k_max):.6f}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_breakdown_csv(table, ranks, k_max):
+    """``breakdown.csv`` from the measures on ``ranks[mask]``, one row of ``factor_masks`` at a time."""
+    lines = ["factor,count,top_1,avg_top_kk"]
+    for tag, mask in factor_masks(table, include_pairs=True):
+        subset = ranks[mask]
+        lines.append(f"{tag},{len(subset)},{hit_rate(subset, 1):.6f},"
+                     f"{mean_hit_rate_kk(subset, k_max):.6f}")
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _tagged_case_sets(draw):
+    """(k_max, cases): ragged prediction lists of at least k_max ids, 1-6 truth labels
+    some of which are predicted, and 0-12 of the first 12 factor tags per case."""
+    k_max = draw(st.integers(min_value=1, max_value=8))
+    ids = st.integers(min_value=0, max_value=15)
+    cases = []
+    for _ in range(draw(st.integers(min_value=1, max_value=30))):
+        predicted = draw(st.lists(ids, min_size=k_max, max_size=k_max + 4, unique=True))
+        truth = draw(st.lists(st.sampled_from(predicted) | ids, min_size=1, max_size=6,
+                              unique=True))
+        factors = draw(st.sets(st.sampled_from(FACTOR_VOCAB[:12]), max_size=12))
+        cases.append(RankedCase(tuple(predicted), tuple(truth), frozenset(factors)))
+    return k_max, cases
+
+
+class TestCountTables:
+    @given(_tagged_case_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_cli_tables_equal_the_per_measure_composition(self, drawn):
+        k_max, cases = drawn
+        table = CaseTable.from_cases(cases)
+        ranks = sweep_ranks(table, k_max)
+        assert hit_counts(ranks, k_max).tolist() == [
+            [int(np.count_nonzero(ranks[:, n - 1] <= k)) for n in range(1, k_max + 1)]
+            for k in range(1, k_max + 1)]
+        assert cli._metrics_csv(ranks, k_max) == reference_metrics_csv(ranks, k_max)
+        assert cli._breakdown_csv(table, ranks, k_max) == reference_breakdown_csv(
+            table, ranks, k_max)
 
 
 class TestCaseTable:
