@@ -9,14 +9,15 @@ where S_c, S*_c are the per-class population scatters of the source and
 target columns, each regularized by eps. The three distances are invariant
 under isometries of the columns, so every one is a function of the class's
 centred Gram matrix ``Kc = B^T K B``, with ``K = X^T X`` and ``B`` the
-centring basis. All three are evaluated from ``Kc`` (:func:`_gram_form_terms`):
+centring basis. All three are evaluated from ``Kc`` (:func:`class_terms`):
 Frobenius by trace identities, JBLD by Sylvester's determinant identity,
 taking its log-determinants from the one Cholesky stage of
 :mod:`spdalign.distances`, and AIRM on a square root of ``Kc``, which holds
 the centred columns in an orthonormal basis of their span; that basis is a
-constant in the differentiation. The scatter-pair stage on ambient columns,
-:func:`scatter_pair_terms`, is the analytic side of the gradient suite's
-chain-rule check, not a part of the objective.
+constant in the differentiation. No ambient d x d scatter is built here: the
+one path that builds them, ``regularize`` and ``dist_sq`` on
+:func:`~spdalign.scatter.mean_and_scatter`, is the naive reference of
+:mod:`spdalign.bench` and of the gradient suite's ``scatter/<kind>`` check.
 
 One kernel, :func:`class_terms`, evaluates the alignment terms of a stack of
 classes that share a ``(N_c, N*_c)`` shape, with batched numpy calls over the
@@ -53,12 +54,13 @@ from .errors import (
     check_nonnegative, check_positive, column_blocks, layer_arrays,
 )
 from .nystrom import column_gram, spectral_roots
-from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
+from .scatter import FeatureBlock
 from .spd import symmetric_part
 
 # perfbench/tracing.py wraps these bindings by name; the batched kernel does not call them.
 from .distances import dist_sq, grad_dist_sq  # noqa: F401
 from .nystrom import backproject_grad, isometric_project  # noqa: F401
+from .scatter import _feature_grad  # noqa: F401
 from .spd import regularize, symmetrize  # noqa: F401
 
 if TYPE_CHECKING:  # real definition lives in trainer; only the classifiers are used here
@@ -191,24 +193,41 @@ def class_terms(
     differentiated.
 
     The scatter term starts from the (G, k, k) Gram matrices ``K = X^T X``
-    (k = N + N*), and every kind is evaluated from their centred part
-    (:func:`_gram_form_terms`).
+    (k = N + N*), without reducing the columns. ``B`` (:func:`_centring_basis`)
+    maps the k slots to k - 2 centred directions, so that ``Z = X B`` holds
+    columns whose outer products sum to the two scatters: ``S = Z_s Z_s^T``
+    and ``S* = Z_t Z_t^T``. Their Gram matrix is ``Kc = B^T K B``. Let ``s``
+    be +1 on source directions and -1 on target directions, and ``D =
+    diag(s)``.
+
+    * Frobenius: ``||S - S*||_F^2 = sum_ij s_i s_j Kc_ij^2`` by trace
+      identities, and its gradient with respect to ``Z`` is ``Z W`` with
+      ``W = 4 D Kc D``.
+    * JBLD: the ``log eps`` parts of the three log-determinants cancel, so the
+      term is ``L(Z, 2 eps) - (L(Z_s, eps) + L(Z_t, eps)) / 2`` with
+      ``L(F, c) = logdet(I + F F^T / c)``, in any embedding of the columns.
+      By Sylvester's determinant identity, ``L(F, c)`` is also
+      ``logdet(I + F^T F / c)``, a function of a block of ``Kc``.
+      :func:`_jbld_terms` takes each of the three on its smaller side.
+    * AIRM: a square root ``R`` of ``Kc`` holds the centred columns in an
+      orthonormal basis of their span, and :func:`_airm_terms` takes the
+      distance between ``eps I + R_s R_s^T`` and ``eps I + R_t R_t^T``.
 
     Both gradients are linear maps of the columns, so they are summed as one
     (G, k, k) operator ``M`` and the gradient is ``x @ M``: the scatter part
-    comes from :func:`_gram_form_terms`, the mean part is ``2 c c^T`` with ``c`` =
-    1/N on source slots and -1/N* on target slots. The d-dimensional data is
-    read only by the Gram matrices, the mean gaps ``x @ c`` and that product.
-    (Where d < k - 2, JBLD may return its scatter gradient itself, which is
-    added to ``x @ M``.) The gradient's memory is laid out as (G, k, d), so
-    each class's gradient columns are contiguous.
+    is ``B W B^T``, the mean part is ``2 c c^T`` with ``c`` = 1/N on source
+    slots and -1/N* on target slots. The d-dimensional data is read only by
+    the Gram matrices, the mean gaps ``x @ c`` and that product. (Where d <
+    k - 2, JBLD may return its scatter gradient itself in place of ``W``,
+    which is added to ``x @ M``.) The gradient's memory is laid out as (G, k,
+    d), so each class's gradient columns are contiguous.
 
     A ``SingularityError`` carries the position in the stack of the first
     failing class, and so does the ``NumericalError`` raised when a Gram
     matrix or centred Gram matrix, a regularized scatter or Sylvester matrix,
     a term, the gradient operator or the feature gradient overflows float64.
     """
-    count, _, width = x.shape
+    count, dim, width = x.shape
     direct = None
     scatter = np.zeros(count)
     mean = np.zeros(count)
@@ -216,9 +235,21 @@ def class_terms(
     c_norm = float(config.class_count)
     with np.errstate(over="ignore", invalid="ignore"):
         if config.sigma1 != 0.0:
-            scatter, scatter_operator, direct = _gram_form_terms(x, n_source, config, with_grad)
-            if scatter_operator is not None:
-                operator += config.sigma1 / c_norm * scatter_operator
+            helmert, scale, basis = _centring_basis(n_source, width)
+            centred = (helmert.T @ column_gram(x) @ helmert) * np.outer(scale, scale)
+            if config.kind is DistanceKind.JBLD:
+                scatter, weight, direct = _jbld_terms(x, centred, helmert, scale, basis, n_source - 1,
+                                                      config.eps, with_grad)
+            elif config.kind is DistanceKind.AIRM:
+                scatter, weight, direct = _airm_terms(centred, n_source - 1, dim, config.eps, with_grad)
+            else:
+                side = np.arange(width - 2) >= n_source - 1
+                signed = np.where(side[:, None] == side[None, :], centred, -centred)
+                scatter = np.einsum("gij,gij->g", signed, centred)
+                check_finite_stack("squared frobenius distance", scatter)
+                weight = 4.0 * signed if with_grad else None
+            if weight is not None:
+                operator += config.sigma1 / c_norm * (basis @ weight @ basis.T)
         if config.sigma2 != 0.0:
             gap = np.repeat([1.0 / n_source, -1.0 / (width - n_source)], [n_source, width - n_source])
             diff = x @ gap
@@ -236,62 +267,15 @@ def class_terms(
     return scatter, mean, grad
 
 
-def _gram_form_terms(
-    x: np.ndarray, n_source: int, config: AlignConfig, with_grad: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Scatter terms of every kind from the class Gram matrices ``K = X^T X``, without reducing the columns.
-
-    ``B`` (:func:`_centring_basis`) maps the k slots to k - 2 centred
-    directions, so that ``Z = X B`` holds columns whose outer products sum to
-    the two scatters: ``S = Z_s Z_s^T`` and ``S* = Z_t Z_t^T``. Their Gram
-    matrix is ``Kc = B^T K B``. Let ``s`` be +1 on source directions and -1 on
-    target directions, and ``D = diag(s)``.
-
-    * Frobenius: ``||S - S*||_F^2 = sum_ij s_i s_j Kc_ij^2`` by trace
-      identities, and its gradient with respect to ``Z`` is ``Z W`` with
-      ``W = 4 D Kc D``.
-    * JBLD: the ``log eps`` parts of the three log-determinants cancel, so the
-      term is ``L(Z, 2 eps) - (L(Z_s, eps) + L(Z_t, eps)) / 2`` with
-      ``L(F, c) = logdet(I + F F^T / c)``, in any embedding of the columns.
-      By Sylvester's determinant identity, ``L(F, c)`` is also
-      ``logdet(I + F^T F / c)``, a function of a block of ``Kc``.
-      :func:`_jbld_terms` takes each of the three on its smaller side.
-    * AIRM: a square root ``R`` of ``Kc`` holds the centred columns in an
-      orthonormal basis of their span, and :func:`_airm_terms` takes the
-      distance between ``eps I + R_s R_s^T`` and ``eps I + R_t R_t^T``.
-
-    Returns the (G,) values and the scatter part of the feature gradient:
-    either the (G, k, k) operator ``B W B^T``, whose gradient is ``X B W B^T``,
-    or the (G, d, k) gradient itself, and ``None`` for the other (both
-    ``None`` without ``with_grad``).
-    """
-    helmert, scale = _centring_basis(n_source, x.shape[-1])
-    centred = (helmert.T @ column_gram(x) @ helmert) * np.outer(scale, scale)
-    basis = helmert * scale
-    if config.kind is DistanceKind.JBLD:
-        values, weight, direct = _jbld_terms(x, centred, helmert, scale, n_source - 1, config.eps,
-                                             with_grad)
-    elif config.kind is DistanceKind.AIRM:
-        values, weight, direct = _airm_terms(centred, n_source - 1, x.shape[1], config.eps, with_grad)
-    else:
-        side = np.arange(basis.shape[1]) >= n_source - 1
-        signed = np.where(side[:, None] == side[None, :], centred, -centred)
-        values = np.einsum("gij,gij->g", signed, centred)
-        check_finite_stack("squared frobenius distance", values)
-        weight, direct = 4.0 * signed, None
-    if not with_grad or weight is None:
-        return values, None, direct
-    return values, basis @ weight @ basis.T, None
-
-
 def _jbld_terms(
-    x: np.ndarray, centred: np.ndarray, helmert: np.ndarray, scale: np.ndarray, split: int,
-    eps: float, with_grad: bool,
+    x: np.ndarray, centred: np.ndarray, helmert: np.ndarray, scale: np.ndarray, basis: np.ndarray,
+    split: int, eps: float, with_grad: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """JBLD values, and either the gradient weight ``W`` on the centred directions or the gradient.
 
-    ``centred`` is ``Kc``, the centring basis is ``helmert * scale``, and
-    ``split`` is the number of source directions. Each of the three parts,
+    ``centred`` is ``Kc``, ``(helmert, scale, basis)`` is the centring basis
+    of :func:`_centring_basis`, and ``split`` is the number of source
+    directions. Each of the three parts,
     pooled (``Z``, ``c = 2 eps``), source and target (``Z_s``, ``Z_t``,
     ``c = eps``), takes the smaller side of Sylvester's identity: ``I + F^T F
     / c`` from its block of ``Kc`` where ``F`` has at most d columns that are
@@ -345,7 +329,6 @@ def _jbld_terms(
         for (cols, _, _), inv in zip(parts, scaled):
             weight[:, cols, cols] += inv
         return values, weight, None
-    basis = helmert * scale
     grad = np.zeros(x.shape)
     for (cols, _, _), on_gram, inv in zip(parts, gram_side, scaled):
         factor = z[:, :, cols]
@@ -388,8 +371,8 @@ def _airm_terms(
 
 
 @functools.lru_cache(maxsize=64)
-def _centring_basis(n_source: int, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(H, s): the (k, k - 2) centring basis ``H * s`` from the k column slots to the scatter directions.
+def _centring_basis(n_source: int, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, s, H * s): the (k, k - 2) centring basis from the k column slots to the scatter directions.
 
     Block-diagonal, with ``H_n * s_n`` for each side's n slots: the Helmert
     basis, n - 1 orthonormal columns orthogonal to the ones vector, so that
@@ -400,7 +383,7 @@ def _centring_basis(n_source: int, width: int) -> tuple[np.ndarray, np.ndarray]:
     side give an exactly zero centred direction. Using a basis in place of
     the projector keeps the two constant directions, which no scatter sees,
     out of every matrix that is factored. A training run meets few class
-    shapes, so the pairs are cached, read-only.
+    shapes, so the three arrays are cached, read-only.
     """
     helmert = np.zeros((width, width - 2))
     scale = np.zeros(width - 2)
@@ -411,36 +394,10 @@ def _centring_basis(n_source: int, width: int) -> tuple[np.ndarray, np.ndarray]:
         block[steps, steps - 1] = -steps
         helmert[rows, cols] = block
         scale[cols] = 1.0 / np.sqrt(steps * (steps + 1.0) * n)
-    helmert.setflags(write=False)
-    scale.setflags(write=False)
-    return helmert, scale
-
-
-def scatter_pair_terms(
-    part_s: np.ndarray, part_t: np.ndarray, kind: DistanceKind, eps: float, with_grad: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """Squared distances between the eps-regularized scatters of two column stacks, with feature gradients.
-
-    ``part_s`` and ``part_t`` are (G, d, N) and (G, d, N*) stacks of
-    columns. Both population scatters (:func:`mean_and_scatter`) get ``eps``
-    on the diagonal, :func:`batch_dist_sq` takes the distances and their
-    scatter gradients, and the feature chain rule (:func:`_feature_grad`)
-    pulls those back to the columns. Returns the (G,) values and the (G, d,
-    N) and (G, d, N*) feature gradients (``None`` for both without
-    ``with_grad``). A regularized scatter or a value that overflows float64
-    raises ``NumericalError`` with its stack position. This is the analytic
-    side of the gradient suite's ``scatter/<kind>`` component, on ambient
-    columns; the objective works from the centred Gram matrix instead.
-    """
-    center_s, sigma_s = mean_and_scatter(part_s)
-    center_t, sigma_t = mean_and_scatter(part_t)
-    sigma_s, sigma_t = (sigma + eps * np.eye(part_s.shape[1]) for sigma in (sigma_s, sigma_t))
-    check_finite_stack("regularized scatter", np.stack([sigma_s, sigma_t], axis=1))
-    values, grad_a, grad_b = batch_dist_sq(kind, sigma_s, sigma_t, with_grad=with_grad)
-    check_finite_stack(f"squared {kind.value} distance", values)
-    if not with_grad:
-        return values, None, None
-    return values, _feature_grad(grad_a, part_s, center_s), _feature_grad(grad_b, part_t, center_t)
+    basis = helmert * scale
+    for array in (helmert, scale, basis):
+        array.setflags(write=False)
+    return helmert, scale, basis
 
 
 @functools.lru_cache(maxsize=32)

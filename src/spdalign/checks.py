@@ -27,12 +27,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .align import AlignConfig, Classifier, alignment_loss, scatter_pair_terms, total_objective
+from .align import AlignConfig, Classifier, class_terms, total_objective
 from .bench import ambient_distance_eval, projected_distance_eval
 from .distances import DistanceKind, dist_sq, grad_dist_sq
 from .errors import NumericalError, check_at_least, check_seed
-from .scatter import FeatureBlock
-from .spd import SymMatrix, spd_fn, symmetrize
+from .scatter import FeatureBlock, _feature_grad, mean_and_scatter
+from .spd import SymMatrix, regularize, spd_fn, symmetrize
 
 FD_STEP = 1e-5
 GRAD_TOLERANCE = 1e-4
@@ -183,10 +183,12 @@ def _feature_pair(rng: np.random.Generator, dims: tuple[int, int], counts: tuple
 def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generator) -> ComponentReport:
     """Feature-space chain rule (2/N) G (Phi - mu 1^T) in ambient dimension.
 
-    The analytic side is the scatter-pair stage,
-    :func:`~spdalign.align.scatter_pair_terms`, run on the ambient columns
-    as a stack of one; the value side is the independent one-pair path of
-    :func:`~spdalign.bench.ambient_distance_eval`. Training works from the
+    Both sides take the naive one-pair path of
+    :func:`~spdalign.bench.ambient_distance_eval`: ``regularize`` on each
+    ambient scatter of :func:`~spdalign.scatter.mean_and_scatter`. The value
+    side takes ``dist_sq`` there; the analytic side takes ``grad_dist_sq``
+    and pulls it back to the columns with the feature chain rule,
+    :func:`~spdalign.scatter._feature_grad`. Training works from the
     centred Gram matrix instead, for every kind (see ``projected/<kind>``
     and ``objective/<kind>``). The regularizer is drawn per instance from
     [1e-3, 1e-1]: the chain rule does not depend on it, and at 1e-6 the
@@ -195,9 +197,12 @@ def check_scatter_chain(kind: DistanceKind, trials: int, rng: np.random.Generato
     """
     def trial():
         eps, phi_s, phi_t = _feature_pair(rng, (2, 6), (2, 7))
-        _, grad_s, grad_t = scatter_pair_terms(phi_s[None], phi_t[None], kind, eps, with_grad=True)
+        (mean_s, scatter_s), (mean_t, scatter_t) = mean_and_scatter(phi_s), mean_and_scatter(phi_t)
+        grad_a, grad_b = grad_dist_sq(kind, regularize(SymMatrix(scatter_s), eps),
+                                      regularize(SymMatrix(scatter_t), eps))
         return (lambda s, t: ambient_distance_eval(s, t, kind, eps), [phi_s, phi_t],
-                [grad_s[0], grad_t[0]])
+                [_feature_grad(grad_a.entries, phi_s, mean_s),
+                 _feature_grad(grad_b.entries, phi_t, mean_t)])
 
     return _gradient_component(f"scatter/{kind.value}", trials, trial)
 
@@ -207,11 +212,15 @@ def _one_class_grads(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Feature gradients of the alignment kernel that training runs, on one class.
 
-    ``config`` declares one class; the columns reach the kernel through its
-    one-class adapter, :func:`~spdalign.align.alignment_loss`.
+    ``config`` declares one class. The columns go to
+    :func:`~spdalign.align.class_terms` as a stack of one, in the layout in
+    which the objective gathers a shape group: (1, N + N*, d) rows,
+    transposed to (1, d, N + N*).
     """
-    result = alignment_loss([(phi_s, phi_t)], config)
-    return result.grads_source[0], result.grads_target[0]
+    n_source = phi_s.shape[1]
+    rows = np.concatenate([phi_s.T, phi_t.T])[None]
+    _, _, grad = class_terms(rows.transpose(0, 2, 1), n_source, config)
+    return grad[0, :, :n_source], grad[0, :, n_source:]
 
 
 def projected_distance_grads(

@@ -22,12 +22,14 @@ over N cases,
 summed in that k order. A factor breakdown indexes the same table with one
 boolean row mask per tag and tag pair (``factor_masks``).
 
-Every rate is thus an integer count over the case count. ``spdalign
-metrics`` reads all of ``metrics.csv`` from one count table,
-:func:`hit_counts` (entry [k-1, n-1] is ``count(ranks[:, n-1] <= k)``), and
-each ``breakdown.csv`` row's counts from one product of its mask with a
-table of top-k-k hits; each value is the same count over the same case count,
-summed in the same k order, as in the formulas above.
+Every rate is thus an integer count over the case count, and every count
+comes from one table, :func:`hit_counts` (entry [k-1, n-1] is
+``count(ranks[:, n-1] <= k)``): ``top_k_n`` and ``avg_top_kk`` read theirs
+there, and so does ``spdalign metrics`` for all of ``metrics.csv``. Each
+``breakdown.csv`` row takes its counts from one product of its mask with a
+table of top-k-k hits. Each value is the same count over the same case
+count, summed in the same k order, as in the formulas above, and is
+returned as a Python float.
 
 Case file format, one case per line::
 
@@ -284,16 +286,6 @@ def hit_ranks(cases: CaseTable | Sequence[RankedCase], depth: int) -> np.ndarray
     return ranks
 
 
-def hit_rate(ranks: np.ndarray, k: int, n: int = 1) -> float:
-    """top-k-n read from a :func:`hit_ranks` table with at least n columns."""
-    return np.count_nonzero(ranks[:, n - 1] <= k) / len(ranks)
-
-
-def mean_hit_rate_kk(ranks: np.ndarray, k_max: int) -> float:
-    """avg-top-k-k read from a :func:`hit_ranks` table with at least k_max columns."""
-    return sum(hit_rate(ranks, k, k) for k in range(1, k_max + 1)) / k_max
-
-
 def hit_counts(ranks: np.ndarray, k_max: int) -> np.ndarray:
     """The (k_max, k_max) table whose entry [k-1, n-1] counts the cases with ``ranks[:, n-1] <= k``.
 
@@ -330,12 +322,14 @@ def top_k_n(cases: CaseTable | Sequence[RankedCase], k: int, n: int) -> float:
     table = _table(cases)
     _check_window(table, k, k)
     n = min(n, int(np.diff(table.truth_offsets).max()))  # later columns repeat this one
-    return hit_rate(hit_ranks(table, max(k, n)), k, n)
+    depth = max(k, n)
+    return int(hit_counts(hit_ranks(table, depth), depth)[k - 1, n - 1]) / len(table)
 
 
 def avg_top_kk(cases: CaseTable | Sequence[RankedCase], k_max: int = 5) -> float:
     """Mean of top-k-k over k = 1..k_max."""
-    return mean_hit_rate_kk(sweep_ranks(cases, k_max), k_max)
+    ranks = sweep_ranks(cases, k_max)
+    return sum(hits / len(ranks) for hits in hit_counts(ranks, k_max).diagonal().tolist()) / k_max
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from spdalign.align import (
+    _centring_basis,
     AlignConfig,
     Classifier,
     alignment_loss,
     group_columns_by_class,
     proximity,
-    scatter_pair_terms,
     softmax_ce,
     total_objective,
 )
@@ -22,9 +22,9 @@ from spdalign.checks import (
     random_rotation,
     relative_gap,
 )
-from spdalign.distances import DistanceKind, dist_sq, grad_dist_sq
+from spdalign.distances import DistanceKind, dist_sq
 from spdalign.errors import DimensionError, LabelError, ParameterError, SpdAlignError
-from spdalign.scatter import FeatureBlock, _feature_grad, mean_and_scatter
+from spdalign.scatter import FeatureBlock, mean_and_scatter
 from spdalign.spd import SymMatrix, regularize
 
 
@@ -246,30 +246,21 @@ class TestAlignmentLoss:
             assert relative_gap(result.grads_target[0], fd_t) < 1e-4
 
 
-class TestScatterPairStage:
-    """Each item of the ambient scatter-pair stage is the one-pair path, bit for bit:
-    ``dist_sq`` and ``grad_dist_sq`` on ``regularize(SymMatrix(scatter), eps)``, the
-    gradients then through the feature chain rule."""
+class TestCentringBasis:
+    """The cached basis ``H * s`` beside ``H`` and ``s``, all three read-only."""
 
-    @pytest.mark.parametrize("kind", list(DistanceKind))
-    @pytest.mark.parametrize("dim, n_s, n_t", [(6, 2, 5), (4, 5, 3), (3, 7, 6)],
-                             ids=["d>N", "N*<d<N", "d<N*<N"])
-    def test_each_item_is_the_one_pair_path(self, kind, dim, n_s, n_t, rng):
-        eps = 1e-2
-        part_s, part_t = rng.normal(size=(3, dim, n_s)), rng.normal(size=(3, dim, n_t))
-        # AIRM's values-only path skips the singular vectors, so values are compared without gradients.
-        values, no_s, no_t = scatter_pair_terms(part_s, part_t, kind, eps, with_grad=False)
-        assert no_s is None and no_t is None
-        _, grads_s, grads_t = scatter_pair_terms(part_s, part_t, kind, eps, with_grad=True)
-        assert grads_s.shape == part_s.shape and grads_t.shape == part_t.shape
-        for item in range(3):
-            mean_s, scatter_s = mean_and_scatter(part_s[item])
-            mean_t, scatter_t = mean_and_scatter(part_t[item])
-            sigma_s, sigma_t = regularize(SymMatrix(scatter_s), eps), regularize(SymMatrix(scatter_t), eps)
-            grad_a, grad_b = grad_dist_sq(kind, sigma_s, sigma_t)
-            assert values[item] == dist_sq(kind, sigma_s, sigma_t)
-            assert np.array_equal(grads_s[item], _feature_grad(grad_a.entries, part_s[item], mean_s))
-            assert np.array_equal(grads_t[item], _feature_grad(grad_b.entries, part_t[item], mean_t))
+    @pytest.mark.parametrize("n_s, n_t", [(1, 4), (4, 1), (10, 3)], ids=["N=1", "N*=1", "10,3"])
+    def test_cached_basis_is_the_product_and_read_only(self, n_s, n_t):
+        helmert, scale, basis = _centring_basis(n_s, n_s + n_t)
+        assert basis.shape == (n_s + n_t, n_s + n_t - 2)
+        assert np.array_equal(basis, helmert * scale)
+        # Each side's block of B B^T is that side's centring, scaled by 1 / n.
+        for rows, n in ((slice(0, n_s), n_s), (slice(n_s, None), n_t)):
+            block = basis[rows] @ basis[rows].T
+            np.testing.assert_allclose(block, (np.eye(n) - 1.0 / n) / n, atol=1e-15)
+        for array in (helmert, scale, basis):
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0.0
 
 
 class TestTotalObjective:

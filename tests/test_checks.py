@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spdalign import checks
+from spdalign.align import AlignConfig, alignment_loss
 from spdalign.checks import (
     check_coincidence,
     check_distance_gradients,
@@ -91,3 +92,19 @@ def test_negative_deviations_report_zero(rng):
 def test_non_finite_analytic_gradient_is_typed(value):
     with pytest.raises(NumericalError, match="^analytic gradient contains non-finite entries$"):
         relative_gap(np.array([1.0, value]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("kind", list(DistanceKind))
+@pytest.mark.parametrize("sigma1, sigma2", [(1.0, 0.0), (0.0, 1.0), (0.7, 0.4)],
+                         ids=["sigma1", "sigma2", "both"])
+@pytest.mark.parametrize("dim, n_s, n_t",
+                         [(8, 3, 2), (3, 5, 4), (6, 1, 3), (2, 1, 5), (6, 3, 1), (2, 5, 1)],
+                         ids=["d>k-2", "d<k-2", "N=1", "N=1,d<k-2", "N*=1", "N*=1,d<k-2"])
+def test_one_class_grads_equal_the_adapter(kind, sigma1, sigma2, dim, n_s, n_t, rng):
+    """The stack of one that gradcheck hands the kernel gives alignment_loss's gradients."""
+    config = AlignConfig(sigma1=sigma1, sigma2=sigma2, eta=0.0, kind=kind, class_count=1, eps=1e-2)
+    phi_s, phi_t = rng.normal(size=(dim, n_s)), rng.normal(size=(dim, n_t))
+    grad_s, grad_t = checks._one_class_grads(config, phi_s, phi_t)
+    result = alignment_loss([(phi_s, phi_t)], config)
+    assert np.array_equal(grad_s, result.grads_source[0])
+    assert np.array_equal(grad_t, result.grads_target[0])

@@ -21,10 +21,8 @@ from spdalign.metrics import (
     factor_masks,
     format_case,
     hit_counts,
-    hit_rate,
     hit_ranks,
     load_cases,
-    mean_hit_rate_kk,
     parse_case_line,
     sweep_ranks,
     top_k,
@@ -338,6 +336,16 @@ class TestFactorBreakdown:
         assert "blr+ocl" in tags
 
 
+def hit_rate(ranks, k, n=1):
+    """top-k-n read from a :func:`hit_ranks` table with at least n columns."""
+    return np.count_nonzero(ranks[:, n - 1] <= k) / len(ranks)
+
+
+def mean_hit_rate_kk(ranks, k_max):
+    """avg-top-k-k read from a :func:`hit_ranks` table with at least k_max columns."""
+    return sum(hit_rate(ranks, k, k) for k in range(1, k_max + 1)) / k_max
+
+
 def reference_metrics_csv(ranks, k_max):
     """``metrics.csv`` with one ``hit_rate`` or ``mean_hit_rate_kk`` call per value."""
     lines = ["measure,k,n,value"]
@@ -387,6 +395,18 @@ class TestCountTables:
         assert cli._metrics_csv(ranks, k_max) == reference_metrics_csv(ranks, k_max)
         assert cli._breakdown_csv(table, ranks, k_max) == reference_breakdown_csv(
             table, ranks, k_max)
+
+    @given(_tagged_case_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_measures_equal_the_per_measure_composition(self, drawn):
+        k_max, cases = drawn
+        table = CaseTable.from_cases(cases)
+        ranks = sweep_ranks(table, k_max)
+        values = [(top_k_n(table, k, n), hit_rate(ranks, k, n))
+                  for k in range(1, k_max + 1) for n in range(1, k_max + 1)]
+        values.append((avg_top_kk(table, k_max), mean_hit_rate_kk(ranks, k_max)))
+        for value, reference in values:
+            assert type(value) is float and value == reference
 
 
 class TestCaseTable:
